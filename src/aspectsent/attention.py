@@ -41,18 +41,14 @@ class AspectAttentionParams:
 
 @dataclass
 class AttentionTrace:
-    """Everything one aspect's encoder produced for one sequence.
+    """What one aspect's encoder produced for one sequence.
 
     Kept around for the loss's orthogonality terms and for explanation:
     both weight vectors sum to one over unmasked positions and are zero at
-    masked ones. The position-stage fields are None when that stage is
-    disabled.
+    masked ones. pos_weights is None when the position stage is disabled.
     """
 
-    self_logits: Tensor  # (T,)
     self_weights: Tensor  # (T,)
-    weighted: Tensor  # (T, H)
-    pos_logits: Optional[Tensor]  # (T,)
     pos_weights: Optional[Tensor]  # (T,)
     context: Tensor  # (H,)
 

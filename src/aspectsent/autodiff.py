@@ -39,20 +39,16 @@ class Tensor:
 
     Gradients accumulate across backward passes until explicitly cleared,
     so multi-term objectives can sum contributions without extra plumbing.
+    A float64 array passed in is wrapped without a copy.
     """
 
-    __slots__ = ("values", "grad", "trainable", "name", "tape")
+    __slots__ = ("values", "grad", "name", "tape")
 
-    def __init__(self, values, trainable: bool = False, name: Optional[str] = None):
-        self.values = np.array(values, dtype=np.float64)
+    def __init__(self, values, name: Optional[str] = None):
+        self.values = np.asarray(values, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
-        self.trainable = trainable
         self.name = name
         self.tape: Optional["Tape"] = None
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
 
     @property
     def size(self) -> int:
@@ -60,9 +56,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.values)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def accumulate_grad(self, g) -> None:
         if self.grad is None:
@@ -75,8 +68,8 @@ class Tensor:
 
 
 def parameter(values, name: Optional[str] = None) -> Tensor:
-    """Create a trainable tensor."""
-    return Tensor(values, trainable=True, name=name)
+    """Create a named leaf tensor for a trainable parameter."""
+    return Tensor(values, name=name)
 
 
 class _TapeOp:
@@ -256,20 +249,11 @@ def tanh(a: Tensor) -> Tensor:
 def sigmoid(a: Tensor) -> Tensor:
     x = a.values
     # piecewise form avoids overflow in exp for large |x|
-    y = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    e = np.exp(-np.abs(x))
+    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
     def grad_fn(g):
         return (g * y * (1.0 - y),)
-
-    return _record((a,), y, grad_fn)
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.values)
-
-    def grad_fn(g):
-        return (g * y,)
 
     return _record((a,), y, grad_fn)
 

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+import typing
+from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from aspectsent.data import (
     DOMAIN_ASPECTS,
@@ -35,6 +34,7 @@ from aspectsent.embeddings import (
 from aspectsent.heatmap import build_report, render_heatmap
 from aspectsent.model import (
     RANKING_MODES,
+    CheckpointFormatError,
     ModelConfig,
     forward,
     init_params,
@@ -89,6 +89,16 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def _field_parsers(cls) -> dict:
+    """Map each field of a config dataclass to the parser for its type."""
+    parsers = {}
+    for name, hint in typing.get_type_hints(cls).items():
+        if typing.get_origin(hint) is typing.Union:  # Optional[X] parses as X
+            (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
+        parsers[name] = _parse_bool if hint is bool else hint
+    return parsers
+
+
 def parse_config_file(path):
     """Read a flat ``key = value`` file into a string map."""
     entries = {}
@@ -122,17 +132,18 @@ def build_configs(entries: dict):
 
     model_kwargs = {"aspect_names": data.aspect_names()}
     train_kwargs = {}
-    model_fields = {f.name: f.type for f in fields(ModelConfig)}
-    train_fields = {f.name: f.type for f in fields(TrainConfig)}
+    model_parsers = _field_parsers(ModelConfig)
+    del model_parsers["aspect_names"]
+    train_parsers = _field_parsers(TrainConfig)
     for key, raw in entries.items():
-        if key in model_fields and key != "aspect_names":
-            target, caster = model_kwargs, _model_caster(key)
-        elif key in train_fields:
-            target, caster = train_kwargs, _train_caster(key)
+        if key in model_parsers:
+            target, parser = model_kwargs, model_parsers[key]
+        elif key in train_parsers:
+            target, parser = train_kwargs, train_parsers[key]
         else:
             raise ConfigError(f"unknown config key {key!r}")
         try:
-            target[key] = caster(raw)
+            target[key] = parser(raw)
         except ConfigError:
             raise
         except ValueError:
@@ -146,29 +157,6 @@ def build_configs(entries: dict):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return model_config, train_config, data
-
-
-_MODEL_BOOLS = {
-    "bidirectional", "disable_position_attention", "disable_self_orth",
-    "disable_pos_orth", "disable_l2",
-}
-_MODEL_INTS = {"embedding_width", "cell_width", "max_length", "class_count", "max_rated_aspects"}
-
-
-def _model_caster(key):
-    if key in _MODEL_BOOLS:
-        return _parse_bool
-    if key in _MODEL_INTS:
-        return int
-    return float
-
-
-def _train_caster(key):
-    if key == "optimizer":
-        return str
-    if key in ("epochs", "batch_size", "seed", "patience"):
-        return int
-    return float
 
 
 def _prepare_dataset(data_path, model_config, data_settings, seed):
@@ -331,6 +319,7 @@ def _build_parser() -> _Parser:
 
 _VALIDATION_ERRORS = (
     ConfigError,
+    CheckpointFormatError,
     CorpusParseError,
     CorpusValidationError,
     SplitConfigError,

@@ -6,7 +6,8 @@ Input corpora are JSON-lines files, one review per line:
     {"text": "...", "overall": 4, "aspects": {"Food": 5, "Service": 2}}
 
 Aspect keys must come from the configured aspect list; aspects may be
-omitted (unrated) but never duplicated. Star ratings 1-3 map to negative,
+omitted (unrated) but never duplicated. A "domain" field is accepted and
+ignored. Star ratings 1-3 map to negative,
 4-5 to positive.
 """
 
@@ -46,13 +47,11 @@ class RawReview:
     text: str
     overall_rating: int
     aspect_ratings: list  # Optional[int] per configured aspect
-    domain: str = ""
 
 
 @dataclass
 class ProcessedExample:
     token_ids: np.ndarray  # int64 (T,)
-    positions: np.ndarray  # int64 (T,)
     mask: np.ndarray  # bool (T,)
     overall_label: int
     aspect_labels: list  # Optional[int] per aspect
@@ -86,7 +85,7 @@ def _check_duplicate_keys(pairs):
     return dict(pairs)
 
 
-def ingest(path, aspect_names: Sequence[str], domain: str = "") -> list:
+def ingest(path, aspect_names: Sequence[str]) -> list:
     """Parse a JSON-lines corpus into raw reviews, in file order."""
     reviews = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -100,13 +99,13 @@ def ingest(path, aspect_names: Sequence[str], domain: str = "") -> list:
             except CorpusValidationError as exc:
                 raise CorpusValidationError(f"line {line_no}: {exc}") from None
             try:
-                reviews.append(_validate_record(record, aspect_names, domain))
+                reviews.append(_validate_record(record, aspect_names))
             except CorpusValidationError as exc:
                 raise CorpusValidationError(f"line {line_no}: {exc}") from None
     return reviews
 
 
-def _validate_record(record, aspect_names, domain) -> RawReview:
+def _validate_record(record, aspect_names) -> RawReview:
     if not isinstance(record, dict):
         raise CorpusValidationError("record is not an object")
     if "text" not in record or not isinstance(record["text"], str):
@@ -135,7 +134,6 @@ def _validate_record(record, aspect_names, domain) -> RawReview:
         text=record["text"],
         overall_rating=overall,
         aspect_ratings=ratings,
-        domain=record.get("domain", domain),
     )
 
 
@@ -246,11 +244,9 @@ def split(examples: Sequence, seed: int) -> DatasetSplit:
 
 def encode_example(review: PreprocessedReview, vocab: Vocabulary) -> ProcessedExample:
     ids = vocab.encode(review.tokens)
-    t = len(ids)
     return ProcessedExample(
         token_ids=ids,
-        positions=np.arange(t, dtype=np.int64),
-        mask=np.ones(t, dtype=bool),
+        mask=np.ones(len(ids), dtype=bool),
         overall_label=review.overall_label,
         aspect_labels=list(review.aspect_labels),
         tokens=list(review.tokens),
@@ -264,7 +260,6 @@ def pad_example(example: ProcessedExample, length: int) -> ProcessedExample:
     pad = length - t
     return ProcessedExample(
         token_ids=np.concatenate([example.token_ids, np.full(pad, PAD_ID, dtype=np.int64)]),
-        positions=np.concatenate([example.positions, np.arange(t, length, dtype=np.int64)]),
         mask=np.concatenate([example.mask, np.zeros(pad, dtype=bool)]),
         overall_label=example.overall_label,
         aspect_labels=list(example.aspect_labels),

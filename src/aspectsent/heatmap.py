@@ -4,12 +4,14 @@ One grayscale row per aspect, one cell per token: cell darkness is linear
 in that token's combined attention weight, normalized by the largest weight
 in the report. A horizontal bar per aspect shows its summary score, and the
 top-ranked aspect is marked. Rendering is a pure function of the report, so
-identical reports produce byte-identical documents.
+identical reports produce byte-identical documents. Aspect names and
+tokens are HTML-escaped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
 
 import numpy as np
@@ -88,7 +90,7 @@ def render_heatmap(report: HeatmapReport) -> str:
         f"<p>Predicted overall polarity: <b>{_POLARITY[report.overall_prediction]}</b></p>",
         "<table>",
         "<tr><th>aspect</th>"
-        + "".join(f"<th>{token}</th>" for token in report.tokens)
+        + "".join(f"<th>{escape(token)}</th>" for token in report.tokens)
         + "<th>polarity</th><th>score</th></tr>",
     ]
     for k, name in enumerate(report.aspect_names):
@@ -100,12 +102,12 @@ def render_heatmap(report: HeatmapReport) -> str:
             norm = weight / peak if peak > 0 else 0.0
             cells.append(
                 f"<td style='background:{_shade(norm)}' title='{weight:.6f}'>"
-                f"{report.tokens[j]}</td>"
+                f"{escape(report.tokens[j])}</td>"
             )
         score = report.scores[k]
         width = int(round(score / max_score * 240)) if max_score > 0 else 0
         lines.append(
-            f"<tr{marked}><td>{name}{star}</td>"
+            f"<tr{marked}><td>{escape(name)}{star}</td>"
             + "".join(cells)
             + f"<td>{_POLARITY[report.aspect_predictions[k]]}</td>"
             + f"<td><span class='bar' style='width:{width}px'></span> {score:.4f}</td></tr>"

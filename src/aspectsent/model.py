@@ -12,14 +12,15 @@ parameters.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import os
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.attention import (
-    AspectAttentionParams,
     AttentionTrace,
     init_attention_params,
     position_aware_attention,
@@ -37,6 +38,8 @@ from aspectsent.embeddings import (
 from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params, lstm_forward
 
 CROSS_ENTROPY_EPS = 1e-12
+CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
+CHECKPOINT_FORMAT = 2  # archives without a format_version are version 1
 
 
 @dataclass
@@ -44,9 +47,9 @@ class ModelConfig:
     """Architecture and objective settings.
 
     max_rated_aspects caps how many rated aspects contribute cross-entropy
-    per example (None means all of them); the disable_* flags switch off
-    individual objective terms or the whole position-attention stage for
-    ablation runs.
+    per example (None means all of them). A term whose weight is 0 is left
+    out of the objective entirely; disable_position_attention removes the
+    position-attention stage and its parameters.
     """
 
     aspect_names: list = field(default_factory=list)
@@ -54,16 +57,12 @@ class ModelConfig:
     cell_width: int = 64
     max_length: int = 256
     bidirectional: bool = True
-    class_count: int = 2
     max_rated_aspects: Optional[int] = None
     aspect_loss_weight: float = 0.5
     self_orth_weight: float = 0.5
     pos_orth_weight: float = 0.5
     l2_weight: float = 0.01
     disable_position_attention: bool = False
-    disable_self_orth: bool = False
-    disable_pos_orth: bool = False
-    disable_l2: bool = False
 
     @property
     def aspect_count(self) -> int:
@@ -82,8 +81,6 @@ class ModelConfig:
     def validate(self) -> None:
         if not self.aspect_names:
             raise ValueError("at least one aspect is required")
-        if self.class_count != 2:
-            raise ValueError("only binary polarity is supported")
         if not 0 <= self.rated_aspect_cap <= self.aspect_count:
             raise ValueError(
                 f"max_rated_aspects {self.rated_aspect_cap} outside "
@@ -96,8 +93,8 @@ class ModelConfig:
 
 @dataclass
 class HeadParams:
-    weight: Tensor  # in_width x class_count
-    bias: Tensor  # class_count
+    weight: Tensor  # in_width x CLASS_COUNT
+    bias: Tensor  # CLASS_COUNT
 
     def tensors(self):
         return [self.weight, self.bias]
@@ -176,10 +173,10 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
     aspect_heads = [
         HeadParams(
             weight=ad.parameter(
-                rng.uniform(-bound, bound, size=(hidden, config.class_count)),
+                rng.uniform(-bound, bound, size=(hidden, CLASS_COUNT)),
                 f"aspect_head.{k}.weight",
             ),
-            bias=ad.parameter(np.zeros(config.class_count), f"aspect_head.{k}.bias"),
+            bias=ad.parameter(np.zeros(CLASS_COUNT), f"aspect_head.{k}.bias"),
         )
         for k in range(config.aspect_count)
     ]
@@ -188,11 +185,11 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
         weight=ad.parameter(
             rng.uniform(
                 -overall_bound, overall_bound,
-                size=(hidden * config.aspect_count, config.class_count),
+                size=(hidden * config.aspect_count, CLASS_COUNT),
             ),
             "overall_head.weight",
         ),
-        bias=ad.parameter(np.zeros(config.class_count), "overall_head.bias"),
+        bias=ad.parameter(np.zeros(CLASS_COUNT), "overall_head.bias"),
     )
     return ModelParams(tables, lstm_fwd, lstm_bwd, attention, aspect_heads, overall_head)
 
@@ -240,14 +237,12 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
         sa = self_attention(hidden.values, attn, mask)
         if config.disable_position_attention:
             context = ad.reduce_sum(sa.weighted, axis=0)
-            trace = AttentionTrace(sa.logits, sa.weights, sa.weighted, None, None, context)
+            trace = AttentionTrace(sa.weights, None, context)
         else:
             pa = position_aware_attention(
                 sa.weighted, hidden.values, mean_embedding, attn, mask
             )
-            trace = AttentionTrace(
-                sa.logits, sa.weights, sa.weighted, pa.logits, pa.weights, pa.context
-            )
+            trace = AttentionTrace(sa.weights, pa.weights, pa.context)
         traces.append(trace)
         aspect_probs.append(_head_probs(params.aspect_heads[k], trace.context))
 
@@ -297,7 +292,7 @@ class LossBreakdown:
 
     ``aspect_terms`` lists (aspect index, cross-entropy) for the rated
     aspects that made it under the cap, in aspect order. Terms that were
-    disabled, weightless, or structurally absent are None. ``compose``
+    weightless or structurally absent are None. ``compose``
     re-folds the terms exactly as the tensor path did, so recombining a
     breakdown reproduces the logged total bit-for-bit.
     """
@@ -358,19 +353,19 @@ def combined_loss(
 
     self_matrix, pos_matrix = stack_attention_matrices(output.traces)
     self_orth_value = None
-    if not config.disable_self_orth and config.self_orth_weight > 0:
+    if config.self_orth_weight > 0:
         self_orth = orthogonal_penalty(self_matrix)
         self_orth_value = self_orth.item()
         total = ad.add(total, ad.scale(self_orth, config.self_orth_weight))
 
     pos_orth_value = None
-    if pos_matrix is not None and not config.disable_pos_orth and config.pos_orth_weight > 0:
+    if pos_matrix is not None and config.pos_orth_weight > 0:
         pos_orth = orthogonal_penalty(pos_matrix)
         pos_orth_value = pos_orth.item()
         total = ad.add(total, ad.scale(pos_orth, config.pos_orth_weight))
 
     l2_value = None
-    if not config.disable_l2 and config.l2_weight > 0:
+    if config.l2_weight > 0:
         l2 = None
         for tensor in params.tensors():
             term = ad.reduce_sum(ad.mul(tensor, tensor))
@@ -418,36 +413,39 @@ def aspect_rank(traces: Sequence[AttentionTrace], mode: str = "magnitude"):
 # checkpointing
 
 
+class CheckpointFormatError(ValueError):
+    """A checkpoint file has another format version or does not match its config."""
+
+
 def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelParams) -> None:
-    """Write config, vocabulary, and every parameter tensor to one archive."""
+    """Write config, vocabulary, and every parameter tensor to one archive.
+
+    The archive is written to a temporary file beside ``path`` and then
+    renamed over it, so a failed save leaves any earlier checkpoint intact.
+    """
     meta = {
-        "config": {
-            "aspect_names": config.aspect_names,
-            "embedding_width": config.embedding_width,
-            "cell_width": config.cell_width,
-            "max_length": config.max_length,
-            "bidirectional": config.bidirectional,
-            "class_count": config.class_count,
-            "max_rated_aspects": config.max_rated_aspects,
-            "aspect_loss_weight": config.aspect_loss_weight,
-            "self_orth_weight": config.self_orth_weight,
-            "pos_orth_weight": config.pos_orth_weight,
-            "l2_weight": config.l2_weight,
-            "disable_position_attention": config.disable_position_attention,
-            "disable_self_orth": config.disable_self_orth,
-            "disable_pos_orth": config.disable_pos_orth,
-            "disable_l2": config.disable_l2,
-        },
+        "format_version": CHECKPOINT_FORMAT,
+        "config": asdict(config),
         "vocabulary": vocab.id_to_token,
     }
     arrays = {"param/" + name: tensor.values for name, tensor in params.named_tensors()}
-    with open(path, "wb") as fh:
-        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
-                 **arrays)
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                     **arrays)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
-    """Rebuild config, vocabulary, and parameters; values round-trip exactly."""
+    """Rebuild config, vocabulary, and parameters; values round-trip exactly.
+
+    Raises CheckpointFormatError, naming the file, when the format version
+    differs or the config keys or parameter names and shapes do not match.
+    """
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
         arrays = {
@@ -455,18 +453,30 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
             for key in archive.files
             if key.startswith("param/")
         }
+
+    def fail(message):
+        raise CheckpointFormatError(f"checkpoint {path}: {message}")
+
+    version = meta.get("format_version")
+    if version != CHECKPOINT_FORMAT:
+        fail(f"format version {version} is not {CHECKPOINT_FORMAT}; retrain the model")
+    unknown = set(meta["config"]) - {f.name for f in fields(ModelConfig)}
+    if unknown:
+        fail(f"unknown config keys {sorted(unknown)}")
     config = ModelConfig(**meta["config"])
     tokens = meta["vocabulary"]
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
     params = init_params(config, len(vocab), seed=0)
     for name, tensor in params.named_tensors():
+        if name not in arrays:
+            fail(f"parameter {name} is missing")
         loaded = arrays.pop(name)
         if loaded.shape != tensor.values.shape:
-            raise ValueError(
-                f"checkpoint parameter {name}: shape {loaded.shape} does not "
-                f"match expected {tensor.values.shape}"
+            fail(
+                f"parameter {name} has shape {loaded.shape}, expected "
+                f"{tensor.values.shape}"
             )
         tensor.values[...] = loaded
     if arrays:
-        raise ValueError(f"checkpoint has unexpected parameters: {sorted(arrays)}")
+        fail(f"unexpected parameters {sorted(arrays)}")
     return config, vocab, params

@@ -7,7 +7,7 @@ padding never perturbs the outputs for real tokens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,8 @@ class LstmParams:
 
     Input projections are input_width x cell_width, recurrent projections
     cell_width x cell_width, biases cell_width. The forget bias starts at 1
-    so memory is retained early in training.
+    so memory is retained early in training. Field order is the order of
+    ``tensors()`` and of the initializer's random draws.
     """
 
     input_gate_w: Tensor
@@ -47,12 +48,7 @@ class LstmParams:
         return self.input_gate_w.values.shape[1]
 
     def tensors(self):
-        return [
-            self.input_gate_w, self.input_gate_u, self.input_gate_b,
-            self.forget_gate_w, self.forget_gate_u, self.forget_gate_b,
-            self.output_gate_w, self.output_gate_u, self.output_gate_b,
-            self.candidate_w, self.candidate_u, self.candidate_b,
-        ]
+        return [getattr(self, f.name) for f in fields(self)]
 
 
 @dataclass
@@ -60,42 +56,21 @@ class HiddenStates:
     values: Tensor  # T x width; masked rows exactly zero
     mask: np.ndarray  # bool (T,)
 
-    @property
-    def width(self) -> int:
-        return self.values.values.shape[1]
-
 
 def init_lstm_params(
     input_width: int, cell_width: int, rng: np.random.Generator, prefix: str = "lstm"
 ) -> LstmParams:
     bound = 1.0 / np.sqrt(cell_width)
+    shapes = {"w": (input_width, cell_width), "u": (cell_width, cell_width), "b": cell_width}
 
-    def mat(rows, cols, name):
-        return ad.parameter(
-            rng.uniform(-bound, bound, size=(rows, cols)), f"{prefix}.{name}"
-        )
-
-    def vec(name, fill=None):
-        if fill is None:
-            values = rng.uniform(-bound, bound, size=cell_width)
+    def init(name):
+        if name == "forget_gate_b":
+            values = np.ones(cell_width)
         else:
-            values = np.full(cell_width, fill, dtype=np.float64)
+            values = rng.uniform(-bound, bound, size=shapes[name[-1]])
         return ad.parameter(values, f"{prefix}.{name}")
 
-    return LstmParams(
-        input_gate_w=mat(input_width, cell_width, "input_gate_w"),
-        input_gate_u=mat(cell_width, cell_width, "input_gate_u"),
-        input_gate_b=vec("input_gate_b"),
-        forget_gate_w=mat(input_width, cell_width, "forget_gate_w"),
-        forget_gate_u=mat(cell_width, cell_width, "forget_gate_u"),
-        forget_gate_b=vec("forget_gate_b", fill=1.0),
-        output_gate_w=mat(input_width, cell_width, "output_gate_w"),
-        output_gate_u=mat(cell_width, cell_width, "output_gate_u"),
-        output_gate_b=vec("output_gate_b"),
-        candidate_w=mat(input_width, cell_width, "candidate_w"),
-        candidate_u=mat(cell_width, cell_width, "candidate_u"),
-        candidate_b=vec("candidate_b"),
-    )
+    return LstmParams(**{f.name: init(f.name) for f in fields(LstmParams)})
 
 
 def _check_width(inputs: Tensor, params: LstmParams) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ class TrainConfig:
     batch_size: int = 32
     seed: int = 0
     patience: int = 5  # epochs without validation macro-F1 improvement
-    stop_train_accuracy: Optional[float] = None  # early exit once every head hits this on train
 
     def validate(self) -> None:
         if self.optimizer not in ("adam", "sgd"):
@@ -179,7 +178,6 @@ class EpochRecord:
     epoch: int
     mean_loss: float
     validation: EvaluationReport
-    train: Optional[EvaluationReport]
 
 
 @dataclass
@@ -211,8 +209,7 @@ def train(
     padded batch (batch loss is the mean of per-example losses), then
     evaluates on the validation part. The parameter snapshot with the best
     validation macro-F1 is restored at the end. Training stops early after
-    ``patience`` epochs without improvement, or once training accuracy on
-    every head reaches ``stop_train_accuracy`` when that is set.
+    ``patience`` epochs without improvement.
     """
     train_config.validate()
     model_config.validate()
@@ -249,49 +246,22 @@ def train(
             batch_index += 1
 
         validation = evaluate(params, model_config, data.validation)
-        train_report = None
-        if train_config.stop_train_accuracy is not None:
-            train_report = evaluate(params, model_config, data.train)
         log.append(
             EpochRecord(
                 epoch=epoch,
                 mean_loss=float(np.mean(losses)) if losses else 0.0,
                 validation=validation,
-                train=train_report,
             )
         )
         if validation.overall.macro_f1 > best_macro_f1:
             best_macro_f1 = validation.overall.macro_f1
             best_epoch = epoch
             best_snapshot = _snapshot(params)
-        if train_report is not None:
-            head_accuracies = [train_report.overall.accuracy] + [
-                m.accuracy for m in train_report.aspects if m.support > 0
-            ]
-            if min(head_accuracies) >= train_config.stop_train_accuracy:
-                break
         if epoch - best_epoch >= train_config.patience:
             break
 
     _restore(params, best_snapshot)
     return TrainResult(params, log, best_epoch, best_macro_f1)
-
-
-def train_repeated(
-    model_config: ModelConfig,
-    train_config: TrainConfig,
-    data: DatasetSplit,
-    vocab_size: int,
-    repeats: int,
-):
-    """Run training ``repeats`` times with per-run seeds derived from the base
-    seed; returns the per-run results."""
-    results = []
-    for run in range(repeats):
-        run_config = replace(train_config, seed=train_config.seed + run)
-        params = init_params(model_config, vocab_size, seed=run_config.seed)
-        results.append(train(params, model_config, run_config, data))
-    return results
 
 
 # ---------------------------------------------------------------------------
@@ -303,10 +273,10 @@ def standard_ablation_grid(base: ModelConfig):
     return [
         ("full", base),
         ("no_position_attention", replace(base, disable_position_attention=True)),
-        ("no_pos_orth", replace(base, disable_pos_orth=True)),
-        ("no_self_orth", replace(base, disable_self_orth=True)),
-        ("no_orth", replace(base, disable_self_orth=True, disable_pos_orth=True)),
-        ("no_l2", replace(base, disable_l2=True)),
+        ("no_pos_orth", replace(base, pos_orth_weight=0.0)),
+        ("no_self_orth", replace(base, self_orth_weight=0.0)),
+        ("no_orth", replace(base, self_orth_weight=0.0, pos_orth_weight=0.0)),
+        ("no_l2", replace(base, l2_weight=0.0)),
     ]
 
 
@@ -400,13 +370,3 @@ def format_metrics_report(report: EvaluationReport, aspect_names) -> str:
             f"{metrics.support:7d}"
         )
     return "\n".join(lines) + "\n"
-
-
-def summarize_runs(values: Sequence[float]) -> dict:
-    """Mean with both spread conventions labeled explicitly."""
-    arr = np.asarray(values, dtype=np.float64)
-    return {
-        "mean": float(arr.mean()),
-        "std": float(arr.std(ddof=0)),
-        "variance": float(arr.var(ddof=0)),
-    }

@@ -56,7 +56,7 @@ def synthetic_reviews(n: int, seed: int, unrated_fraction: float = 0.0):
             else:
                 ratings.append(5 if polarity[name] else 2)
         overall = 5 if all(polarity.values()) else 2
-        reviews.append(RawReview(" ".join(words), overall, ratings, "synthetic"))
+        reviews.append(RawReview(" ".join(words), overall, ratings))
     return reviews
 
 

@@ -164,8 +164,8 @@ def test_permuting_identical_positions_permutes_weights():
 def test_gradient_through_both_stages():
     rng = np.random.default_rng(7)
     params = make_params(3, 4, rng)
-    hidden = Tensor(rng.normal(size=(4, 3)), trainable=True)
-    ebar = Tensor(rng.normal(size=4), trainable=True)
+    hidden = ad.parameter(rng.normal(size=(4, 3)))
+    ebar = ad.parameter(rng.normal(size=4))
     readout = Tensor(rng.normal(size=3))
     mask = np.array([True, True, True, False])
 
@@ -193,10 +193,7 @@ def test_aspect_encoders_are_parameter_disjoint():
 def make_trace(weights, pos_weights=None):
     t = len(weights)
     return AttentionTrace(
-        self_logits=Tensor(np.zeros(t)),
         self_weights=Tensor(weights),
-        weighted=Tensor(np.zeros((t, 2))),
-        pos_logits=None if pos_weights is None else Tensor(np.zeros(t)),
         pos_weights=None if pos_weights is None else Tensor(pos_weights),
         context=Tensor(np.zeros(2)),
     )

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,8 +39,8 @@ def test_matmul_shape_error_names_both_shapes():
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    a = Tensor(rng.normal(size=(2, 3)), trainable=True)
-    b = Tensor(rng.normal(size=(3, 4)), trainable=True)
+    a = ad.parameter(rng.normal(size=(2, 3)))
+    b = ad.parameter(rng.normal(size=(3, 4)))
     err = grad_check(lambda: ad.reduce_sum(ad.matmul(a, b)), [a, b])
     assert err < 1e-9
     # gradient of sum(A @ B) w.r.t. A is the row sums of B broadcast along rows
@@ -55,7 +57,7 @@ def test_tanh_sigmoid_at_zero():
 
 
 def test_tanh_derivative_matches_central_difference():
-    x = Tensor(1.0, trainable=True)
+    x = ad.parameter(1.0)
     h = 1e-6
     with Tape():
         backward(ad.tanh(x))
@@ -69,8 +71,8 @@ def test_log_domain_error():
 
 
 def test_scalar_broadcast_add_and_grad():
-    v = Tensor([1.0, 2.0, 3.0], trainable=True)
-    b = Tensor(0.5, trainable=True)
+    v = ad.parameter([1.0, 2.0, 3.0])
+    b = ad.parameter(0.5)
     with Tape():
         out = ad.add(v, b)
         np.testing.assert_allclose(out.values, [1.5, 2.5, 3.5])
@@ -117,7 +119,7 @@ def test_masked_softmax_properties(logits, data):
 
 
 def test_reduce_mean_value_and_grad():
-    v = Tensor([2.0, 4.0, 6.0], trainable=True)
+    v = ad.parameter([2.0, 4.0, 6.0])
     out = ad.reduce_mean(v)
     assert out.item() == 4.0
     with Tape():
@@ -136,8 +138,8 @@ def test_reduce_axis_out_of_range():
 
 
 def test_concat_values_and_backward():
-    a = Tensor([1.0, 2.0], trainable=True)
-    b = Tensor([3.0], trainable=True)
+    a = ad.parameter([1.0, 2.0])
+    b = ad.parameter([3.0])
     with Tape():
         out = ad.concat([a, b])
         np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
@@ -157,14 +159,14 @@ def test_concat_side_dimension_mismatch():
 
 
 def test_backward_square():
-    x = Tensor(3.0, trainable=True)
+    x = ad.parameter(3.0)
     with Tape():
         backward(ad.mul(x, x))
     assert float(x.grad) == 6.0
 
 
 def test_backward_accumulates_without_zeroing():
-    x = Tensor(3.0, trainable=True)
+    x = ad.parameter(3.0)
     with Tape():
         backward(ad.mul(x, x))
     with Tape():
@@ -174,8 +176,8 @@ def test_backward_accumulates_without_zeroing():
 
 def test_backward_matvec_outer_structure():
     rng = np.random.default_rng(1)
-    w = Tensor(rng.normal(size=(3, 2)), trainable=True)
-    v = Tensor(rng.normal(size=2), trainable=True)
+    w = ad.parameter(rng.normal(size=(3, 2)))
+    v = ad.parameter(rng.normal(size=2))
     err = grad_check(lambda: ad.reduce_sum(ad.matvec(w, v)), [w, v])
     assert err < 1e-9
 
@@ -194,14 +196,14 @@ def test_backward_requires_tape():
 
 
 def test_grad_check_linear_is_near_exact():
-    v = Tensor([1.0, -2.0, 0.5], trainable=True)
+    v = ad.parameter([1.0, -2.0, 0.5])
     assert grad_check(lambda: ad.reduce_sum(ad.scale(v, 3.0)), [v]) < 1e-9
 
 
 def test_grad_check_tanh_matmul_composition():
     rng = np.random.default_rng(2)
-    a = Tensor(rng.normal(size=(3, 3)), trainable=True)
-    b = Tensor(rng.normal(size=(3, 2)), trainable=True)
+    a = ad.parameter(rng.normal(size=(3, 3)))
+    b = ad.parameter(rng.normal(size=(3, 2)))
     err = grad_check(lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b))), [a, b])
     assert err < 1e-6
 
@@ -209,26 +211,26 @@ def test_grad_check_tanh_matmul_composition():
 @pytest.mark.parametrize(
     "name",
     [
-        "add", "sub", "mul", "div", "neg", "scale", "tanh", "sigmoid", "exp",
-        "log", "sqrt", "clamp", "matmul", "matvec", "transpose", "reduce_sum",
+        "add", "sub", "mul", "div", "neg", "scale", "tanh", "sigmoid", "log",
+        "sqrt", "clamp", "matmul", "matvec", "transpose", "reduce_sum",
         "reduce_mean", "concat", "stack_rows", "scale_rows", "gather_rows",
         "take_row", "pick", "masked_softmax",
     ],
 )
 def test_grad_check_every_operation(name):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
 
     def vec(n=4):
-        return Tensor(rng.normal(size=n), trainable=True)
+        return ad.parameter(rng.normal(size=n))
 
     def mat(r=3, c=4):
-        return Tensor(rng.normal(size=(r, c)), trainable=True)
+        return ad.parameter(rng.normal(size=(r, c)))
 
     if name in ("add", "sub", "mul", "div"):
-        a, b = vec(), Tensor(rng.uniform(1.0, 2.0, size=4), trainable=True)
+        a, b = vec(), ad.parameter(rng.uniform(1.0, 2.0, size=4))
         fn = getattr(ad, name)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(fn(a, b)))
-    elif name in ("neg", "tanh", "sigmoid", "exp"):
+    elif name in ("neg", "tanh", "sigmoid"):
         a = vec()
         fn = getattr(ad, name)
         inputs, f = [a], lambda: ad.reduce_sum(fn(a))
@@ -236,11 +238,11 @@ def test_grad_check_every_operation(name):
         a = vec()
         inputs, f = [a], lambda: ad.reduce_sum(ad.scale(a, -1.7))
     elif name in ("log", "sqrt"):
-        a = Tensor(rng.uniform(0.5, 2.0, size=5), trainable=True)
+        a = ad.parameter(rng.uniform(0.5, 2.0, size=5))
         fn = getattr(ad, name)
         inputs, f = [a], lambda: ad.reduce_sum(fn(a))
     elif name == "clamp":
-        a = Tensor([-2.0, -0.4, 0.3, 1.8], trainable=True)
+        a = ad.parameter([-2.0, -0.4, 0.3, 1.8])
         inputs, f = [a], lambda: ad.reduce_sum(ad.mul(ad.clamp(a, -1.0, 1.0), a))
     elif name == "matmul":
         a, b = mat(2, 3), mat(3, 2)
@@ -295,7 +297,7 @@ def test_forward_replay_is_deterministic():
 
 
 def test_gather_rows_sparse_gradient():
-    t = Tensor(np.ones((4, 2)), trainable=True)
+    t = ad.parameter(np.ones((4, 2)))
     with Tape():
         backward(ad.reduce_sum(ad.gather_rows(t, [1, 1])))
     np.testing.assert_array_equal(t.grad, [[0, 0], [2, 2], [0, 0], [0, 0]])

@@ -1,9 +1,13 @@
+import json
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from aspectsent.cli import ConfigError, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
-from aspectsent.model import forward, init_params
+from aspectsent.model import ModelConfig, forward, init_params
+from aspectsent.training import TrainConfig
 from tests.corpus import synthetic_reviews, synthetic_split, tiny_model_config, write_jsonl
 
 CONFIG_TEXT = """
@@ -69,6 +73,57 @@ def test_config_bad_boolean(tmp_path):
     path.write_text("aspects = a, b\nbidirectional = maybe\n")
     with pytest.raises(ConfigError):
         build_configs(parse_config_file(path))
+
+
+# a valid non-default value per config key, as written and as parsed
+CONFIG_SAMPLES = {
+    "embedding_width": ("5", 5),
+    "cell_width": ("7", 7),
+    "max_length": ("12", 12),
+    "bidirectional": ("false", False),
+    "max_rated_aspects": ("1", 1),
+    "aspect_loss_weight": ("0.25", 0.25),
+    "self_orth_weight": ("0", 0.0),
+    "pos_orth_weight": ("1.5", 1.5),
+    "l2_weight": ("0.002", 0.002),
+    "disable_position_attention": ("yes", True),
+    "optimizer": ("sgd", "sgd"),
+    "learning_rate": ("0.02", 0.02),
+    "beta1": ("0.8", 0.8),
+    "beta2": ("0.99", 0.99),
+    "eps": ("1e-7", 1e-7),
+    "epochs": ("3", 3),
+    "batch_size": ("4", 4),
+    "seed": ("11", 11),
+    "patience": ("2", 2),
+}
+
+
+@pytest.mark.parametrize(
+    "key",
+    [f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls) if f.name != "aspect_names"],
+)
+def test_every_config_key_parses_to_its_field_type(tmp_path, key):
+    raw, expected = CONFIG_SAMPLES[key]
+    path = tmp_path / "config.txt"
+    path.write_text(f"aspects = a, b\n{key} = {raw}\n")
+    model_config, train_config, _ = build_configs(parse_config_file(path))
+    config = model_config if hasattr(model_config, key) else train_config
+    value = getattr(config, key)
+    assert value == expected
+    assert type(value) is type(expected)
+
+
+@pytest.mark.parametrize("key", ["disable_l2", "class_count", "stop_train_accuracy"])
+def test_removed_config_keys_rejected(tmp_path, corpus_path, key, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text(CONFIG_TEXT + f"{key} = 1\n")
+    status = main(
+        ["train", "--config", str(path), "--data", str(corpus_path),
+         "--out", str(tmp_path / "run")]
+    )
+    assert status == 1
+    assert key in capsys.readouterr().err
 
 
 def test_config_malformed_line(tmp_path):
@@ -140,6 +195,36 @@ def test_cli_eval_and_explain_round_trip(tmp_path, corpus_path, config_path):
     assert (explain_dir / "ranking_000.txt").exists()
 
 
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_cli_rejects_old_format_checkpoint(tmp_path, corpus_path, command, capsys):
+    config = ModelConfig(
+        aspect_names=["food", "service"], embedding_width=6, cell_width=6,
+        max_length=16, bidirectional=False,
+    )
+    tokens = ["<pad>", "<unk>", "pizza"]
+    params = init_params(config, len(tokens), seed=0)
+    meta = {
+        "config": dict(
+            aspect_names=config.aspect_names, embedding_width=6, cell_width=6,
+            max_length=16, bidirectional=False, class_count=2,
+            disable_self_orth=False, disable_pos_orth=False, disable_l2=False,
+        ),
+        "vocabulary": tokens,
+    }
+    checkpoint = tmp_path / "old.npz"
+    with open(checkpoint, "wb") as fh:
+        np.savez(
+            fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+            **{"param/" + name: t.values for name, t in params.named_tensors()},
+        )
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    assert str(checkpoint) in capsys.readouterr().err
+
+
 def make_report(intensities, scores=None):
     intensities = np.asarray(intensities, dtype=np.float64)
     k, t = intensities.shape
@@ -199,3 +284,13 @@ def test_report_intensity_rows_sum_to_two():
     report = build_report(ex.tokens, output, config.aspect_names, "literal")
     sums = report.intensities.sum(axis=1)
     np.testing.assert_allclose(sums, np.full(config.aspect_count, 2.0), atol=1e-6)
+
+
+def test_render_escapes_aspect_names_and_tokens():
+    report = make_report([[0.5, 0.5]])
+    report.aspect_names = ['<b>&"']
+    report.tokens = ["<i>", "a&b"]
+    html = render_heatmap(report)
+    assert "&lt;b&gt;&amp;&quot;" in html
+    assert "&lt;i&gt;" in html and "a&amp;b" in html
+    assert '<b>&"' not in html and "<i>" not in html

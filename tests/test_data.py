@@ -97,7 +97,7 @@ def test_preprocess_keeps_content_tokens(rules):
     assert processed is not None
     assert len(processed.tokens) == 5
     ex = encode_example(processed, build_vocabulary([processed.tokens]))
-    np.testing.assert_array_equal(ex.positions, np.arange(5))
+    np.testing.assert_array_equal(ex.mask, np.ones(5, dtype=bool))
 
 
 def test_preprocess_deterministic(rules):

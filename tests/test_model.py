@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from aspectsent import autodiff as ad
 from aspectsent.attention import AttentionTrace
 from aspectsent.autodiff import Tensor, grad_check
+from aspectsent import model
 from aspectsent.model import (
+    CheckpointFormatError,
     LossBreakdown,
     ModelConfig,
     aspect_rank,
@@ -252,7 +255,7 @@ def test_ablation_identity_recomposition(toy_model):
     out = forward(ex, params, config)
     _, full = combined_loss(out, ex, params, config)
 
-    ablated_config = toy_config(disable_self_orth=True)
+    ablated_config = toy_config(self_orth_weight=0.0)
     out2 = forward(ex, params, ablated_config)
     ablated_total, _ = combined_loss(out2, ex, params, ablated_config)
 
@@ -277,10 +280,7 @@ def test_aspect_head_gradients_are_label_decoupled(toy_model):
 def make_trace(alpha, beta, context):
     t = len(alpha)
     return AttentionTrace(
-        self_logits=Tensor(np.zeros(t)),
         self_weights=Tensor(alpha),
-        weighted=Tensor(np.zeros((t, len(context)))),
-        pos_logits=Tensor(np.zeros(t)),
         pos_weights=Tensor(beta),
         context=Tensor(context),
     )
@@ -343,3 +343,64 @@ def test_parameter_census_position_stage(toy_model):
     d2 = 2 * config.embedding_width
     expected_drop = config.aspect_count * (d2 * config.hidden_width + 1)
     assert params.parameter_count() - params2.parameter_count() == expected_drop
+
+
+def toy_vocab():
+    tokens = ["<pad>", "<unk>", "a", "b", "c", "d"]
+    return Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
+
+
+def rewrite_checkpoint(path, edit_meta=lambda meta: None, edit_arrays=lambda arrays: None):
+    with np.load(path) as archive:
+        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+        arrays = {key: archive[key] for key in archive.files if key != "meta"}
+    edit_meta(meta)
+    edit_arrays(arrays)
+    with open(path, "wb") as fh:
+        np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+                 **arrays)
+
+
+@pytest.mark.parametrize(
+    "edit_meta, edit_arrays, message",
+    [
+        (lambda m: m.pop("format_version"), lambda a: None, "format version None"),
+        (lambda m: m.update(format_version=1), lambda a: None, "format version 1"),
+        (lambda m: m["config"].update(class_count=2), lambda a: None, "class_count"),
+        (lambda m: None, lambda a: a.pop("param/overall_head.bias"), "overall_head.bias"),
+        (lambda m: None, lambda a: a.update({"param/extra": np.zeros(1)}), "extra"),
+        (
+            lambda m: None,
+            lambda a: a.update({"param/overall_head.bias": np.zeros(3)}),
+            "overall_head.bias",
+        ),
+    ],
+    ids=["no-version", "old-version", "unknown-key", "missing", "extra", "shape"],
+)
+def test_load_checkpoint_rejects_mismatch(tmp_path, toy_model, edit_meta, edit_arrays, message):
+    config, params = toy_model
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, toy_vocab(), params)
+    rewrite_checkpoint(path, edit_meta, edit_arrays)
+    with pytest.raises(CheckpointFormatError) as err:
+        load_checkpoint(path)
+    assert str(path) in str(err.value)
+    assert message in str(err.value)
+
+
+def test_failed_save_keeps_earlier_checkpoint(tmp_path, toy_model, monkeypatch):
+    config, params = toy_model
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, toy_vocab(), params)
+    before = path.read_bytes()
+
+    def broken_savez(fh, **arrays):
+        fh.write(b"partial")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(model.np, "savez", broken_savez)
+    params.overall_head.bias.values += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, config, toy_vocab(), params)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.npz"]

@@ -115,7 +115,7 @@ def test_bilstm_matches_two_manual_directions():
 def test_lstm_gradient_check():
     rng = np.random.default_rng(6)
     params = init_lstm_params(3, 3, rng)
-    x = Tensor(rng.normal(size=(4, 3)), trainable=True)
+    x = ad.parameter(rng.normal(size=(4, 3)))
     readout = Tensor(rng.normal(size=3))
     mask = np.array([True, True, True, False])
 
@@ -131,7 +131,7 @@ def test_bilstm_gradient_check():
     rng = np.random.default_rng(7)
     fwd = init_lstm_params(2, 2, rng)
     bwd = init_lstm_params(2, 2, rng)
-    x = Tensor(rng.normal(size=(3, 2)), trainable=True)
+    x = ad.parameter(rng.normal(size=(3, 2)))
     readout = Tensor(rng.normal(size=4))
 
     def f():

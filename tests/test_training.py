@@ -16,7 +16,6 @@ from aspectsent.training import (
     run_ablation,
     sgd_step,
     standard_ablation_grid,
-    summarize_runs,
     train,
 )
 from tests.corpus import synthetic_split, tiny_model_config
@@ -198,7 +197,7 @@ def test_ablation_grid_shape_and_flags():
     names = [name for name, _ in grid]
     assert names[0] == "full" and "no_l2" in names
     by_name = dict(grid)
-    assert by_name["no_l2"].disable_l2
+    assert by_name["no_l2"].l2_weight == 0
     assert by_name["no_position_attention"].disable_position_attention
 
 
@@ -211,10 +210,3 @@ def test_run_ablation_emits_one_row_per_variant():
     d2 = 2 * config.embedding_width
     drop = config.aspect_count * (d2 * config.hidden_width + 1)
     assert by_name["full"].parameter_count - by_name["no_position_attention"].parameter_count == drop
-
-
-def test_summarize_runs_labels_both_spreads():
-    stats = summarize_runs([1.0, 2.0, 3.0])
-    assert stats["mean"] == 2.0
-    assert abs(stats["std"] - np.std([1, 2, 3])) < 1e-15
-    assert abs(stats["variance"] - np.var([1, 2, 3])) < 1e-15
