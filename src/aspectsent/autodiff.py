@@ -4,6 +4,12 @@ Values live in numpy arrays; the differentiation graph is a flat tape of
 recorded operations replayed in reverse. A tape is activated as a context
 manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
+
+Gradients are dense buffers of the tensor's shape, allocated on first
+use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
+gathered row, so a lookup into a large table never builds a table-sized
+array of its own; ``sum_of_squares`` records a penalty over many tensors
+as one operation.
 """
 
 from __future__ import annotations
@@ -59,8 +65,14 @@ class Tensor:
 
     def accumulate_grad(self, g) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.values)
+            self.grad = np.zeros(self.values.shape)
         self.grad += g
+
+    def accumulate_rows(self, idx: np.ndarray, rows: np.ndarray) -> None:
+        """Add ``rows[i]`` to gradient row ``idx[i]``; repeated indices add up."""
+        if self.grad is None:
+            self.grad = np.zeros(self.values.shape)
+        np.add.at(self.grad, idx, rows)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -370,6 +382,26 @@ def reduce_mean(a: Tensor, axis: Optional[int] = None) -> Tensor:
     return _record((a,), np.mean(a.values, axis=axis), grad_fn)
 
 
+def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Scalar sum of the squares of every entry of every tensor.
+
+    Tensor by tensor, in the given order, it adds ``np.sum(x * x)`` to a
+    running total: the same value, to the bit, as the chain of
+    ``reduce_sum(mul(x, x))`` terms joined by ``add``, in one tape op.
+    """
+    if not tensors:
+        raise ShapeError("sum_of_squares: empty tensor list")
+    total = None
+    for t in tensors:
+        term = np.sum(t.values * t.values)
+        total = term if total is None else total + term
+
+    def grad_fn(g):
+        return tuple(t.values * (2.0 * g) for t in tensors)
+
+    return _record(tuple(tensors), np.asarray(total), grad_fn)
+
+
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     if not parts:
         raise ShapeError("concat: empty part list")
@@ -424,18 +456,22 @@ def scale_rows(m: Tensor, w: Tensor) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Gather rows of a matrix; the backward pass scatter-adds into the table."""
+    """Gather rows of a matrix.
+
+    The backward pass scatter-adds the output gradient into the table's
+    own gradient buffer, in place and row-sparse: only the gathered rows
+    are touched, so its cost follows the number of indices, not the size
+    of the table.
+    """
     idx = np.asarray(indices, dtype=np.int64)
     if table.values.ndim != 2 or idx.ndim != 1:
         raise ShapeError(
             f"gather_rows: expected matrix and index vector, got {table.values.shape}"
         )
-    shape = table.values.shape
 
     def grad_fn(g):
-        out = np.zeros(shape, dtype=np.float64)
-        np.add.at(out, idx, g)
-        return (out,)
+        table.accumulate_rows(idx, g)
+        return (None,)
 
     return _record((table,), table.values[idx].copy(), grad_fn)
 

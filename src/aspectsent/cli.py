@@ -99,6 +99,15 @@ def _field_parsers(cls) -> dict:
     return parsers
 
 
+def _parse_value(key: str, parser, raw: str):
+    try:
+        return parser(raw)
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+
+
 def parse_config_file(path):
     """Read a flat ``key = value`` file into a string map."""
     entries = {}
@@ -126,7 +135,7 @@ def build_configs(entries: dict):
     if "aspects" in entries:
         data.aspects = [a.strip() for a in entries.pop("aspects").split(",") if a.strip()]
     if "min_count" in entries:
-        data.min_count = int(entries.pop("min_count"))
+        data.min_count = _parse_value("min_count", int, entries.pop("min_count"))
     if "embedding_file" in entries:
         data.embedding_file = entries.pop("embedding_file")
 
@@ -142,12 +151,7 @@ def build_configs(entries: dict):
             target, parser = train_kwargs, train_parsers[key]
         else:
             raise ConfigError(f"unknown config key {key!r}")
-        try:
-            target[key] = parser(raw)
-        except ConfigError:
-            raise
-        except ValueError:
-            raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+        target[key] = _parse_value(key, parser, raw)
 
     model_config = ModelConfig(**model_kwargs)
     train_config = TrainConfig(**train_kwargs)

@@ -328,14 +328,25 @@ class LossBreakdown:
         return total
 
 
+def l2_penalty(params: ModelParams) -> Tensor:
+    """Sum of squares of every parameter, in ``named_tensors`` order."""
+    return ad.sum_of_squares(params.tensors())
+
+
 def combined_loss(
-    output: ForwardOutput, example, params: ModelParams, config: ModelConfig
+    output: ForwardOutput,
+    example,
+    params: ModelParams,
+    config: ModelConfig,
+    l2: Optional[Tensor] = None,
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one example.
 
     Unrated aspects never contribute cross-entropy (their traces still feed
     the orthogonality terms); of the rated ones, only the first
-    ``max_rated_aspects`` in aspect order do.
+    ``max_rated_aspects`` in aspect order do. The L2 term depends on the
+    parameters alone, so a batch can build it once with ``l2_penalty`` and
+    pass it in as ``l2`` to every example; without it, one is built here.
     """
     total = cross_entropy(output.overall_probs, example.overall_label)
     overall_value = total.item()
@@ -366,10 +377,8 @@ def combined_loss(
 
     l2_value = None
     if config.l2_weight > 0:
-        l2 = None
-        for tensor in params.tensors():
-            term = ad.reduce_sum(ad.mul(tensor, tensor))
-            l2 = term if l2 is None else ad.add(l2, term)
+        if l2 is None:
+            l2 = l2_penalty(params)
         l2_value = l2.item()
         total = ad.add(total, ad.scale(l2, config.l2_weight))
 

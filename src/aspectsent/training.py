@@ -22,6 +22,7 @@ from aspectsent.model import (
     combined_loss,
     forward,
     init_params,
+    l2_penalty,
 )
 
 
@@ -68,24 +69,53 @@ def _gradient(name: str, tensor: Tensor) -> np.ndarray:
     return g
 
 
+ADAM_BLOCK = 1 << 16  # entries per block; the two scratch blocks stay in cache
+
+
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
-    """One bias-corrected adaptive-moment update, in place."""
+    """One bias-corrected adaptive-moment update, in place.
+
+    The moments are updated in place. Each parameter is updated in blocks
+    of leading-axis rows, with each block's step formed in two scratch
+    arrays made once per parameter. The operations run in the order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; every one is elementwise, so
+    every value matches that formula to the bit.
+    """
     state.step += 1
     t = state.step
+    m_scale = 1 - config.beta1**t
+    v_scale = 1 - config.beta2**t
     for name, p in named_params:
         g = _gradient(name, p)
         m = state.first.get(name)
         v = state.second.get(name)
         if m is None:
-            m = np.zeros_like(p.values)
-            v = np.zeros_like(p.values)
-        m = config.beta1 * m + (1 - config.beta1) * g
-        v = config.beta2 * v + (1 - config.beta2) * g * g
-        state.first[name] = m
-        state.second[name] = v
-        m_hat = m / (1 - config.beta1**t)
-        v_hat = v / (1 - config.beta2**t)
-        p.values -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+            m = state.first[name] = np.zeros(p.values.shape)
+            v = state.second[name] = np.zeros(p.values.shape)
+        # a 0-d parameter is updated through a one-entry view
+        p_rows, g_rows, m_rows, v_rows = np.atleast_1d(p.values, g, m, v)
+        rows = max(1, ADAM_BLOCK // p_rows[0].size)
+        step_block = np.empty((min(rows, len(p_rows)),) + p_rows.shape[1:])
+        denom_block = np.empty_like(step_block)
+        for lo in range(0, len(p_rows), rows):
+            part = slice(lo, lo + rows)
+            pb, gb, mb, vb = p_rows[part], g_rows[part], m_rows[part], v_rows[part]
+            step, denom = step_block[: len(pb)], denom_block[: len(pb)]
+            mb *= config.beta1
+            np.multiply(1 - config.beta1, gb, out=step)
+            mb += step
+            vb *= config.beta2
+            np.multiply(1 - config.beta2, gb, out=step)
+            step *= gb
+            vb += step
+            np.divide(vb, v_scale, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.eps
+            np.divide(mb, m_scale, out=step)
+            np.multiply(config.learning_rate, step, out=step)
+            step /= denom
+            pb -= step
 
 
 def sgd_step(named_params, config: TrainConfig) -> None:
@@ -207,9 +237,12 @@ def train(
 
     Each epoch shuffles the training part, takes one optimizer step per
     padded batch (batch loss is the mean of per-example losses), then
-    evaluates on the validation part. The parameter snapshot with the best
-    validation macro-F1 is restored at the end. Training stops early after
-    ``patience`` epochs without improvement.
+    evaluates on the validation part. The L2 term depends only on the
+    parameters, so each batch builds it once and every example's loss
+    reuses it. The parameters with the best validation macro-F1 are what
+    the run returns: they are copied aside only when a later epoch could
+    still change them, and restored only when a later epoch did. Training
+    stops early after ``patience`` epochs without improvement.
     """
     train_config.validate()
     model_config.validate()
@@ -219,18 +252,19 @@ def train(
     adam_state = AdamState()
 
     log: list[EpochRecord] = []
-    best_macro_f1 = -1.0
+    best_macro_f1 = -1.0  # below any macro-F1, so epoch 0 is always best so far
     best_epoch = -1
-    best_snapshot = _snapshot(params)
+    best_snapshot = None
     batch_index = 0
     for epoch in range(train_config.epochs):
         losses = []
         for batch in batch_iter(data.train, train_config.batch_size, rng):
             with Tape():
+                l2 = l2_penalty(params) if model_config.l2_weight > 0 else None
                 total = None
                 for ex in batch:
                     out = forward(ex, params, model_config)
-                    loss, _ = combined_loss(out, ex, params, model_config)
+                    loss, _ = combined_loss(out, ex, params, model_config, l2=l2)
                     total = loss if total is None else ad.add(total, loss)
                 batch_loss = ad.scale(total, 1.0 / len(batch))
                 if not np.isfinite(batch_loss.values):
@@ -256,11 +290,13 @@ def train(
         if validation.overall.macro_f1 > best_macro_f1:
             best_macro_f1 = validation.overall.macro_f1
             best_epoch = epoch
-            best_snapshot = _snapshot(params)
+            if epoch + 1 < train_config.epochs:
+                best_snapshot = _snapshot(params)
         if epoch - best_epoch >= train_config.patience:
             break
 
-    _restore(params, best_snapshot)
+    if best_epoch != log[-1].epoch:
+        _restore(params, best_snapshot)
     return TrainResult(params, log, best_epoch, best_macro_f1)
 
 

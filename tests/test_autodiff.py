@@ -214,7 +214,7 @@ def test_grad_check_tanh_matmul_composition():
         "add", "sub", "mul", "div", "neg", "scale", "tanh", "sigmoid", "log",
         "sqrt", "clamp", "matmul", "matvec", "transpose", "reduce_sum",
         "reduce_mean", "concat", "stack_rows", "scale_rows", "gather_rows",
-        "take_row", "pick", "masked_softmax",
+        "take_row", "pick", "masked_softmax", "sum_of_squares",
     ],
 )
 def test_grad_check_every_operation(name):
@@ -275,6 +275,9 @@ def test_grad_check_every_operation(name):
     elif name == "pick":
         v = vec()
         inputs, f = [v], lambda: ad.tanh(ad.pick(v, 2))
+    elif name == "sum_of_squares":
+        a, b, c = mat(), vec(), ad.parameter(rng.normal())
+        inputs, f = [a, b, c], lambda: ad.tanh(ad.scale(ad.sum_of_squares([a, b, c]), 0.1))
     elif name == "masked_softmax":
         v = vec(5)
         mask = [True, True, False, True, True]
@@ -301,6 +304,53 @@ def test_gather_rows_sparse_gradient():
     with Tape():
         backward(ad.reduce_sum(ad.gather_rows(t, [1, 1])))
     np.testing.assert_array_equal(t.grad, [[0, 0], [2, 2], [0, 0], [0, 0]])
+
+    # repeated indices, each row weighted differently
+    weights = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+    t.grad = None
+    with Tape():
+        backward(ad.reduce_sum(ad.mul(ad.gather_rows(t, [3, 0, 3]), weights)))
+    np.testing.assert_array_equal(t.grad, [[3, 4], [0, 0], [0, 0], [6, 8]])
+
+    # onto a gradient another op of the same pass wrote first (the tape
+    # replays in reverse, so the later-recorded square reaches t first)
+    t.grad = None
+    with Tape():
+        backward(ad.add(ad.reduce_sum(ad.gather_rows(t, [2, 2])), ad.reduce_sum(ad.mul(t, t))))
+    np.testing.assert_array_equal(t.grad, [[2, 2], [2, 2], [4, 4], [2, 2]])
+
+    # onto a gradient left by an earlier backward pass
+    with Tape():
+        backward(ad.reduce_sum(ad.gather_rows(t, [0])))
+    np.testing.assert_array_equal(t.grad, [[3, 3], [2, 2], [4, 4], [2, 2]])
+
+    # from a non-leaf table, as the forward pass's mean embedding does
+    t.grad = None
+    with Tape():
+        doubled = ad.concat([ad.scale(t, 2.0), t], axis=1)
+        backward(ad.reduce_sum(ad.gather_rows(doubled, [1, 3, 1])))
+    np.testing.assert_array_equal(doubled.grad, [[0] * 4, [2] * 4, [0] * 4, [1] * 4])
+    np.testing.assert_array_equal(t.grad, [[0, 0], [6, 6], [0, 0], [3, 3]])
+
+
+def test_sum_of_squares_matches_composed_chain():
+    rng = np.random.default_rng(3)
+    tensors = [
+        ad.parameter(rng.normal(size=(50, 7))),
+        ad.parameter(rng.normal(size=5)),
+        ad.parameter(rng.normal()),
+    ]
+    chain = None
+    for t in tensors:
+        term = ad.reduce_sum(ad.mul(t, t))
+        chain = term if chain is None else ad.add(chain, term)
+    fused = ad.sum_of_squares(tensors)
+    assert fused.values.shape == ()
+    assert fused.item() == chain.item()
+    with Tape():
+        backward(ad.scale(ad.sum_of_squares(tensors), 0.5))
+    for t in tensors:
+        np.testing.assert_array_equal(t.grad, t.values)
 
 
 def test_operations_outside_tape_do_not_record():

@@ -126,6 +126,22 @@ def test_removed_config_keys_rejected(tmp_path, corpus_path, key, capsys):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "key, raw", [("min_count", "abc"), ("epochs", "two"), ("learning_rate", "fast")]
+)
+def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, capsys):
+    path = tmp_path / "config.txt"
+    path.write_text(f"aspects = food, service\n{key} = {raw}\n")
+    with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+        build_configs(parse_config_file(path))
+    status = main(
+        ["train", "--config", str(path), "--data", str(corpus_path),
+         "--out", str(tmp_path / "run")]
+    )
+    assert status == 1
+    assert f"bad value for '{key}': '{raw}'" in capsys.readouterr().err
+
+
 def test_config_malformed_line(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("aspects a, b\n")

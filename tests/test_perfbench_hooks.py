@@ -1,0 +1,67 @@
+"""The benchmark's tracer and isolated cases reach into the program by name.
+
+``perfbench/tracing.py`` replaces module attributes listed in ``TARGETS``
+and ``perfbench/cases.py`` calls a few functions with fixed argument
+shapes. These tests fail when a refactor renames, moves or re-signs one of
+them, instead of letting a traced layer silently drop out of the numbers.
+"""
+
+import importlib
+
+import numpy as np
+import pytest
+
+from aspectsent import autodiff as ad
+from aspectsent import model, training
+from aspectsent.data import DatasetSplit
+from perfbench import tracing
+from tests.corpus import synthetic_split, tiny_model_config
+
+
+@pytest.mark.parametrize("module_name, attr", [t[:2] for t in tracing.TARGETS])
+def test_traced_target_resolves_to_callable(module_name, attr):
+    assert module_name.startswith("aspectsent.")
+    assert callable(getattr(importlib.import_module(module_name), attr))
+
+
+def tiny_bidirectional(seed):
+    return synthetic_split(n=20, seed=seed, config=tiny_model_config(bidirectional=True))
+
+
+def test_traced_training_step_records_every_training_layer():
+    split, vocab, config = tiny_bidirectional(1)
+    params = model.init_params(config, len(vocab), seed=0)
+    one_batch = DatasetSplit(split.train[:4], split.validation[:2], [], seed=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        training.train(params, config, training.TrainConfig(epochs=1, batch_size=4), one_batch)
+    finally:
+        tracer.uninstall()
+    recorded = {span[0] for span in tracer.spans}
+    expected = {name for _, _, name, _ in tracing.TARGETS if not name.startswith("heatmap.")}
+    assert expected <= recorded
+    assert tracer.batch_positions > 0
+
+
+def test_case_call_shapes():
+    """``combined_loss`` and ``adam_step`` as ``perfbench/cases.py`` calls them."""
+    split, vocab, config = tiny_bidirectional(2)
+    params = model.init_params(config, len(vocab), seed=0)
+    example = split.train[0]
+    output = model.forward(example, params, config)
+    with ad.Tape():
+        root = model.combined_loss(output, example, params, config)[0]
+        ad.backward(root)
+    assert params.tables.word.grad is not None
+    ad.zero_grads(params.tensors())
+
+    named = params.named_tensors()
+    before = {name: t.values.copy() for name, t in named}
+    for _, tensor in named:
+        tensor.grad = 1e-3 * tensor.values  # a 0-d parameter gets a numpy scalar
+    training.adam_step(named, training.AdamState(), training.TrainConfig())
+    for name, tensor in named:
+        assert tensor.values.shape == before[name].shape
+        assert np.all(np.isfinite(tensor.values))
+    ad.zero_grads(params.tensors())

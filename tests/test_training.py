@@ -4,9 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectsent import autodiff as ad
-from aspectsent.autodiff import NumericError, Tensor
-from aspectsent.data import DatasetSplit
-from aspectsent.model import ModelConfig, init_params
+from aspectsent import training
+from aspectsent.autodiff import NumericError, Tape, Tensor, backward
+from aspectsent.data import DatasetSplit, batch_iter
+from aspectsent.model import ModelConfig, combined_loss, forward, init_params
 from aspectsent.training import (
     AdamState,
     TrainConfig,
@@ -50,6 +51,44 @@ def test_adam_aborts_on_nonfinite_gradient():
     p.grad = np.array([np.nan])
     with pytest.raises(NumericError, match="embedding.weight"):
         adam_step([("embedding.weight", p)], AdamState(), TrainConfig())
+
+
+def reference_adam_step(named_params, first, second, t, config):
+    """Adam as the plain out-of-place formula; the in-place step must match it."""
+    for name, p in named_params:
+        g = p.grad
+        m = first.get(name, np.zeros_like(p.values))
+        v = second.get(name, np.zeros_like(p.values))
+        m = config.beta1 * m + (1 - config.beta1) * g
+        v = config.beta2 * v + (1 - config.beta2) * g * g
+        first[name], second[name] = m, v
+        m_hat = m / (1 - config.beta1**t)
+        v_hat = v / (1 - config.beta2**t)
+        p.values = p.values - config.learning_rate * m_hat / (np.sqrt(v_hat) + config.eps)
+
+
+def test_adam_step_is_bit_identical_to_formula():
+    rng = np.random.default_rng(11)
+    # the table spans several of adam_step's blocks, the last one partial
+    shapes = {"table": (5000, 30), "vector": (16,), "bias": ()}
+    start = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    start["bias"] = np.asarray(start["bias"])
+    live = [(name, ad.parameter(values.copy(), name)) for name, values in start.items()]
+    ref = [(name, ad.parameter(values.copy(), name)) for name, values in start.items()]
+    state, first, second = AdamState(), {}, {}
+    config = TrainConfig(learning_rate=0.03)
+    for t in (1, 2, 3):
+        for (name, p), (_, q) in zip(live, ref):
+            p.grad = rng.normal(size=shapes[name])
+            q.grad = p.grad.copy()
+        adam_step(live, state, config)
+        reference_adam_step(ref, first, second, t, config)
+        for (name, p), (_, q) in zip(live, ref):
+            assert p.values.shape == shapes[name]
+            assert np.array_equal(p.values, q.values), name
+            assert np.array_equal(state.first[name], first[name]), name
+            assert np.array_equal(state.second[name], second[name]), name
+    assert state.step == 3
 
 
 def test_sgd_step_hand_case():
@@ -173,6 +212,39 @@ def test_train_returns_best_validation_checkpoint(small_run):
     assert report.overall.macro_f1 == best_logged
 
 
+@pytest.mark.parametrize(
+    "scores, patience, best, copies",
+    [
+        ([0.5, 0.9, 0.6, 0.7], 10, 1, 2),
+        ([0.5, 0.6, 0.7, 0.9], 10, 3, 3),  # the last epoch's parameters are never copied
+        ([0.9, 0.5, 0.6, 0.7], 2, 0, 1),  # stops early, after epoch 2
+        ([0.9], 10, 0, 0),
+    ],
+)
+def test_train_returns_params_of_best_epoch(scores, patience, best, copies, monkeypatch):
+    split, vocab, config = synthetic_split(n=20, seed=6)
+    seen = []
+
+    def scripted_evaluate(params, config, examples):
+        seen.append({name: t.values.copy() for name, t in params.named_tensors()})
+        report = evaluate(params, config, examples)
+        report.overall.macro_f1 = scores[len(seen) - 1]
+        return report
+
+    snapshots = []
+    real_snapshot = training._snapshot
+    monkeypatch.setattr(training, "evaluate", scripted_evaluate)
+    monkeypatch.setattr(training, "_snapshot", lambda p: snapshots.append(p) or real_snapshot(p))
+    params = init_params(config, len(vocab), seed=0)
+    train_config = TrainConfig(epochs=len(scores), batch_size=8, seed=0, patience=patience)
+    result = train(params, config, train_config, split)
+    assert result.best_epoch == best
+    assert len(result.log) == min(len(scores), best + patience + 1)
+    assert len(snapshots) == copies
+    for name, t in result.params.named_tensors():
+        assert np.array_equal(t.values, seen[best][name]), name
+
+
 def test_padding_row_never_updated(small_run):
     _, _, _, _, result = small_run
     np.testing.assert_array_equal(
@@ -210,3 +282,50 @@ def test_run_ablation_emits_one_row_per_variant():
     d2 = 2 * config.embedding_width
     drop = config.aspect_count * (d2 * config.hidden_width + 1)
     assert by_name["full"].parameter_count - by_name["no_position_attention"].parameter_count == drop
+
+
+def composed_l2(params):
+    """The L2 term as a chain of per-tensor ops, as each example once built it."""
+    l2 = None
+    for tensor in params.tensors():
+        term = ad.reduce_sum(ad.mul(tensor, tensor))
+        l2 = term if l2 is None else ad.add(l2, term)
+    return l2
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_batch_gradient_matches_per_example_l2_oracle(bidirectional, monkeypatch):
+    split, vocab, config = synthetic_split(
+        n=30, seed=5, config=tiny_model_config(bidirectional=bidirectional)
+    )
+    train_config = TrainConfig(epochs=1, batch_size=8, seed=4)
+    one_batch = DatasetSplit(split.train[:8], split.validation, [], seed=5)
+
+    captured = {}
+
+    def capture(named, state, config):
+        captured.update((name, t.grad.copy()) for name, t in named if t.grad is not None)
+
+    monkeypatch.setattr(training, "adam_step", capture)
+    params = init_params(config, len(vocab), seed=2)
+    result = train(params, config, train_config, one_batch)
+
+    oracle = init_params(config, len(vocab), seed=2)
+    (batch,) = batch_iter(one_batch.train, train_config.batch_size,
+                          np.random.default_rng(train_config.seed))
+    with Tape():
+        total = None
+        for ex in batch:
+            out = forward(ex, oracle, config)
+            loss, _ = combined_loss(out, ex, oracle, config, l2=composed_l2(oracle))
+            total = loss if total is None else ad.add(total, loss)
+        batch_loss = ad.scale(total, 1.0 / len(batch))
+        backward(batch_loss)
+    oracle.clear_padding_gradient()
+
+    assert result.log[0].mean_loss == batch_loss.item()
+    expected = {name: t.grad for name, t in oracle.named_tensors() if t.grad is not None}
+    assert captured.keys() == expected.keys()
+    for name, grad in expected.items():
+        scale = max(np.max(np.abs(grad)), 1e-300)
+        assert np.max(np.abs(captured[name] - grad)) <= 1e-12 * scale, name
