@@ -126,8 +126,8 @@ def position_aware_attention(
     stage-one rows into the aspect context vector.
     """
     mask = np.asarray(mask, dtype=bool)
-    query = ad.matvec(ad.transpose(params.pos_attn_w), mean_embedding)  # (H,)
-    logits = ad.tanh(ad.add(ad.matvec(hidden, query), params.pos_attn_b))
+    query = ad.matmul(ad.transpose(params.pos_attn_w), mean_embedding)  # (H,)
+    logits = ad.tanh(ad.add(ad.matmul(hidden, query), params.pos_attn_b))
     weights = ad.masked_softmax(logits, mask)
     context = ad.reduce_sum(ad.scale_rows(weighted, weights), axis=0)
     return PositionAttentionResult(logits, weights, context)

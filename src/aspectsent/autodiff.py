@@ -5,6 +5,14 @@ recorded operations replayed in reverse. A tape is activated as a context
 manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
 
+Each operation is one numpy primitive: elementwise ``add`` (+), ``sub``,
+``mul``, ``div``, ``neg``, ``tanh``, ``sigmoid``, ``log``, ``sqrt`` and
+``clamp`` (``np.clip``), where a constant enters as a 0-d ``Tensor``;
+``matmul`` (@, with a matrix or vector right operand) and ``transpose``;
+``reduce_sum``, ``reduce_mean`` and ``sum_of_squares`` (``np.sum(x * x)``
+over many tensors); ``concat``, ``stack_rows``, ``scale_rows``
+(``m * w[:, None]``) and ``gather_rows`` (``x[idx]``); ``masked_softmax``.
+
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
 gathered row, so a lookup into a large table never builds a table-sized
@@ -239,16 +247,6 @@ def neg(a: Tensor) -> Tensor:
     return _record((a,), -a.values, grad_fn)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a python float constant."""
-    c = float(c)
-
-    def grad_fn(g):
-        return (g * c,)
-
-    return _record((a,), a.values * c, grad_fn)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.values)
 
@@ -314,29 +312,15 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.values.shape[1] != b.values.shape[0]:
-        raise ShapeError(
-            f"matmul: incompatible shapes {a.values.shape} and {b.values.shape}"
-        )
+    """Matrix product ``a @ b`` of a matrix and a matrix or a vector."""
     av, bv = a.values, b.values
+    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
 
     def grad_fn(g):
-        return g @ bv.T, av.T @ g
+        return (np.outer(g, bv) if bv.ndim == 1 else g @ bv.T), av.T @ g
 
     return _record((a, b), av @ bv, grad_fn)
-
-
-def matvec(a: Tensor, v: Tensor) -> Tensor:
-    if a.values.ndim != 2 or v.values.ndim != 1 or a.values.shape[1] != v.values.shape[0]:
-        raise ShapeError(
-            f"matvec: incompatible shapes {a.values.shape} and {v.values.shape}"
-        )
-    av, vv = a.values, v.values
-
-    def grad_fn(g):
-        return np.outer(g, vv), av.T @ g
-
-    return _record((a, v), av @ vv, grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -403,25 +387,17 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    if not parts:
-        raise ShapeError("concat: empty part list")
-    rank = parts[0].values.ndim
-    for p in parts[1:]:
-        if p.values.ndim != rank:
-            raise ShapeError("concat: mixed ranks")
-        for d in range(rank):
-            if d != axis % rank and p.values.shape[d] != parts[0].values.shape[d]:
-                raise ShapeError(
-                    f"concat: side dimensions differ, {p.values.shape} vs "
-                    f"{parts[0].values.shape} along axis {d}"
-                )
-    sizes = [p.values.shape[axis % rank] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
+    """Join tensors along an axis; numpy checks ranks and side dimensions."""
+    try:
+        out = np.concatenate([p.values for p in parts], axis=axis)
+    except ValueError as exc:
+        raise ShapeError(f"concat: {exc}") from None
+    bounds = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
 
     def grad_fn(g):
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
 
-    return _record(tuple(parts), np.concatenate([p.values for p in parts], axis=axis), grad_fn)
+    return _record(tuple(parts), out, grad_fn)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -456,51 +432,25 @@ def scale_rows(m: Tensor, w: Tensor) -> Tensor:
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
-    """Gather rows of a matrix.
+    """Index the first axis by an int or an int vector, as ``table[indices]``.
 
-    The backward pass scatter-adds the output gradient into the table's
-    own gradient buffer, in place and row-sparse: only the gathered rows
-    are touched, so its cost follows the number of indices, not the size
-    of the table.
+    An int reads one row of a matrix, or one entry of a vector as a 0-d
+    tensor; an int vector reads one row per index. The backward pass
+    scatter-adds the output gradient into the table's own gradient buffer,
+    in place and row-sparse: only the rows read are touched, so its cost
+    follows the number of indices, not the size of the table.
     """
     idx = np.asarray(indices, dtype=np.int64)
-    if table.values.ndim != 2 or idx.ndim != 1:
+    if table.values.ndim < 1 or idx.ndim > 1:
         raise ShapeError(
-            f"gather_rows: expected matrix and index vector, got {table.values.shape}"
+            f"gather_rows: cannot index shape {table.values.shape} by shape {idx.shape}"
         )
 
     def grad_fn(g):
         table.accumulate_rows(idx, g)
         return (None,)
 
-    return _record((table,), table.values[idx].copy(), grad_fn)
-
-
-def take_row(m: Tensor, index: int) -> Tensor:
-    if m.values.ndim != 2:
-        raise ShapeError(f"take_row: expected a matrix, got shape {m.values.shape}")
-    shape = m.values.shape
-
-    def grad_fn(g):
-        out = np.zeros(shape, dtype=np.float64)
-        out[index] = g
-        return (out,)
-
-    return _record((m,), m.values[index].copy(), grad_fn)
-
-
-def pick(v: Tensor, index: int) -> Tensor:
-    """Select one element of a vector as a scalar."""
-    if v.values.ndim != 1:
-        raise ShapeError(f"pick: expected a vector, got shape {v.values.shape}")
-    n = v.values.shape
-
-    def grad_fn(g):
-        out = np.zeros(n, dtype=np.float64)
-        out[index] = g
-        return (out,)
-
-    return _record((v,), np.asarray(v.values[index]), grad_fn)
+    return _record((table,), table.values[idx], grad_fn)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:

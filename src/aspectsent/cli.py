@@ -89,13 +89,18 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_list(raw: str) -> list:
+    return [item.strip() for item in raw.split(",") if item.strip()]
+
+
 def _field_parsers(cls) -> dict:
     """Map each field of a config dataclass to the parser for its type."""
+    special = {bool: _parse_bool, list: _parse_list}
     parsers = {}
     for name, hint in typing.get_type_hints(cls).items():
         if typing.get_origin(hint) is typing.Union:  # Optional[X] parses as X
             (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        parsers[name] = _parse_bool if hint is bool else hint
+        parsers[name] = special.get(hint, hint)
     return parsers
 
 
@@ -129,15 +134,14 @@ def parse_config_file(path):
 def build_configs(entries: dict):
     """Route config entries to model, trainer, and data settings by field name."""
     entries = dict(entries)
-    data = DataSettings()
-    if "domain" in entries:
-        data.domain = entries.pop("domain")
-    if "aspects" in entries:
-        data.aspects = [a.strip() for a in entries.pop("aspects").split(",") if a.strip()]
-    if "min_count" in entries:
-        data.min_count = _parse_value("min_count", int, entries.pop("min_count"))
-    if "embedding_file" in entries:
-        data.embedding_file = entries.pop("embedding_file")
+    data_parsers = _field_parsers(DataSettings)
+    data = DataSettings(**{
+        key: _parse_value(key, parser, entries.pop(key))
+        for key, parser in data_parsers.items()
+        if key in entries
+    })
+    if data.min_count < 1:
+        raise ConfigError("min_count must be at least 1")
 
     model_kwargs = {"aspect_names": data.aspect_names()}
     train_kwargs = {}

@@ -86,6 +86,9 @@ class ModelConfig:
                 f"max_rated_aspects {self.rated_aspect_cap} outside "
                 f"[0, {self.aspect_count}]"
             )
+        for name in ("embedding_width", "cell_width", "max_length"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
         for name in ("aspect_loss_weight", "self_orth_weight", "pos_orth_weight", "l2_weight"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -212,7 +215,7 @@ class ForwardOutput:
 
 
 def _head_probs(head: HeadParams, vec: Tensor) -> Tensor:
-    logits = ad.add(ad.matvec(ad.transpose(head.weight), vec), head.bias)
+    logits = ad.add(ad.matmul(ad.transpose(head.weight), vec), head.bias)
     return ad.masked_softmax(logits, np.ones(logits.values.shape[0], dtype=bool))
 
 
@@ -254,14 +257,14 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
 def cross_entropy(probs: Tensor, target: int) -> Tensor:
     """Binary cross-entropy against a probability pair.
 
-    Index 1 of the pair is the positive class. Probabilities are clamped
-    away from 0 and 1 so the logs stay finite.
+    Index 1 of the pair is the positive class, and target 1 selects it;
+    only the log of the selected class's probability is built. The positive
+    probability is clamped away from 0 and 1 so the log stays finite.
     """
-    target = int(target)
-    positive = ad.clamp(ad.pick(probs, 1), CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
-    log_pos = ad.log(positive)
-    log_neg = ad.log(ad.sub(Tensor(1.0), positive))
-    return ad.neg(ad.add(ad.scale(log_pos, target), ad.scale(log_neg, 1 - target)))
+    positive = ad.clamp(ad.gather_rows(probs, 1), CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
+    if int(target) == 1:
+        return ad.neg(ad.log(positive))
+    return ad.neg(ad.log(ad.sub(Tensor(1.0), positive)))
 
 
 def orthogonal_penalty(matrix: Tensor) -> Tensor:
@@ -360,27 +363,27 @@ def combined_loss(
             term = cross_entropy(output.aspect_probs[k], example.aspect_labels[k])
             aspect_terms.append((k, term.item()))
             aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
-        total = ad.add(total, ad.scale(aspect_sum, config.aspect_loss_weight))
+        total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))
 
     self_matrix, pos_matrix = stack_attention_matrices(output.traces)
     self_orth_value = None
     if config.self_orth_weight > 0:
         self_orth = orthogonal_penalty(self_matrix)
         self_orth_value = self_orth.item()
-        total = ad.add(total, ad.scale(self_orth, config.self_orth_weight))
+        total = ad.add(total, ad.mul(self_orth, Tensor(config.self_orth_weight)))
 
     pos_orth_value = None
     if pos_matrix is not None and config.pos_orth_weight > 0:
         pos_orth = orthogonal_penalty(pos_matrix)
         pos_orth_value = pos_orth.item()
-        total = ad.add(total, ad.scale(pos_orth, config.pos_orth_weight))
+        total = ad.add(total, ad.mul(pos_orth, Tensor(config.pos_orth_weight)))
 
     l2_value = None
     if config.l2_weight > 0:
         if l2 is None:
             l2 = l2_penalty(params)
         l2_value = l2.item()
-        total = ad.add(total, ad.scale(l2, config.l2_weight))
+        total = ad.add(total, ad.mul(l2, Tensor(config.l2_weight)))
 
     breakdown = LossBreakdown(
         overall=overall_value,

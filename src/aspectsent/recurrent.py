@@ -105,10 +105,10 @@ def _run_direction(inputs: Tensor, params: LstmParams, mask: np.ndarray, order):
         if not mask[t]:
             rows[t] = zero_row
             continue
-        i_gate = ad.sigmoid(ad.add(ad.add(ad.take_row(xi, t), ad.matvec(ui, h)), params.input_gate_b))
-        f_gate = ad.sigmoid(ad.add(ad.add(ad.take_row(xf, t), ad.matvec(uf, h)), params.forget_gate_b))
-        o_gate = ad.sigmoid(ad.add(ad.add(ad.take_row(xo, t), ad.matvec(uo, h)), params.output_gate_b))
-        cand = ad.tanh(ad.add(ad.add(ad.take_row(xc, t), ad.matvec(uc, h)), params.candidate_b))
+        i_gate = ad.sigmoid(ad.add(ad.add(ad.gather_rows(xi, t), ad.matmul(ui, h)), params.input_gate_b))
+        f_gate = ad.sigmoid(ad.add(ad.add(ad.gather_rows(xf, t), ad.matmul(uf, h)), params.forget_gate_b))
+        o_gate = ad.sigmoid(ad.add(ad.add(ad.gather_rows(xo, t), ad.matmul(uo, h)), params.output_gate_b))
+        cand = ad.tanh(ad.add(ad.add(ad.gather_rows(xc, t), ad.matmul(uc, h)), params.candidate_b))
         c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
         h = ad.mul(o_gate, ad.tanh(c))
         rows[t] = h
@@ -137,5 +137,5 @@ def bilstm_forward(
     _check_width(inputs, backward_params)
     fwd = _run_direction(inputs, forward_params, mask, range(len(mask)))
     bwd = _run_direction(inputs, backward_params, mask, range(len(mask) - 1, -1, -1))
-    rows = [ad.concat([f, b]) for f, b in zip(fwd, bwd)]
-    return HiddenStates(values=ad.stack_rows(rows), mask=mask)
+    joined = ad.concat([ad.stack_rows(fwd), ad.stack_rows(bwd)], axis=1)
+    return HiddenStates(values=joined, mask=mask)

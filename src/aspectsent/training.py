@@ -41,12 +41,15 @@ class TrainConfig:
     def validate(self) -> None:
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
+        for name in ("learning_rate", "eps"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        for name in ("epochs", "batch_size", "patience"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +269,7 @@ def train(
                     out = forward(ex, params, model_config)
                     loss, _ = combined_loss(out, ex, params, model_config, l2=l2)
                     total = loss if total is None else ad.add(total, loss)
-                batch_loss = ad.scale(total, 1.0 / len(batch))
+                batch_loss = ad.mul(total, Tensor(1.0 / len(batch)))
                 if not np.isfinite(batch_loss.values):
                     raise NumericError(f"non-finite loss in batch {batch_index}")
                 backward(batch_loss)

@@ -1,3 +1,4 @@
+import inspect
 import zlib
 
 import numpy as np
@@ -156,6 +157,9 @@ def test_concat_shape_law():
 def test_concat_side_dimension_mismatch():
     with pytest.raises(ShapeError):
         ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
+    for parts in ([], [Tensor(1.0), Tensor(2.0)], [Tensor(np.zeros(2)), Tensor(np.zeros((1, 2)))]):
+        with pytest.raises(ShapeError):
+            ad.concat(parts)
 
 
 def test_backward_square():
@@ -178,7 +182,7 @@ def test_backward_matvec_outer_structure():
     rng = np.random.default_rng(1)
     w = ad.parameter(rng.normal(size=(3, 2)))
     v = ad.parameter(rng.normal(size=2))
-    err = grad_check(lambda: ad.reduce_sum(ad.matvec(w, v)), [w, v])
+    err = grad_check(lambda: ad.reduce_sum(ad.matmul(w, v)), [w, v])
     assert err < 1e-9
 
 
@@ -197,7 +201,7 @@ def test_backward_requires_tape():
 
 def test_grad_check_linear_is_near_exact():
     v = ad.parameter([1.0, -2.0, 0.5])
-    assert grad_check(lambda: ad.reduce_sum(ad.scale(v, 3.0)), [v]) < 1e-9
+    assert grad_check(lambda: ad.reduce_sum(ad.mul(v, Tensor(3.0))), [v]) < 1e-9
 
 
 def test_grad_check_tanh_matmul_composition():
@@ -208,15 +212,23 @@ def test_grad_check_tanh_matmul_composition():
     assert err < 1e-6
 
 
-@pytest.mark.parametrize(
-    "name",
-    [
-        "add", "sub", "mul", "div", "neg", "scale", "tanh", "sigmoid", "log",
-        "sqrt", "clamp", "matmul", "matvec", "transpose", "reduce_sum",
-        "reduce_mean", "concat", "stack_rows", "scale_rows", "gather_rows",
-        "take_row", "pick", "masked_softmax", "sum_of_squares",
-    ],
-)
+# One case per operation, plus "op-variant" cases for other operand forms.
+GRAD_CHECK_CASES = [
+    "add", "sub", "mul", "mul-constant", "div", "neg", "tanh", "sigmoid",
+    "log", "sqrt", "clamp", "matmul", "matmul-vector", "transpose",
+    "reduce_sum", "reduce_mean", "concat", "stack_rows", "scale_rows",
+    "gather_rows", "gather_rows-int-matrix", "gather_rows-int-vector",
+    "masked_softmax", "sum_of_squares",
+]
+
+
+def test_every_tape_op_has_a_grad_check_case():
+    recorders = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
+                 if name != "_record" and "_record(" in inspect.getsource(fn)}
+    assert recorders == {case.split("-")[0] for case in GRAD_CHECK_CASES}
+
+
+@pytest.mark.parametrize("name", GRAD_CHECK_CASES)
 def test_grad_check_every_operation(name):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
 
@@ -234,9 +246,9 @@ def test_grad_check_every_operation(name):
         a = vec()
         fn = getattr(ad, name)
         inputs, f = [a], lambda: ad.reduce_sum(fn(a))
-    elif name == "scale":
+    elif name == "mul-constant":
         a = vec()
-        inputs, f = [a], lambda: ad.reduce_sum(ad.scale(a, -1.7))
+        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.mul(a, Tensor(-1.7))))
     elif name in ("log", "sqrt"):
         a = ad.parameter(rng.uniform(0.5, 2.0, size=5))
         fn = getattr(ad, name)
@@ -247,9 +259,9 @@ def test_grad_check_every_operation(name):
     elif name == "matmul":
         a, b = mat(2, 3), mat(3, 2)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
-    elif name == "matvec":
+    elif name == "matmul-vector":
         a, v = mat(3, 4), vec(4)
-        inputs, f = [a, v], lambda: ad.reduce_sum(ad.tanh(ad.matvec(a, v)))
+        inputs, f = [a, v], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, v)))
     elif name == "transpose":
         a = mat()
         inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.transpose(a)))
@@ -269,15 +281,15 @@ def test_grad_check_every_operation(name):
     elif name == "gather_rows":
         t = mat(5, 3)
         inputs, f = [t], lambda: ad.reduce_sum(ad.tanh(ad.gather_rows(t, [0, 2, 2, 4])))
-    elif name == "take_row":
+    elif name == "gather_rows-int-matrix":
         m = mat()
-        inputs, f = [m], lambda: ad.reduce_sum(ad.tanh(ad.take_row(m, 1)))
-    elif name == "pick":
+        inputs, f = [m], lambda: ad.reduce_sum(ad.tanh(ad.gather_rows(m, 1)))
+    elif name == "gather_rows-int-vector":
         v = vec()
-        inputs, f = [v], lambda: ad.tanh(ad.pick(v, 2))
+        inputs, f = [v], lambda: ad.tanh(ad.gather_rows(v, 2))
     elif name == "sum_of_squares":
         a, b, c = mat(), vec(), ad.parameter(rng.normal())
-        inputs, f = [a, b, c], lambda: ad.tanh(ad.scale(ad.sum_of_squares([a, b, c]), 0.1))
+        inputs, f = [a, b, c], lambda: ad.tanh(ad.mul(ad.sum_of_squares([a, b, c]), Tensor(0.1)))
     elif name == "masked_softmax":
         v = vec(5)
         mask = [True, True, False, True, True]
@@ -294,7 +306,7 @@ def test_forward_replay_is_deterministic():
 
     def run():
         a, v = Tensor(a_vals), Tensor(v_vals)
-        return ad.reduce_sum(ad.tanh(ad.matvec(a, v))).item()
+        return ad.reduce_sum(ad.tanh(ad.matmul(a, v))).item()
 
     assert run() == run()
 
@@ -327,10 +339,22 @@ def test_gather_rows_sparse_gradient():
     # from a non-leaf table, as the forward pass's mean embedding does
     t.grad = None
     with Tape():
-        doubled = ad.concat([ad.scale(t, 2.0), t], axis=1)
+        doubled = ad.concat([ad.mul(t, Tensor(2.0)), t], axis=1)
         backward(ad.reduce_sum(ad.gather_rows(doubled, [1, 3, 1])))
     np.testing.assert_array_equal(doubled.grad, [[0] * 4, [2] * 4, [0] * 4, [1] * 4])
     np.testing.assert_array_equal(t.grad, [[0, 0], [6, 6], [0, 0], [3, 3]])
+
+    # an int index reads one row of a matrix, or one entry of a vector as a
+    # 0-d tensor, and its backward writes only that row: a dense write would
+    # add +0.0 to the other rows and turn their -0.0 into 0.0
+    for table in (t, ad.parameter([1.0, 2.0, 3.0, 4.0])):
+        table.grad = np.full(table.values.shape, -0.0)
+        with Tape():
+            backward(ad.reduce_sum(ad.gather_rows(table, 2)))
+        expected = np.zeros(table.values.shape)
+        expected[2] = 1.0
+        np.testing.assert_array_equal(table.grad, expected)
+        assert np.all(np.signbit(np.delete(table.grad, 2, axis=0)))
 
 
 def test_sum_of_squares_matches_composed_chain():
@@ -348,7 +372,7 @@ def test_sum_of_squares_matches_composed_chain():
     assert fused.values.shape == ()
     assert fused.item() == chain.item()
     with Tape():
-        backward(ad.scale(ad.sum_of_squares(tensors), 0.5))
+        backward(ad.mul(ad.sum_of_squares(tensors), Tensor(0.5)))
     for t in tensors:
         np.testing.assert_array_equal(t.grad, t.values)
 

@@ -1,10 +1,11 @@
 import json
+import re
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from aspectsent.cli import ConfigError, build_configs, main, parse_config_file
+from aspectsent.cli import ConfigError, DataSettings, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
 from aspectsent.model import ModelConfig, forward, init_params
 from aspectsent.training import TrainConfig
@@ -96,20 +97,25 @@ CONFIG_SAMPLES = {
     "batch_size": ("4", 4),
     "seed": ("11", 11),
     "patience": ("2", 2),
+    "domain": ("restaurant", "restaurant"),
+    "min_count": ("3", 3),
+    "embedding_file": ("vectors.txt", "vectors.txt"),
 }
 
 
 @pytest.mark.parametrize(
     "key",
-    [f.name for cls in (ModelConfig, TrainConfig) for f in fields(cls) if f.name != "aspect_names"],
+    [
+        f.name for cls in (ModelConfig, TrainConfig, DataSettings) for f in fields(cls)
+        if f.name not in ("aspect_names", "aspects")
+    ],
 )
 def test_every_config_key_parses_to_its_field_type(tmp_path, key):
     raw, expected = CONFIG_SAMPLES[key]
     path = tmp_path / "config.txt"
     path.write_text(f"aspects = a, b\n{key} = {raw}\n")
-    model_config, train_config, _ = build_configs(parse_config_file(path))
-    config = model_config if hasattr(model_config, key) else train_config
-    value = getattr(config, key)
+    configs = build_configs(parse_config_file(path))
+    value = getattr(next(c for c in configs if hasattr(c, key)), key)
     assert value == expected
     assert type(value) is type(expected)
 
@@ -126,20 +132,37 @@ def test_removed_config_keys_rejected(tmp_path, corpus_path, key, capsys):
     assert key in capsys.readouterr().err
 
 
+# (key, value, the message that names the key): values that do not parse,
+# then values that parse but lie outside the key's range
+BAD_CONFIG_VALUES = [
+    ("min_count", "abc", "bad value for 'min_count': 'abc'"),
+    ("epochs", "two", "bad value for 'epochs': 'two'"),
+    ("learning_rate", "fast", "bad value for 'learning_rate': 'fast'"),
+    ("embedding_width", "-3", "embedding_width must be at least 1"),
+    ("cell_width", "0", "cell_width must be at least 1"),
+    ("max_length", "0", "max_length must be at least 1"),
+    ("patience", "-1", "patience must be at least 1"),
+    ("min_count", "-4", "min_count must be at least 1"),
+    ("beta1", "1.5", "beta1 must be in [0, 1)"),
+    ("beta2", "-0.5", "beta2 must be in [0, 1)"),
+    ("eps", "-1", "eps must be positive"),
+]
+
+
 @pytest.mark.parametrize(
-    "key, raw", [("min_count", "abc"), ("epochs", "two"), ("learning_rate", "fast")]
+    "key, raw, message", BAD_CONFIG_VALUES, ids=[f"{k}-{r}" for k, r, _ in BAD_CONFIG_VALUES]
 )
-def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, capsys):
+def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, message, capsys):
     path = tmp_path / "config.txt"
     path.write_text(f"aspects = food, service\n{key} = {raw}\n")
-    with pytest.raises(ConfigError, match=f"bad value for '{key}'"):
+    with pytest.raises(ConfigError, match=re.escape(message)):
         build_configs(parse_config_file(path))
     status = main(
         ["train", "--config", str(path), "--data", str(corpus_path),
          "--out", str(tmp_path / "run")]
     )
     assert status == 1
-    assert f"bad value for '{key}': '{raw}'" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_config_malformed_line(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from aspectsent import autodiff as ad
 from aspectsent.attention import AttentionTrace
-from aspectsent.autodiff import Tensor, grad_check
+from aspectsent.autodiff import Tape, Tensor, backward, grad_check
 from aspectsent import model
 from aspectsent.model import (
     CheckpointFormatError,
@@ -145,6 +145,30 @@ def test_cross_entropy_perfect_prediction_is_tiny():
 def test_cross_entropy_hand_value():
     loss = cross_entropy(Tensor([0.1, 0.9]), 1)
     assert abs(loss.item() - (-math.log(0.9))) < 1e-12
+
+
+def two_log_cross_entropy(probs, target):
+    """The earlier formula: both logs, each weighted by its label indicator."""
+    eps = model.CROSS_ENTROPY_EPS
+    positive = ad.clamp(ad.gather_rows(probs, 1), eps, 1.0 - eps)
+    log_pos, log_neg = ad.log(positive), ad.log(ad.sub(Tensor(1.0), positive))
+    weighted = ad.add(ad.mul(log_pos, Tensor(target)), ad.mul(log_neg, Tensor(1 - target)))
+    return ad.neg(weighted)
+
+
+@pytest.mark.parametrize("target", [0, 1])
+@pytest.mark.parametrize("positive", [0.9, 0.23, 0.0, 1e-12, 1.0 - 1e-12, 1.0])  # clamp bounds
+def test_cross_entropy_matches_two_log_oracle(target, positive):
+    results = []
+    for loss_fn in (cross_entropy, two_log_cross_entropy):
+        probs = ad.parameter([1.0 - positive, positive])
+        with Tape():
+            loss = loss_fn(probs, target)
+            backward(loss)
+        results.append((loss.item(), probs.grad))
+    (value, grad), (expected_value, expected_grad) = results
+    assert value == expected_value
+    assert np.array_equal(grad, expected_grad)
 
 
 def test_orthogonal_penalty_orthonormal_rows_zero():

@@ -4,9 +4,13 @@
 and ``perfbench/cases.py`` calls a few functions with fixed argument
 shapes. These tests fail when a refactor renames, moves or re-signs one of
 them, instead of letting a traced layer silently drop out of the numbers.
+The last test runs the benchmark's own smoke check end to end.
 """
 
 import importlib
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,3 +69,11 @@ def test_case_call_shapes():
         assert tensor.values.shape == before[name].shape
         assert np.all(np.isfinite(tensor.values))
     ad.zero_grads(params.tensors())
+
+
+def test_perfbench_smoke_check_passes():
+    """``perfbench/smoke.py`` runs every workload at tiny widths, in about 10 s."""
+    root = Path(__file__).resolve().parents[1]
+    child = subprocess.run([sys.executable, "perfbench/smoke.py"], cwd=root,
+                           capture_output=True, text=True, timeout=600)
+    assert child.returncode == 0, child.stderr

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from aspectsent import autodiff as ad
-from aspectsent.autodiff import ShapeError, Tensor, grad_check
+from aspectsent.autodiff import ShapeError, Tape, Tensor, backward, grad_check
 from aspectsent.recurrent import (
+    HiddenStates,
     LstmParams,
+    _run_direction,
     bilstm_forward,
     init_lstm_params,
     lstm_forward,
@@ -121,7 +123,7 @@ def test_lstm_gradient_check():
 
     def f():
         states = lstm_forward(x, params, mask)
-        return ad.reduce_sum(ad.tanh(ad.matvec(states.values, readout)))
+        return ad.reduce_sum(ad.tanh(ad.matmul(states.values, readout)))
 
     err = grad_check(f, params.tensors() + [x])
     assert err < 1e-4
@@ -136,10 +138,35 @@ def test_bilstm_gradient_check():
 
     def f():
         states = bilstm_forward(x, fwd, bwd, np.ones(3, bool))
-        return ad.reduce_sum(ad.tanh(ad.matvec(states.values, readout)))
+        return ad.reduce_sum(ad.tanh(ad.matmul(states.values, readout)))
 
     err = grad_check(f, fwd.tensors() + bwd.tensors() + [x])
     assert err < 1e-4
+
+
+def per_position_bilstm(inputs, fwd, bwd, mask):
+    """The earlier composition: one concat per position, then one stack."""
+    rows_f = _run_direction(inputs, fwd, mask, range(len(mask)))
+    rows_b = _run_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
+    return HiddenStates(ad.stack_rows([ad.concat([f, b]) for f, b in zip(rows_f, rows_b)]), mask)
+
+
+def test_bilstm_matches_per_position_concat_oracle():
+    rng = np.random.default_rng(10)
+    fwd, bwd = init_lstm_params(3, 4, rng), init_lstm_params(3, 4, rng)
+    x = ad.parameter(rng.normal(size=(6, 3)))
+    readout = Tensor(rng.normal(size=8))
+    mask = np.array([True, True, True, True, False, False])  # padded
+    tensors = fwd.tensors() + bwd.tensors() + [x]
+    results = []
+    for build in (bilstm_forward, per_position_bilstm):
+        ad.zero_grads(tensors)
+        with Tape():
+            out = build(x, fwd, bwd, mask).values
+            backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+        results.append([out.values] + [t.grad for t in tensors])
+    for got, expected in zip(*results):
+        assert np.array_equal(got, expected)
 
 
 def test_determinism_under_fixed_seed():

@@ -319,7 +319,7 @@ def test_batch_gradient_matches_per_example_l2_oracle(bidirectional, monkeypatch
             out = forward(ex, oracle, config)
             loss, _ = combined_loss(out, ex, oracle, config, l2=composed_l2(oracle))
             total = loss if total is None else ad.add(total, loss)
-        batch_loss = ad.scale(total, 1.0 / len(batch))
+        batch_loss = ad.mul(total, Tensor(1.0 / len(batch)))
         backward(batch_loss)
     oracle.clear_padding_gradient()
 
