@@ -13,6 +13,7 @@ ignored. Star ratings 1-3 map to negative,
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass
@@ -182,6 +183,11 @@ class PreprocessRules:
     @staticmethod
     def default(max_length: int = 256) -> "PreprocessRules":
         return PreprocessRules(stop_words=load_stopwords(), max_length=max_length)
+
+    def record(self) -> dict:
+        """What a checkpoint stores to refuse other preprocessing; max_length is in its config."""
+        digest = hashlib.sha256("\n".join(sorted(self.stop_words)).encode("utf-8")).hexdigest()
+        return {"min_tokens": self.min_tokens, "stop_words_sha256": digest}
 
 
 def tokenize(text: str, rules: PreprocessRules) -> list:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -28,6 +28,7 @@ from aspectsent.attention import (
     stack_attention_matrices,
 )
 from aspectsent.autodiff import Tensor
+from aspectsent.data import PreprocessRules
 from aspectsent.embeddings import (
     PAD_ID,
     EmbeddingTables,
@@ -39,7 +40,7 @@ from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params, l
 
 CROSS_ENTROPY_EPS = 1e-12
 CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
-CHECKPOINT_FORMAT = 2  # archives without a format_version are version 1
+CHECKPOINT_FORMAT = 3  # archives without a format_version are version 1
 
 
 @dataclass
@@ -114,22 +115,10 @@ class ModelParams:
 
     def named_tensors(self):
         """Deterministically ordered (name, tensor) pairs for every parameter."""
-        seen = []
-        seen.append(("word_table", self.tables.word))
-        seen.append(("position_table", self.tables.position))
-        for t in self.lstm_fwd.tensors():
-            seen.append((t.name, t))
-        if self.lstm_bwd is not None:
-            for t in self.lstm_bwd.tensors():
-                seen.append((t.name, t))
-        for k, attn in enumerate(self.attention):
-            for t in attn.tensors():
-                seen.append((t.name, t))
-        for k, head in enumerate(self.aspect_heads):
-            seen.append((f"aspect_head.{k}.weight", head.weight))
-            seen.append((f"aspect_head.{k}.bias", head.bias))
-        seen.append(("overall_head.weight", self.overall_head.weight))
-        seen.append(("overall_head.bias", self.overall_head.bias))
+        seen = [("word_table", self.tables.word), ("position_table", self.tables.position)]
+        lstms = [self.lstm_fwd] + ([self.lstm_bwd] if self.lstm_bwd is not None else [])
+        for part in lstms + self.attention + self.aspect_heads + [self.overall_head]:
+            seen.extend((t.name, t) for t in part.tensors())
         return seen
 
     def tensors(self):
@@ -200,10 +189,7 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
 def replace_tables(params: ModelParams, tables: EmbeddingTables) -> ModelParams:
     tables.word.name = "word_table"
     tables.position.name = "position_table"
-    return ModelParams(
-        tables, params.lstm_fwd, params.lstm_bwd, params.attention,
-        params.aspect_heads, params.overall_head,
-    )
+    return replace(params, tables=tables)
 
 
 @dataclass
@@ -430,7 +416,7 @@ class CheckpointFormatError(ValueError):
 
 
 def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelParams) -> None:
-    """Write config, vocabulary, and every parameter tensor to one archive.
+    """Write config, vocabulary, preprocessing record and every parameter to one archive.
 
     The archive is written to a temporary file beside ``path`` and then
     renamed over it, so a failed save leaves any earlier checkpoint intact.
@@ -439,6 +425,7 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelP
         "format_version": CHECKPOINT_FORMAT,
         "config": asdict(config),
         "vocabulary": vocab.id_to_token,
+        "preprocess": PreprocessRules.default().record(),
     }
     arrays = {"param/" + name: tensor.values for name, tensor in params.named_tensors()}
     path = Path(path)
@@ -456,7 +443,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     """Rebuild config, vocabulary, and parameters; values round-trip exactly.
 
     Raises CheckpointFormatError, naming the file, when the format version
-    differs or the config keys or parameter names and shapes do not match.
+    or the preprocessing record differs from the current one, or the config
+    keys or parameter names and shapes do not match.
     """
     with np.load(path) as archive:
         meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
@@ -472,6 +460,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     version = meta.get("format_version")
     if version != CHECKPOINT_FORMAT:
         fail(f"format version {version} is not {CHECKPOINT_FORMAT}; retrain the model")
+    recorded = meta.get("preprocess", {})
+    for key, current in PreprocessRules.default().record().items():
+        if recorded.get(key) != current:
+            fail(f"preprocessing {key} {recorded.get(key)!r} is not {current!r}; retrain the model")
     unknown = set(meta["config"]) - {f.name for f in fields(ModelConfig)}
     if unknown:
         fail(f"unknown config keys {sorted(unknown)}")

@@ -1,5 +1,9 @@
 """LSTM and BiLSTM sequence encoders built on the autodiff tape.
 
+Each direction keeps its four gates side by side in one ``w``, ``u``, ``b``
+block (see ``LstmParams``), so it makes one input projection per sequence,
+and per step one recurrent matmul, one ``sigmoid`` and one ``tanh``.
+
 Padding steps are skipped entirely: the cell state carries over unchanged
 and the emitted row for a masked position is exactly zero, so appending
 padding never perturbs the outputs for real tokens.
@@ -8,44 +12,36 @@ padding never perturbs the outputs for real tokens.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.autodiff import ShapeError, Tensor
 
+GATES = ("input", "forget", "output", "candidate")
+
 
 @dataclass
 class LstmParams:
-    """One direction's gate parameters.
+    """One direction's parameters, four gate blocks of cell_width columns each.
 
-    Input projections are input_width x cell_width, recurrent projections
-    cell_width x cell_width, biases cell_width. The forget bias starts at 1
-    so memory is retained early in training. Field order is the order of
-    ``tensors()`` and of the initializer's random draws.
+    With H = cell_width, ``w`` is input_width x 4H, ``u`` H x 4H and ``b``
+    4H; columns [g·H, (g+1)·H) belong to gate ``GATES[g]``. The forget
+    block of ``b`` starts at 1 so memory is retained early in training.
+    Field order is the order of ``tensors()``.
     """
 
-    input_gate_w: Tensor
-    input_gate_u: Tensor
-    input_gate_b: Tensor
-    forget_gate_w: Tensor
-    forget_gate_u: Tensor
-    forget_gate_b: Tensor
-    output_gate_w: Tensor
-    output_gate_u: Tensor
-    output_gate_b: Tensor
-    candidate_w: Tensor
-    candidate_u: Tensor
-    candidate_b: Tensor
+    w: Tensor
+    u: Tensor
+    b: Tensor
 
     @property
     def input_width(self) -> int:
-        return self.input_gate_w.values.shape[0]
+        return self.w.values.shape[0]
 
     @property
     def cell_width(self) -> int:
-        return self.input_gate_w.values.shape[1]
+        return self.u.values.shape[0]
 
     def tensors(self):
         return [getattr(self, f.name) for f in fields(self)]
@@ -54,23 +50,25 @@ class LstmParams:
 @dataclass
 class HiddenStates:
     values: Tensor  # T x width; masked rows exactly zero
-    mask: np.ndarray  # bool (T,)
 
 
 def init_lstm_params(
     input_width: int, cell_width: int, rng: np.random.Generator, prefix: str = "lstm"
 ) -> LstmParams:
+    """Draw each gate's w, u and b in gate order, then join the gate blocks."""
     bound = 1.0 / np.sqrt(cell_width)
-    shapes = {"w": (input_width, cell_width), "u": (cell_width, cell_width), "b": cell_width}
-
-    def init(name):
-        if name == "forget_gate_b":
-            values = np.ones(cell_width)
-        else:
-            values = rng.uniform(-bound, bound, size=shapes[name[-1]])
-        return ad.parameter(values, f"{prefix}.{name}")
-
-    return LstmParams(**{f.name: init(f.name) for f in fields(LstmParams)})
+    blocks = {"w": [], "u": [], "b": []}
+    for gate in GATES:
+        blocks["w"].append(rng.uniform(-bound, bound, size=(input_width, cell_width)))
+        blocks["u"].append(rng.uniform(-bound, bound, size=(cell_width, cell_width)))
+        blocks["b"].append(
+            np.ones(cell_width) if gate == "forget"
+            else rng.uniform(-bound, bound, size=cell_width)
+        )
+    return LstmParams(**{
+        name: ad.parameter(np.concatenate(parts, axis=-1), f"{prefix}.{name}")
+        for name, parts in blocks.items()
+    })
 
 
 def _check_width(inputs: Tensor, params: LstmParams) -> None:
@@ -86,29 +84,24 @@ def _run_direction(inputs: Tensor, params: LstmParams, mask: np.ndarray, order):
 
     Masked positions yield a shared zero row and do not advance the state.
     """
-    cell_width = params.cell_width
-    # batch the input projections once per call; steps then only index rows
-    xi = ad.matmul(inputs, params.input_gate_w)
-    xf = ad.matmul(inputs, params.forget_gate_w)
-    xo = ad.matmul(inputs, params.output_gate_w)
-    xc = ad.matmul(inputs, params.candidate_w)
-    ui = ad.transpose(params.input_gate_u)
-    uf = ad.transpose(params.forget_gate_u)
-    uo = ad.transpose(params.output_gate_u)
-    uc = ad.transpose(params.candidate_u)
+    H = params.cell_width
+    # batch the input projection once per call; steps then only index rows
+    projected = ad.matmul(inputs, params.w)
+    u_t = ad.transpose(params.u)
+    # int-vector indices of the gate blocks in z, and of i, f, o in sigmoid(z[:3H])
+    sigmoid_part, cand_part = np.arange(3 * H), np.arange(3 * H, 4 * H)
+    ifo_parts = [np.arange(g * H, (g + 1) * H) for g in range(3)]
 
-    zero_row = Tensor(np.zeros(cell_width))
-    h = zero_row
-    c = zero_row
-    rows: list[Optional[Tensor]] = [None] * len(mask)
+    zero_row = Tensor(np.zeros(H))
+    h = c = zero_row
+    rows = [zero_row] * len(mask)
     for t in order:
         if not mask[t]:
-            rows[t] = zero_row
             continue
-        i_gate = ad.sigmoid(ad.add(ad.add(ad.gather_rows(xi, t), ad.matmul(ui, h)), params.input_gate_b))
-        f_gate = ad.sigmoid(ad.add(ad.add(ad.gather_rows(xf, t), ad.matmul(uf, h)), params.forget_gate_b))
-        o_gate = ad.sigmoid(ad.add(ad.add(ad.gather_rows(xo, t), ad.matmul(uo, h)), params.output_gate_b))
-        cand = ad.tanh(ad.add(ad.add(ad.gather_rows(xc, t), ad.matmul(uc, h)), params.candidate_b))
+        z = ad.add(ad.add(ad.gather_rows(projected, t), ad.matmul(u_t, h)), params.b)
+        gates = ad.sigmoid(ad.gather_rows(z, sigmoid_part))
+        cand = ad.tanh(ad.gather_rows(z, cand_part))
+        i_gate, f_gate, o_gate = (ad.gather_rows(gates, part) for part in ifo_parts)
         c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
         h = ad.mul(o_gate, ad.tanh(c))
         rows[t] = h
@@ -120,7 +113,7 @@ def lstm_forward(inputs: Tensor, params: LstmParams, mask) -> HiddenStates:
     mask = np.asarray(mask, dtype=bool)
     _check_width(inputs, params)
     rows = _run_direction(inputs, params, mask, range(len(mask)))
-    return HiddenStates(values=ad.stack_rows(rows), mask=mask)
+    return HiddenStates(values=ad.stack_rows(rows))
 
 
 def bilstm_forward(
@@ -138,4 +131,4 @@ def bilstm_forward(
     fwd = _run_direction(inputs, forward_params, mask, range(len(mask)))
     bwd = _run_direction(inputs, backward_params, mask, range(len(mask) - 1, -1, -1))
     joined = ad.concat([ad.stack_rows(fwd), ad.stack_rows(bwd)], axis=1)
-    return HiddenStates(values=joined, mask=mask)
+    return HiddenStates(values=joined)

@@ -356,6 +356,15 @@ def test_gather_rows_sparse_gradient():
         np.testing.assert_array_equal(table.grad, expected)
         assert np.all(np.signbit(np.delete(table.grad, 2, axis=0)))
 
+    # two reads of one int index add up in that row
+    for table in (t, ad.parameter([1.0, 2.0, 3.0, 4.0])):
+        table.grad = None
+        with Tape():
+            backward(ad.reduce_sum(ad.add(ad.gather_rows(table, 1), ad.gather_rows(table, 1))))
+        expected = np.zeros(table.values.shape)
+        expected[1] = 2.0
+        np.testing.assert_array_equal(table.grad, expected)
+
 
 def test_sum_of_squares_matches_composed_chain():
     rng = np.random.default_rng(3)

@@ -7,9 +7,19 @@ import pytest
 
 from aspectsent.cli import ConfigError, DataSettings, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
-from aspectsent.model import ModelConfig, forward, init_params
+from aspectsent.embeddings import Vocabulary
+from aspectsent.model import (
+    CheckpointFormatError,
+    ModelConfig,
+    forward,
+    init_params,
+    load_checkpoint,
+    save_checkpoint,
+)
+from aspectsent.recurrent import GATES
 from aspectsent.training import TrainConfig
 from tests.corpus import synthetic_reviews, synthetic_split, tiny_model_config, write_jsonl
+from tests.test_model import rewrite_checkpoint
 
 CONFIG_TEXT = """
 # synthetic two-aspect setup
@@ -262,6 +272,63 @@ def test_cli_rejects_old_format_checkpoint(tmp_path, corpus_path, command, capsy
     )
     assert status == 1
     assert str(checkpoint) in capsys.readouterr().err
+
+
+def write_current_checkpoint(path):
+    config = ModelConfig(
+        aspect_names=["food", "service"], embedding_width=6, cell_width=6,
+        max_length=16, bidirectional=True,
+    )
+    tokens = ["<pad>", "<unk>", "pizza"]
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
+    save_checkpoint(path, config, vocab, init_params(config, len(tokens), seed=0))
+    return path
+
+
+def to_v2_meta(meta):
+    meta["format_version"] = 2
+    del meta["preprocess"]
+
+
+def to_v2_per_gate_arrays(arrays):
+    """Format 2 kept twelve tensors per LSTM direction, one w, u, b per gate."""
+    for prefix in ("lstm_fwd", "lstm_bwd"):
+        for part in "wub":
+            fused = arrays.pop(f"param/{prefix}.{part}")
+            blocks = np.split(fused, 4, axis=-1)
+            for gate, block in zip(GATES, blocks):
+                name = f"{gate}_gate_{part}" if gate != "candidate" else f"candidate_{part}"
+                arrays[f"param/{prefix}.{name}"] = block
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_cli_rejects_per_gate_v2_checkpoint(tmp_path, corpus_path, command, capsys):
+    checkpoint = write_current_checkpoint(tmp_path / "v2.npz")
+    rewrite_checkpoint(checkpoint, to_v2_meta, to_v2_per_gate_arrays)
+    with pytest.raises(CheckpointFormatError, match="format version 2 is not 3"):
+        load_checkpoint(checkpoint)
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    assert str(checkpoint) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("key, other", [("min_tokens", 4), ("stop_words_sha256", "0" * 64)])
+def test_cli_rejects_other_preprocessing(tmp_path, corpus_path, key, other, command, capsys):
+    checkpoint = write_current_checkpoint(tmp_path / "model.npz")
+    rewrite_checkpoint(checkpoint, edit_meta=lambda meta: meta["preprocess"].update({key: other}))
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert str(checkpoint) in err
+    assert f"preprocessing {key} {other!r}" in err
+    assert not (tmp_path / "out").exists()
 
 
 def make_report(intensities, scores=None):

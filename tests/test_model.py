@@ -89,12 +89,15 @@ def test_forward_composes_module_oracles(toy_model):
     c_prev = np.zeros(config.cell_width)
     hs = []
     p = params.lstm_fwd
+    # gate g owns columns [g*H, (g+1)*H) of w, u and b: input, forget, output, candidate
+    H = config.cell_width
+    w, u, b = ([m.values[..., g * H:(g + 1) * H] for g in range(4)] for m in (p.w, p.u, p.b))
     for t in range(2):
         x = emb[t]
-        i = sig(x @ p.input_gate_w.values + h_prev @ p.input_gate_u.values + p.input_gate_b.values)
-        f = sig(x @ p.forget_gate_w.values + h_prev @ p.forget_gate_u.values + p.forget_gate_b.values)
-        o = sig(x @ p.output_gate_w.values + h_prev @ p.output_gate_u.values + p.output_gate_b.values)
-        cand = np.tanh(x @ p.candidate_w.values + h_prev @ p.candidate_u.values + p.candidate_b.values)
+        i = sig(x @ w[0] + h_prev @ u[0] + b[0])
+        f = sig(x @ w[1] + h_prev @ u[1] + b[1])
+        o = sig(x @ w[2] + h_prev @ u[2] + b[2])
+        cand = np.tanh(x @ w[3] + h_prev @ u[3] + b[3])
         c_prev = f * c_prev + i * cand
         h_prev = o * np.tanh(c_prev)
         hs.append(h_prev)
