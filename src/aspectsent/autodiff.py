@@ -23,6 +23,7 @@ as one operation.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -124,6 +125,7 @@ class Tape:
 
     def __init__(self):
         self.ops: list[_TapeOp] = []
+        self.proxy = weakref.proxy(self)  # what outputs hold: tape and outputs form no cycle
 
     def __enter__(self) -> "Tape":
         _tape_stack().append(self)
@@ -143,7 +145,7 @@ def _record(inputs: tuple, out_values: np.ndarray, grad_fn: Callable) -> Tensor:
     out = Tensor(out_values)
     tape = active_tape()
     if tape is not None:
-        out.tape = tape
+        out.tape = tape.proxy
         tape.ops.append(_TapeOp(inputs, out, grad_fn))
     return out
 
@@ -155,14 +157,16 @@ def backward(root: Tensor) -> None:
     (accumulating onto whatever was already there); the root's own grad is
     set to ones. Tape entries that do not feed the root are skipped.
     """
-    if root.tape is None:
-        raise GraphError("backward root was not produced on an active tape")
+    try:
+        ops = root.tape.ops
+    except (AttributeError, ReferenceError):
+        raise GraphError("backward root was not produced on a live tape") from None
     if root.values.shape != ():
         raise GraphError(
             f"backward root must be a scalar, got shape {root.values.shape}"
         )
     root.grad = np.ones_like(root.values)
-    for op in reversed(root.tape.ops):
+    for op in reversed(ops):
         out_grad = op.output.grad
         if out_grad is None:
             continue

@@ -1,4 +1,6 @@
+import gc
 import inspect
+import weakref
 import zlib
 
 import numpy as np
@@ -197,6 +199,24 @@ def test_backward_requires_tape():
     out = ad.mul(Tensor(2.0), Tensor(3.0))
     with pytest.raises(GraphError):
         backward(out)
+
+
+def test_finished_tape_is_freed_without_the_cycle_collector():
+    x = ad.parameter(3.0)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            root = ad.mul(ad.tanh(x), x)
+            backward(root)
+            assert len(root.tape) == 2
+        alive = weakref.ref(tape)
+        del tape
+        # only reference counting ran: the outputs kept no strong path to the tape
+        assert alive() is None
+    finally:
+        gc.enable()
+    with pytest.raises(GraphError):
+        backward(root)
 
 
 def test_grad_check_linear_is_near_exact():
