@@ -6,12 +6,14 @@ manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
 
 Each operation is one numpy primitive: elementwise ``add`` (+), ``sub``,
-``mul``, ``div``, ``neg``, ``tanh``, ``sigmoid``, ``log``, ``sqrt`` and
-``clamp`` (``np.clip``), where a constant enters as a 0-d ``Tensor``;
-``matmul`` (@, with a matrix or vector right operand) and ``transpose``;
-``reduce_sum``, ``reduce_mean`` and ``sum_of_squares`` (``np.sum(x * x)``
-over many tensors); ``concat``, ``stack_rows``, ``scale_rows``
-(``m * w[:, None]``) and ``gather_rows`` (``x[idx]``); ``masked_softmax``.
+``mul``, ``div``, ``tanh``, ``sigmoid``, ``log``, ``sqrt`` and ``clamp``
+(``np.clip``), where a constant enters as a 0-d ``Tensor``; ``matmul`` (@,
+with a matrix or vector right operand) and ``transpose``; ``reduce_sum``
+and ``sum_of_squares`` (``np.sum(x * x)`` over many tensors); ``concat``,
+``stack_rows``, ``scale_rows`` (``m * w[:, None]``) and ``gather_rows``
+(``x[idx]``); ``masked_softmax``. Composites are built from these: a mean
+is ``div(reduce_sum(x), n)``, as ``np.mean`` computes it, and a negation
+is ``sub(0, x)``, which differs from ``-x`` only in the sign of a zero.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
@@ -247,13 +249,6 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), out, grad_fn)
 
 
-def neg(a: Tensor) -> Tensor:
-    def grad_fn(g):
-        return (-g,)
-
-    return _record((a,), -a.values, grad_fn)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.values)
 
@@ -356,21 +351,6 @@ def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return _record((a,), np.sum(a.values, axis=axis), grad_fn)
-
-
-def reduce_mean(a: Tensor, axis: Optional[int] = None) -> Tensor:
-    rank = a.values.ndim
-    if axis is not None and not -rank <= axis < rank:
-        raise ShapeError(f"reduce_mean: axis {axis} out of range for shape {a.values.shape}")
-    shape = a.values.shape
-    n = a.values.size if axis is None else shape[axis]
-
-    def grad_fn(g):
-        if axis is None:
-            return (np.full(shape, g / n, dtype=np.float64),)
-        return (np.broadcast_to(np.expand_dims(g / n, axis), shape).copy(),)
-
-    return _record((a,), np.mean(a.values, axis=axis), grad_fn)
 
 
 def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:

@@ -167,11 +167,17 @@ def build_configs(entries: dict):
     return model_config, train_config, data
 
 
-def _prepare_dataset(data_path, model_config, data_settings, seed):
-    reviews = ingest(data_path, model_config.aspect_names)
-    rules = PreprocessRules.default(max_length=model_config.max_length)
+def _preprocess(data_path, config) -> list:
+    """Ingest and preprocess a corpus, reporting the reviews too short to keep."""
+    reviews = ingest(data_path, config.aspect_names)
+    rules = PreprocessRules.default(max_length=config.max_length)
     processed = preprocess_corpus(reviews, rules)
-    parts = split(processed, seed=seed)
+    print(f"dropped {len(reviews) - len(processed)} of {len(reviews)} reviews", file=sys.stderr)
+    return processed
+
+
+def _prepare_dataset(data_path, model_config, data_settings, seed):
+    parts = split(_preprocess(data_path, model_config), seed=seed)
     vocab = build_vocabulary(
         [p.tokens for p in parts.train], min_count=data_settings.min_count
     )
@@ -234,16 +240,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _load_examples_for_checkpoint(data_path, config, vocab):
-    reviews = ingest(data_path, config.aspect_names)
-    rules = PreprocessRules.default(max_length=config.max_length)
-    processed = preprocess_corpus(reviews, rules)
-    return [encode_example(p, vocab) for p in processed]
-
-
 def _cmd_eval(args) -> int:
     config, vocab, params = load_checkpoint(args.checkpoint)
-    examples = _load_examples_for_checkpoint(args.data, config, vocab)
+    examples = [encode_example(p, vocab) for p in _preprocess(args.data, config)]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_reports(out_dir, "eval", evaluate(params, config, examples), config.aspect_names)
@@ -253,22 +252,23 @@ def _cmd_eval(args) -> int:
 
 def _cmd_explain(args) -> int:
     config, vocab, params = load_checkpoint(args.checkpoint)
-    examples = _load_examples_for_checkpoint(args.data, config, vocab)
+    reviews = _preprocess(args.data, config)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for index, ex in enumerate(examples):
+    for review in reviews:
+        ex = encode_example(review, vocab)
         output = forward(ex, params, config)
         report = build_report(ex.tokens, output, config.aspect_names, args.ranking_mode)
-        (out_dir / f"heatmap_{index:03d}.html").write_text(
+        (out_dir / f"heatmap_{review.line:03d}.html").write_text(
             render_heatmap(report), encoding="utf-8"
         )
         ranking_lines = [
             f"{config.aspect_names[k]} = {score!r}" for k, score in report.ranking
         ]
-        (out_dir / f"ranking_{index:03d}.txt").write_text(
+        (out_dir / f"ranking_{review.line:03d}.txt").write_text(
             "\n".join(ranking_lines) + "\n", encoding="utf-8"
         )
-    print(f"wrote {len(examples)} heatmap reports", file=sys.stderr)
+    print(f"wrote {len(reviews)} heatmap reports", file=sys.stderr)
     return 0
 
 

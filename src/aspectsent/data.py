@@ -48,6 +48,7 @@ class RawReview:
     text: str
     overall_rating: int
     aspect_ratings: list  # Optional[int] per configured aspect
+    line: int = 0  # 1-based line of the corpus file; 0 when not read from one
 
 
 @dataclass
@@ -100,13 +101,13 @@ def ingest(path, aspect_names: Sequence[str]) -> list:
             except CorpusValidationError as exc:
                 raise CorpusValidationError(f"line {line_no}: {exc}") from None
             try:
-                reviews.append(_validate_record(record, aspect_names))
+                reviews.append(_validate_record(record, aspect_names, line_no))
             except CorpusValidationError as exc:
                 raise CorpusValidationError(f"line {line_no}: {exc}") from None
     return reviews
 
 
-def _validate_record(record, aspect_names) -> RawReview:
+def _validate_record(record, aspect_names, line_no: int) -> RawReview:
     if not isinstance(record, dict):
         raise CorpusValidationError("record is not an object")
     if "text" not in record or not isinstance(record["text"], str):
@@ -135,6 +136,7 @@ def _validate_record(record, aspect_names) -> RawReview:
         text=record["text"],
         overall_rating=overall,
         aspect_ratings=ratings,
+        line=line_no,
     )
 
 
@@ -201,6 +203,7 @@ class PreprocessedReview:
     tokens: list
     overall_label: int
     aspect_labels: list
+    line: int = 0  # the source review's line
 
 
 def preprocess(review: RawReview, rules: PreprocessRules) -> Optional[PreprocessedReview]:
@@ -215,6 +218,7 @@ def preprocess(review: RawReview, rules: PreprocessRules) -> Optional[Preprocess
         aspect_labels=[
             None if r is None else binarize(r) for r in review.aspect_ratings
         ],
+        line=review.line,
     )
 
 

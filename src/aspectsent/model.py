@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import zipfile
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -36,28 +37,29 @@ from aspectsent.embeddings import (
     embed_sequence,
     random_tables,
 )
-from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params, lstm_forward
+from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params
 
 CROSS_ENTROPY_EPS = 1e-12
 CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
-CHECKPOINT_FORMAT = 3  # archives without a format_version are version 1
+CHECKPOINT_FORMAT = 4  # archives without a format_version are version 1
 
 
 @dataclass
 class ModelConfig:
     """Architecture and objective settings.
 
-    max_rated_aspects caps how many rated aspects contribute cross-entropy
-    per example (None means all of them). A term whose weight is 0 is left
-    out of the objective entirely; disable_position_attention removes the
-    position-attention stage and its parameters.
+    The encoder is a BiLSTM of cell_width units per direction, so each
+    hidden row is 2 * cell_width wide. max_rated_aspects caps how many rated
+    aspects contribute cross-entropy per example (None means all of them).
+    A term whose weight is 0 is left out of the objective entirely;
+    disable_position_attention removes the position-attention stage and its
+    parameters.
     """
 
     aspect_names: list = field(default_factory=list)
     embedding_width: int = 300
     cell_width: int = 64
     max_length: int = 256
-    bidirectional: bool = True
     max_rated_aspects: Optional[int] = None
     aspect_loss_weight: float = 0.5
     self_orth_weight: float = 0.5
@@ -71,7 +73,7 @@ class ModelConfig:
 
     @property
     def hidden_width(self) -> int:
-        return self.cell_width * (2 if self.bidirectional else 1)
+        return 2 * self.cell_width
 
     @property
     def rated_aspect_cap(self) -> int:
@@ -108,7 +110,7 @@ class HeadParams:
 class ModelParams:
     tables: EmbeddingTables
     lstm_fwd: LstmParams
-    lstm_bwd: Optional[LstmParams]
+    lstm_bwd: LstmParams
     attention: list  # AspectAttentionParams per aspect
     aspect_heads: list  # HeadParams per aspect
     overall_head: HeadParams
@@ -116,7 +118,7 @@ class ModelParams:
     def named_tensors(self):
         """Deterministically ordered (name, tensor) pairs for every parameter."""
         seen = [("word_table", self.tables.word), ("position_table", self.tables.position)]
-        lstms = [self.lstm_fwd] + ([self.lstm_bwd] if self.lstm_bwd is not None else [])
+        lstms = [self.lstm_fwd, self.lstm_bwd]
         for part in lstms + self.attention + self.aspect_heads + [self.overall_head]:
             seen.extend((t.name, t) for t in part.tensors())
         return seen
@@ -145,11 +147,7 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
     tables = random_tables(vocab_size, config.embedding_width, config.max_length, seed)
     embed_width = 2 * config.embedding_width
     lstm_fwd = init_lstm_params(embed_width, config.cell_width, rng, "lstm_fwd")
-    lstm_bwd = (
-        init_lstm_params(embed_width, config.cell_width, rng, "lstm_bwd")
-        if config.bidirectional
-        else None
-    )
+    lstm_bwd = init_lstm_params(embed_width, config.cell_width, rng, "lstm_bwd")
     hidden = config.hidden_width
     bound = 1.0 / np.sqrt(hidden)
     attention = [
@@ -209,15 +207,14 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
     """Run one padded, masked example through the whole network."""
     mask = np.asarray(example.mask, dtype=bool)
     embedded = embed_sequence(example.token_ids, params.tables)
-    if config.bidirectional:
-        hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
-    else:
-        hidden = lstm_forward(embedded, params.lstm_fwd, mask)
+    hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
 
     mean_embedding = None
     if not config.disable_position_attention:
         unmasked = np.flatnonzero(mask)
-        mean_embedding = ad.reduce_mean(ad.gather_rows(embedded, unmasked), axis=0)
+        # np.mean is np.sum and then a true divide by n, so this is the mean to the bit
+        total = ad.reduce_sum(ad.gather_rows(embedded, unmasked), axis=0)
+        mean_embedding = ad.div(total, Tensor(float(unmasked.size)))
 
     traces = []
     aspect_probs = []
@@ -248,9 +245,10 @@ def cross_entropy(probs: Tensor, target: int) -> Tensor:
     probability is clamped away from 0 and 1 so the log stays finite.
     """
     positive = ad.clamp(ad.gather_rows(probs, 1), CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
-    if int(target) == 1:
-        return ad.neg(ad.log(positive))
-    return ad.neg(ad.log(ad.sub(Tensor(1.0), positive)))
+    if int(target) != 1:
+        positive = ad.sub(Tensor(1.0), positive)
+    # 0 - x is exact: a clamped probability's log is never 0, so no -0.0 arises
+    return ad.sub(Tensor(0.0), ad.log(positive))
 
 
 def orthogonal_penalty(matrix: Tensor) -> Tensor:
@@ -442,20 +440,28 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelP
 def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     """Rebuild config, vocabulary, and parameters; values round-trip exactly.
 
-    Raises CheckpointFormatError, naming the file, when the format version
-    or the preprocessing record differs from the current one, or the config
-    keys or parameter names and shapes do not match.
+    Raises CheckpointFormatError, naming the file, when the file is not a
+    readable archive with a meta record holding the config and vocabulary,
+    when the format version or the preprocessing record differs from the
+    current one, or when the config keys or parameter names and shapes do
+    not match.
     """
-    with np.load(path) as archive:
-        meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
-        arrays = {
-            key[len("param/"):]: archive[key]
-            for key in archive.files
-            if key.startswith("param/")
-        }
 
     def fail(message):
         raise CheckpointFormatError(f"checkpoint {path}: {message}")
+
+    try:
+        with np.load(path) as archive:
+            meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
+            arrays = {
+                key[len("param/"):]: archive[key]
+                for key in archive.files
+                if key.startswith("param/")
+            }
+    except (ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+        fail(f"not a readable checkpoint archive ({type(exc).__name__}: {exc})")
+    if not isinstance(meta, dict) or not {"config", "vocabulary"} <= meta.keys():
+        fail("meta record lacks the config or the vocabulary")
 
     version = meta.get("format_version")
     if version != CHECKPOINT_FORMAT:

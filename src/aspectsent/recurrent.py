@@ -1,4 +1,4 @@
-"""LSTM and BiLSTM sequence encoders built on the autodiff tape.
+"""The BiLSTM sequence encoder, built on the autodiff tape.
 
 Each direction keeps its four gates side by side in one ``w``, ``u``, ``b``
 block (see ``LstmParams``), so it makes one input projection per sequence,
@@ -106,14 +106,6 @@ def _run_direction(inputs: Tensor, params: LstmParams, mask: np.ndarray, order):
         h = ad.mul(o_gate, ad.tanh(c))
         rows[t] = h
     return rows
-
-
-def lstm_forward(inputs: Tensor, params: LstmParams, mask) -> HiddenStates:
-    """Left-to-right LSTM over an embedded sequence."""
-    mask = np.asarray(mask, dtype=bool)
-    _check_width(inputs, params)
-    rows = _run_direction(inputs, params, mask, range(len(mask)))
-    return HiddenStates(values=ad.stack_rows(rows))
 
 
 def bilstm_forward(

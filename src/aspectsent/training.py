@@ -1,4 +1,4 @@
-"""Optimizers, the training loop, evaluation metrics, and ablation runs.
+"""The Adam optimizer, the training loop, evaluation metrics, and ablation runs.
 
 Training is deterministic for a fixed (seed, config, data) triple: all
 randomness flows from one generator, and evaluation is pure. The best
@@ -28,7 +28,6 @@ from aspectsent.model import (
 
 @dataclass
 class TrainConfig:
-    optimizer: str = "adam"  # "adam" or "sgd"
     learning_rate: float = 0.005
     beta1: float = 0.9
     beta2: float = 0.999
@@ -39,8 +38,6 @@ class TrainConfig:
     patience: int = 5  # epochs without validation macro-F1 improvement
 
     def validate(self) -> None:
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
         for name in ("learning_rate", "eps"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
@@ -53,7 +50,7 @@ class TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer: Adam, set by TrainConfig's learning_rate, beta1, beta2 and eps
 
 
 @dataclass
@@ -119,11 +116,6 @@ def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
             np.multiply(config.learning_rate, step, out=step)
             step /= denom
             pb -= step
-
-
-def sgd_step(named_params, config: TrainConfig) -> None:
-    for name, p in named_params:
-        p.values -= config.learning_rate * _gradient(name, p)
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +230,7 @@ def train(
 ) -> TrainResult:
     """Optimize the combined objective; returns the best-validation params.
 
-    Each epoch shuffles the training part, takes one optimizer step per
+    Each epoch shuffles the training part, takes one Adam step per
     padded batch (batch loss is the mean of per-example losses), then
     evaluates on the validation part. The L2 term depends only on the
     parameters, so each batch builds it once and every example's loss
@@ -274,10 +266,7 @@ def train(
                     raise NumericError(f"non-finite loss in batch {batch_index}")
                 backward(batch_loss)
             params.clear_padding_gradient()
-            if train_config.optimizer == "adam":
-                adam_step(named, adam_state, train_config)
-            else:
-                sgd_step(named, train_config)
+            adam_step(named, adam_state, train_config)
             ad.zero_grads(tensors)
             losses.append(batch_loss.item())
             batch_index += 1

@@ -32,7 +32,6 @@ def tiny_model_config(**overrides) -> ModelConfig:
         embedding_width=8,
         cell_width=8,
         max_length=16,
-        bidirectional=False,
     )
     base.update(overrides)
     return ModelConfig(**base)

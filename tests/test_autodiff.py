@@ -121,13 +121,14 @@ def test_masked_softmax_properties(logits, data):
     np.testing.assert_allclose(shifted, out, atol=1e-12)
 
 
-def test_reduce_mean_value_and_grad():
-    v = ad.parameter([2.0, 4.0, 6.0])
-    out = ad.reduce_mean(v)
-    assert out.item() == 4.0
+def test_mean_as_sum_then_divide_matches_np_mean():
+    # np.mean is np.sum followed by a true divide by n, so the two agree to the bit
+    rows = ad.parameter(np.random.default_rng(3).normal(size=(7, 5)))
     with Tape():
-        backward(ad.reduce_mean(v))
-    np.testing.assert_allclose(v.grad, np.full(3, 1 / 3))
+        out = ad.div(ad.reduce_sum(rows, axis=0), Tensor(7.0))
+        backward(ad.reduce_sum(out))
+    assert np.array_equal(out.values, np.mean(rows.values, axis=0))
+    assert np.array_equal(rows.grad, np.full((7, 5), 1.0 / 7))
 
 
 def test_sum_of_softmax_is_one():
@@ -234,9 +235,9 @@ def test_grad_check_tanh_matmul_composition():
 
 # One case per operation, plus "op-variant" cases for other operand forms.
 GRAD_CHECK_CASES = [
-    "add", "sub", "mul", "mul-constant", "div", "neg", "tanh", "sigmoid",
-    "log", "sqrt", "clamp", "matmul", "matmul-vector", "transpose",
-    "reduce_sum", "reduce_mean", "concat", "stack_rows", "scale_rows",
+    "add", "sub", "sub-from-constant", "mul", "mul-constant", "div", "div-by-constant",
+    "tanh", "sigmoid", "log", "sqrt", "clamp", "matmul", "matmul-vector", "transpose",
+    "reduce_sum", "concat", "stack_rows", "scale_rows",
     "gather_rows", "gather_rows-int-matrix", "gather_rows-int-vector",
     "masked_softmax", "sum_of_squares",
 ]
@@ -262,7 +263,15 @@ def test_grad_check_every_operation(name):
         a, b = vec(), ad.parameter(rng.uniform(1.0, 2.0, size=4))
         fn = getattr(ad, name)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(fn(a, b)))
-    elif name in ("neg", "tanh", "sigmoid"):
+    elif name == "sub-from-constant":  # negation, as cross_entropy builds it
+        a = vec()
+        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.sub(Tensor(0.0), a)))
+    elif name == "div-by-constant":  # a mean, as the model's mean embedding builds it
+        a = mat()
+        inputs, f = [a], lambda: ad.reduce_sum(
+            ad.tanh(ad.div(ad.reduce_sum(a, axis=0), Tensor(3.0)))
+        )
+    elif name in ("tanh", "sigmoid"):
         a = vec()
         fn = getattr(ad, name)
         inputs, f = [a], lambda: ad.reduce_sum(fn(a))
@@ -285,10 +294,9 @@ def test_grad_check_every_operation(name):
     elif name == "transpose":
         a = mat()
         inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.transpose(a)))
-    elif name in ("reduce_sum", "reduce_mean"):
+    elif name == "reduce_sum":
         a = mat()
-        fn = getattr(ad, name)
-        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(fn(a, axis=1)))
+        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(a, axis=1)))
     elif name == "concat":
         a, b = vec(3), vec(2)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.concat([a, b])))

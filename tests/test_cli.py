@@ -7,6 +7,7 @@ import pytest
 
 from aspectsent.cli import ConfigError, DataSettings, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
+from aspectsent.data import PreprocessRules, RawReview, preprocess
 from aspectsent.embeddings import Vocabulary
 from aspectsent.model import (
     CheckpointFormatError,
@@ -27,7 +28,6 @@ aspects = food, service
 embedding_width = 6
 cell_width = 6
 max_length = 16
-bidirectional = false
 epochs = 2
 batch_size = 8
 seed = 3
@@ -53,7 +53,7 @@ def test_parse_config_file_and_routing(config_path):
     model_config, train_config, data = build_configs(entries)
     assert model_config.aspect_names == ["food", "service"]
     assert model_config.cell_width == 6
-    assert model_config.bidirectional is False
+    assert model_config.hidden_width == 12
     assert train_config.epochs == 2
     assert train_config.seed == 3
 
@@ -81,7 +81,7 @@ def test_config_domain_lookup(tmp_path):
 
 def test_config_bad_boolean(tmp_path):
     path = tmp_path / "config.txt"
-    path.write_text("aspects = a, b\nbidirectional = maybe\n")
+    path.write_text("aspects = a, b\ndisable_position_attention = maybe\n")
     with pytest.raises(ConfigError):
         build_configs(parse_config_file(path))
 
@@ -91,14 +91,12 @@ CONFIG_SAMPLES = {
     "embedding_width": ("5", 5),
     "cell_width": ("7", 7),
     "max_length": ("12", 12),
-    "bidirectional": ("false", False),
     "max_rated_aspects": ("1", 1),
     "aspect_loss_weight": ("0.25", 0.25),
     "self_orth_weight": ("0", 0.0),
     "pos_orth_weight": ("1.5", 1.5),
     "l2_weight": ("0.002", 0.002),
     "disable_position_attention": ("yes", True),
-    "optimizer": ("sgd", "sgd"),
     "learning_rate": ("0.02", 0.02),
     "beta1": ("0.8", 0.8),
     "beta2": ("0.99", 0.99),
@@ -130,7 +128,9 @@ def test_every_config_key_parses_to_its_field_type(tmp_path, key):
     assert type(value) is type(expected)
 
 
-@pytest.mark.parametrize("key", ["disable_l2", "class_count", "stop_train_accuracy"])
+@pytest.mark.parametrize(
+    "key", ["disable_l2", "class_count", "stop_train_accuracy", "bidirectional", "optimizer"]
+)
 def test_removed_config_keys_rejected(tmp_path, corpus_path, key, capsys):
     path = tmp_path / "config.txt"
     path.write_text(CONFIG_TEXT + f"{key} = 1\n")
@@ -218,7 +218,7 @@ def test_cli_missing_data_file(tmp_path, config_path):
     assert status == 1
 
 
-def test_cli_eval_and_explain_round_trip(tmp_path, corpus_path, config_path):
+def test_cli_eval_and_explain_round_trip(tmp_path, corpus_path, config_path, capsys):
     out_dir = tmp_path / "run"
     assert main(
         ["train", "--config", str(config_path), "--data", str(corpus_path),
@@ -232,6 +232,7 @@ def test_cli_eval_and_explain_round_trip(tmp_path, corpus_path, config_path):
          "--out", str(eval_dir)]
     ) == 0
     assert (eval_dir / "metrics_eval.txt").exists()
+    assert capsys.readouterr().err.count("dropped 0 of 24 reviews") == 2  # train, then eval
 
     one_review = write_jsonl(tmp_path / "one.jsonl", synthetic_reviews(1, seed=9))
     explain_dir = tmp_path / "explain"
@@ -241,14 +242,13 @@ def test_cli_eval_and_explain_round_trip(tmp_path, corpus_path, config_path):
     ) == 0
     heatmaps = sorted(explain_dir.glob("heatmap_*.html"))
     assert len(heatmaps) == 1
-    assert (explain_dir / "ranking_000.txt").exists()
+    assert (explain_dir / "ranking_001.txt").exists()  # named by the review's line
 
 
 @pytest.mark.parametrize("command", ["eval", "explain"])
 def test_cli_rejects_old_format_checkpoint(tmp_path, corpus_path, command, capsys):
     config = ModelConfig(
-        aspect_names=["food", "service"], embedding_width=6, cell_width=6,
-        max_length=16, bidirectional=False,
+        aspect_names=["food", "service"], embedding_width=6, cell_width=6, max_length=16,
     )
     tokens = ["<pad>", "<unk>", "pizza"]
     params = init_params(config, len(tokens), seed=0)
@@ -276,8 +276,7 @@ def test_cli_rejects_old_format_checkpoint(tmp_path, corpus_path, command, capsy
 
 def write_current_checkpoint(path):
     config = ModelConfig(
-        aspect_names=["food", "service"], embedding_width=6, cell_width=6,
-        max_length=16, bidirectional=True,
+        aspect_names=["food", "service"], embedding_width=6, cell_width=6, max_length=16,
     )
     tokens = ["<pad>", "<unk>", "pizza"]
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
@@ -305,7 +304,7 @@ def to_v2_per_gate_arrays(arrays):
 def test_cli_rejects_per_gate_v2_checkpoint(tmp_path, corpus_path, command, capsys):
     checkpoint = write_current_checkpoint(tmp_path / "v2.npz")
     rewrite_checkpoint(checkpoint, to_v2_meta, to_v2_per_gate_arrays)
-    with pytest.raises(CheckpointFormatError, match="format version 2 is not 3"):
+    with pytest.raises(CheckpointFormatError, match="format version 2 is not 4"):
         load_checkpoint(checkpoint)
     status = main(
         [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
@@ -313,6 +312,78 @@ def test_cli_rejects_per_gate_v2_checkpoint(tmp_path, corpus_path, command, caps
     )
     assert status == 1
     assert str(checkpoint) in capsys.readouterr().err
+
+
+def to_v3_meta(meta):
+    """Format 3 configs carried the encoder switch, always true in practice."""
+    meta["format_version"] = 3
+    meta["config"]["bidirectional"] = True
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_cli_rejects_v3_checkpoint(tmp_path, corpus_path, command, capsys):
+    checkpoint = write_current_checkpoint(tmp_path / "v3.npz")
+    rewrite_checkpoint(checkpoint, to_v3_meta)
+    with pytest.raises(CheckpointFormatError, match="format version 3 is not 4; retrain"):
+        load_checkpoint(checkpoint)
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    assert str(checkpoint) in capsys.readouterr().err
+
+
+def truncate(path):
+    path.write_bytes(path.read_bytes()[:200])
+
+
+def save_one_array(path):
+    """An .npy array in place of an .npz archive."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.zeros(3))
+
+
+def set_meta_bytes(raw):
+    """Replace the archive's meta record with raw bytes, or drop it given None."""
+    def damage(path):
+        with np.load(path) as archive:
+            arrays = {key: archive[key] for key in archive.files if key != "meta"}
+        if raw is not None:
+            arrays["meta"] = np.frombuffer(raw, dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+    return damage
+
+
+MALFORMED_CHECKPOINTS = {
+    "not-an-archive": lambda path: path.write_text("just some text\n"),
+    "empty": lambda path: path.write_bytes(b""),
+    "one-array": save_one_array,
+    "truncated": truncate,
+    "no-meta": set_meta_bytes(None),
+    "meta-not-utf8": set_meta_bytes(b"\xff{"),
+    "meta-not-object": set_meta_bytes(b"[]"),
+    "no-config": lambda path: rewrite_checkpoint(path, lambda meta: meta.pop("config")),
+    "no-vocabulary": lambda path: rewrite_checkpoint(path, lambda meta: meta.pop("vocabulary")),
+}
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+@pytest.mark.parametrize("damage", MALFORMED_CHECKPOINTS)
+def test_malformed_checkpoint_exits_1_naming_file(tmp_path, corpus_path, damage, command, capsys):
+    checkpoint = write_current_checkpoint(tmp_path / "model.npz")
+    MALFORMED_CHECKPOINTS[damage](checkpoint)
+    with pytest.raises(CheckpointFormatError, match=re.escape(f"checkpoint {checkpoint}: ")):
+        load_checkpoint(checkpoint)
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {checkpoint}: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "explain"])
@@ -400,3 +471,24 @@ def test_render_escapes_aspect_names_and_tokens():
     assert "&lt;b&gt;&amp;&quot;" in html
     assert "&lt;i&gt;" in html and "a&amp;b" in html
     assert '<b>&"' not in html and "<i>" not in html
+
+
+def test_explain_names_outputs_by_source_line(tmp_path, config_path, capsys):
+    # line 1 keeps one token and is dropped, line 2 is blank, line 3 is explained
+    corpus = tmp_path / "reviews.jsonl"
+    (review,) = synthetic_reviews(1, seed=9)
+    corpus.write_text(
+        json.dumps({"text": "pizza", "overall": 4}) + "\n\n"
+        + json.dumps({"text": review.text, "overall": review.overall_rating}) + "\n"
+    )
+    checkpoint = write_current_checkpoint(tmp_path / "model.npz")
+    out_dir = tmp_path / "explain"
+    assert main(
+        ["explain", "--checkpoint", str(checkpoint), "--data", str(corpus),
+         "--out", str(out_dir)]
+    ) == 0
+    assert "dropped 1 of 2 reviews" in capsys.readouterr().err
+    assert sorted(p.name for p in out_dir.iterdir()) == ["heatmap_003.html", "ranking_003.txt"]
+    html = (out_dir / "heatmap_003.html").read_text()
+    for token in preprocess(RawReview(review.text, 4, []), PreprocessRules.default()).tokens:
+        assert f">{token}</td>" in html

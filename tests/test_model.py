@@ -38,7 +38,6 @@ def toy_config(**overrides):
         embedding_width=4,
         cell_width=4,
         max_length=8,
-        bidirectional=False,
     )
     base.update(overrides)
     return ModelConfig(**base)
@@ -74,26 +73,16 @@ def test_forward_zeroed_heads_give_uniform_probs(toy_model):
         np.testing.assert_allclose(probs.values, [0.5, 0.5])
 
 
-def test_forward_composes_module_oracles(toy_model):
-    # 2-token example checked against a from-scratch numpy recomputation
-    config, params = toy_model
-    ex = example(ids=(2, 3), mask=(1, 1), aspects=(1, None))
-    out = forward(ex, params, config)
-
-    d = config.embedding_width
-    emb = np.hstack(
-        [params.tables.word.values[ex.token_ids], params.tables.position.values[:2]]
-    )
+def numpy_lstm(xs, p):
+    """One LSTM direction over the rows of xs, from scratch in numpy."""
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
-    h_prev = np.zeros(config.cell_width)
-    c_prev = np.zeros(config.cell_width)
-    hs = []
-    p = params.lstm_fwd
+    H = p.cell_width
     # gate g owns columns [g*H, (g+1)*H) of w, u and b: input, forget, output, candidate
-    H = config.cell_width
     w, u, b = ([m.values[..., g * H:(g + 1) * H] for g in range(4)] for m in (p.w, p.u, p.b))
-    for t in range(2):
-        x = emb[t]
+    h_prev = np.zeros(H)
+    c_prev = np.zeros(H)
+    hs = []
+    for x in xs:
         i = sig(x @ w[0] + h_prev @ u[0] + b[0])
         f = sig(x @ w[1] + h_prev @ u[1] + b[1])
         o = sig(x @ w[2] + h_prev @ u[2] + b[2])
@@ -101,7 +90,25 @@ def test_forward_composes_module_oracles(toy_model):
         c_prev = f * c_prev + i * cand
         h_prev = o * np.tanh(c_prev)
         hs.append(h_prev)
-    hs = np.stack(hs)
+    return np.stack(hs)
+
+
+def test_forward_composes_module_oracles(toy_model):
+    # 3-token example with one padded position, checked against a
+    # from-scratch numpy recomputation
+    config, params = toy_model
+    ex = example(ids=(2, 3, 4, 0), mask=(1, 1, 1, 0), aspects=(1, None))
+    out = forward(ex, params, config)
+
+    emb = np.hstack(
+        [params.tables.word.values[ex.token_ids[:3]], params.tables.position.values[:3]]
+    )
+    # the backward direction reads the unmasked positions in reverse; row t
+    # is [forward state at t, backward state at t]
+    hs = np.hstack(
+        [numpy_lstm(emb, params.lstm_fwd), numpy_lstm(emb[::-1], params.lstm_bwd)[::-1]]
+    )
+    assert hs.shape == (3, config.hidden_width)
     ebar = emb.mean(axis=0)
 
     contexts = []
@@ -117,8 +124,10 @@ def test_forward_composes_module_oracles(toy_model):
         beta /= beta.sum()
         s = (z * beta[:, None]).sum(axis=0)
         contexts.append(s)
-        np.testing.assert_allclose(out.traces[k].self_weights.values, alpha, atol=1e-12)
-        np.testing.assert_allclose(out.traces[k].pos_weights.values, beta, atol=1e-12)
+        np.testing.assert_allclose(out.traces[k].self_weights.values[:3], alpha, atol=1e-12)
+        np.testing.assert_allclose(out.traces[k].pos_weights.values[:3], beta, atol=1e-12)
+        assert out.traces[k].self_weights.values[3] == 0.0
+        assert out.traces[k].pos_weights.values[3] == 0.0
         np.testing.assert_allclose(out.traces[k].context.values, s, atol=1e-12)
 
         head = params.aspect_heads[k]
@@ -156,7 +165,7 @@ def two_log_cross_entropy(probs, target):
     positive = ad.clamp(ad.gather_rows(probs, 1), eps, 1.0 - eps)
     log_pos, log_neg = ad.log(positive), ad.log(ad.sub(Tensor(1.0), positive))
     weighted = ad.add(ad.mul(log_pos, Tensor(target)), ad.mul(log_neg, Tensor(1 - target)))
-    return ad.neg(weighted)
+    return ad.mul(weighted, Tensor(-1.0))  # exact negation, as np.negative gives
 
 
 @pytest.mark.parametrize("target", [0, 1])

@@ -19,7 +19,7 @@ from aspectsent import autodiff as ad
 from aspectsent import model, training
 from aspectsent.data import DatasetSplit
 from perfbench import tracing
-from tests.corpus import synthetic_split, tiny_model_config
+from tests.corpus import synthetic_split
 
 
 @pytest.mark.parametrize("module_name, attr", [t[:2] for t in tracing.TARGETS])
@@ -28,12 +28,8 @@ def test_traced_target_resolves_to_callable(module_name, attr):
     assert callable(getattr(importlib.import_module(module_name), attr))
 
 
-def tiny_bidirectional(seed):
-    return synthetic_split(n=20, seed=seed, config=tiny_model_config(bidirectional=True))
-
-
 def test_traced_training_step_records_every_training_layer():
-    split, vocab, config = tiny_bidirectional(1)
+    split, vocab, config = synthetic_split(n=20, seed=1)
     params = model.init_params(config, len(vocab), seed=0)
     one_batch = DatasetSplit(split.train[:4], split.validation[:2], [], seed=1)
     tracer = tracing.Tracer()
@@ -50,7 +46,7 @@ def test_traced_training_step_records_every_training_layer():
 
 def test_case_call_shapes():
     """``combined_loss`` and ``adam_step`` as ``perfbench/cases.py`` calls them."""
-    split, vocab, config = tiny_bidirectional(2)
+    split, vocab, config = synthetic_split(n=20, seed=2)
     params = model.init_params(config, len(vocab), seed=0)
     example = split.train[0]
     output = model.forward(example, params, config)

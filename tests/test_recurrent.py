@@ -10,7 +10,6 @@ from aspectsent.recurrent import (
     _run_direction,
     bilstm_forward,
     init_lstm_params,
-    lstm_forward,
 )
 
 
@@ -42,39 +41,54 @@ def manual_step(x, h, c, p):
     return o * np.tanh(c_new), c_new
 
 
+def manual_direction(xs, p):
+    """One direction over the rows of xs, step by step with manual_step."""
+    cell_width = p.cell_width
+    h, c = np.zeros(cell_width), np.zeros(cell_width)
+    rows = []
+    for x in xs:
+        h, c = manual_step(x, h, c, p)
+        rows.append(h)
+    return np.stack(rows)
+
+
 def test_all_zero_parameters_give_zero_states():
     params = zero_params(4, 3)
     inputs = Tensor(np.random.default_rng(0).normal(size=(5, 4)))
-    out = lstm_forward(inputs, params, np.ones(5, dtype=bool))
-    np.testing.assert_array_equal(out.values.values, np.zeros((5, 3)))
+    out = bilstm_forward(inputs, params, params, np.ones(5, dtype=bool))
+    np.testing.assert_array_equal(out.values.values, np.zeros((5, 6)))
 
 
 def test_single_step_matches_hand_formula():
     rng = np.random.default_rng(1)
-    params = init_lstm_params(3, 2, rng)
+    fwd, bwd = init_lstm_params(3, 2, rng), init_lstm_params(3, 2, rng)
     x = rng.normal(size=(1, 3))
-    out = lstm_forward(Tensor(x), params, [True])
-    h, _ = manual_step(x[0], np.zeros(2), np.zeros(2), params)
-    np.testing.assert_allclose(out.values.values[0], h, atol=1e-12)
+    out = bilstm_forward(Tensor(x), fwd, bwd, [True]).values.values
+    for half, params in ((out[0, :2], fwd), (out[0, 2:], bwd)):
+        h, _ = manual_step(x[0], np.zeros(2), np.zeros(2), params)
+        np.testing.assert_allclose(half, h, atol=1e-12)
 
 
 def test_masked_padding_does_not_change_prefix():
     rng = np.random.default_rng(2)
-    params = init_lstm_params(3, 2, rng)
+    fwd, bwd = init_lstm_params(3, 2, rng), init_lstm_params(3, 2, rng)
     x = rng.normal(size=(3, 3))
-    short = lstm_forward(Tensor(x), params, [True, True, True])
+    short = bilstm_forward(Tensor(x), fwd, bwd, [True, True, True])
     padded_x = np.vstack([x, rng.normal(size=(2, 3))])
-    padded = lstm_forward(Tensor(padded_x), params, [True, True, True, False, False])
+    padded = bilstm_forward(Tensor(padded_x), fwd, bwd, [True, True, True, False, False])
+    # both halves: the backward direction starts at the last unmasked position
     np.testing.assert_array_equal(
         short.values.values, padded.values.values[:3]
     )
-    np.testing.assert_array_equal(padded.values.values[3:], np.zeros((2, 2)))
+    np.testing.assert_array_equal(padded.values.values[3:], np.zeros((2, 4)))
 
 
 def test_width_mismatch_raises():
-    params = init_lstm_params(3, 2, np.random.default_rng(0))
-    with pytest.raises(ShapeError):
-        lstm_forward(Tensor(np.zeros((2, 4))), params, [True, True])
+    rng = np.random.default_rng(0)
+    fits, other = init_lstm_params(4, 2, rng), init_lstm_params(3, 2, rng)
+    for fwd, bwd in ((other, fits), (fits, other)):  # either direction's width is checked
+        with pytest.raises(ShapeError, match="input width 3"):
+            bilstm_forward(Tensor(np.zeros((2, 4))), fwd, bwd, [True, True])
 
 
 def test_bilstm_width_is_double():
@@ -106,9 +120,9 @@ def test_bilstm_matches_two_manual_directions():
     mask = np.array([True, True, True, False])
     out = bilstm_forward(Tensor(x), fwd, bwd, mask).values.values
 
-    fwd_only = lstm_forward(Tensor(x), fwd, mask).values.values
+    fwd_only = manual_direction(x[:3], fwd)
     # reverse the unmasked prefix, run forward, reverse back
-    rev = lstm_forward(Tensor(x[2::-1]), bwd, [True] * 3).values.values[::-1]
+    rev = manual_direction(x[2::-1], bwd)[::-1]
     np.testing.assert_allclose(out[:3, :2], fwd_only[:3], atol=1e-12)
     np.testing.assert_allclose(out[:3, 2:], rev, atol=1e-12)
     np.testing.assert_array_equal(out[3], np.zeros(4))
@@ -116,16 +130,16 @@ def test_bilstm_matches_two_manual_directions():
 
 def test_lstm_gradient_check():
     rng = np.random.default_rng(6)
-    params = init_lstm_params(3, 3, rng)
+    fwd, bwd = init_lstm_params(3, 3, rng), init_lstm_params(3, 3, rng)
     x = ad.parameter(rng.normal(size=(4, 3)))
-    readout = Tensor(rng.normal(size=3))
-    mask = np.array([True, True, True, False])
+    readout = Tensor(rng.normal(size=6))
+    mask = np.array([True, True, True, False])  # padded, unlike the test below
 
     def f():
-        states = lstm_forward(x, params, mask)
+        states = bilstm_forward(x, fwd, bwd, mask)
         return ad.reduce_sum(ad.tanh(ad.matmul(states.values, readout)))
 
-    err = grad_check(f, params.tensors() + [x])
+    err = grad_check(f, fwd.tensors() + bwd.tensors() + [x])
     assert err < 1e-4
 
 
@@ -172,9 +186,9 @@ def test_bilstm_matches_per_position_concat_oracle():
 def test_determinism_under_fixed_seed():
     def run():
         rng = np.random.default_rng(8)
-        params = init_lstm_params(3, 2, rng)
+        fwd, bwd = init_lstm_params(3, 2, rng), init_lstm_params(3, 2, rng)
         x = Tensor(rng.normal(size=(3, 3)))
-        return lstm_forward(x, params, np.ones(3, bool)).values.values
+        return bilstm_forward(x, fwd, bwd, np.ones(3, bool)).values.values
 
     np.testing.assert_array_equal(run(), run())
 
@@ -291,9 +305,6 @@ def test_lstm_tape_op_count(mask):
         _run_direction(x, params, np.asarray(mask, bool), range(len(mask)))
     # one input projection and one transpose per call, 16 ops per unmasked step
     assert len(tape) == 2 + 16 * steps
-    with Tape() as tape:
-        lstm_forward(x, params, mask)
-    assert len(tape) == 2 + 16 * steps + 1  # plus the stack_rows of the rows
     with Tape() as tape:
         bilstm_forward(x, params, params, mask)
     assert len(tape) == 2 * (2 + 16 * steps) + 3  # two stack_rows and a concat

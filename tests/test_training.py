@@ -15,7 +15,6 @@ from aspectsent.training import (
     compute_metrics,
     evaluate,
     run_ablation,
-    sgd_step,
     standard_ablation_grid,
     train,
 )
@@ -91,32 +90,6 @@ def test_adam_step_is_bit_identical_to_formula():
     assert state.step == 3
 
 
-def test_sgd_step_hand_case():
-    p = ad.parameter(np.array(5.0), "p")
-    p.grad = np.asarray(2.0)
-    sgd_step([("p", p)], TrainConfig(optimizer="sgd", learning_rate=1.0))
-    assert float(p.values) == 3.0
-
-
-def test_sgd_zero_gradient_no_change():
-    p = ad.parameter(np.array([1.5]), "p")
-    sgd_step([("p", p)], TrainConfig(optimizer="sgd"))
-    np.testing.assert_array_equal(p.values, [1.5])
-
-
-def test_sgd_matches_closed_form_on_quadratic():
-    # minimizing a(x - c)^2: x_{t+1} = x_t - lr * 2a (x_t - c)
-    # => (x_t - c) decays geometrically by (1 - 2 a lr)
-    a, c, lr, steps = 1.5, 2.0, 0.1, 7
-    p = ad.parameter(np.array(0.0), "x")
-    config = TrainConfig(optimizer="sgd", learning_rate=lr)
-    for _ in range(steps):
-        p.grad = np.asarray(2 * a * (float(p.values) - c))
-        sgd_step([("x", p)], config)
-    expected = c + (0.0 - c) * (1 - 2 * a * lr) ** steps
-    assert abs(float(p.values) - expected) < 1e-12
-
-
 @settings(max_examples=50, deadline=None)
 @given(
     st.floats(min_value=0.5, max_value=4.0),
@@ -128,16 +101,10 @@ def test_one_step_decreases_convex_quadratic(curvature, start):
     # adam's first step has size ~lr regardless of gradient magnitude, so the
     # start must sit further than lr/2 from the optimum for a guaranteed drop
     lr = 0.1 / curvature
-    for opt in ("sgd", "adam"):
-        p = ad.parameter(np.array(start), "x")
-        grad = 2 * curvature * start
-        p.grad = np.asarray(grad)
-        config = TrainConfig(optimizer=opt, learning_rate=lr)
-        if opt == "sgd":
-            sgd_step([("x", p)], config)
-        else:
-            adam_step([("x", p)], AdamState(), config)
-        assert curvature * float(p.values) ** 2 < curvature * start**2
+    p = ad.parameter(np.array(start), "x")
+    p.grad = np.asarray(2 * curvature * start)
+    adam_step([("x", p)], AdamState(), TrainConfig(learning_rate=lr))
+    assert curvature * float(p.values) ** 2 < curvature * start**2
 
 
 def test_compute_metrics_all_correct():
@@ -293,11 +260,8 @@ def composed_l2(params):
     return l2
 
 
-@pytest.mark.parametrize("bidirectional", [False, True])
-def test_batch_gradient_matches_per_example_l2_oracle(bidirectional, monkeypatch):
-    split, vocab, config = synthetic_split(
-        n=30, seed=5, config=tiny_model_config(bidirectional=bidirectional)
-    )
+def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
+    split, vocab, config = synthetic_split(n=30, seed=5)
     train_config = TrainConfig(epochs=1, batch_size=8, seed=4)
     one_batch = DatasetSplit(split.train[:8], split.validation, [], seed=5)
 
