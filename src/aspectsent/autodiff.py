@@ -15,6 +15,12 @@ and ``sum_of_squares`` (``np.sum(x * x)`` over many tensors); ``concat``,
 is ``div(reduce_sum(x), n)``, as ``np.mean`` computes it, and a negation
 is ``sub(0, x)``, which differs from ``-x`` only in the sign of a zero.
 
+An operation made of many numpy steps, with a backward pass written by
+hand, is defined where it is used and recorded through the public
+``record``: ``recurrent.lstm_direction`` runs a whole LSTM direction as one
+operation. ``stable_sigmoid`` is the one sigmoid formula, shared by
+``sigmoid`` and that operation.
+
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
 gathered row, so a lookup into a large table never builds a table-sized
@@ -143,7 +149,15 @@ class Tape:
         return len(self.ops)
 
 
-def _record(inputs: tuple, out_values: np.ndarray, grad_fn: Callable) -> Tensor:
+def record(inputs: tuple, out_values: np.ndarray, grad_fn: Callable) -> Tensor:
+    """Wrap ``out_values`` as the output of an operation on ``inputs``.
+
+    On an active tape the operation is recorded: in ``backward``,
+    ``grad_fn(output_grad)`` returns one gradient per input, or None for an
+    input it has already updated itself, and each is added to that input's
+    buffer. Outside any tape only the output is made. Every operation,
+    here and in other modules, records through this function.
+    """
     out = Tensor(out_values)
     tape = active_tape()
     if tape is not None:
@@ -211,7 +225,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
 
-    return _record((a, b), out, grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -221,7 +235,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
 
-    return _record((a, b), out, grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -232,7 +246,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
 
-    return _record((a, b), out, grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -246,7 +260,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
             _unbroadcast(-g * av / (bv * bv), bv.shape),
         )
 
-    return _record((a, b), out, grad_fn)
+    return record((a, b), out, grad_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -255,19 +269,27 @@ def tanh(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g * (1.0 - y * y),)
 
-    return _record((a,), y, grad_fn)
+    return record((a,), y, grad_fn)
+
+
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Elementwise logistic function of an array, without overflow.
+
+    The piecewise form never takes exp of a positive number, so it stays
+    finite for large |x|.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.values
-    # piecewise form avoids overflow in exp for large |x|
-    e = np.exp(-np.abs(x))
-    y = np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    y = stable_sigmoid(a.values)
 
     def grad_fn(g):
         return (g * y * (1.0 - y),)
 
-    return _record((a,), y, grad_fn)
+    return record((a,), y, grad_fn)
 
 
 def log(a: Tensor) -> Tensor:
@@ -278,7 +300,7 @@ def log(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g / x,)
 
-    return _record((a,), np.log(x), grad_fn)
+    return record((a,), np.log(x), grad_fn)
 
 
 def sqrt(a: Tensor) -> Tensor:
@@ -295,7 +317,7 @@ def sqrt(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.where(a.values > 0, g * 0.5 / np.where(y == 0, 1.0, y), 0.0),)
 
-    return _record((a,), y, grad_fn)
+    return record((a,), y, grad_fn)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -306,7 +328,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     def grad_fn(g):
         return (g * inside,)
 
-    return _record((a,), np.clip(x, lo, hi), grad_fn)
+    return record((a,), np.clip(x, lo, hi), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +344,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def grad_fn(g):
         return (np.outer(g, bv) if bv.ndim == 1 else g @ bv.T), av.T @ g
 
-    return _record((a, b), av @ bv, grad_fn)
+    return record((a, b), av @ bv, grad_fn)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -332,7 +354,7 @@ def transpose(a: Tensor) -> Tensor:
     def grad_fn(g):
         return (g.T,)
 
-    return _record((a,), a.values.T.copy(), grad_fn)
+    return record((a,), a.values.T.copy(), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +372,7 @@ def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
             return (np.full(shape, g, dtype=np.float64),)
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
-    return _record((a,), np.sum(a.values, axis=axis), grad_fn)
+    return record((a,), np.sum(a.values, axis=axis), grad_fn)
 
 
 def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
@@ -370,7 +392,7 @@ def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
     def grad_fn(g):
         return tuple(t.values * (2.0 * g) for t in tensors)
 
-    return _record(tuple(tensors), np.asarray(total), grad_fn)
+    return record(tuple(tensors), np.asarray(total), grad_fn)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -384,7 +406,7 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     def grad_fn(g):
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
 
-    return _record(tuple(parts), out, grad_fn)
+    return record(tuple(parts), out, grad_fn)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -401,7 +423,7 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     def grad_fn(g):
         return tuple(g[i].copy() for i in range(len(parts)))
 
-    return _record(tuple(parts), np.stack([p.values for p in parts]), grad_fn)
+    return record(tuple(parts), np.stack([p.values for p in parts]), grad_fn)
 
 
 def scale_rows(m: Tensor, w: Tensor) -> Tensor:
@@ -415,7 +437,7 @@ def scale_rows(m: Tensor, w: Tensor) -> Tensor:
     def grad_fn(g):
         return g * wv[:, None], np.sum(g * mv, axis=1)
 
-    return _record((m, w), mv * wv[:, None], grad_fn)
+    return record((m, w), mv * wv[:, None], grad_fn)
 
 
 def gather_rows(table: Tensor, indices) -> Tensor:
@@ -437,7 +459,7 @@ def gather_rows(table: Tensor, indices) -> Tensor:
         table.accumulate_rows(idx, g)
         return (None,)
 
-    return _record((table,), table.values[idx], grad_fn)
+    return record((table,), table.values[idx], grad_fn)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
@@ -463,7 +485,7 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
     def grad_fn(g):
         return (out * (g - np.dot(g, out)),)
 
-    return _record((logits,), out, grad_fn)
+    return record((logits,), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import json
 import os
+import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -22,6 +23,7 @@ import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.attention import (
+    AspectAttentionParams,
     AttentionTrace,
     init_attention_params,
     position_aware_attention,
@@ -437,14 +439,75 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelP
         tmp.unlink(missing_ok=True)
 
 
+def _has_type(value, hint) -> bool:
+    """Whether a JSON value fits a ``ModelConfig`` field's type hint."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[X]
+        return any(_has_type(value, arg) for arg in typing.get_args(hint))
+    if isinstance(value, bool) != (hint is bool):  # a bool is an int to isinstance
+        return False
+    if hint is float:
+        return isinstance(value, (int, float))
+    if hint is list:  # the one list field holds aspect names
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return isinstance(value, hint)
+
+
+def _params_from_arrays(config: ModelConfig, vocab_size: int, arrays: dict, fail) -> ModelParams:
+    """Wrap the archive's arrays as parameters, checking names and shapes.
+
+    Names, shapes and order are those ``init_params`` gives; no value is
+    drawn. ``arrays`` is emptied of every name taken.
+    """
+    width, cell, hidden = config.embedding_width, config.cell_width, config.hidden_width
+    aspects = range(config.aspect_count)
+    position_stage = not config.disable_position_attention
+
+    def take(name, *shape):
+        if name not in arrays:
+            fail(f"parameter {name} is missing")
+        values = arrays.pop(name)
+        if values.shape != shape:
+            fail(f"parameter {name} has shape {values.shape}, expected {shape}")
+        return ad.parameter(values, name)
+
+    def lstm(prefix):
+        return LstmParams(
+            take(f"{prefix}.w", 2 * width, 4 * cell), take(f"{prefix}.u", cell, 4 * cell),
+            take(f"{prefix}.b", 4 * cell),
+        )
+
+    def attention(prefix):
+        return AspectAttentionParams(
+            take(f"{prefix}.self_attn_w", hidden, hidden), take(f"{prefix}.self_attn_b"),
+            take(f"{prefix}.pos_attn_w", 2 * width, hidden) if position_stage else None,
+            take(f"{prefix}.pos_attn_b") if position_stage else None,
+        )
+
+    def head(prefix, in_width):
+        return HeadParams(
+            take(f"{prefix}.weight", in_width, CLASS_COUNT), take(f"{prefix}.bias", CLASS_COUNT)
+        )
+
+    tables = EmbeddingTables(
+        take("word_table", vocab_size, width), take("position_table", config.max_length, width)
+    )
+    lstm_fwd, lstm_bwd = lstm("lstm_fwd"), lstm("lstm_bwd")
+    attention_params = [attention(f"attention.{k}") for k in aspects]
+    aspect_heads = [head(f"aspect_head.{k}", hidden) for k in aspects]
+    overall_head = head("overall_head", hidden * config.aspect_count)
+    return ModelParams(tables, lstm_fwd, lstm_bwd, attention_params, aspect_heads, overall_head)
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     """Rebuild config, vocabulary, and parameters; values round-trip exactly.
 
     Raises CheckpointFormatError, naming the file, when the file is not a
     readable archive with a meta record holding the config and vocabulary,
     when the format version or the preprocessing record differs from the
-    current one, or when the config keys or parameter names and shapes do
-    not match.
+    current one, when a config key is unknown, a config value has the
+    wrong type or is out of range, or when the parameter names and shapes
+    do not match. The parameters wrap the archive's arrays; no value is
+    drawn at random.
     """
 
     def fail(message):
@@ -462,6 +525,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
         fail(f"not a readable checkpoint archive ({type(exc).__name__}: {exc})")
     if not isinstance(meta, dict) or not {"config", "vocabulary"} <= meta.keys():
         fail("meta record lacks the config or the vocabulary")
+    if not isinstance(meta["config"], dict):
+        fail("meta record's config is not a key-value map")
 
     version = meta.get("format_version")
     if version != CHECKPOINT_FORMAT:
@@ -470,23 +535,22 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     for key, current in PreprocessRules.default().record().items():
         if recorded.get(key) != current:
             fail(f"preprocessing {key} {recorded.get(key)!r} is not {current!r}; retrain the model")
-    unknown = set(meta["config"]) - {f.name for f in fields(ModelConfig)}
+    hints = typing.get_type_hints(ModelConfig)
+    unknown = set(meta["config"]) - hints.keys()
     if unknown:
         fail(f"unknown config keys {sorted(unknown)}")
+    for key, value in meta["config"].items():
+        hint = hints[key]
+        if not _has_type(value, hint):
+            fail(f"config {key} is {value!r}, not of type {getattr(hint, '__name__', hint)}")
     config = ModelConfig(**meta["config"])
+    try:
+        config.validate()
+    except ValueError as exc:
+        fail(f"config: {exc}")
     tokens = meta["vocabulary"]
     vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
-    params = init_params(config, len(vocab), seed=0)
-    for name, tensor in params.named_tensors():
-        if name not in arrays:
-            fail(f"parameter {name} is missing")
-        loaded = arrays.pop(name)
-        if loaded.shape != tensor.values.shape:
-            fail(
-                f"parameter {name} has shape {loaded.shape}, expected "
-                f"{tensor.values.shape}"
-            )
-        tensor.values[...] = loaded
+    params = _params_from_arrays(config, len(vocab), arrays, fail)
     if arrays:
         fail(f"unexpected parameters {sorted(arrays)}")
     return config, vocab, params

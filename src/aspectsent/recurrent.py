@@ -1,8 +1,14 @@
-"""The BiLSTM sequence encoder, built on the autodiff tape.
+"""The BiLSTM sequence encoder, one autodiff tape op per direction.
 
 Each direction keeps its four gates side by side in one ``w``, ``u``, ``b``
-block (see ``LstmParams``), so it makes one input projection per sequence,
-and per step one recurrent matmul, one ``sigmoid`` and one ``tanh``.
+block (see ``LstmParams``). ``lstm_direction`` runs a whole direction as
+one operation recorded through ``autodiff.record``: its forward pass makes
+one input projection per sequence, then per step one recurrent
+matrix-vector product, one sigmoid over the input, forget and output
+blocks and one tanh over the candidate block, in plain numpy, keeping the
+activations. Its backward pass is hand-written backpropagation through
+time over those activations. ``bilstm_forward`` records three ops
+whatever the length: two directions and one ``concat``.
 
 Padding steps are skipped entirely: the cell state carries over unchanged
 and the emitted row for a masked position is exactly zero, so appending
@@ -79,33 +85,66 @@ def _check_width(inputs: Tensor, params: LstmParams) -> None:
         )
 
 
-def _run_direction(inputs: Tensor, params: LstmParams, mask: np.ndarray, order):
-    """Run one direction over the given step order; returns per-position rows.
+def lstm_direction(inputs: Tensor, params: LstmParams, steps) -> Tensor:
+    """Run one direction over the input rows ``steps``, in that order, as one tape op.
 
-    Masked positions yield a shared zero row and do not advance the state.
+    Returns a T x H matrix whose row ``steps[j]`` is the state after step
+    j; every other row is exactly zero. Each step computes
+    ``z = (x w + uᵀh) + b``, squashes the gate blocks of z, then updates
+    c and h, in the order the per-gate ops of the autodiff core would. The
+    backward pass runs backpropagation through time over the gate
+    activations and cell states the forward pass keeps.
     """
-    H = params.cell_width
-    # batch the input projection once per call; steps then only index rows
-    projected = ad.matmul(inputs, params.w)
-    u_t = ad.transpose(params.u)
-    # int-vector indices of the gate blocks in z, and of i, f, o in sigmoid(z[:3H])
-    sigmoid_part, cand_part = np.arange(3 * H), np.arange(3 * H, 4 * H)
-    ifo_parts = [np.arange(g * H, (g + 1) * H) for g in range(3)]
+    steps = np.asarray(steps, dtype=np.int64)
+    x, w, u, b = inputs.values, params.w.values, params.u.values, params.b.values
+    H, n = params.cell_width, len(steps)
+    # project every row, padding too: BLAS may round a product over a subset of
+    # the rows differently, and this keeps each row's bits as the full product's
+    projected = (x @ w)[steps]
+    u_t = u.T.copy()  # contiguous, so uᵀh is a plain matrix-vector product
+    gates = np.empty((n, 3 * H))  # sigmoid of the input, forget and output blocks
+    cand = np.empty((n, H))
+    cells = np.zeros((n + 1, H))  # cells[j + 1] is c after step j
+    tanh_c = np.empty((n, H))
+    states = np.zeros((n + 1, H))  # states[j] is h before step j
+    for j in range(n):
+        z = (projected[j] + u_t @ states[j]) + b
+        gates[j] = ad.stable_sigmoid(z[:3 * H])
+        cand[j] = np.tanh(z[3 * H:])
+        cells[j + 1] = gates[j, H:2 * H] * cells[j] + gates[j, :H] * cand[j]
+        tanh_c[j] = np.tanh(cells[j + 1])
+        states[j + 1] = gates[j, 2 * H:] * tanh_c[j]
+    out = np.zeros((x.shape[0], H))
+    out[steps] = states[1:]
 
-    zero_row = Tensor(np.zeros(H))
-    h = c = zero_row
-    rows = [zero_row] * len(mask)
-    for t in order:
-        if not mask[t]:
-            continue
-        z = ad.add(ad.add(ad.gather_rows(projected, t), ad.matmul(u_t, h)), params.b)
-        gates = ad.sigmoid(ad.gather_rows(z, sigmoid_part))
-        cand = ad.tanh(ad.gather_rows(z, cand_part))
-        i_gate, f_gate, o_gate = (ad.gather_rows(gates, part) for part in ifo_parts)
-        c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
-        h = ad.mul(o_gate, ad.tanh(c))
-        rows[t] = h
-    return rows
+    def grad_fn(g):
+        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
+        # per step, dz = [dc, dc, dh, dc] * scale, block by block (i, f, o, candidate),
+        # and the part of dc that comes from dh through h = o tanh(c)
+        scale = np.concatenate(
+            [cand * i * (1.0 - i), cells[:-1] * f * (1.0 - f), tanh_c * o * (1.0 - o),
+             i * (1.0 - cand * cand)],
+            axis=1,
+        )
+        h_to_c = o * (1.0 - tanh_c * tanh_c)
+        g_rows = g[steps]
+        dz = np.empty((n, 4 * H))
+        carry = np.empty((4, H))  # rows dc, dc, dh, dc of the current step
+        dc, dh = carry[0], carry[2]
+        dh_next, dc_next = np.zeros(H), np.zeros(H)  # what step j + 1 passes back
+        for j in range(n - 1, -1, -1):
+            np.add(dh_next, g_rows[j], out=dh)
+            np.multiply(dh, h_to_c[j], out=dc)
+            dc += dc_next
+            carry[1] = carry[3] = dc
+            np.multiply(carry.reshape(-1), scale[j], out=dz[j])
+            np.multiply(dc, f[j], out=dc_next)
+            dh_next = u @ dz[j]
+        dx = np.zeros(x.shape)
+        dx[steps] = dz @ w.T
+        return dx, x[steps].T @ dz, states[:-1].T @ dz, np.sum(dz, axis=0)
+
+    return ad.record((inputs, params.w, params.u, params.b), out, grad_fn)
 
 
 def bilstm_forward(
@@ -117,10 +156,9 @@ def bilstm_forward(
     its state at position t summarizes everything from the sequence end
     back to t.
     """
-    mask = np.asarray(mask, dtype=bool)
     _check_width(inputs, forward_params)
     _check_width(inputs, backward_params)
-    fwd = _run_direction(inputs, forward_params, mask, range(len(mask)))
-    bwd = _run_direction(inputs, backward_params, mask, range(len(mask) - 1, -1, -1))
-    joined = ad.concat([ad.stack_rows(fwd), ad.stack_rows(bwd)], axis=1)
-    return HiddenStates(values=joined)
+    steps = np.flatnonzero(np.asarray(mask, dtype=bool))
+    fwd = lstm_direction(inputs, forward_params, steps)
+    bwd = lstm_direction(inputs, backward_params, steps[::-1])
+    return HiddenStates(values=ad.concat([fwd, bwd], axis=1))

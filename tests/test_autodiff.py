@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectsent import autodiff as ad
+from aspectsent import recurrent
 from aspectsent.autodiff import (
     DomainError,
     EmptyAttentionError,
@@ -239,13 +240,19 @@ GRAD_CHECK_CASES = [
     "tanh", "sigmoid", "log", "sqrt", "clamp", "matmul", "matmul-vector", "transpose",
     "reduce_sum", "concat", "stack_rows", "scale_rows",
     "gather_rows", "gather_rows-int-matrix", "gather_rows-int-vector",
-    "masked_softmax", "sum_of_squares",
+    "masked_softmax", "sum_of_squares", "lstm_direction", "lstm_direction-reverse",
 ]
 
 
 def test_every_tape_op_has_a_grad_check_case():
-    recorders = {name for name, fn in inspect.getmembers(ad, inspect.isfunction)
-                 if name != "_record" and "_record(" in inspect.getsource(fn)}
+    # every function of the core, or of a module that records its own op
+    recorders = {
+        name
+        for module in (ad, recurrent)
+        for name, fn in inspect.getmembers(module, inspect.isfunction)
+        if fn.__module__ == module.__name__ and name != "record"
+        and "record(" in inspect.getsource(fn)
+    }
     assert recorders == {case.split("-")[0] for case in GRAD_CHECK_CASES}
 
 
@@ -318,6 +325,15 @@ def test_grad_check_every_operation(name):
     elif name == "sum_of_squares":
         a, b, c = mat(), vec(), ad.parameter(rng.normal())
         inputs, f = [a, b, c], lambda: ad.tanh(ad.mul(ad.sum_of_squares([a, b, c]), Tensor(0.1)))
+    elif name.startswith("lstm_direction"):  # padded: rows 3 and 4 are not steps
+        params = recurrent.init_lstm_params(3, 2, rng)
+        x = mat(5, 3)
+        steps = [0, 1, 2] if name == "lstm_direction" else [2, 1, 0]
+        readout = Tensor(rng.normal(size=(2, 3)))
+        inputs = params.tensors() + [x]
+        f = lambda: ad.reduce_sum(
+            ad.tanh(ad.matmul(recurrent.lstm_direction(x, params, steps), readout))
+        )
     elif name == "masked_softmax":
         v = vec(5)
         mask = [True, True, False, True, True]

@@ -334,6 +334,21 @@ def test_cli_rejects_v3_checkpoint(tmp_path, corpus_path, command, capsys):
     assert str(checkpoint) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_cli_mistyped_checkpoint_config_exits_1_naming_file(tmp_path, corpus_path, command,
+                                                            capsys):
+    checkpoint = write_current_checkpoint(tmp_path / "model.npz")
+    rewrite_checkpoint(checkpoint, lambda meta: meta["config"].update(cell_width="6"))
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {checkpoint}: config cell_width is '6'")
+    assert not (tmp_path / "out").exists()
+
+
 def truncate(path):
     path.write_bytes(path.read_bytes()[:200])
 

@@ -372,6 +372,28 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, toy_model):
     np.testing.assert_array_equal(out1.overall_probs.values, out2.overall_probs.values)
 
 
+@pytest.mark.parametrize("position_stage", [True, False], ids=["position", "no-position"])
+def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch, position_stage):
+    config = toy_config(
+        disable_position_attention=not position_stage, max_rated_aspects=1, l2_weight=0
+    )
+    params = init_params(config, vocab_size=6, seed=3)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, toy_vocab(), params)
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("load_checkpoint drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draws)
+    config2, _, params2 = load_checkpoint(path)
+    assert config2 == config
+    assert [name for name, _ in params2.named_tensors()] == [
+        name for name, _ in params.named_tensors()
+    ]
+    for (_, loaded), (_, saved) in zip(params2.named_tensors(), params.named_tensors()):
+        assert np.array_equal(loaded.values, saved.values)
+
+
 def test_parameter_census_position_stage(toy_model):
     config, params = toy_model
     ablated = toy_config(disable_position_attention=True)
@@ -410,8 +432,20 @@ def rewrite_checkpoint(path, edit_meta=lambda meta: None, edit_arrays=lambda arr
             lambda a: a.update({"param/overall_head.bias": np.zeros(3)}),
             "overall_head.bias",
         ),
+        (lambda m: m["config"].update(cell_width="4"), lambda a: None, "cell_width is '4'"),
+        (lambda m: m["config"].update(max_length=True), lambda a: None, "max_length is True"),
+        (lambda m: m["config"].update(l2_weight=None), lambda a: None, "l2_weight is None"),
+        (
+            lambda m: m["config"].update(aspect_names=["food", 2]),
+            lambda a: None,
+            "aspect_names is ['food', 2]",
+        ),
+        (lambda m: m["config"].update(cell_width=0), lambda a: None, "cell_width must be"),
+        (lambda m: m.update(config=[]), lambda a: None, "config is not a key-value map"),
     ],
-    ids=["no-version", "old-version", "unknown-key", "missing", "extra", "shape"],
+    ids=["no-version", "old-version", "unknown-key", "missing", "extra", "shape",
+         "str-for-int", "bool-for-int", "none-for-float", "int-aspect-name", "out-of-range",
+         "config-not-a-map"],
 )
 def test_load_checkpoint_rejects_mismatch(tmp_path, toy_model, edit_meta, edit_arrays, message):
     config, params = toy_model

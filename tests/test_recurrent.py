@@ -1,15 +1,18 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from aspectsent import autodiff as ad
+from aspectsent import model
 from aspectsent.autodiff import ShapeError, Tape, Tensor, backward, grad_check
 from aspectsent.recurrent import (
     GATES,
     HiddenStates,
     LstmParams,
-    _run_direction,
     bilstm_forward,
     init_lstm_params,
+    lstm_direction,
 )
 
 
@@ -158,29 +161,87 @@ def test_bilstm_gradient_check():
     assert err < 1e-4
 
 
+# The composed cell, kept as the oracle for the fused op: one weight block
+# per direction, and 16 autodiff ops per unmasked step.
+
+
+def composed_direction(inputs, params, mask, order):
+    """Run one direction over the given step order; returns per-position rows.
+
+    Masked positions yield a shared zero row and do not advance the state.
+    """
+    H = params.cell_width
+    projected = ad.matmul(inputs, params.w)
+    u_t = ad.transpose(params.u)
+    # int-vector indices of the gate blocks in z, and of i, f, o in sigmoid(z[:3H])
+    sigmoid_part, cand_part = np.arange(3 * H), np.arange(3 * H, 4 * H)
+    ifo_parts = [np.arange(g * H, (g + 1) * H) for g in range(3)]
+
+    zero_row = Tensor(np.zeros(H))
+    h = c = zero_row
+    rows = [zero_row] * len(mask)
+    for t in order:
+        if not mask[t]:
+            continue
+        z = ad.add(ad.add(ad.gather_rows(projected, t), ad.matmul(u_t, h)), params.b)
+        gates = ad.sigmoid(ad.gather_rows(z, sigmoid_part))
+        cand = ad.tanh(ad.gather_rows(z, cand_part))
+        i_gate, f_gate, o_gate = (ad.gather_rows(gates, part) for part in ifo_parts)
+        c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
+        h = ad.mul(o_gate, ad.tanh(c))
+        rows[t] = h
+    return rows
+
+
+def composed_bilstm(inputs, fwd, bwd, mask):
+    """The encoder as the composed cell built it: two stacks and one concat."""
+    mask = np.asarray(mask, dtype=bool)
+    rows_f = composed_direction(inputs, fwd, mask, range(len(mask)))
+    rows_b = composed_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
+    return HiddenStates(ad.concat([ad.stack_rows(rows_f), ad.stack_rows(rows_b)], axis=1))
+
+
 def per_position_bilstm(inputs, fwd, bwd, mask):
     """The earlier composition: one concat per position, then one stack."""
-    rows_f = _run_direction(inputs, fwd, mask, range(len(mask)))
-    rows_b = _run_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
+    mask = np.asarray(mask, dtype=bool)
+    rows_f = composed_direction(inputs, fwd, mask, range(len(mask)))
+    rows_b = composed_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
     return HiddenStates(ad.stack_rows([ad.concat([f, b]) for f, b in zip(rows_f, rows_b)]))
 
 
+def grad_or_zeros(tensor):
+    """A gradient no op reached (the composed cell on an all-masked input) is zero."""
+    return np.zeros(tensor.values.shape) if tensor.grad is None else tensor.grad
+
+
+def within(got, expected, rel):
+    """max |got - expected| at most rel times max |expected|."""
+    largest = np.max(np.abs(expected), initial=0.0)
+    return np.max(np.abs(got - expected), initial=0.0) <= rel * largest
+
+
 def test_bilstm_matches_per_position_concat_oracle():
+    """Outputs are bit-identical to the composed cell's; gradients within 1e-10 relative."""
     rng = np.random.default_rng(10)
     fwd, bwd = init_lstm_params(3, 4, rng), init_lstm_params(3, 4, rng)
     x = ad.parameter(rng.normal(size=(6, 3)))
     readout = Tensor(rng.normal(size=8))
-    mask = np.array([True, True, True, True, False, False])  # padded
     tensors = fwd.tensors() + bwd.tensors() + [x]
-    results = []
-    for build in (bilstm_forward, per_position_bilstm):
-        ad.zero_grads(tensors)
-        with Tape():
-            out = build(x, fwd, bwd, mask).values
-            backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
-        results.append([out.values] + [t.grad for t in tensors])
-    for got, expected in zip(*results):
-        assert np.array_equal(got, expected)
+    masks = {"full": [1] * 6, "padded": [1] * 4 + [0] * 2, "all-masked": [0] * 6}
+    for label, mask in masks.items():
+        mask = np.asarray(mask, dtype=bool)
+        results = []
+        for build in (bilstm_forward, per_position_bilstm):
+            ad.zero_grads(tensors)
+            with Tape():
+                out = build(x, fwd, bwd, mask).values
+                backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+            results.append((out.values, [grad_or_zeros(t) for t in tensors]))
+        (fused_out, fused_grads), (oracle_out, oracle_grads) = results
+        assert np.array_equal(fused_out, oracle_out), label
+        assert not np.any(fused_out[~mask]), label
+        for got, expected in zip(fused_grads, oracle_grads):
+            assert within(got, expected, 1e-10), label
 
 
 def test_determinism_under_fixed_seed():
@@ -260,37 +321,46 @@ def test_init_blocks_match_per_gate_draws():
 
 
 def test_fused_direction_matches_per_gate_oracle():
+    """Outputs within 1e-12 relative, gradients within 1e-10, block by block."""
     rng = np.random.default_rng(12)
     fwd, bwd = init_lstm_params(5, 4, rng), init_lstm_params(5, 4, rng)
     fwd_gates, bwd_gates = split_gates(fwd), split_gates(bwd)
     x = ad.parameter(rng.normal(size=(7, 5)))
     readout = Tensor(rng.normal(size=8))
-    mask = np.array([True, True, True, True, True, False, False])  # padded
+    masks = {"full": [1] * 7, "padded": [1] * 5 + [0] * 2, "all-masked": [0] * 7}
+    for label, mask in masks.items():
+        mask = np.asarray(mask, dtype=bool)
+        steps = np.flatnonzero(mask)
 
-    def run(direction, forward_params, backward_params):
-        ad.zero_grads([x])
-        with Tape():
-            rows_f = direction(x, forward_params, mask, range(len(mask)))
-            rows_b = direction(x, backward_params, mask, range(len(mask) - 1, -1, -1))
-            out = ad.concat([ad.stack_rows(rows_f), ad.stack_rows(rows_b)], axis=1)
-            backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
-        return out.values, x.grad
+        def fused():
+            return ad.concat(
+                [lstm_direction(x, fwd, steps), lstm_direction(x, bwd, steps[::-1])], axis=1
+            )
 
-    ad.zero_grads(fwd.tensors() + bwd.tensors())
-    fused_out, fused_x_grad = run(_run_direction, fwd, bwd)
-    oracle_out, oracle_x_grad = run(per_gate_direction, fwd_gates, bwd_gates)
+        def per_gate():
+            rows_f = per_gate_direction(x, fwd_gates, mask, range(len(mask)))
+            rows_b = per_gate_direction(x, bwd_gates, mask, range(len(mask) - 1, -1, -1))
+            return ad.concat([ad.stack_rows(rows_f), ad.stack_rows(rows_b)], axis=1)
 
-    def close(got, expected):
-        return np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+        ad.zero_grads(fwd.tensors() + bwd.tensors())
+        ad.zero_grads(list(fwd_gates.values()) + list(bwd_gates.values()))
+        results = []
+        for build in (fused, per_gate):
+            ad.zero_grads([x])
+            with Tape():
+                out = build()
+                backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+            results.append((out.values, grad_or_zeros(x)))
+        (fused_out, fused_x_grad), (oracle_out, oracle_x_grad) = results
 
-    assert close(fused_out, oracle_out)
-    assert np.array_equal(fused_out[5:], np.zeros((2, 8)))
-    assert close(fused_x_grad, oracle_x_grad)
-    for params, gates in ((fwd, fwd_gates), (bwd, bwd_gates)):
-        for g, gate in enumerate(GATES):
-            for part in "wub":
-                got = gate_block(getattr(params, part).grad, g)
-                assert close(got, gates[gate, part].grad), (gate, part)
+        assert within(fused_out, oracle_out, 1e-12), label
+        assert not np.any(fused_out[~mask]), label
+        assert within(fused_x_grad, oracle_x_grad, 1e-10), label
+        for params, gates in ((fwd, fwd_gates), (bwd, bwd_gates)):
+            for g, gate in enumerate(GATES):
+                for part in "wub":
+                    got = gate_block(getattr(params, part).grad, g)
+                    assert within(got, grad_or_zeros(gates[gate, part]), 1e-10), (label, gate, part)
 
 
 @pytest.mark.parametrize(
@@ -300,11 +370,45 @@ def test_lstm_tape_op_count(mask):
     rng = np.random.default_rng(13)
     params = init_lstm_params(3, 2, rng)
     x = Tensor(rng.normal(size=(len(mask), 3)))
-    steps = sum(mask)
     with Tape() as tape:
-        _run_direction(x, params, np.asarray(mask, bool), range(len(mask)))
-    # one input projection and one transpose per call, 16 ops per unmasked step
-    assert len(tape) == 2 + 16 * steps
+        lstm_direction(x, params, np.flatnonzero(mask))
+    assert len(tape) == 1  # whatever the number of steps
     with Tape() as tape:
         bilstm_forward(x, params, params, mask)
-    assert len(tape) == 2 * (2 + 16 * steps) + 3  # two stack_rows and a concat
+    assert len(tape) == 3  # two directions and a concat
+
+
+@pytest.mark.parametrize("length, padded", [(73, 73), (3, 8)], ids=["t73", "t3-padded-to-8"])
+def test_model_loss_and_gradients_match_composed_encoder(monkeypatch, length, padded):
+    """At paper widths, the hidden states and the combined loss equal the composed
+    cell's, to the bit, and every parameter gradient is within 1e-10 relative of it."""
+    config = model.ModelConfig(aspect_names=["food", "service", "price", "ambience"])
+    params = model.init_params(config, vocab_size=40, seed=0)
+    rng = np.random.default_rng(14)
+    mask = np.arange(padded) < length
+    example = SimpleNamespace(
+        token_ids=np.where(mask, rng.integers(2, 40, size=padded), 0), mask=mask,
+        overall_label=1, aspect_labels=[1, 0, None, 1],
+    )
+    runs, states = [], []
+
+    def keeping_states(encoder):
+        def run(*args):
+            hidden = encoder(*args)
+            states.append(hidden.values.values)
+            return hidden
+        return run
+
+    for encoder in (bilstm_forward, composed_bilstm):
+        monkeypatch.setattr(model, "bilstm_forward", keeping_states(encoder))
+        ad.zero_grads(params.tensors())
+        with Tape():
+            output = model.forward(example, params, config)
+            loss, _ = model.combined_loss(output, example, params, config)
+            backward(loss)
+        runs.append((loss.item(), [grad_or_zeros(t) for t in params.tensors()]))
+    (fused_loss, fused_grads), (composed_loss, composed_grads) = runs
+    assert np.array_equal(*states)
+    assert fused_loss == composed_loss
+    for (name, _), got, expected in zip(params.named_tensors(), fused_grads, composed_grads):
+        assert within(got, expected, 1e-10), name
