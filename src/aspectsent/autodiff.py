@@ -5,8 +5,8 @@ recorded operations replayed in reverse. A tape is activated as a context
 manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
 
-Each operation is one numpy primitive: elementwise ``add`` (+), ``sub``,
-``mul``, ``div``, ``tanh``, ``sigmoid``, ``log``, ``sqrt`` and ``clamp``
+Each of the 17 operations is one numpy primitive: elementwise ``add`` (+),
+``sub``, ``mul``, ``div``, ``tanh``, ``log``, ``sqrt`` and ``clamp``
 (``np.clip``), where a constant enters as a 0-d ``Tensor``; ``matmul`` (@,
 with a matrix or vector right operand) and ``transpose``; ``reduce_sum``
 and ``sum_of_squares`` (``np.sum(x * x)`` over many tensors); ``concat``,
@@ -18,8 +18,7 @@ is ``sub(0, x)``, which differs from ``-x`` only in the sign of a zero.
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
 ``record``: ``recurrent.lstm_direction`` runs a whole LSTM direction as one
-operation. ``stable_sigmoid`` is the one sigmoid formula, shared by
-``sigmoid`` and that operation.
+operation, with ``stable_sigmoid`` as its logistic function.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
@@ -281,15 +280,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
     e = np.exp(-np.abs(x))
     d = 1.0 + e
     return np.where(x >= 0, 1.0 / d, e / d)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    y = stable_sigmoid(a.values)
-
-    def grad_fn(g):
-        return (g * y * (1.0 - y),)
-
-    return record((a,), y, grad_fn)
 
 
 def log(a: Tensor) -> Tensor:

@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import typing
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from aspectsent.data import (
@@ -36,12 +35,14 @@ from aspectsent.model import (
     RANKING_MODES,
     CheckpointFormatError,
     ModelConfig,
+    check_range,
     forward,
     init_params,
     load_checkpoint,
-    replace_tables,
+    read_settings,
     save_checkpoint,
 )
+from aspectsent.textfile import read_lines
 from aspectsent.training import (
     TrainConfig,
     evaluate,
@@ -59,112 +60,98 @@ class ConfigError(ValueError):
     """A config file entry is missing, unknown, or malformed."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataSettings:
+    """Corpus and vocabulary settings, checked when made."""
+
     domain: str = ""
-    aspects: list = None
+    aspects: list = field(default_factory=list)
     min_count: int = 1
     embedding_file: str = ""
 
-    def aspect_names(self) -> list:
-        if self.aspects:
-            return self.aspects
-        if self.domain:
-            try:
-                return DOMAIN_ASPECTS[self.domain]
-            except KeyError:
-                raise ConfigError(
+    def __post_init__(self) -> None:
+        check_range(self, ("min_count",), lambda v: v >= 1, "at least 1")
+        if not self.aspects:
+            if not self.domain:
+                raise ValueError("neither 'domain' nor 'aspects' is set")
+            if self.domain not in DOMAIN_ASPECTS:
+                raise ValueError(
                     f"unknown domain {self.domain!r}; expected one of "
                     f"{sorted(DOMAIN_ASPECTS)} or an explicit 'aspects' list"
-                ) from None
-        raise ConfigError("config must set 'domain' or 'aspects'")
+                )
+
+    @property
+    def aspect_names(self) -> list:
+        return list(self.aspects or DOMAIN_ASPECTS[self.domain])
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1"):
-        return True
-    if lowered in ("false", "no", "0"):
-        return False
-    raise ConfigError(f"expected a boolean, got {raw!r}")
-
-
-def _parse_list(raw: str) -> list:
-    return [item.strip() for item in raw.split(",") if item.strip()]
-
-
-def _field_parsers(cls) -> dict:
-    """Map each field of a config dataclass to the parser for its type."""
-    special = {bool: _parse_bool, list: _parse_list}
-    parsers = {}
-    for name, hint in typing.get_type_hints(cls).items():
-        if typing.get_origin(hint) is typing.Union:  # Optional[X] parses as X
-            (hint,) = [arg for arg in typing.get_args(hint) if arg is not type(None)]
-        parsers[name] = special.get(hint, hint)
-    return parsers
-
-
-def _parse_value(key: str, parser, raw: str):
-    try:
-        return parser(raw)
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"bad value for {key!r}: {raw!r}") from None
+def _parse_text(raw: str, hint):
+    """A config file value as its field's type; raises ValueError when it is not one."""
+    if hint is list:
+        return [item.strip() for item in raw.split(",") if item.strip()]
+    if hint is bool:
+        if raw.lower() in ("true", "yes", "1"):
+            return True
+        if raw.lower() in ("false", "no", "0"):
+            return False
+        raise ValueError(f"not a boolean: {raw!r}")
+    return hint(raw)
 
 
 def parse_config_file(path):
-    """Read a flat ``key = value`` file into a string map."""
+    """Read a flat ``key = value`` file into a string map; errors name the file line."""
+    where = f"config {path}"
     entries = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(f"line {line_no}: expected 'key = value'")
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise ConfigError(f"line {line_no}: duplicate key {key!r}")
-            entries[key] = value.strip()
+    for line_no, line in read_lines(path, ConfigError, where):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(f"{where}: line {line_no}: expected 'key = value'")
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(f"{where}: line {line_no}: duplicate key {key!r}")
+        entries[key] = value.strip()
     return entries
+
+
+# the settings class each config key belongs to; the aspect names come from
+# the data settings, not from a key of their own
+_KEY_OWNERS = {
+    f.name: cls for cls in (DataSettings, ModelConfig, TrainConfig) for f in fields(cls)
+    if f.name != "aspect_names"
+}
 
 
 def build_configs(entries: dict):
     """Route config entries to model, trainer, and data settings by field name."""
-    entries = dict(entries)
-    data_parsers = _field_parsers(DataSettings)
-    data = DataSettings(**{
-        key: _parse_value(key, parser, entries.pop(key))
-        for key, parser in data_parsers.items()
-        if key in entries
-    })
-    if data.min_count < 1:
-        raise ConfigError("min_count must be at least 1")
-
-    model_kwargs = {"aspect_names": data.aspect_names()}
-    train_kwargs = {}
-    model_parsers = _field_parsers(ModelConfig)
-    del model_parsers["aspect_names"]
-    train_parsers = _field_parsers(TrainConfig)
+    groups = {cls: {} for cls in set(_KEY_OWNERS.values())}
     for key, raw in entries.items():
-        if key in model_parsers:
-            target, parser = model_kwargs, model_parsers[key]
-        elif key in train_parsers:
-            target, parser = train_kwargs, train_parsers[key]
-        else:
+        if key not in _KEY_OWNERS:
             raise ConfigError(f"unknown config key {key!r}")
-        target[key] = _parse_value(key, parser, raw)
-
-    model_config = ModelConfig(**model_kwargs)
-    train_config = TrainConfig(**train_kwargs)
+        groups[_KEY_OWNERS[key]][key] = raw
     try:
-        model_config.validate()
-        train_config.validate()
+        data = read_settings(DataSettings, groups[DataSettings], _parse_text)
+        model_config = read_settings(
+            ModelConfig, groups[ModelConfig], _parse_text, aspect_names=data.aspect_names
+        )
+        train_config = read_settings(TrainConfig, groups[TrainConfig], _parse_text)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     return model_config, train_config, data
+
+
+def _read_configs(args):
+    """The settings of ``--config``, its errors naming the file, with ``--seed`` applied."""
+    entries = parse_config_file(args.config)
+    try:
+        model_config, train_config, data_settings = build_configs(entries)
+    except ConfigError as exc:
+        raise ConfigError(f"config {args.config}: {exc}") from None
+    if args.seed is not None:
+        train_config = replace(train_config, seed=args.seed)
+    return model_config, train_config, data_settings
 
 
 def _preprocess(data_path, config) -> list:
@@ -198,9 +185,7 @@ def _write_reports(out_dir: Path, stem: str, report, aspect_names) -> None:
 
 
 def _cmd_train(args) -> int:
-    model_config, train_config, data_settings = build_configs(parse_config_file(args.config))
-    if args.seed is not None:
-        train_config.seed = args.seed
+    model_config, train_config, data_settings = _read_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -211,7 +196,7 @@ def _cmd_train(args) -> int:
             data_settings.embedding_file, vocab, model_config.embedding_width,
             model_config.max_length, seed=train_config.seed,
         )
-        params = replace_tables(params, tables)
+        params = replace(params, tables=tables)
 
     result = train(params, model_config, train_config, dataset)
     save_checkpoint(out_dir / "checkpoint.npz", model_config, vocab, result.params)
@@ -273,9 +258,7 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    model_config, train_config, data_settings = build_configs(parse_config_file(args.config))
-    if args.seed is not None:
-        train_config.seed = args.seed
+    model_config, train_config, data_settings = _read_configs(args)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)

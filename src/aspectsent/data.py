@@ -13,6 +13,7 @@ ignored. Star ratings 1-3 map to negative,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -23,6 +24,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from aspectsent.embeddings import PAD_ID, Vocabulary
+from aspectsent.textfile import read_lines
 
 RESTAURANT_ASPECTS = ["Food", "Service", "Value", "Atmosphere"]
 HOTEL_ASPECTS = ["Room", "Location", "Value", "Cleanliness"]
@@ -88,22 +90,22 @@ def _check_duplicate_keys(pairs):
 
 
 def ingest(path, aspect_names: Sequence[str]) -> list:
-    """Parse a JSON-lines corpus into raw reviews, in file order."""
+    """Parse a JSON-lines corpus into raw reviews, in file order.
+
+    Errors name the file and the line.
+    """
+    where = f"corpus {path}"
     reviews = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line, object_pairs_hook=_check_duplicate_keys)
-            except json.JSONDecodeError as exc:
-                raise CorpusParseError(f"line {line_no}: {exc}") from None
-            except CorpusValidationError as exc:
-                raise CorpusValidationError(f"line {line_no}: {exc}") from None
-            try:
-                reviews.append(_validate_record(record, aspect_names, line_no))
-            except CorpusValidationError as exc:
-                raise CorpusValidationError(f"line {line_no}: {exc}") from None
+    for line_no, line in read_lines(path, CorpusParseError, where):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line, object_pairs_hook=_check_duplicate_keys)
+            reviews.append(_validate_record(record, aspect_names, line_no))
+        except json.JSONDecodeError as exc:
+            raise CorpusParseError(f"{where}: line {line_no}: {exc}") from None
+        except CorpusValidationError as exc:
+            raise CorpusValidationError(f"{where}: line {line_no}: {exc}") from None
     return reviews
 
 
@@ -158,6 +160,7 @@ _SUFFIX_RULES = (
 )
 
 
+@functools.cache
 def stem(token: str) -> str:
     """Deterministic suffix stripper; rough but stable across runs."""
     if token.endswith("ss") or token.endswith("us"):

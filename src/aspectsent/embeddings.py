@@ -16,6 +16,7 @@ import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.autodiff import Tensor
+from aspectsent.textfile import read_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -117,28 +118,29 @@ def load_pretrained(
     File format: one token per line followed by ``width`` decimal numbers.
     Tokens present in the file copy their file row exactly; all other rows
     (and the whole position table) are drawn from U(-0.25, 0.25) under the
-    given seed, and the padding row is zeroed.
+    given seed, and the padding row is zeroed. Errors name the file and
+    the line.
     """
     tables = random_tables(vocab, width, max_length, seed)
     word = tables.word.values
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            token, numbers = parts[0], parts[1:]
-            if len(numbers) != width:
-                raise EmbeddingConfigError(
-                    f"line {line_no}: expected {width} values for {token!r}, "
-                    f"got {len(numbers)}"
-                )
-            try:
-                row = np.array([float(x) for x in numbers], dtype=np.float64)
-            except ValueError as exc:
-                raise EmbeddingParseError(f"line {line_no}: {exc}") from None
-            idx = vocab.token_to_id.get(token)
-            if idx is not None and idx != PAD_ID:
-                word[idx] = row
+    where = f"embeddings {path}"
+    for line_no, line in read_lines(path, EmbeddingParseError, where):
+        if not line.strip():
+            continue
+        parts = line.split()
+        token, numbers = parts[0], parts[1:]
+        if len(numbers) != width:
+            raise EmbeddingConfigError(
+                f"{where}: line {line_no}: expected {width} values for {token!r}, "
+                f"got {len(numbers)}"
+            )
+        try:
+            row = np.array([float(x) for x in numbers], dtype=np.float64)
+        except ValueError as exc:
+            raise EmbeddingParseError(f"{where}: line {line_no}: {exc}") from None
+        idx = vocab.token_to_id.get(token)
+        if idx is not None and idx != PAD_ID:
+            word[idx] = row
     return tables
 
 

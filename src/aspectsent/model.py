@@ -4,9 +4,8 @@ heads, the combined training objective, and the aspect-ranking explanation.
 One classifier head per aspect consumes that aspect's attention context
 vector; the overall head consumes the concatenation of all aspect contexts
 in declared aspect order. The objective adds, to the overall cross-entropy:
-a capped sum of rated-aspect cross-entropies, orthogonality penalties on
-both attention-weight matrices, and an L2 term over all trainable
-parameters.
+the sum of rated-aspect cross-entropies, orthogonality penalties on both
+attention-weight matrices, and an L2 term over all trainable parameters.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ import json
 import os
 import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -43,26 +42,54 @@ from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params
 
 CROSS_ENTROPY_EPS = 1e-12
 CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
-CHECKPOINT_FORMAT = 4  # archives without a format_version are version 1
+CHECKPOINT_FORMAT = 5  # archives without a format_version are version 1
 
 
-@dataclass
+def check_range(settings, names, ok, requirement: str) -> None:
+    """Raise ValueError naming the first of ``names`` whose value fails ``ok``."""
+    for name in names:
+        value = getattr(settings, name)
+        if not ok(value):
+            raise ValueError(f"{name} must be {requirement}, got {value!r}")
+
+
+def read_settings(cls, entries: dict, convert, **given):
+    """Build the settings dataclass ``cls`` from outside key-value pairs.
+
+    Every key must name a field of ``cls``; ``given`` sets fields the
+    caller has already built. ``convert(value, field_type)`` turns each
+    outside value into its field's type, raising ValueError when it cannot;
+    the dataclass then checks the ranges. Every error is a ValueError that
+    names the key, and the value when there is one.
+    """
+    hints = typing.get_type_hints(cls)
+    unknown = entries.keys() - hints.keys()
+    if unknown:
+        raise ValueError(f"unknown config keys {sorted(unknown)}")
+    values = dict(given)
+    for key, value in entries.items():
+        try:
+            values[key] = convert(value, hints[key])
+        except ValueError:
+            raise ValueError(f"bad value for {key!r}: {value!r}") from None
+    return cls(**values)
+
+
+@dataclass(frozen=True)
 class ModelConfig:
-    """Architecture and objective settings.
+    """Architecture and objective settings, checked when made.
 
     The encoder is a BiLSTM of cell_width units per direction, so each
-    hidden row is 2 * cell_width wide. max_rated_aspects caps how many rated
-    aspects contribute cross-entropy per example (None means all of them).
-    A term whose weight is 0 is left out of the objective entirely;
-    disable_position_attention removes the position-attention stage and its
-    parameters.
+    hidden row is 2 * cell_width wide. Every rated aspect contributes
+    cross-entropy. A term whose weight is 0 is left out of the objective
+    entirely; disable_position_attention removes the position-attention
+    stage and its parameters.
     """
 
     aspect_names: list = field(default_factory=list)
     embedding_width: int = 300
     cell_width: int = 64
     max_length: int = 256
-    max_rated_aspects: Optional[int] = None
     aspect_loss_weight: float = 0.5
     self_orth_weight: float = 0.5
     pos_orth_weight: float = 0.5
@@ -77,26 +104,15 @@ class ModelConfig:
     def hidden_width(self) -> int:
         return 2 * self.cell_width
 
-    @property
-    def rated_aspect_cap(self) -> int:
-        if self.max_rated_aspects is None:
-            return self.aspect_count
-        return self.max_rated_aspects
-
-    def validate(self) -> None:
-        if not self.aspect_names:
-            raise ValueError("at least one aspect is required")
-        if not 0 <= self.rated_aspect_cap <= self.aspect_count:
-            raise ValueError(
-                f"max_rated_aspects {self.rated_aspect_cap} outside "
-                f"[0, {self.aspect_count}]"
-            )
-        for name in ("embedding_width", "cell_width", "max_length"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("aspect_loss_weight", "self_orth_weight", "pos_orth_weight", "l2_weight"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+    def __post_init__(self) -> None:
+        check_range(self, ("aspect_names",), bool, "non-empty")
+        check_range(
+            self, ("embedding_width", "cell_width", "max_length"), lambda v: v >= 1, "at least 1"
+        )
+        check_range(
+            self, ("aspect_loss_weight", "self_orth_weight", "pos_orth_weight", "l2_weight"),
+            lambda v: v >= 0, "non-negative",
+        )
 
 
 @dataclass
@@ -141,10 +157,9 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
     """Initialize all trainable parameters from one seed.
 
     Embedding tables here are random; callers wanting pretrained word
-    vectors build tables via the embeddings module and pass them through
-    ``replace_tables``.
+    vectors build tables with ``embeddings.load_pretrained`` and put them
+    in with ``dataclasses.replace(params, tables=...)``.
     """
-    config.validate()
     rng = np.random.default_rng(seed)
     tables = random_tables(vocab_size, config.embedding_width, config.max_length, seed)
     embed_width = 2 * config.embedding_width
@@ -186,18 +201,11 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
     return ModelParams(tables, lstm_fwd, lstm_bwd, attention, aspect_heads, overall_head)
 
 
-def replace_tables(params: ModelParams, tables: EmbeddingTables) -> ModelParams:
-    tables.word.name = "word_table"
-    tables.position.name = "position_table"
-    return replace(params, tables=tables)
-
-
 @dataclass
 class ForwardOutput:
     aspect_probs: list  # K tensors of shape (2,)
     overall_probs: Tensor  # (2,)
     traces: list  # K AttentionTrace
-    overall_context: Tensor  # (K * hidden,)
 
 
 def _head_probs(head: HeadParams, vec: Tensor) -> Tensor:
@@ -234,9 +242,8 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
         traces.append(trace)
         aspect_probs.append(_head_probs(params.aspect_heads[k], trace.context))
 
-    overall_context = ad.concat([t.context for t in traces])
-    overall_probs = _head_probs(params.overall_head, overall_context)
-    return ForwardOutput(aspect_probs, overall_probs, traces, overall_context)
+    overall_probs = _head_probs(params.overall_head, ad.concat([t.context for t in traces]))
+    return ForwardOutput(aspect_probs, overall_probs, traces)
 
 
 def cross_entropy(probs: Tensor, target: int) -> Tensor:
@@ -280,10 +287,10 @@ class LossBreakdown:
     """Float values of each objective term actually included in a loss.
 
     ``aspect_terms`` lists (aspect index, cross-entropy) for the rated
-    aspects that made it under the cap, in aspect order. Terms that were
-    weightless or structurally absent are None. ``compose``
-    re-folds the terms exactly as the tensor path did, so recombining a
-    breakdown reproduces the logged total bit-for-bit.
+    aspects, in aspect order. Terms that were weightless or structurally
+    absent are None. ``compose`` re-folds the terms exactly as the tensor
+    path did, so recombining a breakdown reproduces the logged total
+    bit-for-bit.
     """
 
     overall: float
@@ -331,21 +338,20 @@ def combined_loss(
 ) -> tuple[Tensor, LossBreakdown]:
     """Assemble the full objective for one example.
 
-    Unrated aspects never contribute cross-entropy (their traces still feed
-    the orthogonality terms); of the rated ones, only the first
-    ``max_rated_aspects`` in aspect order do. The L2 term depends on the
-    parameters alone, so a batch can build it once with ``l2_penalty`` and
-    pass it in as ``l2`` to every example; without it, one is built here.
+    Every rated aspect contributes cross-entropy; unrated ones do not, but
+    their traces still feed the orthogonality terms. The L2 term depends on
+    the parameters alone, so a batch can build it once with ``l2_penalty``
+    and pass it in as ``l2`` to every example; without it, one is built
+    here.
     """
     total = cross_entropy(output.overall_probs, example.overall_label)
     overall_value = total.item()
 
     rated = [k for k, label in enumerate(example.aspect_labels) if label is not None]
-    included = rated[: config.rated_aspect_cap]
     aspect_terms = []
-    if included and config.aspect_loss_weight > 0:
+    if rated and config.aspect_loss_weight > 0:
         aspect_sum = None
-        for k in included:
+        for k in rated:
             term = cross_entropy(output.aspect_probs[k], example.aspect_labels[k])
             aspect_terms.append((k, term.item()))
             aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
@@ -439,17 +445,20 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelP
         tmp.unlink(missing_ok=True)
 
 
-def _has_type(value, hint) -> bool:
-    """Whether a JSON value fits a ``ModelConfig`` field's type hint."""
-    if typing.get_origin(hint) is typing.Union:  # Optional[X]
-        return any(_has_type(value, arg) for arg in typing.get_args(hint))
-    if isinstance(value, bool) != (hint is bool):  # a bool is an int to isinstance
-        return False
-    if hint is float:
-        return isinstance(value, (int, float))
-    if hint is list:  # the one list field holds aspect names
-        return isinstance(value, list) and all(isinstance(v, str) for v in value)
-    return isinstance(value, hint)
+def _from_json(value, hint):
+    """A checkpoint config's JSON value, if it has the field's type.
+
+    A float field takes an int too, and a bool is no int; the one list field
+    holds aspect names.
+    """
+    if hint is list:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+    else:
+        ok = isinstance(value, (int, float) if hint is float else hint)
+        ok = ok and isinstance(value, bool) == (hint is bool)
+    if not ok:
+        raise ValueError(f"not of type {hint.__name__}")
+    return float(value) if hint is float else value
 
 
 def _params_from_arrays(config: ModelConfig, vocab_size: int, arrays: dict, fail) -> ModelParams:
@@ -535,17 +544,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     for key, current in PreprocessRules.default().record().items():
         if recorded.get(key) != current:
             fail(f"preprocessing {key} {recorded.get(key)!r} is not {current!r}; retrain the model")
-    hints = typing.get_type_hints(ModelConfig)
-    unknown = set(meta["config"]) - hints.keys()
-    if unknown:
-        fail(f"unknown config keys {sorted(unknown)}")
-    for key, value in meta["config"].items():
-        hint = hints[key]
-        if not _has_type(value, hint):
-            fail(f"config {key} is {value!r}, not of type {getattr(hint, '__name__', hint)}")
-    config = ModelConfig(**meta["config"])
     try:
-        config.validate()
+        config = read_settings(ModelConfig, meta["config"], _from_json)
     except ValueError as exc:
         fail(f"config: {exc}")
     tokens = meta["vocabulary"]

@@ -19,6 +19,7 @@ from aspectsent.data import DatasetSplit, batch_iter
 from aspectsent.model import (
     ModelConfig,
     ModelParams,
+    check_range,
     combined_loss,
     forward,
     init_params,
@@ -26,8 +27,10 @@ from aspectsent.model import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Optimizer and loop settings, checked when made."""
+
     learning_rate: float = 0.005
     beta1: float = 0.9
     beta2: float = 0.999
@@ -37,16 +40,10 @@ class TrainConfig:
     seed: int = 0
     patience: int = 5  # epochs without validation macro-F1 improvement
 
-    def validate(self) -> None:
-        for name in ("learning_rate", "eps"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-        for name in ("epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise ValueError(f"{name} must be in [0, 1)")
+    def __post_init__(self) -> None:
+        check_range(self, ("learning_rate", "eps"), lambda v: v > 0, "positive")
+        check_range(self, ("epochs", "batch_size", "patience"), lambda v: v >= 1, "at least 1")
+        check_range(self, ("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +236,6 @@ def train(
     still change them, and restored only when a later epoch did. Training
     stops early after ``patience`` epochs without improvement.
     """
-    train_config.validate()
-    model_config.validate()
     rng = np.random.default_rng(train_config.seed)
     named = params.named_tensors()
     tensors = [t for _, t in named]

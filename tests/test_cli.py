@@ -91,7 +91,6 @@ CONFIG_SAMPLES = {
     "embedding_width": ("5", 5),
     "cell_width": ("7", 7),
     "max_length": ("12", 12),
-    "max_rated_aspects": ("1", 1),
     "aspect_loss_weight": ("0.25", 0.25),
     "self_orth_weight": ("0", 0.0),
     "pos_orth_weight": ("1.5", 1.5),
@@ -129,7 +128,9 @@ def test_every_config_key_parses_to_its_field_type(tmp_path, key):
 
 
 @pytest.mark.parametrize(
-    "key", ["disable_l2", "class_count", "stop_train_accuracy", "bidirectional", "optimizer"]
+    "key",
+    ["disable_l2", "class_count", "stop_train_accuracy", "bidirectional", "optimizer",
+     "max_rated_aspects"],
 )
 def test_removed_config_keys_rejected(tmp_path, corpus_path, key, capsys):
     path = tmp_path / "config.txt"
@@ -304,7 +305,7 @@ def to_v2_per_gate_arrays(arrays):
 def test_cli_rejects_per_gate_v2_checkpoint(tmp_path, corpus_path, command, capsys):
     checkpoint = write_current_checkpoint(tmp_path / "v2.npz")
     rewrite_checkpoint(checkpoint, to_v2_meta, to_v2_per_gate_arrays)
-    with pytest.raises(CheckpointFormatError, match="format version 2 is not 4"):
+    with pytest.raises(CheckpointFormatError, match="format version 2 is not 5"):
         load_checkpoint(checkpoint)
     status = main(
         [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
@@ -324,7 +325,7 @@ def to_v3_meta(meta):
 def test_cli_rejects_v3_checkpoint(tmp_path, corpus_path, command, capsys):
     checkpoint = write_current_checkpoint(tmp_path / "v3.npz")
     rewrite_checkpoint(checkpoint, to_v3_meta)
-    with pytest.raises(CheckpointFormatError, match="format version 3 is not 4; retrain"):
+    with pytest.raises(CheckpointFormatError, match="format version 3 is not 5; retrain"):
         load_checkpoint(checkpoint)
     status = main(
         [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
@@ -345,8 +346,112 @@ def test_cli_mistyped_checkpoint_config_exits_1_naming_file(tmp_path, corpus_pat
     )
     assert status == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: checkpoint {checkpoint}: config cell_width is '6'")
+    assert err.startswith(f"error: checkpoint {checkpoint}: config: bad value for 'cell_width': '6'")
     assert not (tmp_path / "out").exists()
+
+
+def to_v4_meta(meta):
+    """Format 4 configs carried the rated-aspect cap, null unless set."""
+    meta["format_version"] = 4
+    meta["config"]["max_rated_aspects"] = None
+
+
+@pytest.mark.parametrize("command", ["eval", "explain"])
+def test_cli_rejects_v4_checkpoint(tmp_path, corpus_path, command, capsys):
+    checkpoint = write_current_checkpoint(tmp_path / "v4.npz")
+    rewrite_checkpoint(checkpoint, to_v4_meta)
+    status = main(
+        [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    )
+    assert status == 1
+    assert capsys.readouterr().err.startswith(
+        f"error: checkpoint {checkpoint}: format version 4 is not 5; retrain the model"
+    )
+
+
+# ModelConfig values that are out of range or of the wrong type, each as a
+# config file line and as a checkpoint's JSON config value
+BAD_MODEL_VALUES = [
+    ("embedding_width", 0), ("cell_width", -2), ("max_length", 0),
+    ("aspect_loss_weight", -0.5), ("self_orth_weight", -1.0), ("pos_orth_weight", -0.25),
+    ("l2_weight", -0.01), ("l2_weight", "nan"), ("cell_width", "wide"),
+    ("embedding_width", 2.5), ("max_length", "16x"), ("aspect_loss_weight", "half"),
+    ("disable_position_attention", "maybe"),
+]
+
+
+@pytest.mark.parametrize(
+    "key, value", BAD_MODEL_VALUES, ids=[f"{k}-{v}" for k, v in BAD_MODEL_VALUES]
+)
+def test_bad_model_value_rejected_from_config_file_and_checkpoint(
+    tmp_path, corpus_path, key, value, capsys
+):
+    config_path = tmp_path / "config.txt"
+    config_path.write_text(f"aspects = food, service\n{key} = {value}\n")
+    assert main(
+        ["train", "--config", str(config_path), "--data", str(corpus_path),
+         "--out", str(tmp_path / "run")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config_path}: ")
+    assert key in err and str(value) in err
+
+    checkpoint = write_current_checkpoint(tmp_path / "model.npz")
+    rewrite_checkpoint(checkpoint, lambda meta: meta["config"].update({key: value}))
+    assert main(
+        ["eval", "--checkpoint", str(checkpoint), "--data", str(corpus_path),
+         "--out", str(tmp_path / "out")]
+    ) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {checkpoint}: config: ")
+    assert key in err and str(value) in err
+
+
+def test_configs_are_frozen_and_checked_when_made():
+    for make in (
+        lambda: ModelConfig(aspect_names=["food"], cell_width=0),
+        lambda: ModelConfig(aspect_names=[]),
+        lambda: TrainConfig(beta2=1.0),
+        lambda: DataSettings(aspects=["food"], min_count=0),
+        lambda: DataSettings(domain="garage"),
+    ):
+        with pytest.raises(ValueError):
+            make()
+    for config in (ModelConfig(aspect_names=["food"]), TrainConfig(), DataSettings(aspects=["a"])):
+        with pytest.raises(AttributeError):
+            config.seed = 1
+
+
+# (file kind, its bytes, the line they break): one byte that is not UTF-8 in
+# each kind of text input, and a vector row of the wrong width
+BAD_INPUT_FILES = {
+    "corpus": (b'{"text": "tasty pizza", "overall": 4}\n{"text": "\xff", "overall": 4}\n', 2),
+    "config": (CONFIG_TEXT.encode() + b"seed = 4\xff\n", CONFIG_TEXT.count("\n") + 1),
+    "embeddings": (b"pizza 1 2 3 4 5 6\ntasty 1 2 3\xff 4 5 6\n", 2),
+    "embeddings-width": (b"pizza 1 2 3 4 5 6\nfood 1 2 3\n", 2),
+}
+
+
+@pytest.mark.parametrize("kind", BAD_INPUT_FILES)
+def test_bad_input_file_exits_1_naming_file_and_line(tmp_path, corpus_path, config_path, kind,
+                                                     capsys):
+    content, line = BAD_INPUT_FILES[kind]
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    if kind == "corpus":
+        corpus_path = bad
+    elif kind == "config":
+        config_path = bad
+    else:
+        config_path.write_text(CONFIG_TEXT + f"embedding_file = {bad}\n")
+    status = main(
+        ["train", "--config", str(config_path), "--data", str(corpus_path),
+         "--out", str(tmp_path / "run")]
+    )
+    assert status == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert last.startswith(f"error: {kind.split('-')[0]} {bad}: line {line}: ")
 
 
 def truncate(path):

@@ -248,21 +248,6 @@ def test_combined_loss_zero_parameters_closed_form():
     assert abs(total.item() - expected_total) < 1e-9
 
 
-def test_combined_loss_respects_rated_aspect_cap(toy_model):
-    config, params = toy_model
-    capped = toy_config(max_rated_aspects=1)
-    ex = example(aspects=(None, 1))
-    out = forward(ex, params, capped)
-    _, breakdown = combined_loss(out, ex, params, capped)
-    # only the first rated aspect (index 1 here) fits under the cap
-    assert [k for k, _ in breakdown.aspect_terms] == [1]
-
-    zero_cap = toy_config(max_rated_aspects=0)
-    out = forward(ex, params, zero_cap)
-    _, breakdown = combined_loss(out, ex, params, zero_cap)
-    assert breakdown.aspect_terms == []
-
-
 def test_combined_loss_skips_unrated_aspects(toy_model):
     config, params = toy_model
     ex = example(aspects=(None, None))
@@ -374,9 +359,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, toy_model):
 
 @pytest.mark.parametrize("position_stage", [True, False], ids=["position", "no-position"])
 def test_load_checkpoint_draws_no_random_numbers(tmp_path, monkeypatch, position_stage):
-    config = toy_config(
-        disable_position_attention=not position_stage, max_rated_aspects=1, l2_weight=0
-    )
+    config = toy_config(disable_position_attention=not position_stage, l2_weight=0)
     params = init_params(config, vocab_size=6, seed=3)
     path = tmp_path / "model.npz"
     save_checkpoint(path, config, toy_vocab(), params)
@@ -432,13 +415,25 @@ def rewrite_checkpoint(path, edit_meta=lambda meta: None, edit_arrays=lambda arr
             lambda a: a.update({"param/overall_head.bias": np.zeros(3)}),
             "overall_head.bias",
         ),
-        (lambda m: m["config"].update(cell_width="4"), lambda a: None, "cell_width is '4'"),
-        (lambda m: m["config"].update(max_length=True), lambda a: None, "max_length is True"),
-        (lambda m: m["config"].update(l2_weight=None), lambda a: None, "l2_weight is None"),
+        (
+            lambda m: m["config"].update(cell_width="4"),
+            lambda a: None,
+            "config: bad value for 'cell_width': '4'",
+        ),
+        (
+            lambda m: m["config"].update(max_length=True),
+            lambda a: None,
+            "config: bad value for 'max_length': True",
+        ),
+        (
+            lambda m: m["config"].update(l2_weight=None),
+            lambda a: None,
+            "config: bad value for 'l2_weight': None",
+        ),
         (
             lambda m: m["config"].update(aspect_names=["food", 2]),
             lambda a: None,
-            "aspect_names is ['food', 2]",
+            "config: bad value for 'aspect_names': ['food', 2]",
         ),
         (lambda m: m["config"].update(cell_width=0), lambda a: None, "cell_width must be"),
         (lambda m: m.update(config=[]), lambda a: None, "config is not a key-value map"),
