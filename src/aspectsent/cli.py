@@ -2,7 +2,9 @@
 
 Settings come from a flat ``key = value`` config file; results go to files
 under --out and all messages to standard error. Exit status is 0 on
-success, 1 for invalid input or configuration, 2 for runtime failures.
+success, 1 for an ``InputError`` (a malformed argument, config file, corpus,
+vector file or checkpoint, or an --out that cannot be a directory; the
+message names the file), 2 for any other exception, a fault of the program.
 """
 
 from __future__ import annotations
@@ -14,26 +16,17 @@ from pathlib import Path
 
 from aspectsent.data import (
     DOMAIN_ASPECTS,
-    CorpusParseError,
-    CorpusValidationError,
     DatasetSplit,
     PreprocessRules,
-    SplitConfigError,
     encode_example,
     ingest,
     preprocess_corpus,
     split,
 )
-from aspectsent.embeddings import (
-    EmbeddingConfigError,
-    EmbeddingParseError,
-    build_vocabulary,
-    load_pretrained,
-)
+from aspectsent.embeddings import build_vocabulary, load_pretrained
 from aspectsent.heatmap import build_report, render_heatmap
 from aspectsent.model import (
     RANKING_MODES,
-    CheckpointFormatError,
     ModelConfig,
     check_range,
     forward,
@@ -42,7 +35,7 @@ from aspectsent.model import (
     read_settings,
     save_checkpoint,
 )
-from aspectsent.textfile import read_lines
+from aspectsent.textfile import InputError, read_lines
 from aspectsent.training import (
     TrainConfig,
     evaluate,
@@ -54,10 +47,6 @@ from aspectsent.training import (
     write_ablation_table,
     write_metrics_kv,
 )
-
-
-class ConfigError(ValueError):
-    """A config file entry is missing, unknown, or malformed."""
 
 
 @dataclass(frozen=True)
@@ -99,20 +88,23 @@ def _parse_text(raw: str, hint):
 
 
 def parse_config_file(path):
-    """Read a flat ``key = value`` file into a string map; errors name the file line."""
+    """Read a flat ``key = value`` file into a map of key to (line, value text).
+
+    Errors name the file line.
+    """
     where = f"config {path}"
     entries = {}
-    for line_no, line in read_lines(path, ConfigError, where):
+    for line_no, line in read_lines(path, where):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise ConfigError(f"{where}: line {line_no}: expected 'key = value'")
+            raise InputError(f"{where}: line {line_no}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip()
         if key in entries:
-            raise ConfigError(f"{where}: line {line_no}: duplicate key {key!r}")
-        entries[key] = value.strip()
+            raise InputError(f"{where}: line {line_no}: duplicate key {key!r}")
+        entries[key] = (line_no, value.strip())
     return entries
 
 
@@ -125,20 +117,22 @@ _KEY_OWNERS = {
 
 
 def build_configs(entries: dict):
-    """Route config entries to model, trainer, and data settings by field name."""
+    """Route the entries of ``parse_config_file`` to model, trainer, and data
+    settings by field name."""
     groups = {cls: {} for cls in set(_KEY_OWNERS.values())}
-    for key, raw in entries.items():
+    lines = {key: line_no for key, (line_no, _) in entries.items()}
+    for key, (line_no, raw) in entries.items():
         if key not in _KEY_OWNERS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise InputError(f"line {line_no}: unknown config key {key!r}")
         groups[_KEY_OWNERS[key]][key] = raw
     try:
-        data = read_settings(DataSettings, groups[DataSettings], _parse_text)
+        data = read_settings(DataSettings, groups[DataSettings], _parse_text, lines)
         model_config = read_settings(
-            ModelConfig, groups[ModelConfig], _parse_text, aspect_names=data.aspect_names
+            ModelConfig, groups[ModelConfig], _parse_text, lines, aspect_names=data.aspect_names
         )
-        train_config = read_settings(TrainConfig, groups[TrainConfig], _parse_text)
+        train_config = read_settings(TrainConfig, groups[TrainConfig], _parse_text, lines)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+        raise InputError(str(exc)) from None
     return model_config, train_config, data
 
 
@@ -147,8 +141,8 @@ def _read_configs(args):
     entries = parse_config_file(args.config)
     try:
         model_config, train_config, data_settings = build_configs(entries)
-    except ConfigError as exc:
-        raise ConfigError(f"config {args.config}: {exc}") from None
+    except InputError as exc:
+        raise InputError(f"config {args.config}: {exc}") from None
     if args.seed is not None:
         train_config = replace(train_config, seed=args.seed)
     return model_config, train_config, data_settings
@@ -164,7 +158,11 @@ def _preprocess(data_path, config) -> list:
 
 
 def _prepare_dataset(data_path, model_config, data_settings, seed):
-    parts = split(_preprocess(data_path, model_config), seed=seed)
+    processed = _preprocess(data_path, model_config)
+    try:
+        parts = split(processed, seed=seed)
+    except InputError as exc:
+        raise InputError(f"corpus {data_path}: {exc}") from None
     vocab = build_vocabulary(
         [p.tokens for p in parts.train], min_count=data_settings.min_count
     )
@@ -177,6 +175,16 @@ def _prepare_dataset(data_path, model_config, data_settings, seed):
     return encoded, vocab
 
 
+def _out_dir(path) -> Path:
+    """The ``--out`` directory, made with its parents if missing."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise InputError(f"out {path}: {exc.strerror}") from None
+    return out_dir
+
+
 def _write_reports(out_dir: Path, stem: str, report, aspect_names) -> None:
     write_metrics_kv(out_dir / f"metrics_{stem}.txt", metrics_to_mapping(report, aspect_names))
     (out_dir / f"report_{stem}.txt").write_text(
@@ -186,8 +194,7 @@ def _write_reports(out_dir: Path, stem: str, report, aspect_names) -> None:
 
 def _cmd_train(args) -> int:
     model_config, train_config, data_settings = _read_configs(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
 
     dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
     params = init_params(model_config, len(vocab), seed=train_config.seed)
@@ -228,8 +235,7 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     config, vocab, params = load_checkpoint(args.checkpoint)
     examples = [encode_example(p, vocab) for p in _preprocess(args.data, config)]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     _write_reports(out_dir, "eval", evaluate(params, config, examples), config.aspect_names)
     print(f"evaluated {len(examples)} examples", file=sys.stderr)
     return 0
@@ -238,8 +244,7 @@ def _cmd_eval(args) -> int:
 def _cmd_explain(args) -> int:
     config, vocab, params = load_checkpoint(args.checkpoint)
     reviews = _preprocess(args.data, config)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     for review in reviews:
         ex = encode_example(review, vocab)
         output = forward(ex, params, config)
@@ -259,8 +264,7 @@ def _cmd_explain(args) -> int:
 
 def _cmd_ablate(args) -> int:
     model_config, train_config, data_settings = _read_configs(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
     rows = run_ablation(
         standard_ablation_grid(model_config), dataset, train_config, len(vocab)
@@ -272,7 +276,7 @@ def _cmd_ablate(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise ConfigError(message)
+        raise InputError(message)
 
 
 def _build_parser() -> _Parser:
@@ -308,29 +312,17 @@ def _build_parser() -> _Parser:
     return parser
 
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    CheckpointFormatError,
-    CorpusParseError,
-    CorpusValidationError,
-    SplitConfigError,
-    EmbeddingParseError,
-    EmbeddingConfigError,
-    FileNotFoundError,
-)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except ConfigError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
     try:
         return args.run(args)
-    except _VALIDATION_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - boundary of the process

@@ -24,25 +24,13 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from aspectsent.embeddings import PAD_ID, Vocabulary
-from aspectsent.textfile import read_lines
+from aspectsent.textfile import InputError, read_lines
 
 RESTAURANT_ASPECTS = ["Food", "Service", "Value", "Atmosphere"]
 HOTEL_ASPECTS = ["Room", "Location", "Value", "Cleanliness"]
 DOMAIN_ASPECTS = {"restaurant": RESTAURANT_ASPECTS, "hotel": HOTEL_ASPECTS}
 
 MIN_TOKENS = 3
-
-
-class CorpusParseError(ValueError):
-    """A corpus line is not a well-formed record."""
-
-
-class CorpusValidationError(ValueError):
-    """A corpus record violates the rating or aspect contract."""
-
-
-class SplitConfigError(ValueError):
-    """Too few examples to split."""
 
 
 @dataclass
@@ -76,7 +64,7 @@ class DatasetSplit:
 def binarize(rating: int):
     """Map a 1-5 star rating to binary polarity: 1-3 negative, 4-5 positive."""
     if not isinstance(rating, int) or isinstance(rating, bool) or not 1 <= rating <= 5:
-        raise CorpusValidationError(f"rating {rating!r} outside 1..5")
+        raise InputError(f"rating {rating!r} outside 1..5")
     return 1 if rating >= 4 else 0
 
 
@@ -84,7 +72,7 @@ def _check_duplicate_keys(pairs):
     seen = set()
     for key, _ in pairs:
         if key in seen:
-            raise CorpusValidationError(f"duplicate key {key!r}")
+            raise InputError(f"duplicate key {key!r}")
         seen.add(key)
     return dict(pairs)
 
@@ -96,34 +84,32 @@ def ingest(path, aspect_names: Sequence[str]) -> list:
     """
     where = f"corpus {path}"
     reviews = []
-    for line_no, line in read_lines(path, CorpusParseError, where):
+    for line_no, line in read_lines(path, where):
         if not line.strip():
             continue
         try:
             record = json.loads(line, object_pairs_hook=_check_duplicate_keys)
             reviews.append(_validate_record(record, aspect_names, line_no))
-        except json.JSONDecodeError as exc:
-            raise CorpusParseError(f"{where}: line {line_no}: {exc}") from None
-        except CorpusValidationError as exc:
-            raise CorpusValidationError(f"{where}: line {line_no}: {exc}") from None
+        except ValueError as exc:
+            raise InputError(f"{where}: line {line_no}: {exc}") from None
     return reviews
 
 
 def _validate_record(record, aspect_names, line_no: int) -> RawReview:
     if not isinstance(record, dict):
-        raise CorpusValidationError("record is not an object")
+        raise InputError("record is not an object")
     if "text" not in record or not isinstance(record["text"], str):
-        raise CorpusValidationError("missing or non-string 'text'")
+        raise InputError("missing or non-string 'text'")
     if "overall" not in record:
-        raise CorpusValidationError("missing 'overall' rating")
+        raise InputError("missing 'overall' rating")
     overall = record["overall"]
     binarize(overall)  # range check only
     aspects = record.get("aspects", {})
     if not isinstance(aspects, dict):
-        raise CorpusValidationError("'aspects' must be a map")
+        raise InputError("'aspects' must be a map")
     unknown = set(aspects) - set(aspect_names)
     if unknown:
-        raise CorpusValidationError(f"unknown aspect keys {sorted(unknown)}")
+        raise InputError(f"unknown aspect keys {sorted(unknown)}")
     ratings = []
     for name in aspect_names:
         if name in aspects:
@@ -133,7 +119,7 @@ def _validate_record(record, aspect_names, line_no: int) -> RawReview:
             ratings.append(None)
     extra = set(record) - {"text", "overall", "aspects", "domain"}
     if extra:
-        raise CorpusValidationError(f"unknown fields {sorted(extra)}")
+        raise InputError(f"unknown fields {sorted(extra)}")
     return RawReview(
         text=record["text"],
         overall_rating=overall,
@@ -242,7 +228,7 @@ def split(examples: Sequence, seed: int) -> DatasetSplit:
     """Seeded uniform shuffle followed by a contiguous 60/20/20 cut."""
     n = len(examples)
     if n < 5:
-        raise SplitConfigError(f"need at least 5 examples to split, got {n}")
+        raise InputError(f"need at least 5 examples to split, got {n}")
     order = np.random.default_rng(seed).permutation(n)
     shuffled = [examples[i] for i in order]
     n_train = (6 * n + 5) // 10

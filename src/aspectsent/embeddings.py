@@ -16,7 +16,7 @@ import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.autodiff import Tensor
-from aspectsent.textfile import read_lines
+from aspectsent.textfile import InputError, read_lines
 
 PAD_TOKEN = "<pad>"
 UNK_TOKEN = "<unk>"
@@ -24,14 +24,6 @@ PAD_ID = 0
 UNK_ID = 1
 
 OOV_INIT_BOUND = 0.25  # rows absent from a pretrained file: U(-0.25, 0.25)
-
-
-class EmbeddingParseError(ValueError):
-    """A pretrained-vector file line could not be parsed."""
-
-
-class EmbeddingConfigError(ValueError):
-    """A pretrained-vector file disagrees with the configured width."""
 
 
 class SequenceLengthError(ValueError):
@@ -124,20 +116,20 @@ def load_pretrained(
     tables = random_tables(vocab, width, max_length, seed)
     word = tables.word.values
     where = f"embeddings {path}"
-    for line_no, line in read_lines(path, EmbeddingParseError, where):
+    for line_no, line in read_lines(path, where):
         if not line.strip():
             continue
         parts = line.split()
         token, numbers = parts[0], parts[1:]
         if len(numbers) != width:
-            raise EmbeddingConfigError(
+            raise InputError(
                 f"{where}: line {line_no}: expected {width} values for {token!r}, "
                 f"got {len(numbers)}"
             )
         try:
             row = np.array([float(x) for x in numbers], dtype=np.float64)
         except ValueError as exc:
-            raise EmbeddingParseError(f"{where}: line {line_no}: {exc}") from None
+            raise InputError(f"{where}: line {line_no}: {exc}") from None
         idx = vocab.token_to_id.get(token)
         if idx is not None and idx != PAD_ID:
             word[idx] = row

@@ -39,6 +39,7 @@ from aspectsent.embeddings import (
     random_tables,
 )
 from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params
+from aspectsent.textfile import InputError
 
 CROSS_ENTROPY_EPS = 1e-12
 CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
@@ -53,14 +54,16 @@ def check_range(settings, names, ok, requirement: str) -> None:
             raise ValueError(f"{name} must be {requirement}, got {value!r}")
 
 
-def read_settings(cls, entries: dict, convert, **given):
+def read_settings(cls, entries: dict, convert, lines=None, **given):
     """Build the settings dataclass ``cls`` from outside key-value pairs.
 
     Every key must name a field of ``cls``; ``given`` sets fields the
     caller has already built. ``convert(value, field_type)`` turns each
     outside value into its field's type, raising ValueError when it cannot;
     the dataclass then checks the ranges. Every error is a ValueError that
-    names the key, and the value when there is one.
+    names the key, and the value when there is one. ``lines`` maps each key
+    to the line of the file it was read from, and a value that does not
+    convert names that line too.
     """
     hints = typing.get_type_hints(cls)
     unknown = entries.keys() - hints.keys()
@@ -71,7 +74,8 @@ def read_settings(cls, entries: dict, convert, **given):
         try:
             values[key] = convert(value, hints[key])
         except ValueError:
-            raise ValueError(f"bad value for {key!r}: {value!r}") from None
+            at = f"line {lines[key]}: " if lines else ""
+            raise ValueError(f"{at}bad value for {key!r}: {value!r}") from None
     return cls(**values)
 
 
@@ -417,10 +421,6 @@ def aspect_rank(traces: Sequence[AttentionTrace], mode: str = "magnitude"):
 # checkpointing
 
 
-class CheckpointFormatError(ValueError):
-    """A checkpoint file has another format version or does not match its config."""
-
-
 def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelParams) -> None:
     """Write config, vocabulary, preprocessing record and every parameter to one archive.
 
@@ -510,17 +510,17 @@ def _params_from_arrays(config: ModelConfig, vocab_size: int, arrays: dict, fail
 def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     """Rebuild config, vocabulary, and parameters; values round-trip exactly.
 
-    Raises CheckpointFormatError, naming the file, when the file is not a
-    readable archive with a meta record holding the config and vocabulary,
-    when the format version or the preprocessing record differs from the
-    current one, when a config key is unknown, a config value has the
-    wrong type or is out of range, or when the parameter names and shapes
-    do not match. The parameters wrap the archive's arrays; no value is
+    Raises InputError, naming the file, when the file cannot be opened or
+    is not a readable archive with a meta record holding the config and
+    vocabulary, when the format version or the preprocessing record differs
+    from the current one, when a config key is unknown, a config value has
+    the wrong type or is out of range, or when the parameter names and
+    shapes do not match. The parameters wrap the archive's arrays; no value is
     drawn at random.
     """
 
     def fail(message):
-        raise CheckpointFormatError(f"checkpoint {path}: {message}")
+        raise InputError(f"checkpoint {path}: {message}")
 
     try:
         with np.load(path) as archive:
@@ -530,7 +530,7 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
                 for key in archive.files
                 if key.startswith("param/")
             }
-    except (ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as exc:
+    except (OSError, ValueError, EOFError, KeyError, TypeError, zipfile.BadZipFile) as exc:
         fail(f"not a readable checkpoint archive ({type(exc).__name__}: {exc})")
     if not isinstance(meta, dict) or not {"config", "vocabulary"} <= meta.keys():
         fail("meta record lacks the config or the vocabulary")

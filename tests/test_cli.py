@@ -5,12 +5,11 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from aspectsent.cli import ConfigError, DataSettings, build_configs, main, parse_config_file
+from aspectsent.cli import DataSettings, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
 from aspectsent.data import PreprocessRules, RawReview, preprocess
 from aspectsent.embeddings import Vocabulary
 from aspectsent.model import (
-    CheckpointFormatError,
     ModelConfig,
     forward,
     init_params,
@@ -18,6 +17,7 @@ from aspectsent.model import (
     save_checkpoint,
 )
 from aspectsent.recurrent import GATES
+from aspectsent.textfile import InputError
 from aspectsent.training import TrainConfig
 from tests.corpus import synthetic_reviews, synthetic_split, tiny_model_config, write_jsonl
 from tests.test_model import rewrite_checkpoint
@@ -61,14 +61,16 @@ def test_parse_config_file_and_routing(config_path):
 def test_unknown_config_key_rejected(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("aspects = a, b\nmystery_knob = 3\n")
-    with pytest.raises(ConfigError, match="mystery_knob"):
+    with pytest.raises(InputError, match="mystery_knob"):
+        build_configs(parse_config_file(path))
+    with pytest.raises(InputError, match="^line 2: unknown config key 'mystery_knob'$"):
         build_configs(parse_config_file(path))
 
 
 def test_config_requires_domain_or_aspects(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("epochs = 2\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         build_configs(parse_config_file(path))
 
 
@@ -82,7 +84,7 @@ def test_config_domain_lookup(tmp_path):
 def test_config_bad_boolean(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("aspects = a, b\ndisable_position_attention = maybe\n")
-    with pytest.raises(ConfigError):
+    with pytest.raises(InputError):
         build_configs(parse_config_file(path))
 
 
@@ -166,20 +168,25 @@ BAD_CONFIG_VALUES = [
 def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, message, capsys):
     path = tmp_path / "config.txt"
     path.write_text(f"aspects = food, service\n{key} = {raw}\n")
-    with pytest.raises(ConfigError, match=re.escape(message)):
+    with pytest.raises(InputError, match=re.escape(message)):
         build_configs(parse_config_file(path))
     status = main(
         ["train", "--config", str(path), "--data", str(corpus_path),
          "--out", str(tmp_path / "run")]
     )
     assert status == 1
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    # a value that does not convert names its line; a range is checked once
+    # every key is read, so its error names only the key and the value
+    at = "line 2: " if message.startswith("bad value") else ""
+    assert err.splitlines()[-1].startswith(f"error: config {path}: {at}{message}")
 
 
 def test_config_malformed_line(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("aspects a, b\n")
-    with pytest.raises(ConfigError, match="line 1"):
+    with pytest.raises(InputError, match="line 1"):
         parse_config_file(path)
 
 
@@ -305,7 +312,7 @@ def to_v2_per_gate_arrays(arrays):
 def test_cli_rejects_per_gate_v2_checkpoint(tmp_path, corpus_path, command, capsys):
     checkpoint = write_current_checkpoint(tmp_path / "v2.npz")
     rewrite_checkpoint(checkpoint, to_v2_meta, to_v2_per_gate_arrays)
-    with pytest.raises(CheckpointFormatError, match="format version 2 is not 5"):
+    with pytest.raises(InputError, match="format version 2 is not 5"):
         load_checkpoint(checkpoint)
     status = main(
         [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
@@ -325,7 +332,7 @@ def to_v3_meta(meta):
 def test_cli_rejects_v3_checkpoint(tmp_path, corpus_path, command, capsys):
     checkpoint = write_current_checkpoint(tmp_path / "v3.npz")
     rewrite_checkpoint(checkpoint, to_v3_meta)
-    with pytest.raises(CheckpointFormatError, match="format version 3 is not 5; retrain"):
+    with pytest.raises(InputError, match="format version 3 is not 5; retrain"):
         load_checkpoint(checkpoint)
     status = main(
         [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),
@@ -454,6 +461,57 @@ def test_bad_input_file_exits_1_naming_file_and_line(tmp_path, corpus_path, conf
     assert last.startswith(f"error: {kind.split('-')[0]} {bad}: line {line}: ")
 
 
+# (the kind of input as its error names it, the command that opens it, what is
+# wrong with its path): inputs that cannot be opened, and an --out that is a file
+UNOPENABLE_INPUTS = [
+    (kind, command, fault)
+    for kind, command in [("config", "train"), ("corpus", "train"), ("embeddings", "train"),
+                          ("checkpoint", "eval"), ("checkpoint", "explain")]
+    for fault in ("missing", "directory")
+] + [("out", command, "file") for command in ("train", "eval", "explain")]
+
+INPUT_FLAGS = {"config": "--config", "corpus": "--data", "checkpoint": "--checkpoint",
+               "out": "--out"}
+
+
+@pytest.mark.parametrize(
+    "kind, command, fault", UNOPENABLE_INPUTS, ids=["-".join(case) for case in UNOPENABLE_INPUTS]
+)
+def test_input_that_cannot_be_opened_exits_1_naming_it(tmp_path, corpus_path, config_path,
+                                                       kind, command, fault, capsys):
+    bad = tmp_path / "bad"
+    if fault == "directory":
+        bad.mkdir()
+    elif fault == "file":
+        bad.write_text("not a directory\n")
+    paths = {"corpus": corpus_path, "out": tmp_path / "run"}
+    if command == "train":
+        paths["config"] = config_path
+    else:
+        paths["checkpoint"] = write_current_checkpoint(tmp_path / "model.npz")
+    if kind == "embeddings":
+        config_path.write_text(CONFIG_TEXT + f"embedding_file = {bad}\n")
+    else:
+        paths[kind] = bad
+    argv = [command]
+    for name, path in paths.items():
+        argv += [INPUT_FLAGS[name], str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {kind} {bad}: ")
+
+
+def test_too_few_reviews_to_split_names_corpus(tmp_path, config_path, capsys):
+    corpus = write_jsonl(tmp_path / "one.jsonl", synthetic_reviews(1, seed=9))
+    status = main(
+        ["train", "--config", str(config_path), "--data", str(corpus),
+         "--out", str(tmp_path / "run")]
+    )
+    assert status == 1
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"error: corpus {corpus}: need at least 5 examples to split, got 1"
+    )
+
+
 def truncate(path):
     path.write_bytes(path.read_bytes()[:200])
 
@@ -494,7 +552,7 @@ MALFORMED_CHECKPOINTS = {
 def test_malformed_checkpoint_exits_1_naming_file(tmp_path, corpus_path, damage, command, capsys):
     checkpoint = write_current_checkpoint(tmp_path / "model.npz")
     MALFORMED_CHECKPOINTS[damage](checkpoint)
-    with pytest.raises(CheckpointFormatError, match=re.escape(f"checkpoint {checkpoint}: ")):
+    with pytest.raises(InputError, match=re.escape(f"checkpoint {checkpoint}: ")):
         load_checkpoint(checkpoint)
     status = main(
         [command, "--checkpoint", str(checkpoint), "--data", str(corpus_path),

@@ -7,11 +7,8 @@ from hypothesis import strategies as st
 
 from aspectsent.data import (
     RESTAURANT_ASPECTS,
-    CorpusParseError,
-    CorpusValidationError,
     PreprocessRules,
     RawReview,
-    SplitConfigError,
     batch_iter,
     binarize,
     encode_example,
@@ -22,6 +19,7 @@ from aspectsent.data import (
     tokenize,
 )
 from aspectsent.embeddings import build_vocabulary
+from aspectsent.textfile import InputError
 
 
 @pytest.fixture(scope="module")
@@ -53,25 +51,31 @@ def test_ingest_empty_file(tmp_path):
 
 def test_ingest_duplicate_aspect_key(tmp_path):
     record = '{"text": "x", "overall": 4, "aspects": {"Food": 5, "Food": 4}}'
-    with pytest.raises(CorpusValidationError, match="line 1"):
+    with pytest.raises(InputError, match="line 1"):
         ingest(write_corpus(tmp_path, [record]), RESTAURANT_ASPECTS)
 
 
 def test_ingest_malformed_line_numbered(tmp_path):
     good = json.dumps({"text": "x", "overall": 4})
-    with pytest.raises(CorpusParseError, match="line 2"):
+    with pytest.raises(InputError, match="line 2"):
         ingest(write_corpus(tmp_path, [good, "not json"]), RESTAURANT_ASPECTS)
+
+
+def test_ingest_number_too_long_to_parse_numbered(tmp_path):
+    record = '{"text": "x", "overall": ' + "4" * 5000 + "}"
+    with pytest.raises(InputError, match="line 1: Exceeds the limit"):
+        ingest(write_corpus(tmp_path, [record]), RESTAURANT_ASPECTS)
 
 
 def test_ingest_rating_out_of_range(tmp_path):
     record = json.dumps({"text": "x", "overall": 6})
-    with pytest.raises(CorpusValidationError, match="line 1"):
+    with pytest.raises(InputError, match="line 1"):
         ingest(write_corpus(tmp_path, [record]), RESTAURANT_ASPECTS)
 
 
 def test_ingest_unknown_aspect_key(tmp_path):
     record = json.dumps({"text": "x", "overall": 4, "aspects": {"Pool": 3}})
-    with pytest.raises(CorpusValidationError, match="Pool"):
+    with pytest.raises(InputError, match="Pool"):
         ingest(write_corpus(tmp_path, [record]), RESTAURANT_ASPECTS)
 
 
@@ -81,7 +85,7 @@ def test_binarize_mapping():
 
 def test_binarize_rejects_out_of_range():
     for bad in (0, 6, -1):
-        with pytest.raises(CorpusValidationError):
+        with pytest.raises(InputError):
             binarize(bad)
 
 
@@ -141,7 +145,7 @@ def test_split_different_seeds_differ():
 
 
 def test_split_too_few_examples():
-    with pytest.raises(SplitConfigError):
+    with pytest.raises(InputError):
         split([1, 2, 3, 4], seed=0)
 
 

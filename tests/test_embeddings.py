@@ -7,14 +7,13 @@ from aspectsent.autodiff import Tape, Tensor, backward, grad_check
 from aspectsent.embeddings import (
     PAD_ID,
     UNK_ID,
-    EmbeddingConfigError,
-    EmbeddingParseError,
     SequenceLengthError,
     build_vocabulary,
     embed_sequence,
     load_pretrained,
     random_tables,
 )
+from aspectsent.textfile import InputError
 
 
 def test_build_vocabulary_ordering():
@@ -73,14 +72,14 @@ def test_load_pretrained_oov_rows_reproducible_and_bounded(tmp_path, small_vocab
 def test_load_pretrained_width_mismatch(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0\n")
-    with pytest.raises(EmbeddingConfigError, match="line 1"):
+    with pytest.raises(InputError, match="line 1"):
         load_pretrained(path, small_vocab, width=3, max_length=4, seed=0)
 
 
 def test_load_pretrained_malformed_line(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0 3.0\nslow 1.0 oops 3.0\n")
-    with pytest.raises(EmbeddingParseError, match="line 2"):
+    with pytest.raises(InputError, match="line 2"):
         load_pretrained(path, small_vocab, width=3, max_length=4, seed=0)
 
 

@@ -9,7 +9,6 @@ from aspectsent.attention import AttentionTrace
 from aspectsent.autodiff import Tape, Tensor, backward, grad_check
 from aspectsent import model
 from aspectsent.model import (
-    CheckpointFormatError,
     LossBreakdown,
     ModelConfig,
     aspect_rank,
@@ -22,6 +21,7 @@ from aspectsent.model import (
     save_checkpoint,
 )
 from aspectsent.embeddings import Vocabulary
+from aspectsent.textfile import InputError
 
 
 class FakeExample:
@@ -447,7 +447,7 @@ def test_load_checkpoint_rejects_mismatch(tmp_path, toy_model, edit_meta, edit_a
     path = tmp_path / "model.npz"
     save_checkpoint(path, config, toy_vocab(), params)
     rewrite_checkpoint(path, edit_meta, edit_arrays)
-    with pytest.raises(CheckpointFormatError) as err:
+    with pytest.raises(InputError) as err:
         load_checkpoint(path)
     assert str(path) in str(err.value)
     assert message in str(err.value)
