@@ -199,11 +199,7 @@ def _cmd_train(args) -> int:
     dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
     params = init_params(model_config, len(vocab), seed=train_config.seed)
     if data_settings.embedding_file:
-        tables = load_pretrained(
-            data_settings.embedding_file, vocab, model_config.embedding_width,
-            model_config.max_length, seed=train_config.seed,
-        )
-        params = replace(params, tables=tables)
+        load_pretrained(data_settings.embedding_file, vocab, params.tables)
 
     result = train(params, model_config, train_config, dataset)
     save_checkpoint(out_dir / "checkpoint.npz", model_config, vocab, result.params)

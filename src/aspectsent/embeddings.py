@@ -85,15 +85,11 @@ class EmbeddingTables:
 
 
 def random_tables(
-    vocab, width: int, max_length: int, seed: int
+    rows: int, width: int, max_length: int, rng: np.random.Generator
 ) -> EmbeddingTables:
-    """Draw both tables from U(-0.25, 0.25); the padding row is zeroed.
-
-    ``vocab`` may be a Vocabulary or a plain row count.
-    """
-    size = vocab if isinstance(vocab, int) else len(vocab)
-    rng = np.random.default_rng(seed)
-    word = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(size, width))
+    """Draw the rows x width word table, then the position table, from
+    U(-0.25, 0.25) with ``rng``; the padding row is zeroed."""
+    word = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(rows, width))
     word[PAD_ID] = 0.0
     position = rng.uniform(-OOV_INIT_BOUND, OOV_INIT_BOUND, size=(max_length, width))
     return EmbeddingTables(
@@ -102,19 +98,15 @@ def random_tables(
     )
 
 
-def load_pretrained(
-    path, vocab: Vocabulary, width: int, max_length: int, seed: int
-) -> EmbeddingTables:
-    """Build tables from a whitespace-separated pretrained-vector file.
+def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
+    """Copy the rows of a whitespace-separated pretrained-vector file into ``tables``.
 
-    File format: one token per line followed by ``width`` decimal numbers.
-    Tokens present in the file copy their file row exactly; all other rows
-    (and the whole position table) are drawn from U(-0.25, 0.25) under the
-    given seed, and the padding row is zeroed. Errors name the file and
-    the line.
+    File format: one token per line followed by ``tables.width`` decimal
+    numbers. Each vocabulary token in the file gets its file row exactly;
+    every other row, the padding row and the position table keep the values
+    they have. Errors name the file and the line.
     """
-    tables = random_tables(vocab, width, max_length, seed)
-    word = tables.word.values
+    word, width = tables.word.values, tables.width
     where = f"embeddings {path}"
     for line_no, line in read_lines(path, where):
         if not line.strip():
@@ -133,7 +125,6 @@ def load_pretrained(
         idx = vocab.token_to_id.get(token)
         if idx is not None and idx != PAD_ID:
             word[idx] = row
-    return tables
 
 
 def embed_sequence(token_ids, tables: EmbeddingTables) -> Tensor:

@@ -22,7 +22,6 @@ import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.attention import (
-    AspectAttentionParams,
     AttentionTrace,
     init_attention_params,
     position_aware_attention,
@@ -33,6 +32,8 @@ from aspectsent.autodiff import Tensor
 from aspectsent.data import PreprocessRules
 from aspectsent.embeddings import (
     PAD_ID,
+    PAD_TOKEN,
+    UNK_TOKEN,
     EmbeddingTables,
     Vocabulary,
     embed_sequence,
@@ -157,20 +158,28 @@ class ModelParams:
             self.tables.word.grad[PAD_ID, :] = 0.0
 
 
-def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
-    """Initialize all trainable parameters from one seed.
+def _init_head(in_width: int, rng, prefix: str) -> HeadParams:
+    bound = 1.0 / np.sqrt(in_width)
+    return HeadParams(
+        weight=ad.parameter(
+            rng.uniform(-bound, bound, size=(in_width, CLASS_COUNT)), f"{prefix}.weight"
+        ),
+        bias=ad.parameter(np.zeros(CLASS_COUNT), f"{prefix}.bias"),
+    )
 
-    Embedding tables here are random; callers wanting pretrained word
-    vectors build tables with ``embeddings.load_pretrained`` and put them
-    in with ``dataclasses.replace(params, tables=...)``.
+
+def _build_params(config: ModelConfig, vocab_size: int, table_rng, rng) -> ModelParams:
+    """Every parameter, with its name and shape: the one place that states them.
+
+    The embedding tables are drawn from ``table_rng``; the BiLSTM, each
+    aspect's attention and the heads from ``rng``, in that order.
     """
-    rng = np.random.default_rng(seed)
-    tables = random_tables(vocab_size, config.embedding_width, config.max_length, seed)
+    tables = random_tables(vocab_size, config.embedding_width, config.max_length, table_rng)
     embed_width = 2 * config.embedding_width
     lstm_fwd = init_lstm_params(embed_width, config.cell_width, rng, "lstm_fwd")
     lstm_bwd = init_lstm_params(embed_width, config.cell_width, rng, "lstm_bwd")
     hidden = config.hidden_width
-    bound = 1.0 / np.sqrt(hidden)
+    aspects = range(config.aspect_count)
     attention = [
         init_attention_params(
             hidden,
@@ -179,30 +188,23 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
             f"attention.{k}",
             with_position_stage=not config.disable_position_attention,
         )
-        for k in range(config.aspect_count)
+        for k in aspects
     ]
-    aspect_heads = [
-        HeadParams(
-            weight=ad.parameter(
-                rng.uniform(-bound, bound, size=(hidden, CLASS_COUNT)),
-                f"aspect_head.{k}.weight",
-            ),
-            bias=ad.parameter(np.zeros(CLASS_COUNT), f"aspect_head.{k}.bias"),
-        )
-        for k in range(config.aspect_count)
-    ]
-    overall_bound = 1.0 / np.sqrt(hidden * config.aspect_count)
-    overall_head = HeadParams(
-        weight=ad.parameter(
-            rng.uniform(
-                -overall_bound, overall_bound,
-                size=(hidden * config.aspect_count, CLASS_COUNT),
-            ),
-            "overall_head.weight",
-        ),
-        bias=ad.parameter(np.zeros(CLASS_COUNT), "overall_head.bias"),
-    )
+    aspect_heads = [_init_head(hidden, rng, f"aspect_head.{k}") for k in aspects]
+    overall_head = _init_head(hidden * config.aspect_count, rng, "overall_head")
     return ModelParams(tables, lstm_fwd, lstm_bwd, attention, aspect_heads, overall_head)
+
+
+def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
+    """Initialize all trainable parameters from one seed.
+
+    The embedding tables and the other parameters each draw from their own
+    generator seeded with ``seed``. The word table is random;
+    ``embeddings.load_pretrained`` copies pretrained word vectors into it.
+    """
+    return _build_params(
+        config, vocab_size, np.random.default_rng(seed), np.random.default_rng(seed)
+    )
 
 
 @dataclass
@@ -461,50 +463,15 @@ def _from_json(value, hint):
     return float(value) if hint is float else value
 
 
-def _params_from_arrays(config: ModelConfig, vocab_size: int, arrays: dict, fail) -> ModelParams:
-    """Wrap the archive's arrays as parameters, checking names and shapes.
+class _NoDraws:
+    """Stands in for a generator: ``uniform`` gives an array of the asked
+    shape whose entries share one float, so a V x d table takes no memory
+    (a fresh V x d buffer, freed at once, slowed the next archive read)."""
 
-    Names, shapes and order are those ``init_params`` gives; no value is
-    drawn. ``arrays`` is emptied of every name taken.
-    """
-    width, cell, hidden = config.embedding_width, config.cell_width, config.hidden_width
-    aspects = range(config.aspect_count)
-    position_stage = not config.disable_position_attention
-
-    def take(name, *shape):
-        if name not in arrays:
-            fail(f"parameter {name} is missing")
-        values = arrays.pop(name)
-        if values.shape != shape:
-            fail(f"parameter {name} has shape {values.shape}, expected {shape}")
-        return ad.parameter(values, name)
-
-    def lstm(prefix):
-        return LstmParams(
-            take(f"{prefix}.w", 2 * width, 4 * cell), take(f"{prefix}.u", cell, 4 * cell),
-            take(f"{prefix}.b", 4 * cell),
-        )
-
-    def attention(prefix):
-        return AspectAttentionParams(
-            take(f"{prefix}.self_attn_w", hidden, hidden), take(f"{prefix}.self_attn_b"),
-            take(f"{prefix}.pos_attn_w", 2 * width, hidden) if position_stage else None,
-            take(f"{prefix}.pos_attn_b") if position_stage else None,
-        )
-
-    def head(prefix, in_width):
-        return HeadParams(
-            take(f"{prefix}.weight", in_width, CLASS_COUNT), take(f"{prefix}.bias", CLASS_COUNT)
-        )
-
-    tables = EmbeddingTables(
-        take("word_table", vocab_size, width), take("position_table", config.max_length, width)
-    )
-    lstm_fwd, lstm_bwd = lstm("lstm_fwd"), lstm("lstm_bwd")
-    attention_params = [attention(f"attention.{k}") for k in aspects]
-    aspect_heads = [head(f"aspect_head.{k}", hidden) for k in aspects]
-    overall_head = head("overall_head", hidden * config.aspect_count)
-    return ModelParams(tables, lstm_fwd, lstm_bwd, attention_params, aspect_heads, overall_head)
+    @staticmethod
+    def uniform(low, high, size):
+        shape = tuple(np.atleast_1d(size))
+        return np.ndarray(shape, buffer=np.zeros(1), strides=(0,) * len(shape))
 
 
 def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
@@ -514,16 +481,22 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     is not a readable archive with a meta record holding the config and
     vocabulary, when the format version or the preprocessing record differs
     from the current one, when a config key is unknown, a config value has
-    the wrong type or is out of range, or when the parameter names and
-    shapes do not match. The parameters wrap the archive's arrays; no value is
-    drawn at random.
+    the wrong type or is out of range, when the vocabulary is not a list of
+    distinct strings that begins with the padding and unknown tokens, or
+    when the parameter names and shapes do not match the layout
+    ``init_params`` builds. The parameters wrap the archive's arrays as
+    float64; no value is drawn at random.
     """
 
     def fail(message):
         raise InputError(f"checkpoint {path}: {message}")
 
     try:
-        with np.load(path) as archive:
+        fh = open(path, "rb")
+    except OSError as exc:
+        fail(exc.strerror)
+    try:
+        with fh, np.load(fh) as archive:
             meta = json.loads(bytes(archive["meta"]).decode("utf-8"))
             arrays = {
                 key[len("param/"):]: archive[key]
@@ -549,8 +522,22 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     except ValueError as exc:
         fail(f"config: {exc}")
     tokens = meta["vocabulary"]
-    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, list(tokens))
-    params = _params_from_arrays(config, len(vocab), arrays, fail)
+    if not (
+        isinstance(tokens, list)
+        and all(isinstance(t, str) for t in tokens)
+        and tokens[:2] == [PAD_TOKEN, UNK_TOKEN]
+        and len(set(tokens)) == len(tokens)
+    ):
+        fail(f"vocabulary is not a list of distinct strings beginning {PAD_TOKEN!r}, {UNK_TOKEN!r}")
+    vocab = Vocabulary({t: i for i, t in enumerate(tokens)}, tokens)
+    params = _build_params(config, len(vocab), _NoDraws, _NoDraws)
+    for name, tensor in params.named_tensors():
+        if name not in arrays:
+            fail(f"parameter {name} is missing")
+        values = arrays.pop(name)
+        if values.shape != tensor.values.shape:
+            fail(f"parameter {name} has shape {values.shape}, expected {tensor.values.shape}")
+        tensor.values = np.asarray(values, dtype=np.float64)
     if arrays:
         fail(f"unexpected parameters {sorted(arrays)}")
     return config, vocab, params

@@ -8,7 +8,8 @@ import pytest
 from aspectsent.cli import DataSettings, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
 from aspectsent.data import PreprocessRules, RawReview, preprocess
-from aspectsent.embeddings import Vocabulary
+from aspectsent import training
+from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.model import (
     ModelConfig,
     forward,
@@ -205,6 +206,33 @@ def test_cli_train_writes_outputs(tmp_path, corpus_path, config_path, capsys):
         "report_validation.txt", "report_test.txt", "epochs.csv",
     ):
         assert (out_dir / name).exists(), name
+
+
+def test_cli_train_starts_from_pretrained_rows(tmp_path, corpus_path, config_path, monkeypatch):
+    tokens = ["<pad>", "pizza", "menu", "absent"]
+    rows = {token: np.arange(6.0) + 10 * i for i, token in enumerate(tokens)}
+    vectors = tmp_path / "vectors.txt"
+    vectors.write_text("".join(
+        token + " " + " ".join(map(repr, row.tolist())) + "\n" for token, row in rows.items()
+    ))
+    config_path.write_text(CONFIG_TEXT + f"embedding_file = {vectors}\n")
+    # without the optimizer step, the checkpoint holds the parameters training started from
+    monkeypatch.setattr(training, "adam_step", lambda named, state, config: None)
+    out_dir = tmp_path / "run"
+    assert main(
+        ["train", "--config", str(config_path), "--data", str(corpus_path), "--out", str(out_dir)]
+    ) == 0
+
+    config, vocab, params = load_checkpoint(out_dir / "checkpoint.npz")
+    drawn = init_params(config, len(vocab), seed=3).tables
+    word = params.tables.word.values
+    in_file = [vocab.token_to_id[token] for token in ("pizza", "menu")]
+    for token, i in zip(("pizza", "menu"), in_file):
+        np.testing.assert_array_equal(word[i], rows[token])
+    others = [i for i in range(len(vocab)) if i not in in_file]
+    np.testing.assert_array_equal(word[others], drawn.word.values[others])
+    np.testing.assert_array_equal(word[PAD_ID], np.zeros(6))
+    np.testing.assert_array_equal(params.tables.position.values, drawn.position.values)
 
 
 def test_cli_missing_required_flag(capsys):
@@ -497,7 +525,12 @@ def test_input_that_cannot_be_opened_exits_1_naming_it(tmp_path, corpus_path, co
     for name, path in paths.items():
         argv += [INPUT_FLAGS[name], str(path)]
     assert main(argv) == 1
-    assert capsys.readouterr().err.splitlines()[-1].startswith(f"error: {kind} {bad}: ")
+    last = capsys.readouterr().err.splitlines()[-1]
+    reason = {"missing": "No such file or directory", "directory": "Is a directory"}.get(fault)
+    if reason:
+        assert last == f"error: {kind} {bad}: {reason}"
+    else:
+        assert last.startswith(f"error: {kind} {bad}: ")
 
 
 def test_too_few_reviews_to_split_names_corpus(tmp_path, config_path, capsys):
@@ -534,6 +567,10 @@ def set_meta_bytes(raw):
     return damage
 
 
+def set_vocabulary(tokens):
+    return lambda path: rewrite_checkpoint(path, lambda meta: meta.update(vocabulary=tokens))
+
+
 MALFORMED_CHECKPOINTS = {
     "not-an-archive": lambda path: path.write_text("just some text\n"),
     "empty": lambda path: path.write_bytes(b""),
@@ -544,6 +581,11 @@ MALFORMED_CHECKPOINTS = {
     "meta-not-object": set_meta_bytes(b"[]"),
     "no-config": lambda path: rewrite_checkpoint(path, lambda meta: meta.pop("config")),
     "no-vocabulary": lambda path: rewrite_checkpoint(path, lambda meta: meta.pop("vocabulary")),
+    "vocabulary-int": set_vocabulary(5),
+    "vocabulary-null": set_vocabulary(None),
+    "vocabulary-non-string-token": set_vocabulary(["<pad>", "<unk>", 7]),
+    "vocabulary-repeated-token": set_vocabulary(["<pad>", "<unk>", "<unk>"]),
+    "vocabulary-no-reserved-tokens": set_vocabulary(["pizza", "<pad>", "<unk>"]),
 }
 
 

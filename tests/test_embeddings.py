@@ -43,28 +43,38 @@ def small_vocab():
     return build_vocabulary([["pizza", "good", "pizza"], ["slow", "good"]])
 
 
+def drawn_tables(vocab, width=3, max_length=4, seed=0):
+    return random_tables(len(vocab), width, max_length, np.random.default_rng(seed))
+
+
 def test_load_pretrained_copies_file_rows(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0 3.0\nabsent 9.0 9.0 9.0\n")
-    tables = load_pretrained(path, small_vocab, width=3, max_length=4, seed=0)
+    tables = drawn_tables(small_vocab)
+    load_pretrained(path, small_vocab, tables)
     row = tables.word.values[small_vocab.token_to_id["pizza"]]
     np.testing.assert_array_equal(row, [1.0, 2.0, 3.0])
 
 
 def test_load_pretrained_padding_row_zero(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
-    path.write_text("good 0.5 0.5 0.5\n")
-    tables = load_pretrained(path, small_vocab, width=3, max_length=4, seed=0)
+    path.write_text("good 0.5 0.5 0.5\n<pad> 0.5 0.5 0.5\n")
+    tables = drawn_tables(small_vocab)
+    load_pretrained(path, small_vocab, tables)
     np.testing.assert_array_equal(tables.word.values[PAD_ID], np.zeros(3))
 
 
 def test_load_pretrained_oov_rows_reproducible_and_bounded(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("good 0.5 0.5 0.5\n")
-    t1 = load_pretrained(path, small_vocab, width=3, max_length=4, seed=11)
-    t2 = load_pretrained(path, small_vocab, width=3, max_length=4, seed=11)
+    t1, t2 = drawn_tables(small_vocab, seed=11), drawn_tables(small_vocab, seed=11)
+    drawn = drawn_tables(small_vocab, seed=11)
+    load_pretrained(path, small_vocab, t1)
+    load_pretrained(path, small_vocab, t2)
     np.testing.assert_array_equal(t1.word.values, t2.word.values)
     oov = [i for i in range(len(small_vocab)) if i != small_vocab.token_to_id["good"]]
+    np.testing.assert_array_equal(t1.word.values[oov], drawn.word.values[oov])
+    np.testing.assert_array_equal(t1.position.values, drawn.position.values)
     assert np.all(np.abs(t1.word.values[oov]) <= 0.25)
     assert np.all(np.abs(t1.position.values) <= 0.25)
 
@@ -73,18 +83,18 @@ def test_load_pretrained_width_mismatch(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0\n")
     with pytest.raises(InputError, match="line 1"):
-        load_pretrained(path, small_vocab, width=3, max_length=4, seed=0)
+        load_pretrained(path, small_vocab, drawn_tables(small_vocab))
 
 
 def test_load_pretrained_malformed_line(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0 3.0\nslow 1.0 oops 3.0\n")
     with pytest.raises(InputError, match="line 2"):
-        load_pretrained(path, small_vocab, width=3, max_length=4, seed=0)
+        load_pretrained(path, small_vocab, drawn_tables(small_vocab))
 
 
 def test_embed_sequence_single_token(small_vocab):
-    tables = random_tables(small_vocab, width=3, max_length=4, seed=1)
+    tables = drawn_tables(small_vocab, seed=1)
     ids = small_vocab.encode(["pizza"])
     out = embed_sequence(ids, tables)
     assert out.values.shape == (1, 6)
@@ -93,7 +103,7 @@ def test_embed_sequence_single_token(small_vocab):
 
 
 def test_embed_sequence_position_half_differs(small_vocab):
-    tables = random_tables(small_vocab, width=3, max_length=4, seed=1)
+    tables = drawn_tables(small_vocab, seed=1)
     ids = small_vocab.encode(["good", "good"])
     out = embed_sequence(ids, tables).values
     np.testing.assert_array_equal(out[0, :3], out[1, :3])
@@ -102,19 +112,19 @@ def test_embed_sequence_position_half_differs(small_vocab):
 
 def test_embed_sequence_width_is_always_2d(small_vocab):
     for width in (2, 5):
-        tables = random_tables(small_vocab, width=width, max_length=8, seed=3)
+        tables = drawn_tables(small_vocab, width=width, max_length=8, seed=3)
         out = embed_sequence(small_vocab.encode(["pizza", "slow"]), tables)
         assert out.values.shape == (2, 2 * width)
 
 
 def test_embed_sequence_rejects_overlong(small_vocab):
-    tables = random_tables(small_vocab, width=3, max_length=2, seed=1)
+    tables = drawn_tables(small_vocab, max_length=2, seed=1)
     with pytest.raises(SequenceLengthError):
         embed_sequence(small_vocab.encode(["good", "good", "good"]), tables)
 
 
 def test_embedding_gradient_hits_only_looked_up_rows(small_vocab):
-    tables = random_tables(small_vocab, width=2, max_length=4, seed=5)
+    tables = drawn_tables(small_vocab, width=2, seed=5)
     ids = small_vocab.encode(["pizza", "good", "pizza"])
     err = grad_check(
         lambda: ad.reduce_sum(ad.tanh(embed_sequence(ids, tables))),

@@ -22,6 +22,7 @@ from aspectsent.model import (
 )
 from aspectsent.embeddings import Vocabulary
 from aspectsent.textfile import InputError
+from aspectsent.training import standard_ablation_grid
 
 
 class FakeExample:
@@ -451,6 +452,47 @@ def test_load_checkpoint_rejects_mismatch(tmp_path, toy_model, edit_meta, edit_a
         load_checkpoint(path)
     assert str(path) in str(err.value)
     assert message in str(err.value)
+
+
+LAYOUT_VARIANTS = standard_ablation_grid(toy_config()) + [
+    ("one_aspect", toy_config(aspect_names=["food"])),
+]
+
+
+@pytest.mark.parametrize(
+    "config", [config for _, config in LAYOUT_VARIANTS], ids=[name for name, _ in LAYOUT_VARIANTS]
+)
+def test_checkpoint_round_trip_keeps_the_layout(tmp_path, config):
+    params = init_params(config, vocab_size=6, seed=4)
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, toy_vocab(), params)
+    _, _, loaded = load_checkpoint(path)
+    saved = params.named_tensors()
+    assert [name for name, _ in loaded.named_tensors()] == [name for name, _ in saved]
+    for (_, got), (_, want) in zip(loaded.named_tensors(), saved):
+        assert got.values.dtype == np.float64
+        assert got.values.shape == want.values.shape
+        assert np.array_equal(got.values, want.values)
+
+
+def test_load_checkpoint_refuses_position_stage_under_ablated_config(tmp_path, toy_model):
+    config, params = toy_model
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, toy_vocab(), params)
+    rewrite_checkpoint(path, lambda m: m["config"].update(disable_position_attention=True))
+    with pytest.raises(InputError, match=r"unexpected parameters \['attention.0.pos_attn_b'"):
+        load_checkpoint(path)
+
+
+def test_load_checkpoint_reads_int_arrays_as_float64(tmp_path, toy_model):
+    config, params = toy_model
+    path = tmp_path / "model.npz"
+    save_checkpoint(path, config, toy_vocab(), params)
+    ints = np.array([3, -2], dtype=np.int64)
+    rewrite_checkpoint(path, edit_arrays=lambda a: a.update({"param/overall_head.bias": ints}))
+    _, _, loaded = load_checkpoint(path)
+    assert loaded.overall_head.bias.values.dtype == np.float64
+    np.testing.assert_array_equal(loaded.overall_head.bias.values, ints)
 
 
 def test_failed_save_keeps_earlier_checkpoint(tmp_path, toy_model, monkeypatch):
