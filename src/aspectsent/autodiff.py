@@ -17,8 +17,8 @@ is ``sub(0, x)``, which differs from ``-x`` only in the sign of a zero.
 
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
-``record``: ``recurrent.lstm_direction`` runs a whole LSTM direction as one
-operation, with ``stable_sigmoid`` as its logistic function.
+``record``: ``recurrent.bilstm_forward`` runs both LSTM directions over a
+whole sequence as one operation.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
@@ -269,17 +269,6 @@ def tanh(a: Tensor) -> Tensor:
         return (g * (1.0 - y * y),)
 
     return record((a,), y, grad_fn)
-
-
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Elementwise logistic function of an array, without overflow.
-
-    The piecewise form never takes exp of a positive number, so it stays
-    finite for large |x|.
-    """
-    e = np.exp(-np.abs(x))
-    d = 1.0 + e
-    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def log(a: Tensor) -> Tensor:

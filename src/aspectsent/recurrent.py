@@ -1,14 +1,17 @@
-"""The BiLSTM sequence encoder, one autodiff tape op per direction.
+"""The BiLSTM sequence encoder, one autodiff tape op for both directions.
 
 Each direction keeps its four gates side by side in one ``w``, ``u``, ``b``
-block (see ``LstmParams``). ``lstm_direction`` runs a whole direction as
-one operation recorded through ``autodiff.record``: its forward pass makes
-one input projection per sequence, then per step one recurrent
-matrix-vector product, one sigmoid over the input, forget and output
-blocks and one tanh over the candidate block, in plain numpy, keeping the
-activations. Its backward pass is hand-written backpropagation through
-time over those activations. ``bilstm_forward`` records three ops
-whatever the length: two directions and one ``concat``.
+block (see ``LstmParams``). ``bilstm_forward`` runs the encoder as one
+operation recorded through ``autodiff.record``, with the two directions in
+lockstep: loop step j advances the forward direction at the j-th unmasked
+position and the backward direction at the j-th from the end. Its forward
+pass makes one input projection per direction, then per step one recurrent
+matrix-vector product per direction and one tanh over both directions'
+gates, keeping the activations. A logistic gate is σ(z) = 0.5 + 0.5·tanh(z/2):
+the input, forget and output columns of the projection, of uᵀ and of b are
+halved once per call, which is exact, and each step finishes those blocks
+with ``*= 0.5`` and ``+= 0.5``. Its backward pass is hand-written
+backpropagation through time over those activations, in lockstep too.
 
 Padding steps are skipped entirely: the cell state carries over unchanged
 and the emitted row for a masked position is exactly zero, so appending
@@ -77,76 +80,6 @@ def init_lstm_params(
     })
 
 
-def _check_width(inputs: Tensor, params: LstmParams) -> None:
-    if inputs.values.ndim != 2 or inputs.values.shape[1] != params.input_width:
-        raise ShapeError(
-            f"lstm: input shape {inputs.values.shape} does not match "
-            f"parameter input width {params.input_width}"
-        )
-
-
-def lstm_direction(inputs: Tensor, params: LstmParams, steps) -> Tensor:
-    """Run one direction over the input rows ``steps``, in that order, as one tape op.
-
-    Returns a T x H matrix whose row ``steps[j]`` is the state after step
-    j; every other row is exactly zero. Each step computes
-    ``z = (x w + uᵀh) + b``, squashes the gate blocks of z, then updates
-    c and h, in the order the per-gate ops of the autodiff core would. The
-    backward pass runs backpropagation through time over the gate
-    activations and cell states the forward pass keeps.
-    """
-    steps = np.asarray(steps, dtype=np.int64)
-    x, w, u, b = inputs.values, params.w.values, params.u.values, params.b.values
-    H, n = params.cell_width, len(steps)
-    # project every row, padding too: BLAS may round a product over a subset of
-    # the rows differently, and this keeps each row's bits as the full product's
-    projected = (x @ w)[steps]
-    u_t = u.T.copy()  # contiguous, so uᵀh is a plain matrix-vector product
-    gates = np.empty((n, 3 * H))  # sigmoid of the input, forget and output blocks
-    cand = np.empty((n, H))
-    cells = np.zeros((n + 1, H))  # cells[j + 1] is c after step j
-    tanh_c = np.empty((n, H))
-    states = np.zeros((n + 1, H))  # states[j] is h before step j
-    for j in range(n):
-        z = (projected[j] + u_t @ states[j]) + b
-        gates[j] = ad.stable_sigmoid(z[:3 * H])
-        cand[j] = np.tanh(z[3 * H:])
-        cells[j + 1] = gates[j, H:2 * H] * cells[j] + gates[j, :H] * cand[j]
-        tanh_c[j] = np.tanh(cells[j + 1])
-        states[j + 1] = gates[j, 2 * H:] * tanh_c[j]
-    out = np.zeros((x.shape[0], H))
-    out[steps] = states[1:]
-
-    def grad_fn(g):
-        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
-        # per step, dz = [dc, dc, dh, dc] * scale, block by block (i, f, o, candidate),
-        # and the part of dc that comes from dh through h = o tanh(c)
-        scale = np.concatenate(
-            [cand * i * (1.0 - i), cells[:-1] * f * (1.0 - f), tanh_c * o * (1.0 - o),
-             i * (1.0 - cand * cand)],
-            axis=1,
-        )
-        h_to_c = o * (1.0 - tanh_c * tanh_c)
-        g_rows = g[steps]
-        dz = np.empty((n, 4 * H))
-        carry = np.empty((4, H))  # rows dc, dc, dh, dc of the current step
-        dc, dh = carry[0], carry[2]
-        dh_next, dc_next = np.zeros(H), np.zeros(H)  # what step j + 1 passes back
-        for j in range(n - 1, -1, -1):
-            np.add(dh_next, g_rows[j], out=dh)
-            np.multiply(dh, h_to_c[j], out=dc)
-            dc += dc_next
-            carry[1] = carry[3] = dc
-            np.multiply(carry.reshape(-1), scale[j], out=dz[j])
-            np.multiply(dc, f[j], out=dc_next)
-            dh_next = u @ dz[j]
-        dx = np.zeros(x.shape)
-        dx[steps] = dz @ w.T
-        return dx, x[steps].T @ dz, states[:-1].T @ dz, np.sum(dz, axis=0)
-
-    return ad.record((inputs, params.w, params.u, params.b), out, grad_fn)
-
-
 def bilstm_forward(
     inputs: Tensor, forward_params: LstmParams, backward_params: LstmParams, mask
 ) -> HiddenStates:
@@ -156,9 +89,82 @@ def bilstm_forward(
     its state at position t summarizes everything from the sequence end
     back to t.
     """
-    _check_width(inputs, forward_params)
-    _check_width(inputs, backward_params)
+    directions = (forward_params, backward_params)
+    x, H = inputs.values, forward_params.cell_width
+    for params in directions:
+        if x.ndim != 2 or x.shape[1] != params.input_width or params.cell_width != H:
+            raise ShapeError(
+                f"lstm: input shape {x.shape} and forward cell width {H} do not match "
+                f"parameter input width {params.input_width} and cell width {params.cell_width}"
+            )
     steps = np.flatnonzero(np.asarray(mask, dtype=bool))
-    fwd = lstm_direction(inputs, forward_params, steps)
-    bwd = lstm_direction(inputs, backward_params, steps[::-1])
-    return HiddenStates(values=ad.concat([fwd, bwd], axis=1))
+    reverse, n = steps[::-1], len(steps)
+    # σ(z) = 0.5 + 0.5 tanh(z / 2): halve the i, f and o columns, and one tanh serves all
+    halves = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0)
+    # project every row, padding too, so a row's bits do not depend on the mask
+    projected = np.empty((n, 2, 4 * H))
+    for d, (params, order) in enumerate(zip(directions, (steps, reverse))):
+        projected[:, d] = ((x @ params.w.values)[order] + params.b.values) * halves
+    u_t = np.stack([params.u.values.T for params in directions]) * halves[:, None]
+    gates = np.empty((n, 2, 4 * H))  # activations of the i, f, o and candidate blocks
+    cells = np.zeros((n + 1, 2, H))  # cells[j + 1] is c after step j
+    tanh_c = np.empty((n, 2, H))
+    states = np.zeros((n + 1, 2, H))  # states[j] is h before step j
+    i, f, o, cand = (gates[..., k * H:(k + 1) * H] for k in range(4))
+    sigmoids, z, h_col = gates[..., :3 * H], gates[..., None], states[..., None]
+    ig = np.empty((2, H))
+    for j in range(n):
+        np.matmul(u_t, h_col[j], out=z[j])  # one uᵀh per direction, each into its row
+        a = gates[j]
+        a += projected[j]
+        np.tanh(a, out=a)
+        sig = sigmoids[j]
+        sig *= 0.5
+        sig += 0.5
+        c = cells[j + 1]
+        np.multiply(f[j], cells[j], out=c)
+        np.multiply(i[j], cand[j], out=ig)
+        c += ig
+        np.tanh(c, out=tanh_c[j])
+        np.multiply(o[j], tanh_c[j], out=states[j + 1])
+    out = np.zeros((x.shape[0], 2 * H))
+    out[steps, :H] = states[1:, 0]
+    out[reverse, H:] = states[1:, 1]
+
+    def grad_fn(g):
+        # per step and direction, dz = [dc, dc, dh, dc] * scale, block by block
+        # (i, f, o, candidate), and h_to_c is the part of dc that comes from dh
+        # through h = o tanh(c)
+        scale = np.stack([cand * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
+                          tanh_c * o * (1.0 - o), i * (1.0 - cand * cand)], axis=2)
+        scale_o = scale[:, :, 2]
+        h_to_c = o * (1.0 - tanh_c * tanh_c)
+        g_rows = np.stack([g[steps, :H], g[reverse, H:]], axis=1)
+        u = np.stack([params.u.values for params in directions])
+        dz = np.empty((n, 2, 4, H))
+        dz_o, dz_col = dz[:, :, 2], dz.reshape(n, 2, 4 * H, 1)
+        dh, dc = np.empty((2, H)), np.empty((2, H))
+        dc_blocks = dc[:, None]  # dc broadcast over the four gate blocks
+        dh_next, dc_next = np.zeros((2, H)), np.zeros((2, H))  # what step j + 1 passes back
+        dh_next_col = dh_next[..., None]
+        for j in range(n - 1, -1, -1):
+            np.add(dh_next, g_rows[j], out=dh)
+            np.multiply(dh, h_to_c[j], out=dc)
+            dc += dc_next
+            np.multiply(scale[j], dc_blocks, out=dz[j])
+            np.multiply(scale_o[j], dh, out=dz_o[j])
+            np.multiply(dc, f[j], out=dc_next)
+            np.matmul(u, dz_col[j], out=dh_next_col)
+        dz = dz.reshape(n, 2, 4 * H)
+        # both directions' rows of dz in position order, side by side: one product gives dw
+        dz_pos = np.concatenate([dz[:, 0], dz[::-1, 1]], axis=1)
+        dw = x[steps].T @ dz_pos
+        dx = np.zeros(x.shape)
+        dx[steps] = (dz_pos[:, :4 * H] @ forward_params.w.values.T
+                     + dz_pos[:, 4 * H:] @ backward_params.w.values.T)
+        du = [states[:-1, d].T @ dz[:, d] for d in range(2)]
+        db = np.sum(dz, axis=0)
+        return dx, dw[:, :4 * H], du[0], db[0], dw[:, 4 * H:], du[1], db[1]
+
+    tensors = (inputs, *forward_params.tensors(), *backward_params.tensors())
+    return HiddenStates(values=ad.record(tensors, out, grad_fn))

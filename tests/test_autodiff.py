@@ -55,9 +55,8 @@ def test_matmul_gradient_matches_finite_differences():
     np.testing.assert_allclose(a.grad, expected, atol=1e-12)
 
 
-def test_tanh_sigmoid_at_zero():
+def test_tanh_at_zero():
     assert ad.tanh(Tensor(0.0)).item() == 0.0
-    assert ad.stable_sigmoid(np.float64(0.0)) == 0.5
 
 
 def test_tanh_derivative_matches_central_difference():
@@ -240,7 +239,7 @@ GRAD_CHECK_CASES = [
     "tanh", "log", "sqrt", "clamp", "matmul", "matmul-vector", "transpose",
     "reduce_sum", "concat", "stack_rows", "scale_rows",
     "gather_rows", "gather_rows-int-matrix", "gather_rows-int-vector",
-    "masked_softmax", "sum_of_squares", "lstm_direction", "lstm_direction-reverse",
+    "masked_softmax", "sum_of_squares", "bilstm_forward", "bilstm_forward-padded",
 ]
 
 
@@ -324,14 +323,14 @@ def test_grad_check_every_operation(name):
     elif name == "sum_of_squares":
         a, b, c = mat(), vec(), ad.parameter(rng.normal())
         inputs, f = [a, b, c], lambda: ad.tanh(ad.mul(ad.sum_of_squares([a, b, c]), Tensor(0.1)))
-    elif name.startswith("lstm_direction"):  # padded: rows 3 and 4 are not steps
-        params = recurrent.init_lstm_params(3, 2, rng)
+    elif name.startswith("bilstm_forward"):  # padded: rows 3 and 4 are masked
+        fwd, bwd = recurrent.init_lstm_params(3, 2, rng), recurrent.init_lstm_params(3, 2, rng)
         x = mat(5, 3)
-        steps = [0, 1, 2] if name == "lstm_direction" else [2, 1, 0]
-        readout = Tensor(rng.normal(size=(2, 3)))
-        inputs = params.tensors() + [x]
+        mask = np.arange(5) < (3 if name.endswith("padded") else 5)
+        readout = Tensor(rng.normal(size=(4, 3)))
+        inputs = fwd.tensors() + bwd.tensors() + [x]
         f = lambda: ad.reduce_sum(
-            ad.tanh(ad.matmul(recurrent.lstm_direction(x, params, steps), readout))
+            ad.tanh(ad.matmul(recurrent.bilstm_forward(x, fwd, bwd, mask).values, readout))
         )
     elif name == "masked_softmax":
         v = vec(5)

@@ -6,14 +6,7 @@ import pytest
 from aspectsent import autodiff as ad
 from aspectsent import model
 from aspectsent.autodiff import ShapeError, Tape, Tensor, backward, grad_check
-from aspectsent.recurrent import (
-    GATES,
-    HiddenStates,
-    LstmParams,
-    bilstm_forward,
-    init_lstm_params,
-    lstm_direction,
-)
+from aspectsent.recurrent import GATES, HiddenStates, LstmParams, bilstm_forward, init_lstm_params
 
 
 def zero_params(input_width, cell_width):
@@ -161,20 +154,102 @@ def test_bilstm_gradient_check():
     assert err < 1e-4
 
 
-# The composed cell, kept as the oracle for the fused op: one weight block
-# per direction, and 16 autodiff ops per unmasked step.
+# The oracles keep the piecewise logistic function, so they stay independent
+# of the tanh form the op computes it with.
+
+
+def stable_sigmoid(x):
+    """Elementwise logistic function of an array, without overflow.
+
+    The piecewise form never takes exp of a positive number, so it stays
+    finite for large |x|.
+    """
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
 
 
 def sigmoid(a):
     """The logistic function as one tape op, which only the oracles use."""
-    y = ad.stable_sigmoid(a.values)
+    y = stable_sigmoid(a.values)
     return ad.record((a,), y, lambda g: (g * y * (1.0 - y),))
 
 
 def test_oracle_sigmoid_gradient():
     a = ad.parameter(np.random.default_rng(12).normal(size=4) * 3)
+    assert stable_sigmoid(np.float64(0.0)) == 0.5
     assert sigmoid(Tensor(0.0)).item() == 0.5
     assert grad_check(lambda: ad.reduce_sum(sigmoid(a)), [a]) < 1e-9
+
+
+# One direction as one tape op, as the encoder ran before both directions
+# shared a loop: kept as the oracle for the lockstep op.
+
+
+def lstm_direction(inputs, params, steps):
+    """Run one direction over the input rows ``steps``, in that order, as one tape op.
+
+    Returns a T x H matrix whose row ``steps[j]`` is the state after step
+    j; every other row is exactly zero. Each step computes
+    ``z = (x w + uᵀh) + b``, squashes the gate blocks of z, then updates
+    c and h. The backward pass runs backpropagation through time over the
+    gate activations and cell states the forward pass keeps.
+    """
+    steps = np.asarray(steps, dtype=np.int64)
+    x, w, u, b = inputs.values, params.w.values, params.u.values, params.b.values
+    H, n = params.cell_width, len(steps)
+    projected = (x @ w)[steps]
+    u_t = u.T.copy()
+    gates = np.empty((n, 3 * H))  # sigmoid of the input, forget and output blocks
+    cand = np.empty((n, H))
+    cells = np.zeros((n + 1, H))  # cells[j + 1] is c after step j
+    tanh_c = np.empty((n, H))
+    states = np.zeros((n + 1, H))  # states[j] is h before step j
+    for j in range(n):
+        z = (projected[j] + u_t @ states[j]) + b
+        gates[j] = stable_sigmoid(z[:3 * H])
+        cand[j] = np.tanh(z[3 * H:])
+        cells[j + 1] = gates[j, H:2 * H] * cells[j] + gates[j, :H] * cand[j]
+        tanh_c[j] = np.tanh(cells[j + 1])
+        states[j + 1] = gates[j, 2 * H:] * tanh_c[j]
+    out = np.zeros((x.shape[0], H))
+    out[steps] = states[1:]
+
+    def grad_fn(g):
+        i, f, o = gates[:, :H], gates[:, H:2 * H], gates[:, 2 * H:]
+        # per step, dz = [dc, dc, dh, dc] * scale, block by block (i, f, o, candidate)
+        scale = np.concatenate(
+            [cand * i * (1.0 - i), cells[:-1] * f * (1.0 - f), tanh_c * o * (1.0 - o),
+             i * (1.0 - cand * cand)],
+            axis=1,
+        )
+        h_to_c = o * (1.0 - tanh_c * tanh_c)
+        g_rows = g[steps]
+        dz = np.empty((n, 4 * H))
+        dh_next, dc_next = np.zeros(H), np.zeros(H)  # what step j + 1 passes back
+        for j in range(n - 1, -1, -1):
+            dh = dh_next + g_rows[j]
+            dc = dh * h_to_c[j] + dc_next
+            dz[j] = np.concatenate([dc, dc, dh, dc]) * scale[j]
+            dc_next = dc * f[j]
+            dh_next = u @ dz[j]
+        dx = np.zeros(x.shape)
+        dx[steps] = dz @ w.T
+        return dx, x[steps].T @ dz, states[:-1].T @ dz, np.sum(dz, axis=0)
+
+    return ad.record((inputs, params.w, params.u, params.b), out, grad_fn)
+
+
+def direction_pair_bilstm(inputs, fwd, bwd, mask):
+    """The encoder as two direction ops and one concat."""
+    steps = np.flatnonzero(np.asarray(mask, dtype=bool))
+    return HiddenStates(ad.concat(
+        [lstm_direction(inputs, fwd, steps), lstm_direction(inputs, bwd, steps[::-1])], axis=1
+    ))
+
+
+# The composed cell, kept as the oracle for the fused op: one weight block
+# per direction, and 16 autodiff ops per unmasked step.
 
 
 def composed_direction(inputs, params, mask, order):
@@ -232,28 +307,41 @@ def within(got, expected, rel):
     return np.max(np.abs(got - expected), initial=0.0) <= rel * largest
 
 
-def test_bilstm_matches_per_position_concat_oracle():
-    """Outputs are bit-identical to the composed cell's; gradients within 1e-10 relative."""
-    rng = np.random.default_rng(10)
+ORACLE_MASKS = {
+    "full": [1] * 6, "padded": [1] * 4 + [0] * 2, "single-step": [0, 0, 1, 0, 0, 0],
+    "all-masked": [0] * 6,
+}
+
+
+def check_against_oracle(oracle, seed):
+    """Outputs within 1e-12 relative of the oracle's, gradients within 1e-10."""
+    rng = np.random.default_rng(seed)
     fwd, bwd = init_lstm_params(3, 4, rng), init_lstm_params(3, 4, rng)
     x = ad.parameter(rng.normal(size=(6, 3)))
     readout = Tensor(rng.normal(size=8))
     tensors = fwd.tensors() + bwd.tensors() + [x]
-    masks = {"full": [1] * 6, "padded": [1] * 4 + [0] * 2, "all-masked": [0] * 6}
-    for label, mask in masks.items():
+    for label, mask in ORACLE_MASKS.items():
         mask = np.asarray(mask, dtype=bool)
         results = []
-        for build in (bilstm_forward, per_position_bilstm):
+        for build in (bilstm_forward, oracle):
             ad.zero_grads(tensors)
             with Tape():
                 out = build(x, fwd, bwd, mask).values
                 backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
             results.append((out.values, [grad_or_zeros(t) for t in tensors]))
         (fused_out, fused_grads), (oracle_out, oracle_grads) = results
-        assert np.array_equal(fused_out, oracle_out), label
+        assert within(fused_out, oracle_out, 1e-12), label
         assert not np.any(fused_out[~mask]), label
         for got, expected in zip(fused_grads, oracle_grads):
             assert within(got, expected, 1e-10), label
+
+
+def test_bilstm_matches_per_position_concat_oracle():
+    check_against_oracle(per_position_bilstm, 10)
+
+
+def test_bilstm_matches_direction_pair_oracle():
+    check_against_oracle(direction_pair_bilstm, 15)
 
 
 def test_determinism_under_fixed_seed():
@@ -342,12 +430,9 @@ def test_fused_direction_matches_per_gate_oracle():
     masks = {"full": [1] * 7, "padded": [1] * 5 + [0] * 2, "all-masked": [0] * 7}
     for label, mask in masks.items():
         mask = np.asarray(mask, dtype=bool)
-        steps = np.flatnonzero(mask)
 
         def fused():
-            return ad.concat(
-                [lstm_direction(x, fwd, steps), lstm_direction(x, bwd, steps[::-1])], axis=1
-            )
+            return bilstm_forward(x, fwd, bwd, mask).values
 
         def per_gate():
             rows_f = per_gate_direction(x, fwd_gates, mask, range(len(mask)))
@@ -383,17 +468,14 @@ def test_lstm_tape_op_count(mask):
     params = init_lstm_params(3, 2, rng)
     x = Tensor(rng.normal(size=(len(mask), 3)))
     with Tape() as tape:
-        lstm_direction(x, params, np.flatnonzero(mask))
-    assert len(tape) == 1  # whatever the number of steps
-    with Tape() as tape:
         bilstm_forward(x, params, params, mask)
-    assert len(tape) == 3  # two directions and a concat
+    assert len(tape) == 1  # both directions, whatever the number of steps
 
 
 @pytest.mark.parametrize("length, padded", [(73, 73), (3, 8)], ids=["t73", "t3-padded-to-8"])
 def test_model_loss_and_gradients_match_composed_encoder(monkeypatch, length, padded):
-    """At paper widths, the hidden states and the combined loss equal the composed
-    cell's, to the bit, and every parameter gradient is within 1e-10 relative of it."""
+    """At paper widths, the hidden states and the combined loss are within 1e-12
+    relative of the composed cell's, and every parameter gradient within 1e-10."""
     config = model.ModelConfig(aspect_names=["food", "service", "price", "ambience"])
     params = model.init_params(config, vocab_size=40, seed=0)
     rng = np.random.default_rng(14)
@@ -420,7 +502,58 @@ def test_model_loss_and_gradients_match_composed_encoder(monkeypatch, length, pa
             backward(loss)
         runs.append((loss.item(), [grad_or_zeros(t) for t in params.tensors()]))
     (fused_loss, fused_grads), (composed_loss, composed_grads) = runs
-    assert np.array_equal(*states)
-    assert fused_loss == composed_loss
+    assert within(*states, 1e-12)
+    assert abs(fused_loss - composed_loss) <= 1e-12 * abs(composed_loss)
     for (name, _), got, expected in zip(params.named_tensors(), fused_grads, composed_grads):
         assert within(got, expected, 1e-10), name
+
+
+def test_forward_is_bit_equal_with_and_without_tape():
+    rng = np.random.default_rng(16)
+    fwd, bwd = init_lstm_params(5, 4, rng), init_lstm_params(5, 4, rng)
+    x = Tensor(rng.normal(size=(9, 5)))
+    mask = np.arange(9) < 7
+    untaped = bilstm_forward(x, fwd, bwd, mask).values.values
+    with Tape():
+        taped = bilstm_forward(x, fwd, bwd, mask).values.values
+    assert np.array_equal(untaped, taped)
+
+
+def test_masked_rows_of_both_halves_are_zero():
+    rng = np.random.default_rng(17)
+    fwd, bwd = init_lstm_params(3, 4, rng), init_lstm_params(3, 4, rng)
+    x = ad.parameter(rng.normal(size=(8, 3)))
+    mask = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=bool)
+    with Tape():
+        out = bilstm_forward(x, fwd, bwd, mask).values
+        backward(ad.reduce_sum(ad.tanh(out)))
+    assert np.array_equal(out.values[~mask], np.zeros((4, 8)))
+    assert np.all(out.values[mask, :4] != 0) and np.all(out.values[mask, 4:] != 0)
+    assert np.array_equal(x.grad[~mask], np.zeros((4, 3)))  # masked inputs are never read
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["plus-800", "minus-800"])
+def test_saturated_preactivations_give_finite_gates_and_gradients(sign):
+    """Every pre-activation near ±800: each gate sits at exactly 0 or 1, without overflow."""
+    rng = np.random.default_rng(18)
+    fwd, bwd = init_lstm_params(3, 4, rng), init_lstm_params(3, 4, rng)
+    for params in (fwd, bwd):
+        params.b.values[:] = sign * 800.0
+    x = ad.parameter(rng.normal(size=(5, 3)))
+    with np.errstate(all="raise"), Tape():
+        out = bilstm_forward(x, fwd, bwd, np.ones(5, dtype=bool)).values
+        backward(ad.reduce_sum(ad.tanh(out)))
+    # i = f = o = 1 and a candidate of 1 make c count the steps; all gates 0 give h = 0
+    expected = np.tanh(np.arange(1.0, 6.0)) if sign > 0 else np.zeros(5)
+    assert np.array_equal(out.values[:, :4], np.repeat(expected[:, None], 4, axis=1))
+    assert np.array_equal(out.values[::-1, 4:], out.values[:, :4])
+    for t in fwd.tensors() + bwd.tensors() + [x]:
+        assert np.all(np.isfinite(t.grad)), t.name
+
+
+def test_cell_width_mismatch_raises():
+    rng = np.random.default_rng(19)
+    narrow, wide = init_lstm_params(3, 2, rng), init_lstm_params(3, 3, rng)
+    for fwd, bwd in ((narrow, wide), (wide, narrow)):
+        with pytest.raises(ShapeError, match="cell width"):
+            bilstm_forward(Tensor(np.zeros((2, 3))), fwd, bwd, [True, True])
