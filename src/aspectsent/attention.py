@@ -10,12 +10,12 @@ aspect owns an independent parameter set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from aspectsent import autodiff as ad
-from aspectsent.autodiff import ShapeError, Tensor
+from aspectsent.autodiff import Tensor
 
 
 @dataclass
@@ -122,32 +122,14 @@ def position_aware_attention(
     """Weight the rescaled rows by their relevance to the whole sequence.
 
     The logit for position t is tanh(e W h_t^T + b) where e is the mean of
-    the unmasked embedding rows; the softmax of the logits combines the
-    stage-one rows into the aspect context vector.
+    the unmasked embedding rows: the query e W is one vector-matrix
+    product, read from W in place. The softmax of the logits, as a row of
+    weights, times the stage-one rows is the aspect context vector.
     """
     mask = np.asarray(mask, dtype=bool)
-    query = ad.matmul(ad.transpose(params.pos_attn_w), mean_embedding)  # (H,)
+    query = ad.matmul(mean_embedding, params.pos_attn_w)  # (H,)
     logits = ad.tanh(ad.add(ad.matmul(hidden, query), params.pos_attn_b))
     weights = ad.masked_softmax(logits, mask)
-    context = ad.reduce_sum(ad.scale_rows(weighted, weights), axis=0)
+    context = ad.matmul(weights, weighted)  # (H,)
     return PositionAttentionResult(logits, weights, context)
 
-
-def stack_attention_matrices(
-    traces: Sequence[AttentionTrace],
-) -> tuple[Tensor, Optional[Tensor]]:
-    """Stack per-aspect weight vectors into aspect x position matrices.
-
-    Row k of the first matrix is aspect k's stage-one weights; the second
-    matrix holds the stage-two weights, or None when that stage was
-    disabled.
-    """
-    if not traces:
-        raise ShapeError("stack_attention_matrices: no traces")
-    lengths = {t.self_weights.values.shape[0] for t in traces}
-    if len(lengths) != 1:
-        raise ShapeError(f"stack_attention_matrices: ragged lengths {sorted(lengths)}")
-    self_matrix = ad.stack_rows([t.self_weights for t in traces])
-    if any(t.pos_weights is None for t in traces):
-        return self_matrix, None
-    return self_matrix, ad.stack_rows([t.pos_weights for t in traces])

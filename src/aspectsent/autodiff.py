@@ -7,13 +7,14 @@ evaluation code uses.
 
 Each of the 17 operations is one numpy primitive: elementwise ``add`` (+),
 ``sub``, ``mul``, ``div``, ``tanh``, ``log``, ``sqrt`` and ``clamp``
-(``np.clip``), where a constant enters as a 0-d ``Tensor``; ``matmul`` (@,
-with a matrix or vector right operand) and ``transpose``; ``reduce_sum``
-and ``sum_of_squares`` (``np.sum(x * x)`` over many tensors); ``concat``,
-``stack_rows``, ``scale_rows`` (``m * w[:, None]``) and ``gather_rows``
-(``x[idx]``); ``masked_softmax``. Composites are built from these: a mean
-is ``div(reduce_sum(x), n)``, as ``np.mean`` computes it, and a negation
-is ``sub(0, x)``, which differs from ``-x`` only in the sign of a zero.
+(``np.clip``), where a constant enters as a 0-d ``Tensor``; ``matmul``
+(@: matrix @ matrix, matrix @ vector or vector @ matrix) and
+``transpose``; ``reduce_sum`` and ``sum_of_squares`` (``np.sum(x * x)``
+over many tensors); ``concat``, ``stack_rows``, ``scale_rows``
+(``m * w[:, None]``) and ``gather_rows`` (``x[idx]``); ``masked_softmax``.
+Composites are built from these: a weighted sum of rows is
+``matmul(w, rows)``, and a negation is ``sub(0, x)``, which differs from
+``-x`` only in the sign of a zero.
 
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
@@ -21,7 +22,10 @@ hand, is defined where it is used and recorded through the public
 whole sequence as one operation.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
-use. ``gather_rows`` scatter-adds into its table's buffer directly, row by
+use. ``backward`` leaves them on the leaves alone: an operation's output
+drops its gradient once that gradient has been passed on to the inputs, so
+the buffers of intermediate values live only while the pass needs them.
+``gather_rows`` scatter-adds into its table's buffer directly, row by
 gathered row, so a lookup into a large table never builds a table-sized
 array of its own; ``sum_of_squares`` records a penalty over many tensors
 as one operation.
@@ -59,8 +63,10 @@ class NumericError(ArithmeticError):
 class Tensor:
     """Dense float64 array plus an optional same-shape gradient buffer.
 
-    Gradients accumulate across backward passes until explicitly cleared,
-    so multi-term objectives can sum contributions without extra plumbing.
+    A leaf's gradient accumulates across backward passes until explicitly
+    cleared, so backward from each term of an objective sums their
+    gradients; the output of a recorded operation holds a gradient only
+    during the backward pass that reaches it.
     A float64 array passed in is wrapped without a copy.
     """
 
@@ -168,9 +174,12 @@ def record(inputs: tuple, out_values: np.ndarray, grad_fn: Callable) -> Tensor:
 def backward(root: Tensor) -> None:
     """Propagate gradients from a scalar root back through its tape.
 
-    Every tensor reachable from the root gets its grad buffer populated
+    Every leaf reachable from the root gets its grad buffer populated
     (accumulating onto whatever was already there); the root's own grad is
-    set to ones. Tape entries that do not feed the root are skipped.
+    set to ones. An operation's output hands its gradient to the
+    operation's inputs and then drops it, so a second pass over the same
+    tape, from another root, adds only that root's gradient. Tape entries
+    that do not feed the root are skipped.
     """
     try:
         ops = root.tape.ops
@@ -188,6 +197,7 @@ def backward(root: Tensor) -> None:
         for tensor, g in zip(op.inputs, op.grad_fn(out_grad)):
             if g is not None:
                 tensor.accumulate_grad(g)
+        op.output.grad = None
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -315,13 +325,15 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product ``a @ b`` of a matrix and a matrix or a vector."""
+    """Product ``a @ b`` of two matrices, a matrix and a vector, or a vector
+    and a matrix: a vector on the left is a row of weights over ``b``'s rows."""
     av, bv = a.values, b.values
-    if av.ndim != 2 or bv.ndim not in (1, 2) or av.shape[1] != bv.shape[0]:
+    if sorted((av.ndim, bv.ndim)) not in ([1, 2], [2, 2]) or av.shape[-1] != bv.shape[0]:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
 
     def grad_fn(g):
-        return (np.outer(g, bv) if bv.ndim == 1 else g @ bv.T), av.T @ g
+        ga = np.outer(g, bv) if bv.ndim == 1 else g @ bv.T
+        return ga, (np.outer(av, g) if av.ndim == 1 else av.T @ g)
 
     return record((a, b), av @ bv, grad_fn)
 

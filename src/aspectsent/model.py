@@ -26,7 +26,6 @@ from aspectsent.attention import (
     init_attention_params,
     position_aware_attention,
     self_attention,
-    stack_attention_matrices,
 )
 from aspectsent.autodiff import Tensor
 from aspectsent.data import PreprocessRules
@@ -215,7 +214,7 @@ class ForwardOutput:
 
 
 def _head_probs(head: HeadParams, vec: Tensor) -> Tensor:
-    logits = ad.add(ad.matmul(ad.transpose(head.weight), vec), head.bias)
+    logits = ad.add(ad.matmul(vec, head.weight), head.bias)
     return ad.masked_softmax(logits, np.ones(logits.values.shape[0], dtype=bool))
 
 
@@ -227,10 +226,8 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
 
     mean_embedding = None
     if not config.disable_position_attention:
-        unmasked = np.flatnonzero(mask)
-        # np.mean is np.sum and then a true divide by n, so this is the mean to the bit
-        total = ad.reduce_sum(ad.gather_rows(embedded, unmasked), axis=0)
-        mean_embedding = ad.div(total, Tensor(float(unmasked.size)))
+        # weights 1/n on the unmasked rows: their mean up to rounding, read in place
+        mean_embedding = ad.matmul(Tensor(mask / np.count_nonzero(mask)), embedded)
 
     traces = []
     aspect_probs = []
@@ -363,16 +360,15 @@ def combined_loss(
             aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
         total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))
 
-    self_matrix, pos_matrix = stack_attention_matrices(output.traces)
     self_orth_value = None
     if config.self_orth_weight > 0:
-        self_orth = orthogonal_penalty(self_matrix)
+        self_orth = orthogonal_penalty(ad.stack_rows([t.self_weights for t in output.traces]))
         self_orth_value = self_orth.item()
         total = ad.add(total, ad.mul(self_orth, Tensor(config.self_orth_weight)))
 
     pos_orth_value = None
-    if pos_matrix is not None and config.pos_orth_weight > 0:
-        pos_orth = orthogonal_penalty(pos_matrix)
+    if not config.disable_position_attention and config.pos_orth_weight > 0:
+        pos_orth = orthogonal_penalty(ad.stack_rows([t.pos_weights for t in output.traces]))
         pos_orth_value = pos_orth.item()
         total = ad.add(total, ad.mul(pos_orth, Tensor(config.pos_orth_weight)))
 

@@ -6,13 +6,11 @@ import pytest
 from aspectsent import autodiff as ad
 from aspectsent.attention import (
     AspectAttentionParams,
-    AttentionTrace,
     init_attention_params,
     position_aware_attention,
     self_attention,
-    stack_attention_matrices,
 )
-from aspectsent.autodiff import EmptyAttentionError, ShapeError, Tensor, grad_check
+from aspectsent.autodiff import EmptyAttentionError, Tensor, grad_check
 
 
 def make_params(hidden, embed, rng=None, zero=False):
@@ -189,31 +187,3 @@ def test_aspect_encoders_are_parameter_disjoint():
     after = self_attention(hidden, params[1], mask).weights.values
     np.testing.assert_array_equal(before, after)
 
-
-def make_trace(weights, pos_weights=None):
-    t = len(weights)
-    return AttentionTrace(
-        self_weights=Tensor(weights),
-        pos_weights=None if pos_weights is None else Tensor(pos_weights),
-        context=Tensor(np.zeros(2)),
-    )
-
-
-def test_stack_identical_traces():
-    trace = make_trace([0.25, 0.75], [0.5, 0.5])
-    self_m, pos_m = stack_attention_matrices([trace, trace])
-    assert self_m.values.shape == (2, 2)
-    assert pos_m.values.shape == (2, 2)
-    np.testing.assert_array_equal(self_m.values[0], self_m.values[1])
-    np.testing.assert_allclose(self_m.values.sum(axis=1), np.ones(2))
-
-
-def test_stack_ragged_lengths_raise():
-    with pytest.raises(ShapeError):
-        stack_attention_matrices([make_trace([1.0]), make_trace([0.5, 0.5])])
-
-
-def test_stack_without_position_stage():
-    self_m, pos_m = stack_attention_matrices([make_trace([1.0]), make_trace([1.0])])
-    assert pos_m is None
-    assert self_m.values.shape == (2, 1)

@@ -249,6 +249,32 @@ def test_combined_loss_zero_parameters_closed_form():
     assert abs(total.item() - expected_total) < 1e-9
 
 
+def test_combined_loss_without_position_stage_has_no_position_term():
+    config = toy_config(disable_position_attention=True)
+    params = init_params(config, vocab_size=6, seed=0)
+    ex = example()
+    out = forward(ex, params, config)
+    assert all(trace.pos_weights is None for trace in out.traces)
+    total, breakdown = combined_loss(out, ex, params, config)
+    assert breakdown.pos_orth is None
+    assert breakdown.self_orth is not None
+    assert total.item() == breakdown.total
+
+
+def test_paper_width_forward_reads_weights_in_place():
+    # embedding 300, cell 64, K=4: 3 embedding ops, the BiLSTM, the mean
+    # embedding, 16 per aspect (7 self-attention, 6 position, 3 head) and 4
+    # for the overall head; no weight is transposed
+    config = ModelConfig(aspect_names=["a", "b", "c", "d"])
+    params = init_params(config, vocab_size=20, seed=0)
+    ex = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3)
+    with Tape() as tape:
+        forward(ex, params, config)
+    kinds = [op.grad_fn.__qualname__.split(".")[0] for op in tape.ops]
+    assert len(kinds) == 73
+    assert "transpose" not in kinds
+
+
 def test_combined_loss_skips_unrated_aspects(toy_model):
     config, params = toy_model
     ex = example(aspects=(None, None))

@@ -293,3 +293,19 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
     for name, grad in expected.items():
         scale = max(np.max(np.abs(grad)), 1e-300)
         assert np.max(np.abs(captured[name] - grad)) <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("split_seed", [0, 3])
+def test_learns_the_synthetic_corpus_without_l2(split_seed):
+    # the configuration that learns today; the defaults do not (see ROADMAP)
+    split, vocab, config = synthetic_split(
+        n=300, seed=split_seed, config=tiny_model_config(l2_weight=0.0)
+    )
+    params = init_params(config, len(vocab), seed=0)
+    result = train(params, config, TrainConfig(learning_rate=0.01, epochs=15, patience=15), split)
+    report = evaluate(result.params, config, split.test)
+    assert report.overall.macro_f1 >= 0.9
+    for k, metrics in enumerate(report.aspects):
+        labels = [ex.aspect_labels[k] for ex in split.test]
+        majority = max(labels.count(0), labels.count(1)) / len(labels)
+        assert metrics.accuracy >= majority + 0.05, (k, metrics.accuracy, majority)
