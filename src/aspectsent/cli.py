@@ -26,7 +26,6 @@ from aspectsent.data import (
 from aspectsent.embeddings import build_vocabulary, load_pretrained
 from aspectsent.heatmap import build_report, render_heatmap
 from aspectsent.model import (
-    RANKING_MODES,
     ModelConfig,
     check_range,
     forward,
@@ -244,7 +243,7 @@ def _cmd_explain(args) -> int:
     for review in reviews:
         ex = encode_example(review, vocab)
         output = forward(ex, params, config)
-        report = build_report(ex.tokens, output, config.aspect_names, args.ranking_mode)
+        report = build_report(ex.tokens, output, config.aspect_names)
         (out_dir / f"heatmap_{review.line:03d}.html").write_text(
             render_heatmap(report), encoding="utf-8"
         )
@@ -296,7 +295,6 @@ def _build_parser() -> _Parser:
     explain_p.add_argument("--checkpoint", required=True)
     explain_p.add_argument("--data", required=True)
     explain_p.add_argument("--out", required=True)
-    explain_p.add_argument("--ranking-mode", choices=RANKING_MODES, default="magnitude")
     explain_p.set_defaults(run=_cmd_explain)
 
     ablate_p = sub.add_parser("ablate", help="train and compare standard ablations")

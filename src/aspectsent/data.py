@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from aspectsent.embeddings import PAD_ID, Vocabulary
+from aspectsent.embeddings import Vocabulary
 from aspectsent.textfile import InputError, read_lines
 
 RESTAURANT_ASPECTS = ["Food", "Service", "Value", "Atmosphere"]
@@ -44,10 +44,10 @@ class RawReview:
 @dataclass
 class ProcessedExample:
     token_ids: np.ndarray  # int64 (T,)
-    mask: np.ndarray  # bool (T,)
+    mask: np.ndarray  # bool (T,), all True as encoded
     overall_label: int
     aspect_labels: list  # Optional[int] per aspect
-    tokens: list  # surviving token strings, unpadded
+    tokens: list  # surviving token strings
 
 
 @dataclass
@@ -252,28 +252,12 @@ def encode_example(review: PreprocessedReview, vocab: Vocabulary) -> ProcessedEx
     )
 
 
-def pad_example(example: ProcessedExample, length: int) -> ProcessedExample:
-    t = len(example.token_ids)
-    if t == length:
-        return example
-    pad = length - t
-    return ProcessedExample(
-        token_ids=np.concatenate([example.token_ids, np.full(pad, PAD_ID, dtype=np.int64)]),
-        mask=np.concatenate([example.mask, np.zeros(pad, dtype=bool)]),
-        overall_label=example.overall_label,
-        aspect_labels=list(example.aspect_labels),
-        tokens=list(example.tokens),
-    )
-
-
 def batch_iter(
     examples: Sequence[ProcessedExample], batch_size: int, rng: np.random.Generator
 ) -> Iterator[list]:
-    """One epoch of shuffled batches, each padded to its own longest example."""
+    """One epoch of shuffled batches of the examples themselves, unpadded."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = rng.permutation(len(examples))
     for start in range(0, len(examples), batch_size):
-        chunk = [examples[i] for i in order[start : start + batch_size]]
-        longest = max(len(ex.token_ids) for ex in chunk)
-        yield [pad_example(ex, longest) for ex in chunk]
+        yield [examples[i] for i in order[start : start + batch_size]]

@@ -2,8 +2,9 @@
 
 Every token occurrence is represented by its word vector concatenated with
 the vector for its absolute position, so a width-d table pair yields
-width-2d sequence rows. The padding row of the word table is all zeros and
-is never updated.
+width-2d sequence rows. The padding row of the word table is all zeros, and
+no gradient reaches it: no encoded example holds the padding id, and a
+masked-out row gets a zero gradient.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Voc
 
 @dataclass
 class EmbeddingTables:
-    word: Tensor  # vocab_size x width, padding row frozen at zero
+    word: Tensor  # vocab_size x width, padding row zero
     position: Tensor  # max_length x width
 
     @property
@@ -101,10 +102,10 @@ def random_tables(
 def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
     """Copy the rows of a whitespace-separated pretrained-vector file into ``tables``.
 
-    File format: one token per line followed by ``tables.width`` decimal
-    numbers. Each vocabulary token in the file gets its file row exactly;
-    every other row, the padding row and the position table keep the values
-    they have. Errors name the file and the line.
+    File format: one token per line followed by ``tables.width`` finite
+    decimal numbers. Each vocabulary token in the file gets its file row
+    exactly; every other row, the padding row and the position table keep
+    the values they have. Errors name the file and the line.
     """
     word, width = tables.word.values, tables.width
     where = f"embeddings {path}"
@@ -122,6 +123,8 @@ def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
             row = np.array([float(x) for x in numbers], dtype=np.float64)
         except ValueError as exc:
             raise InputError(f"{where}: line {line_no}: {exc}") from None
+        if not np.all(np.isfinite(row)):
+            raise InputError(f"{where}: line {line_no}: non-finite value for {token!r}")
         idx = vocab.token_to_id.get(token)
         if idx is not None and idx != PAD_ID:
             word[idx] = row

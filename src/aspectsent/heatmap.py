@@ -24,24 +24,26 @@ class HeatmapReport:
     tokens: list
     aspect_names: list
     intensities: np.ndarray  # aspects x tokens, alpha + beta per token
-    scores: list  # summary score per aspect, aligned by aspect index
+    scores: list  # aspect_rank's magnitude score per aspect, aligned by aspect index
     ranking: list  # (aspect index, score), descending
     aspect_predictions: list  # 0/1 per aspect
     overall_prediction: int
-    ranking_mode: str
 
 
 def build_report(
-    tokens: Sequence[str], output: ForwardOutput, aspect_names, mode: str
+    tokens: Sequence[str], output: ForwardOutput, aspect_names, mode: str = "magnitude"
 ) -> HeatmapReport:
-    """Collect one example's attention weights and predictions for display."""
+    """Collect one example's attention weights, ranking and predictions for
+    display. ``mode`` must name the one ranking, "magnitude"."""
+    if mode != "magnitude":
+        raise ValueError(f"unknown ranking mode {mode!r}")
     rows = []
     for trace in output.traces:
         row = trace.self_weights.values.copy()
         if trace.pos_weights is not None:
             row = row + trace.pos_weights.values
         rows.append(row[: len(tokens)])
-    ranking = aspect_rank(output.traces, mode=mode)
+    ranking = aspect_rank(output.traces)
     scores = [0.0] * len(aspect_names)
     for k, score in ranking:
         scores[k] = score
@@ -53,7 +55,6 @@ def build_report(
         ranking=ranking,
         aspect_predictions=[int(np.argmax(p.values)) for p in output.aspect_probs],
         overall_prediction=int(np.argmax(output.overall_probs.values)),
-        ranking_mode=mode,
     )
 
 
@@ -86,7 +87,7 @@ def render_heatmap(report: HeatmapReport) -> str:
         "<html><head><meta charset='utf-8'>",
         f"<style>{_STYLE}</style>",
         "</head><body>",
-        f"<h1>Attention heatmap ({report.ranking_mode} ranking)</h1>",
+        "<h1>Attention heatmap (magnitude ranking)</h1>",
         f"<p>Predicted overall polarity: <b>{_POLARITY[report.overall_prediction]}</b></p>",
         "<table>",
         "<tr><th>aspect</th>"

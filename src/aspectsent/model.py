@@ -11,6 +11,7 @@ attention-weight matrices, and an L2 term over all trainable parameters.
 from __future__ import annotations
 
 import json
+import math
 import os
 import typing
 import zipfile
@@ -30,7 +31,6 @@ from aspectsent.attention import (
 from aspectsent.autodiff import Tensor
 from aspectsent.data import PreprocessRules
 from aspectsent.embeddings import (
-    PAD_ID,
     PAD_TOKEN,
     UNK_TOKEN,
     EmbeddingTables,
@@ -59,11 +59,11 @@ def read_settings(cls, entries: dict, convert, lines=None, **given):
 
     Every key must name a field of ``cls``; ``given`` sets fields the
     caller has already built. ``convert(value, field_type)`` turns each
-    outside value into its field's type, raising ValueError when it cannot;
-    the dataclass then checks the ranges. Every error is a ValueError that
-    names the key, and the value when there is one. ``lines`` maps each key
-    to the line of the file it was read from, and a value that does not
-    convert names that line too.
+    outside value into its field's type, raising ValueError when it cannot,
+    and a float must be finite; the dataclass then checks the ranges. Every
+    error is a ValueError that names the key, and the value when there is
+    one. ``lines`` maps each key to the line of the file it was read from,
+    and a value that does not convert names that line too.
     """
     hints = typing.get_type_hints(cls)
     unknown = entries.keys() - hints.keys()
@@ -73,6 +73,8 @@ def read_settings(cls, entries: dict, convert, lines=None, **given):
     for key, value in entries.items():
         try:
             values[key] = convert(value, hints[key])
+            if hints[key] is float and not math.isfinite(values[key]):
+                raise ValueError("not finite")
         except ValueError:
             at = f"line {lines[key]}: " if lines else ""
             raise ValueError(f"{at}bad value for {key!r}: {value!r}") from None
@@ -151,11 +153,6 @@ class ModelParams:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.tensors())
 
-    def clear_padding_gradient(self) -> None:
-        """The padding row is frozen; drop any gradient that reached it."""
-        if self.tables.word.grad is not None:
-            self.tables.word.grad[PAD_ID, :] = 0.0
-
 
 def _init_head(in_width: int, rng, prefix: str) -> HeadParams:
     bound = 1.0 / np.sqrt(in_width)
@@ -219,7 +216,7 @@ def _head_probs(head: HeadParams, vec: Tensor) -> Tensor:
 
 
 def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
-    """Run one padded, masked example through the whole network."""
+    """Run one example through the whole network; masked-out rows are ignored."""
     mask = np.asarray(example.mask, dtype=bool)
     embedded = embed_sequence(example.token_ids, params.tables)
     hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
@@ -291,9 +288,7 @@ class LossBreakdown:
 
     ``aspect_terms`` lists (aspect index, cross-entropy) for the rated
     aspects, in aspect order. Terms that were weightless or structurally
-    absent are None. ``compose`` re-folds the terms exactly as the tensor
-    path did, so recombining a breakdown reproduces the logged total
-    bit-for-bit.
+    absent are None.
     """
 
     overall: float
@@ -302,29 +297,6 @@ class LossBreakdown:
     pos_orth: Optional[float]
     l2: Optional[float]
     total: float
-
-    @staticmethod
-    def compose(
-        overall: float,
-        aspect_terms,
-        self_orth: Optional[float],
-        pos_orth: Optional[float],
-        l2: Optional[float],
-        config: ModelConfig,
-    ) -> float:
-        total = overall
-        if aspect_terms:
-            aspect_sum = aspect_terms[0][1]
-            for _, value in aspect_terms[1:]:
-                aspect_sum = aspect_sum + value
-            total = total + config.aspect_loss_weight * aspect_sum
-        if self_orth is not None:
-            total = total + config.self_orth_weight * self_orth
-        if pos_orth is not None:
-            total = total + config.pos_orth_weight * pos_orth
-        if l2 is not None:
-            total = total + config.l2_weight * l2
-        return total
 
 
 def l2_penalty(params: ModelParams) -> Tensor:
@@ -390,27 +362,20 @@ def combined_loss(
     return total, breakdown
 
 
-RANKING_MODES = ("literal", "magnitude")
+def aspect_rank(traces: Sequence[AttentionTrace]):
+    """Rank aspects by score, descending; ties break on index.
 
-
-def aspect_rank(traces: Sequence[AttentionTrace], mode: str = "magnitude"):
-    """Rank aspects by attention mass, descending; ties break on index.
-
-    Literal mode sums both weight vectors, which is constant (2 per aspect,
-    or 1 without the position stage) whenever nothing is masked, because
-    each weight vector is softmax-normalized. Magnitude mode multiplies
-    that sum by the context vector's Euclidean norm, which restores a
-    meaningful ordering.
+    An aspect's score is its attention mass, the sum of both weight
+    vectors, times its context vector's Euclidean norm. Each weight vector
+    is softmax-normalized, so the mass alone is 2 for every aspect (1
+    without the position stage) up to rounding; the norm orders them.
     """
-    if mode not in RANKING_MODES:
-        raise ValueError(f"unknown ranking mode {mode!r}")
     scores = []
     for k, trace in enumerate(traces):
         mass = float(np.sum(trace.self_weights.values))
         if trace.pos_weights is not None:
             mass += float(np.sum(trace.pos_weights.values))
-        if mode == "magnitude":
-            mass *= float(np.linalg.norm(trace.context.values))
+        mass *= float(np.linalg.norm(trace.context.values))
         scores.append((k, mass))
     return sorted(scores, key=lambda pair: (-pair[1], pair[0]))
 
@@ -478,10 +443,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     vocabulary, when the format version or the preprocessing record differs
     from the current one, when a config key is unknown, a config value has
     the wrong type or is out of range, when the vocabulary is not a list of
-    distinct strings that begins with the padding and unknown tokens, or
-    when the parameter names and shapes do not match the layout
-    ``init_params`` builds. The parameters wrap the archive's arrays as
-    float64; no value is drawn at random.
+    distinct strings that begins with the padding and unknown tokens, when
+    the parameter names and shapes do not match the layout ``init_params``
+    builds, or when a parameter holds a value that is not a finite number.
+    The parameters wrap the archive's arrays as float64; no value is drawn
+    at random.
     """
 
     def fail(message):
@@ -510,6 +476,8 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
     if version != CHECKPOINT_FORMAT:
         fail(f"format version {version} is not {CHECKPOINT_FORMAT}; retrain the model")
     recorded = meta.get("preprocess", {})
+    if not isinstance(recorded, dict):
+        fail("meta record's preprocessing record is not a key-value map")
     for key, current in PreprocessRules.default().record().items():
         if recorded.get(key) != current:
             fail(f"preprocessing {key} {recorded.get(key)!r} is not {current!r}; retrain the model")
@@ -533,7 +501,11 @@ def load_checkpoint(path) -> tuple[ModelConfig, Vocabulary, ModelParams]:
         values = arrays.pop(name)
         if values.shape != tensor.values.shape:
             fail(f"parameter {name} has shape {values.shape}, expected {tensor.values.shape}")
+        if values.dtype.kind not in "fiu":
+            fail(f"parameter {name} holds {values.dtype} values, not real numbers")
         tensor.values = np.asarray(values, dtype=np.float64)
+        if not np.all(np.isfinite(tensor.values)):
+            fail(f"parameter {name} holds a non-finite value")
     if arrays:
         fail(f"unexpected parameters {sorted(arrays)}")
     return config, vocab, params

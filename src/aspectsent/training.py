@@ -228,7 +228,7 @@ def train(
     """Optimize the combined objective; returns the best-validation params.
 
     Each epoch shuffles the training part, takes one Adam step per
-    padded batch (batch loss is the mean of per-example losses), then
+    batch (batch loss is the mean of per-example losses), then
     evaluates on the validation part. The L2 term depends only on the
     parameters, so each batch builds it once and every example's loss
     reuses it. The parameters with the best validation macro-F1 are what
@@ -260,7 +260,6 @@ def train(
                 if not np.isfinite(batch_loss.values):
                     raise NumericError(f"non-finite loss in batch {batch_index}")
                 backward(batch_loss)
-            params.clear_padding_gradient()
             adam_step(named, adam_state, train_config)
             ad.zero_grads(tensors)
             losses.append(batch_loss.item())

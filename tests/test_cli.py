@@ -1,4 +1,5 @@
 import json
+import math
 import re
 from dataclasses import fields
 
@@ -160,6 +161,9 @@ BAD_CONFIG_VALUES = [
     ("beta1", "1.5", "beta1 must be in [0, 1)"),
     ("beta2", "-0.5", "beta2 must be in [0, 1)"),
     ("eps", "-1", "eps must be positive"),
+    ("learning_rate", "inf", "bad value for 'learning_rate': 'inf'"),
+    ("aspect_loss_weight", "inf", "bad value for 'aspect_loss_weight': 'inf'"),
+    ("eps", "nan", "bad value for 'eps': 'nan'"),
 ]
 
 
@@ -274,11 +278,19 @@ def test_cli_eval_and_explain_round_trip(tmp_path, corpus_path, config_path, cap
     explain_dir = tmp_path / "explain"
     assert main(
         ["explain", "--checkpoint", str(checkpoint), "--data", str(one_review),
-         "--out", str(explain_dir), "--ranking-mode", "magnitude"]
+         "--out", str(explain_dir)]
     ) == 0
     heatmaps = sorted(explain_dir.glob("heatmap_*.html"))
     assert len(heatmaps) == 1
     assert (explain_dir / "ranking_001.txt").exists()  # named by the review's line
+
+    # one ranking ships; the option that chose another is gone
+    assert main(
+        ["explain", "--checkpoint", str(checkpoint), "--data", str(one_review),
+         "--out", str(tmp_path / "literal"), "--ranking-mode", "literal"]
+    ) == 1
+    assert "--ranking-mode" in capsys.readouterr().err
+    assert not (tmp_path / "literal").exists()
 
 
 @pytest.mark.parametrize("command", ["eval", "explain"])
@@ -412,7 +424,8 @@ BAD_MODEL_VALUES = [
     ("aspect_loss_weight", -0.5), ("self_orth_weight", -1.0), ("pos_orth_weight", -0.25),
     ("l2_weight", -0.01), ("l2_weight", "nan"), ("cell_width", "wide"),
     ("embedding_width", 2.5), ("max_length", "16x"), ("aspect_loss_weight", "half"),
-    ("disable_position_attention", "maybe"),
+    ("disable_position_attention", "maybe"), ("aspect_loss_weight", math.inf),
+    ("self_orth_weight", math.inf), ("l2_weight", math.inf),
 ]
 
 
@@ -465,6 +478,8 @@ BAD_INPUT_FILES = {
     "config": (CONFIG_TEXT.encode() + b"seed = 4\xff\n", CONFIG_TEXT.count("\n") + 1),
     "embeddings": (b"pizza 1 2 3 4 5 6\ntasty 1 2 3\xff 4 5 6\n", 2),
     "embeddings-width": (b"pizza 1 2 3 4 5 6\nfood 1 2 3\n", 2),
+    "embeddings-nan": (b"tasty 1 2 3 4 5 6\npizza nan 0.1 0.1 0.1 0.1 0.1\n", 2),
+    "embeddings-inf": (b"pizza 1 2 3 4 5 inf\n", 1),
 }
 
 
@@ -571,6 +586,13 @@ def set_vocabulary(tokens):
     return lambda path: rewrite_checkpoint(path, lambda meta: meta.update(vocabulary=tokens))
 
 
+def set_parameter(name, make):
+    """Replace one parameter array with ``make(its array)``."""
+    def edit(arrays):
+        arrays["param/" + name] = make(arrays["param/" + name])
+    return lambda path: rewrite_checkpoint(path, edit_arrays=edit)
+
+
 MALFORMED_CHECKPOINTS = {
     "not-an-archive": lambda path: path.write_text("just some text\n"),
     "empty": lambda path: path.write_bytes(b""),
@@ -586,6 +608,15 @@ MALFORMED_CHECKPOINTS = {
     "vocabulary-non-string-token": set_vocabulary(["<pad>", "<unk>", 7]),
     "vocabulary-repeated-token": set_vocabulary(["<pad>", "<unk>", "<unk>"]),
     "vocabulary-no-reserved-tokens": set_vocabulary(["pizza", "<pad>", "<unk>"]),
+    "preprocess-list": lambda path: rewrite_checkpoint(
+        path, lambda meta: meta.update(preprocess=[])
+    ),
+    "parameter-strings": set_parameter("aspect_head.0.weight", lambda a: np.full(a.shape, "x")),
+    "parameter-nan": set_parameter("overall_head.bias", lambda a: np.array([0.0, np.nan])),
+}
+# the parameter that a damage's error must name
+DAMAGED_PARAMETER = {
+    "parameter-strings": "aspect_head.0.weight", "parameter-nan": "overall_head.bias",
 }
 
 
@@ -603,6 +634,8 @@ def test_malformed_checkpoint_exits_1_naming_file(tmp_path, corpus_path, damage,
     assert status == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: checkpoint {checkpoint}: ")
+    if damage in DAMAGED_PARAMETER:
+        assert f"parameter {DAMAGED_PARAMETER[damage]} " in err
     assert not (tmp_path / "out").exists()
 
 
@@ -635,7 +668,6 @@ def make_report(intensities, scores=None):
         ranking=ranking,
         aspect_predictions=[1] * k,
         overall_prediction=0,
-        ranking_mode="magnitude",
     )
 
 
@@ -678,7 +710,7 @@ def test_report_intensity_rows_sum_to_two():
     params = init_params(config, len(vocab), seed=0)
     ex = split.train[0]
     output = forward(ex, params, config)
-    report = build_report(ex.tokens, output, config.aspect_names, "literal")
+    report = build_report(ex.tokens, output, config.aspect_names, "magnitude")
     sums = report.intensities.sum(axis=1)
     np.testing.assert_allclose(sums, np.full(config.aspect_count, 2.0), atol=1e-6)
 

@@ -18,7 +18,7 @@ from aspectsent.data import (
     split,
     tokenize,
 )
-from aspectsent.embeddings import build_vocabulary
+from aspectsent.embeddings import PAD_ID, build_vocabulary
 from aspectsent.textfile import InputError
 
 
@@ -171,17 +171,17 @@ def test_batch_iter_sizes_and_partition(rules):
     assert seen == expected
 
 
-def test_batch_iter_pads_to_batch_longest(rules):
+def test_batch_iter_yields_the_examples_unpadded(rules):
     review_a = RawReview("tasty pizza crispy crust", 4, [])
     review_b = RawReview("friendly staff warm soup cold beer fresh bread", 5, [])
     processed = preprocess_corpus([review_a, review_b], rules)
     vocab = build_vocabulary([p.tokens for p in processed])
     examples = [encode_example(p, vocab) for p in processed]
     (batch,) = list(batch_iter(examples, 2, np.random.default_rng(1)))
-    longest = max(len(p.tokens) for p in processed)
+    assert sorted(map(id, batch)) == sorted(map(id, examples))  # the given objects
     for ex in batch:
-        assert len(ex.token_ids) == longest
-        assert ex.mask.sum() == len(ex.tokens)
+        assert PAD_ID not in ex.token_ids
+        assert ex.mask.all() and len(ex.token_ids) == len(ex.tokens)
 
 
 def test_round_trip_ids_to_tokens(rules):

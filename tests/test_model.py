@@ -9,7 +9,6 @@ from aspectsent.attention import AttentionTrace
 from aspectsent.autodiff import Tape, Tensor, backward, grad_check
 from aspectsent import model
 from aspectsent.model import (
-    LossBreakdown,
     ModelConfig,
     aspect_rank,
     combined_loss,
@@ -20,7 +19,8 @@ from aspectsent.model import (
     orthogonal_penalty,
     save_checkpoint,
 )
-from aspectsent.embeddings import Vocabulary
+from aspectsent.embeddings import PAD_ID, Vocabulary
+from aspectsent.heatmap import build_report
 from aspectsent.textfile import InputError
 from aspectsent.training import standard_ablation_grid
 
@@ -307,10 +307,32 @@ def test_ablation_identity_recomposition(toy_model):
     out2 = forward(ex, params, ablated_config)
     ablated_total, _ = combined_loss(out2, ex, params, ablated_config)
 
-    recomposed = LossBreakdown.compose(
-        full.overall, full.aspect_terms, None, full.pos_orth, full.l2, config
-    )
+    # re-fold the full run's terms without self_orth, in the tensor path's order
+    aspect_sum = full.aspect_terms[0][1]
+    for _, value in full.aspect_terms[1:]:
+        aspect_sum = aspect_sum + value
+    recomposed = full.overall + config.aspect_loss_weight * aspect_sum
+    recomposed = recomposed + config.pos_orth_weight * full.pos_orth
+    recomposed = recomposed + config.l2_weight * full.l2
     assert ablated_total.item() == recomposed
+
+
+def test_masked_padding_rows_change_nothing(toy_model):
+    """Two masked padding rows leave the loss within 1e-12 relative and every
+    gradient within 1e-10, and no gradient reaches the padding row."""
+    config, params = toy_model
+    runs = []
+    for ex in (example(), example(ids=(2, 3, 4, PAD_ID, PAD_ID), mask=(1, 1, 1, 0, 0))):
+        ad.zero_grads(params.tensors())
+        with Tape():
+            loss, _ = combined_loss(forward(ex, params, config), ex, params, config)
+            backward(loss)
+        runs.append((loss.item(), [t.grad.copy() for t in params.tensors()]))
+    (loss, grads), (padded_loss, padded_grads) = runs
+    assert abs(padded_loss - loss) <= 1e-12 * abs(loss)
+    for (name, _), got, expected in zip(params.named_tensors(), padded_grads, grads):
+        assert np.max(np.abs(got - expected)) <= 1e-10 * np.max(np.abs(expected)), name
+    assert np.all(params.tables.word.grad[PAD_ID] == 0.0)
 
 
 def test_aspect_head_gradients_are_label_decoupled(toy_model):
@@ -334,34 +356,34 @@ def make_trace(alpha, beta, context):
     )
 
 
-def test_aspect_rank_literal_mode_is_constant(toy_model):
+def test_aspect_rank_score_is_twice_context_norm(toy_model):
     config, params = toy_model
     out = forward(example(), params, config)
-    ranked = aspect_rank(out.traces, mode="literal")
-    for _, score in ranked:
-        assert abs(score - 2.0) < 1e-6
+    for k, score in aspect_rank(out.traces):
+        expected = 2.0 * np.linalg.norm(out.traces[k].context.values)
+        assert abs(score - expected) <= 1e-12 * expected
     # ties broken by ascending aspect index
-    assert [k for k, _ in ranked] == [0, 1]
+    assert [k for k, _ in aspect_rank([out.traces[1], out.traces[1]])] == [0, 1]
 
 
 def test_aspect_rank_single_aspect():
-    trace = make_trace([1.0], [1.0], [3.0, 4.0])
-    for mode in ("literal", "magnitude"):
-        ranked = aspect_rank([trace], mode=mode)
-        assert len(ranked) == 1 and ranked[0][0] == 0
+    ranked = aspect_rank([make_trace([1.0], [1.0], [3.0, 4.0])])
+    assert len(ranked) == 1 and ranked[0][0] == 0
 
 
 def test_aspect_rank_magnitude_orders_by_context_norm():
     big = make_trace([0.5, 0.5], [0.5, 0.5], [3.0, 4.0])  # norm 5
     small = make_trace([0.5, 0.5], [0.5, 0.5], [0.3, 0.4])  # norm 0.5
-    ranked = aspect_rank([small, big], mode="magnitude")
+    ranked = aspect_rank([small, big])
     assert [k for k, _ in ranked] == [1, 0]
     assert ranked[0][1] > ranked[1][1]
 
 
-def test_aspect_rank_unknown_mode():
-    with pytest.raises(ValueError):
-        aspect_rank([], mode="other")
+def test_build_report_unknown_ranking_mode(toy_model):
+    config, params = toy_model
+    output = forward(example(), params, config)
+    with pytest.raises(ValueError, match="unknown ranking mode 'literal'"):
+        build_report(["a", "b", "c"], output, config.aspect_names, "literal")
 
 
 def test_checkpoint_round_trip_bit_exact(tmp_path, toy_model):
