@@ -5,21 +5,20 @@ recorded operations replayed in reverse. A tape is activated as a context
 manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
 
-Each of the 17 operations is one numpy primitive: elementwise ``add`` (+),
-``sub``, ``mul``, ``div``, ``tanh``, ``log``, ``sqrt`` and ``clamp``
-(``np.clip``), where a constant enters as a 0-d ``Tensor``; ``matmul``
-(@: matrix @ matrix, matrix @ vector or vector @ matrix) and
-``transpose``; ``reduce_sum`` and ``sum_of_squares`` (``np.sum(x * x)``
-over many tensors); ``concat``, ``stack_rows``, ``scale_rows``
-(``m * w[:, None]``) and ``gather_rows`` (``x[idx]``); ``masked_softmax``.
-Composites are built from these: a weighted sum of rows is
-``matmul(w, rows)``, and a negation is ``sub(0, x)``, which differs from
-``-x`` only in the sign of a zero.
+Each of the 11 operations is one numpy primitive: elementwise ``add`` (+),
+``mul`` and ``tanh``, where a constant enters as a 0-d ``Tensor``;
+``matmul`` (@: matrix @ matrix, matrix @ vector or vector @ matrix);
+``reduce_sum`` and ``sum_of_squares`` (``np.sum(x * x)`` over many
+tensors); ``concat``, ``stack_rows``, ``scale_rows`` (``m * w[:, None]``)
+and ``gather_rows`` (``x[idx]``); ``masked_softmax``. Composites are built
+from these: a weighted sum of rows is ``matmul(w, rows)``, and so is a
+mean, with weights ``1/n``.
 
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
 ``record``: ``recurrent.bilstm_forward`` runs both LSTM directions over a
-whole sequence as one operation.
+whole sequence as one operation, and ``model.cross_entropy`` and
+``model.orthogonal_penalty`` are one operation each.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
@@ -42,10 +41,6 @@ import numpy as np
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
-
-
-class DomainError(ValueError):
-    """Input value lies outside an operation's numeric domain."""
 
 
 class EmptyAttentionError(ValueError):
@@ -237,16 +232,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, grad_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b, "sub")
-    out = a.values - b.values
-
-    def grad_fn(g):
-        return _unbroadcast(g, a.values.shape), _unbroadcast(-g, b.values.shape)
-
-    return record((a, b), out, grad_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b, "mul")
     out = a.values * b.values
@@ -258,20 +243,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, grad_fn)
 
 
-def div(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b, "div")
-    out = a.values / b.values
-    av, bv = a.values, b.values
-
-    def grad_fn(g):
-        return (
-            _unbroadcast(g / bv, av.shape),
-            _unbroadcast(-g * av / (bv * bv), bv.shape),
-        )
-
-    return record((a, b), out, grad_fn)
-
-
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.values)
 
@@ -279,45 +250,6 @@ def tanh(a: Tensor) -> Tensor:
         return (g * (1.0 - y * y),)
 
     return record((a,), y, grad_fn)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.values <= 0):
-        raise DomainError("log: input has non-positive entries")
-    x = a.values
-
-    def grad_fn(g):
-        return (g / x,)
-
-    return record((a,), np.log(x), grad_fn)
-
-
-def sqrt(a: Tensor) -> Tensor:
-    """Elementwise square root.
-
-    The derivative at exactly zero is taken to be zero (subgradient
-    convention), so norm-style penalties sitting at their minimum do not
-    emit non-finite gradients.
-    """
-    if np.any(a.values < 0):
-        raise DomainError("sqrt: input has negative entries")
-    y = np.sqrt(a.values)
-
-    def grad_fn(g):
-        return (np.where(a.values > 0, g * 0.5 / np.where(y == 0, 1.0, y), 0.0),)
-
-    return record((a,), y, grad_fn)
-
-
-def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip values into [lo, hi]; gradient passes through inside the range."""
-    x = a.values
-    inside = (x >= lo) & (x <= hi)
-
-    def grad_fn(g):
-        return (g * inside,)
-
-    return record((a,), np.clip(x, lo, hi), grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -336,16 +268,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, (np.outer(av, g) if av.ndim == 1 else av.T @ g)
 
     return record((a, b), av @ bv, grad_fn)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ShapeError(f"transpose: expected a matrix, got shape {a.values.shape}")
-
-    def grad_fn(g):
-        return (g.T,)
-
-    return record((a,), a.values.T.copy(), grad_fn)
 
 
 # ---------------------------------------------------------------------------

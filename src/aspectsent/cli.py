@@ -59,14 +59,13 @@ class DataSettings:
 
     def __post_init__(self) -> None:
         check_range(self, ("min_count",), lambda v: v >= 1, "at least 1")
-        if not self.aspects:
-            if not self.domain:
-                raise ValueError("neither 'domain' nor 'aspects' is set")
-            if self.domain not in DOMAIN_ASPECTS:
-                raise ValueError(
-                    f"unknown domain {self.domain!r}; expected one of "
-                    f"{sorted(DOMAIN_ASPECTS)} or an explicit 'aspects' list"
-                )
+        if not (self.aspects or self.domain):
+            raise ValueError("neither 'domain' nor 'aspects' is set")
+        if self.domain and self.domain not in DOMAIN_ASPECTS:
+            raise ValueError(
+                f"unknown domain {self.domain!r}; expected one of "
+                f"{sorted(DOMAIN_ASPECTS)} or an explicit 'aspects' list"
+            )
 
     @property
     def aspect_names(self) -> list:

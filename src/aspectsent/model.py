@@ -4,8 +4,11 @@ heads, the combined training objective, and the aspect-ranking explanation.
 One classifier head per aspect consumes that aspect's attention context
 vector; the overall head consumes the concatenation of all aspect contexts
 in declared aspect order. The objective adds, to the overall cross-entropy:
-the sum of rated-aspect cross-entropies, orthogonality penalties on both
-attention-weight matrices, and an L2 term over all trainable parameters.
+the weighted sum of rated-aspect cross-entropies, weighted orthogonality
+penalties on both attention-weight matrices, and a weighted L2 term over
+all trainable parameters. Each cross-entropy and each penalty records
+itself as one tape op with a hand-written backward pass, so the objective
+adds only their weighting and summing to the tape.
 """
 
 from __future__ import annotations
@@ -111,7 +114,9 @@ class ModelConfig:
         return 2 * self.cell_width
 
     def __post_init__(self) -> None:
-        check_range(self, ("aspect_names",), bool, "non-empty")
+        check_range(
+            self, ("aspect_names",), lambda v: v and len(set(v)) == len(v), "non-empty and distinct"
+        )
         check_range(
             self, ("embedding_width", "cell_width", "max_length"), lambda v: v >= 1, "at least 1"
         )
@@ -247,39 +252,59 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
 
 
 def cross_entropy(probs: Tensor, target: int) -> Tensor:
-    """Binary cross-entropy against a probability pair.
+    """Binary cross-entropy against a probability pair, as one tape op.
 
     Index 1 of the pair is the positive class, and target 1 selects it;
-    only the log of the selected class's probability is built. The positive
-    probability is clamped away from 0 and 1 so the log stays finite.
+    only the log of the selected class's probability is taken. The positive
+    probability is clipped to [eps, 1 - eps] so the log stays finite, and
+    no gradient flows where the clip is active.
     """
-    positive = ad.clamp(ad.gather_rows(probs, 1), CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
+    p = probs.values[1]
+    q = np.clip(p, CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
+    sign = -1.0
     if int(target) != 1:
-        positive = ad.sub(Tensor(1.0), positive)
-    # 0 - x is exact: a clamped probability's log is never 0, so no -0.0 arises
-    return ad.sub(Tensor(0.0), ad.log(positive))
+        q, sign = 1.0 - q, 1.0
+    inside = CROSS_ENTROPY_EPS <= p <= 1.0 - CROSS_ENTROPY_EPS
+
+    def grad_fn(g):
+        dp = np.zeros(probs.values.shape)
+        if inside:
+            dp[1] = sign * g / q
+        return (dp,)
+
+    # 0 - x is exact: a clipped probability's log is never 0, so no -0.0 arises
+    return ad.record((probs,), 0.0 - np.log(q), grad_fn)
 
 
 def orthogonal_penalty(matrix: Tensor) -> Tensor:
-    """Frobenius distance of the row-normalized Gram matrix from identity.
+    """Frobenius distance of the row-normalized Gram matrix from identity, as one tape op.
 
     Rows are scaled to unit length, so the penalty measures only the
-    directions of the rows; it is zero exactly when all (nonzero) rows are
-    mutually orthogonal. All-zero rows are already orthogonal to everything
-    and are left out rather than divided by zero.
+    directions of the rows; it is zero exactly when they are mutually
+    orthogonal. Every row must be nonzero: each attention row is a softmax,
+    whose largest entry is at least 1/T. A matrix of one row or none has
+    nothing to be orthogonal to, and its penalty is the constant 0.
     """
     if matrix.values.ndim != 2:
         raise ad.ShapeError(f"orthogonal_penalty: expected a matrix, got {matrix.values.shape}")
-    nonzero = np.flatnonzero(np.any(matrix.values != 0.0, axis=1))
-    if nonzero.size <= 1:
+    a = matrix.values
+    if a.shape[0] <= 1:
         return Tensor(0.0)
-    if nonzero.size < matrix.values.shape[0]:
-        matrix = ad.gather_rows(matrix, nonzero)
-    row_norms = ad.sqrt(ad.reduce_sum(ad.mul(matrix, matrix), axis=1))
-    normalized = ad.scale_rows(matrix, ad.div(Tensor(1.0), row_norms))
-    gram = ad.matmul(normalized, ad.transpose(normalized))
-    diff = ad.sub(gram, Tensor(np.eye(nonzero.size)))
-    return ad.sqrt(ad.reduce_sum(ad.mul(diff, diff)))
+    norms = np.sqrt(np.sum(a * a, axis=1))
+    n = a * (1.0 / norms)[:, None]
+    # a contiguous transpose: numpy computes n @ n.T by another BLAS routine, to other bits
+    d = n @ n.T.copy() - np.eye(a.shape[0])
+    p = np.sqrt(np.sum(d * d))
+
+    def grad_fn(g):
+        if p == 0.0:
+            return (np.zeros(a.shape),)
+        # d(p)/d(d) = d / p, and d is symmetric, so the Gram product passes
+        # 2 (d / p) n to n; then back through n = a / |a| row by row
+        dn = 2.0 * (g / p) * (d @ n)
+        return ((dn - n * np.sum(dn * n, axis=1)[:, None]) / norms[:, None],)
+
+    return ad.record((matrix,), p, grad_fn)
 
 
 @dataclass
@@ -314,10 +339,12 @@ def combined_loss(
     """Assemble the full objective for one example.
 
     Every rated aspect contributes cross-entropy; unrated ones do not, but
-    their traces still feed the orthogonality terms. The L2 term depends on
-    the parameters alone, so a batch can build it once with ``l2_penalty``
-    and pass it in as ``l2`` to every example; without it, one is built
-    here.
+    their traces still feed the orthogonality terms. Each term is one tape
+    op, each weight one ``mul`` and each sum one ``add``; a stage's K
+    weight vectors become its K x T matrix in one ``stack_rows``. The L2
+    term depends on the parameters alone, so a batch can build it once with
+    ``l2_penalty`` and pass it in as ``l2`` to every example; without it,
+    one is built here.
     """
     total = cross_entropy(output.overall_probs, example.overall_label)
     overall_value = total.item()

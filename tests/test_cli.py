@@ -164,6 +164,8 @@ BAD_CONFIG_VALUES = [
     ("learning_rate", "inf", "bad value for 'learning_rate': 'inf'"),
     ("aspect_loss_weight", "inf", "bad value for 'aspect_loss_weight': 'inf'"),
     ("eps", "nan", "bad value for 'eps': 'nan'"),
+    ("aspects", "food, food", "aspect_names must be non-empty and distinct, got ['food', 'food']"),
+    ("domain", "bogus", "unknown domain 'bogus'"),
 ]
 
 
@@ -172,7 +174,9 @@ BAD_CONFIG_VALUES = [
 )
 def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, message, capsys):
     path = tmp_path / "config.txt"
-    path.write_text(f"aspects = food, service\n{key} = {raw}\n")
+    # a case that sets the aspects itself takes them with a known domain
+    first = "domain = restaurant" if key == "aspects" else "aspects = food, service"
+    path.write_text(f"{first}\n{key} = {raw}\n")
     with pytest.raises(InputError, match=re.escape(message)):
         build_configs(parse_config_file(path))
     status = main(

@@ -160,32 +160,36 @@ def test_cross_entropy_hand_value():
     assert abs(loss.item() - (-math.log(0.9))) < 1e-12
 
 
-def two_log_cross_entropy(probs, target):
-    """The earlier formula: both logs, each weighted by its label indicator."""
+def two_log_cross_entropy(positive, target):
+    """The earlier formula, in numpy: both logs, each weighted by its label
+    indicator, and the derivative by the positive probability of the pair,
+    which is 0 where the clip is active."""
     eps = model.CROSS_ENTROPY_EPS
-    positive = ad.clamp(ad.gather_rows(probs, 1), eps, 1.0 - eps)
-    log_pos, log_neg = ad.log(positive), ad.log(ad.sub(Tensor(1.0), positive))
-    weighted = ad.add(ad.mul(log_pos, Tensor(target)), ad.mul(log_neg, Tensor(1 - target)))
-    return ad.mul(weighted, Tensor(-1.0))  # exact negation, as np.negative gives
+    q = np.clip(positive, eps, 1.0 - eps)
+    value = -(target * np.log(q) + (1 - target) * np.log(1.0 - q))
+    inside = eps <= positive <= 1.0 - eps
+    grad = -(target / q - (1 - target) / (1.0 - q)) if inside else 0.0
+    return value, np.array([0.0, grad])
 
 
 @pytest.mark.parametrize("target", [0, 1])
-@pytest.mark.parametrize("positive", [0.9, 0.23, 0.0, 1e-12, 1.0 - 1e-12, 1.0])  # clamp bounds
+@pytest.mark.parametrize("positive", [0.9, 0.23, 0.0, 1e-12, 1.0 - 1e-12, 1.0])  # clip bounds
 def test_cross_entropy_matches_two_log_oracle(target, positive):
-    results = []
-    for loss_fn in (cross_entropy, two_log_cross_entropy):
-        probs = ad.parameter([1.0 - positive, positive])
-        with Tape():
-            loss = loss_fn(probs, target)
-            backward(loss)
-        results.append((loss.item(), probs.grad))
-    (value, grad), (expected_value, expected_grad) = results
-    assert value == expected_value
-    assert np.array_equal(grad, expected_grad)
+    probs = ad.parameter([1.0 - positive, positive])
+    with Tape():
+        loss = cross_entropy(probs, target)
+        backward(loss)
+    expected_value, expected_grad = two_log_cross_entropy(positive, target)
+    assert loss.item() == expected_value
+    assert np.array_equal(probs.grad, expected_grad)
 
 
 def test_orthogonal_penalty_orthonormal_rows_zero():
     assert orthogonal_penalty(Tensor(np.eye(3))).item() == 0.0
+    # one row has no other row to be orthogonal to: the constant 0, on no tape
+    with Tape() as tape:
+        assert orthogonal_penalty(ad.parameter([[0.6, 0.8]])).item() == 0.0
+    assert len(tape) == 0
 
 
 def test_orthogonal_penalty_duplicate_unit_rows():
@@ -202,12 +206,6 @@ def test_orthogonal_penalty_matches_brute_force():
         gram = normalized @ normalized.T
         expected = np.linalg.norm(gram - np.eye(3))
         assert abs(orthogonal_penalty(Tensor(m)).item() - expected) < 1e-10
-
-
-def test_orthogonal_penalty_zero_rows_contribute_nothing():
-    m = np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 1.0]])
-    assert orthogonal_penalty(Tensor(m)).item() == 0.0
-    assert orthogonal_penalty(Tensor(np.zeros((2, 3)))).item() == 0.0
 
 
 def test_combined_loss_reduces_to_overall_when_weights_zero(toy_model):
@@ -264,15 +262,24 @@ def test_combined_loss_without_position_stage_has_no_position_term():
 def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: 3 embedding ops, the BiLSTM, the mean
     # embedding, 16 per aspect (7 self-attention, 6 position, 3 head) and 4
-    # for the overall head; no weight is transposed
+    # for the overall head. The loss, with the L2 term built once for the
+    # batch, adds 20 whatever the labels: 5 cross-entropies, the aspect sum's
+    # 3 adds, per attention stage a stack and its penalty, and for each of the
+    # 4 weighted terms a mul by its weight and an add into the total
     config = ModelConfig(aspect_names=["a", "b", "c", "d"])
     params = init_params(config, vocab_size=20, seed=0)
-    ex = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3)
-    with Tape() as tape:
-        forward(ex, params, config)
-    kinds = [op.grad_fn.__qualname__.split(".")[0] for op in tape.ops]
-    assert len(kinds) == 73
-    assert "transpose" not in kinds
+    l2 = model.l2_penalty(params)
+    for overall, aspects in ((1, (1, 0, 1, 0)), (0, (0, 1, 0, 0))):
+        ex = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=overall, aspects=aspects)
+        with Tape() as tape:
+            output = forward(ex, params, config)
+            assert len(tape) == 73
+            combined_loss(output, ex, params, config, l2=l2)
+        loss_kinds = [op.grad_fn.__qualname__.split(".")[0] for op in tape.ops[73:]]
+        assert sorted(loss_kinds) == sorted(
+            ["cross_entropy"] * 5 + ["add"] * 7 + ["mul"] * 4
+            + ["stack_rows", "orthogonal_penalty"] * 2
+        )
 
 
 def test_combined_loss_skips_unrated_aspects(toy_model):
@@ -485,11 +492,16 @@ def rewrite_checkpoint(path, edit_meta=lambda meta: None, edit_arrays=lambda arr
             "config: bad value for 'aspect_names': ['food', 2]",
         ),
         (lambda m: m["config"].update(cell_width=0), lambda a: None, "cell_width must be"),
+        (
+            lambda m: m["config"].update(aspect_names=["food", "food"]),
+            lambda a: None,
+            "config: aspect_names must be non-empty and distinct, got ['food', 'food']",
+        ),
         (lambda m: m.update(config=[]), lambda a: None, "config is not a key-value map"),
     ],
     ids=["no-version", "old-version", "unknown-key", "missing", "extra", "shape",
          "str-for-int", "bool-for-int", "none-for-float", "int-aspect-name", "out-of-range",
-         "config-not-a-map"],
+         "repeated-aspect-name", "config-not-a-map"],
 )
 def test_load_checkpoint_rejects_mismatch(tmp_path, toy_model, edit_meta, edit_arrays, message):
     config, params = toy_model

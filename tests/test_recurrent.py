@@ -259,7 +259,6 @@ def composed_direction(inputs, params, mask, order):
     """
     H = params.cell_width
     projected = ad.matmul(inputs, params.w)
-    u_t = ad.transpose(params.u)
     # int-vector indices of the gate blocks in z, and of i, f, o in sigmoid(z[:3H])
     sigmoid_part, cand_part = np.arange(3 * H), np.arange(3 * H, 4 * H)
     ifo_parts = [np.arange(g * H, (g + 1) * H) for g in range(3)]
@@ -270,7 +269,7 @@ def composed_direction(inputs, params, mask, order):
     for t in order:
         if not mask[t]:
             continue
-        z = ad.add(ad.add(ad.gather_rows(projected, t), ad.matmul(u_t, h)), params.b)
+        z = ad.add(ad.add(ad.gather_rows(projected, t), ad.matmul(h, params.u)), params.b)
         gates = sigmoid(ad.gather_rows(z, sigmoid_part))
         cand = ad.tanh(ad.gather_rows(z, cand_part))
         i_gate, f_gate, o_gate = (ad.gather_rows(gates, part) for part in ifo_parts)
@@ -389,11 +388,10 @@ def split_gates(params):
 def per_gate_direction(inputs, p, mask, order):
     cell_width = p["input", "b"].values.shape[0]
     projected = {gate: ad.matmul(inputs, p[gate, "w"]) for gate in GATES}
-    u_t = {gate: ad.transpose(p[gate, "u"]) for gate in GATES}
 
     def pre(gate, t, h):
         row = ad.gather_rows(projected[gate], t)
-        return ad.add(ad.add(row, ad.matmul(u_t[gate], h)), p[gate, "b"])
+        return ad.add(ad.add(row, ad.matmul(h, p[gate, "u"])), p[gate, "b"])
 
     zero_row = Tensor(np.zeros(cell_width))
     h = c = zero_row
