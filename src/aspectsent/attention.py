@@ -4,7 +4,9 @@ Stage one scores each position against itself through a bilinear form and
 softmax-normalizes the scores into gate weights that rescale the hidden
 rows. Stage two couples the sequence's mean embedding with each hidden row
 to weight the rescaled rows into a single aspect context vector. Each
-aspect owns an independent parameter set.
+aspect owns an independent parameter set. Every function takes one
+sequence, (T, H) rows with a (T,) mask, or a padded batch of them, (B, T, H)
+with a (B, T) mask, and then returns every result with the batch axis.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ class AttentionTrace:
     masked ones. pos_weights is None when the position stage is disabled.
     """
 
-    self_weights: Tensor  # (T,)
-    pos_weights: Optional[Tensor]  # (T,)
-    context: Tensor  # (H,)
+    self_weights: Tensor  # (T,), or (B, T) for a batch
+    pos_weights: Optional[Tensor]  # (T,), or (B, T)
+    context: Tensor  # (H,), or (B, H)
 
 
 class SelfAttentionResult(NamedTuple):
@@ -104,8 +106,8 @@ def self_attention(
     recovers the plain attention-pooled vector.
     """
     mask = np.asarray(mask, dtype=bool)
-    projected = ad.matmul(hidden, params.self_attn_w)  # (T, H)
-    raw = ad.reduce_sum(ad.mul(projected, hidden), axis=1)  # (T,)
+    projected = ad.matmul(hidden, params.self_attn_w)  # (..., T, H)
+    raw = ad.reduce_sum(ad.mul(projected, hidden), axis=-1)  # (..., T)
     logits = ad.tanh(ad.add(raw, params.self_attn_b))
     weights = ad.masked_softmax(logits, mask)
     weighted = ad.scale_rows(hidden, weights)
@@ -127,9 +129,10 @@ def position_aware_attention(
     weights, times the stage-one rows is the aspect context vector.
     """
     mask = np.asarray(mask, dtype=bool)
-    query = ad.matmul(mean_embedding, params.pos_attn_w)  # (H,)
-    logits = ad.tanh(ad.add(ad.matmul(hidden, query), params.pos_attn_b))
+    query = ad.matmul(mean_embedding, params.pos_attn_w)  # (..., H)
+    scores = ad.matmul(hidden, query, per_row=hidden.values.ndim == 3)  # (..., T)
+    logits = ad.tanh(ad.add(scores, params.pos_attn_b))
     weights = ad.masked_softmax(logits, mask)
-    context = ad.matmul(weights, weighted)  # (H,)
+    context = ad.matmul(weights, weighted)  # (..., H)
     return PositionAttentionResult(logits, weights, context)
 

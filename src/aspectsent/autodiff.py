@@ -5,29 +5,34 @@ recorded operations replayed in reverse. A tape is activated as a context
 manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
 
-Each of the 11 operations is one numpy primitive: elementwise ``add`` (+),
+Each of the 10 operations is one numpy primitive: elementwise ``add`` (+),
 ``mul`` and ``tanh``, where a constant enters as a 0-d ``Tensor``;
 ``matmul`` (@: matrix @ matrix, matrix @ vector or vector @ matrix);
 ``reduce_sum`` and ``sum_of_squares`` (``np.sum(x * x)`` over many
-tensors); ``concat``, ``stack_rows``, ``scale_rows`` (``m * w[:, None]``)
-and ``gather_rows`` (``x[idx]``); ``masked_softmax``. Composites are built
-from these: a weighted sum of rows is ``matmul(w, rows)``, and so is a
-mean, with weights ``1/n``.
+tensors); ``concat``, ``stack_rows`` and ``scale_rows``
+(``m * w[..., None]``); ``masked_softmax``. Composites are built from
+these: a weighted sum of rows is ``matmul(w, rows)``, and so is a mean,
+with weights ``1/n``.
+
+A training batch runs each operation once over a leading batch axis B; a
+single sequence is the same call without it. ``add`` and ``mul`` broadcast
+an operand whose shape ends the other's, ``matmul`` lists its batch forms,
+and the other operations work on the last axes.
 
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
-``record``: ``recurrent.bilstm_forward`` runs both LSTM directions over a
-whole sequence as one operation, and ``model.cross_entropy`` and
+``record``: ``embeddings.embed_sequence`` reads both tables as one
+operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
+whole batch as one operation, and ``model.cross_entropy`` and
 ``model.orthogonal_penalty`` are one operation each.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
 drops its gradient once that gradient has been passed on to the inputs, so
 the buffers of intermediate values live only while the pass needs them.
-``gather_rows`` scatter-adds into its table's buffer directly, row by
-gathered row, so a lookup into a large table never builds a table-sized
-array of its own; ``sum_of_squares`` records a penalty over many tensors
-as one operation.
+``Tensor.accumulate_rows`` scatter-adds rows into a buffer in place, so a
+lookup into a large table never builds a table-sized array of its own;
+``sum_of_squares`` records a penalty over many tensors as one operation.
 """
 
 from __future__ import annotations
@@ -81,18 +86,17 @@ class Tensor:
         return float(self.values)
 
     def accumulate_grad(self, g) -> None:
-        if self.grad is None:
-            self.grad = np.zeros(self.values.shape)
-        self.grad += g
+        if self.grad is None:  # a copy: g may be another input's gradient too
+            self.grad = np.array(np.broadcast_to(g, self.values.shape), np.float64, order="C")
+        else:
+            self.grad += g
 
     def accumulate_rows(self, idx: np.ndarray, rows: np.ndarray) -> None:
-        """Add ``rows[i]`` to gradient row ``idx[i]``; repeated indices add up."""
+        """Add ``rows[i]`` to gradient row ``idx[i]``, counting rows over the
+        flattened leading axes (a C-ordered buffer's view); repeated indices add up."""
         if self.grad is None:
             self.grad = np.zeros(self.values.shape)
-        if idx.ndim == 0:  # one row: a plain += gives the same bits as np.add.at, faster
-            self.grad[int(idx)] += rows
-        else:
-            np.add.at(self.grad, idx, rows)
+        np.add.at(self.grad.reshape((-1,) + rows.shape[1:]), idx, rows)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -192,7 +196,8 @@ def backward(root: Tensor) -> None:
         for tensor, g in zip(op.inputs, op.grad_fn(out_grad)):
             if g is not None:
                 tensor.accumulate_grad(g)
-        op.output.grad = None
+        # drop the last input's gradient too, before the next op's backward runs
+        op.output.grad = out_grad = g = None
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -205,20 +210,20 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
 
 
 def _check_binary(a: Tensor, b: Tensor, op_name: str) -> None:
-    # equal shapes, or either side a scalar (0-d) broadcast
-    if a.values.shape == b.values.shape:
-        return
-    if a.values.shape == () or b.values.shape == ():
-        return
-    raise ShapeError(
-        f"{op_name}: shapes {a.values.shape} and {b.values.shape} "
-        "are neither equal nor scalar-broadcastable"
-    )
+    # equal shapes, or one shape ends the other (a scalar, or a trailing broadcast)
+    short, long = sorted((a.values.shape, b.values.shape), key=len)
+    if long[len(long) - len(short):] != short:
+        raise ShapeError(
+            f"{op_name}: shapes {a.values.shape} and {b.values.shape} "
+            "are neither equal nor trailing-broadcastable"
+        )
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    if shape == () and np.shape(g) != ():
-        return np.asarray(np.sum(g))
+    """Sum a broadcast operand's gradient over the leading axes it lacks."""
+    extra = np.ndim(g) - len(shape)
+    if extra > 0:
+        return np.asarray(np.sum(g, axis=tuple(range(extra))))
     return g
 
 
@@ -256,18 +261,48 @@ def tanh(a: Tensor) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, per_row: bool = False) -> Tensor:
     """Product ``a @ b`` of two matrices, a matrix and a vector, or a vector
-    and a matrix: a vector on the left is a row of weights over ``b``'s rows."""
+    and a matrix: a vector on the left is a row of weights over ``b``'s rows.
+
+    With a batch axis B on ``a``, one product per row: (B, m, n) @ (n, p)
+    shares the matrix ``b``, (B, n) @ (B, n, p) weights each row's own rows,
+    and with ``per_row`` (B, m, n) @ (B, n) takes each row's own vector: a
+    (B, n) ``b`` and an (n, n) one look alike when B = n.
+    """
     av, bv = a.values, b.values
-    if sorted((av.ndim, bv.ndim)) not in ([1, 2], [2, 2]) or av.shape[-1] != bv.shape[0]:
+    if per_row:
+        ok = av.ndim == 3 and bv.shape == (av.shape[0], av.shape[2])
+    elif (av.ndim, bv.ndim) == (2, 3):
+        ok = av.shape == bv.shape[:2]
+    else:
+        ok = (av.ndim, bv.ndim) in ((2, 2), (2, 1), (1, 2), (3, 2)) and av.shape[-1] == bv.shape[0]
+    if not ok:
         raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
+    if per_row:
+        out = np.matmul(av, bv[..., None])[..., 0]
 
-    def grad_fn(g):
-        ga = np.outer(g, bv) if bv.ndim == 1 else g @ bv.T
-        return ga, (np.outer(av, g) if av.ndim == 1 else av.T @ g)
+        def grad_fn(g):
+            return g[..., None] * bv[:, None, :], np.matmul(g[:, None, :], av)[:, 0]
+    elif bv.ndim == 3:
+        out = np.matmul(av[:, None, :], bv)[:, 0]
 
-    return record((a, b), av @ bv, grad_fn)
+        def grad_fn(g):
+            return np.matmul(bv, g[..., None])[..., 0], av[..., None] * g[:, None, :]
+    elif av.ndim == 3:  # the shared matrix as one product over every row
+        rows, p = av.reshape(-1, av.shape[-1]), bv.shape[1]
+        out = (rows @ bv).reshape(av.shape[:2] + (p,))
+
+        def grad_fn(g):
+            return (g.reshape(-1, p) @ bv.T).reshape(av.shape), rows.T @ g.reshape(-1, p)
+    else:
+        out = av @ bv
+
+        def grad_fn(g):
+            ga = np.outer(g, bv) if bv.ndim == 1 else g @ bv.T
+            return ga, (np.outer(av, g) if av.ndim == 1 else av.T @ g)
+
+    return record((a, b), out, grad_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -323,80 +358,58 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-length vectors into a matrix, one vector per row."""
+    """Stack equal-shape vectors into a matrix, one vector per row: K (T,)
+    parts give (K, T), and K (B, T) parts give (B, K, T)."""
     if not parts:
         raise ShapeError("stack_rows: empty part list")
     n = parts[0].values.shape
     for p in parts:
-        if p.values.ndim != 1 or p.values.shape != n:
+        if p.values.ndim not in (1, 2) or p.values.shape != n:
             raise ShapeError(
-                f"stack_rows: expected equal-length vectors, got {p.values.shape} vs {n}"
+                f"stack_rows: expected equal-shape vectors, got {p.values.shape} vs {n}"
             )
 
     def grad_fn(g):
-        return tuple(g[i].copy() for i in range(len(parts)))
+        return tuple(g[..., i, :].copy() for i in range(len(parts)))
 
-    return record(tuple(parts), np.stack([p.values for p in parts]), grad_fn)
+    return record(tuple(parts), np.stack([p.values for p in parts], axis=-2), grad_fn)
 
 
 def scale_rows(m: Tensor, w: Tensor) -> Tensor:
-    """Scale each row of a matrix by the matching entry of a vector."""
-    if m.values.ndim != 2 or w.values.ndim != 1 or m.values.shape[0] != w.values.shape[0]:
-        raise ShapeError(
-            f"scale_rows: incompatible shapes {m.values.shape} and {w.values.shape}"
-        )
+    """Scale each row of a matrix by the matching entry of a vector:
+    (..., T, H) rows by (..., T) weights."""
     mv, wv = m.values, w.values
+    if mv.ndim not in (2, 3) or mv.shape[:-1] != wv.shape:
+        raise ShapeError(f"scale_rows: incompatible shapes {mv.shape} and {wv.shape}")
 
     def grad_fn(g):
-        return g * wv[:, None], np.sum(g * mv, axis=1)
+        return g * wv[..., None], np.sum(g * mv, axis=-1)
 
-    return record((m, w), mv * wv[:, None], grad_fn)
-
-
-def gather_rows(table: Tensor, indices) -> Tensor:
-    """Index the first axis by an int or an int vector, as ``table[indices]``.
-
-    An int reads one row of a matrix, or one entry of a vector as a 0-d
-    tensor; an int vector reads one row per index. The backward pass
-    scatter-adds the output gradient into the table's own gradient buffer,
-    in place and row-sparse: only the rows read are touched, so its cost
-    follows the number of indices, not the size of the table.
-    """
-    idx = np.asarray(indices, dtype=np.int64)
-    if table.values.ndim < 1 or idx.ndim > 1:
-        raise ShapeError(
-            f"gather_rows: cannot index shape {table.values.shape} by shape {idx.shape}"
-        )
-
-    def grad_fn(g):
-        table.accumulate_rows(idx, g)
-        return (None,)
-
-    return record((table,), table.values[idx], grad_fn)
+    return record((m, w), mv * wv[..., None], grad_fn)
 
 
 def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Softmax over the unmasked entries of a vector.
+    """Softmax over the unmasked entries of the last axis, row by row.
 
-    Masked positions get exactly zero; the unmasked outputs are positive and
-    sum to one. Logits are shifted by their unmasked maximum before
-    exponentiation, which leaves the result unchanged but keeps exp finite.
+    ``mask`` has the logits' shape. Masked positions get exactly zero; each
+    row's unmasked outputs are positive and sum to one. Logits are shifted
+    by their row's unmasked maximum before exponentiation, which leaves the
+    result unchanged but keeps exp finite.
     """
     m = np.asarray(mask, dtype=bool)
-    if logits.values.ndim != 1 or m.shape != logits.values.shape:
-        raise ShapeError(
-            f"masked_softmax: logits {logits.values.shape} vs mask {m.shape}"
-        )
-    if not m.any():
-        raise EmptyAttentionError("masked_softmax: mask excludes every position")
     x = logits.values
-    shifted = x[m] - np.max(x[m])
-    e = np.zeros_like(x)
-    e[m] = np.exp(shifted)
-    out = e / np.sum(e)
+    if x.ndim == 0 or m.shape != x.shape:
+        raise ShapeError(f"masked_softmax: logits {x.shape} vs mask {m.shape}")
+    top = x.max(axis=-1, keepdims=True, where=m, initial=-np.inf)
+    e = np.exp(x - top, out=np.zeros(x.shape), where=m)
+    total = e.sum(axis=-1, keepdims=True)
+    if not total.all():  # an unmasked row's sum is at least exp(0) = 1
+        raise EmptyAttentionError("masked_softmax: mask excludes every position of a row")
+    out = e / total
 
     def grad_fn(g):
-        return (out * (g - np.dot(g, out)),)
+        # each row's g·out as one dot product, (1, T) @ (T, 1), as for a vector
+        return (out * (g - np.matmul(g[..., None, :], out[..., :, None])[..., 0]),)
 
     return record((logits,), out, grad_fn)
 

@@ -23,7 +23,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from aspectsent.embeddings import Vocabulary
+from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.textfile import InputError, read_lines
 
 RESTAURANT_ASPECTS = ["Food", "Service", "Value", "Atmosphere"]
@@ -43,11 +43,14 @@ class RawReview:
 
 @dataclass
 class ProcessedExample:
-    token_ids: np.ndarray  # int64 (T,)
-    mask: np.ndarray  # bool (T,), all True as encoded
-    overall_label: int
-    aspect_labels: list  # Optional[int] per aspect
-    tokens: list  # surviving token strings
+    """One encoded review, or a batch record of B of them made by ``collate``,
+    whose ids are padded with ``PAD_ID`` and whose unrated aspects are -1."""
+
+    token_ids: np.ndarray  # int64 (T,), or (B, T)
+    mask: np.ndarray  # bool (T,), all True as encoded, or (B, T)
+    overall_label: object  # int, or (B,) ints
+    aspect_labels: object  # Optional[int] per aspect, or (B, K) ints
+    tokens: list  # surviving token strings, or one list per review
 
 
 @dataclass
@@ -252,10 +255,26 @@ def encode_example(review: PreprocessedReview, vocab: Vocabulary) -> ProcessedEx
     )
 
 
+def collate(examples: Sequence[ProcessedExample]) -> ProcessedExample:
+    """One batch record of the examples, each padded at its end with ``PAD_ID``
+    to the longest and masked there; ``examples`` must not be empty."""
+    if not examples:
+        raise ValueError("collate: no examples")
+    ids = np.full((len(examples), max(len(ex.token_ids) for ex in examples)), PAD_ID)
+    mask = np.zeros(ids.shape, dtype=bool)
+    for row, ex in enumerate(examples):
+        ids[row, : len(ex.token_ids)] = ex.token_ids
+        mask[row, : len(ex.mask)] = ex.mask
+    labels = [[-1 if label is None else label for label in ex.aspect_labels] for ex in examples]
+    return ProcessedExample(ids, mask, np.array([ex.overall_label for ex in examples]),
+                            np.array(labels, dtype=np.int64), [ex.tokens for ex in examples])
+
+
 def batch_iter(
     examples: Sequence[ProcessedExample], batch_size: int, rng: np.random.Generator
 ) -> Iterator[list]:
-    """One epoch of shuffled batches of the examples themselves, unpadded."""
+    """One epoch of shuffled batches of the examples themselves, unpadded;
+    ``collate`` makes each batch one padded record."""
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
     order = rng.permutation(len(examples))

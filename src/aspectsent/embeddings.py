@@ -3,7 +3,7 @@
 Every token occurrence is represented by its word vector concatenated with
 the vector for its absolute position, so a width-d table pair yields
 width-2d sequence rows. The padding row of the word table is all zeros, and
-no gradient reaches it: no encoded example holds the padding id, and a
+no gradient reaches it: padding positions are masked out downstream, and a
 masked-out row gets a zero gradient.
 """
 
@@ -131,17 +131,28 @@ def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
 
 
 def embed_sequence(token_ids, tables: EmbeddingTables) -> Tensor:
-    """Map a token-id sequence to its T x 2d embedding matrix.
+    """Map token ids, (T,) or a batch (B, T), to their (..., T, 2d) rows, as one tape op.
 
     Row t is the word vector of token t concatenated with the vector of
-    absolute position t. Sequences longer than the position table are a
-    caller error; truncation belongs to the data pipeline.
+    absolute position t. The backward pass scatter-adds into the tables'
+    gradients, the position half summed over the batch first. Sequences
+    longer than the position table are a caller error; truncation belongs
+    to the data pipeline.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
-    if ids.shape[0] > tables.max_length:
+    length, d = ids.shape[-1], tables.width
+    if length > tables.max_length:
         raise SequenceLengthError(
-            f"sequence length {ids.shape[0]} exceeds maximum {tables.max_length}"
+            f"sequence length {length} exceeds maximum {tables.max_length}"
         )
-    word_rows = ad.gather_rows(tables.word, ids)
-    pos_rows = ad.gather_rows(tables.position, np.arange(ids.shape[0]))
-    return ad.concat([word_rows, pos_rows], axis=1)
+    out = np.empty(ids.shape + (2 * d,))
+    out[..., :d] = tables.word.values[ids]
+    out[..., d:] = tables.position.values[:length]
+
+    def grad_fn(g):
+        tables.word.accumulate_rows(ids.reshape(-1), g[..., :d].reshape(-1, d))
+        positions = g[..., d:].reshape(-1, length, d).sum(axis=0)
+        tables.position.accumulate_rows(np.arange(length), positions)
+        return None, None
+
+    return ad.record((tables.word, tables.position), out, grad_fn)

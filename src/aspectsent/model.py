@@ -9,6 +9,10 @@ penalties on both attention-weight matrices, and a weighted L2 term over
 all trainable parameters. Each cross-entropy and each penalty records
 itself as one tape op with a hand-written backward pass, so the objective
 adds only their weighting and summing to the tape.
+
+``forward`` and ``combined_loss`` take one example, or a batch record made
+by ``data.collate``; a batch runs every layer once, with a leading batch
+axis on every value, and its loss is the mean of its examples' objectives.
 """
 
 from __future__ import annotations
@@ -210,26 +214,32 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardOutput:
-    aspect_probs: list  # K tensors of shape (2,)
-    overall_probs: Tensor  # (2,)
+    aspect_probs: list  # K tensors of shape (2,), or (B, 2) for a batch
+    overall_probs: Tensor  # (2,), or (B, 2)
     traces: list  # K AttentionTrace
 
 
 def _head_probs(head: HeadParams, vec: Tensor) -> Tensor:
     logits = ad.add(ad.matmul(vec, head.weight), head.bias)
-    return ad.masked_softmax(logits, np.ones(logits.values.shape[0], dtype=bool))
+    return ad.masked_softmax(logits, np.ones(logits.values.shape, dtype=bool))
 
 
 def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
-    """Run one example through the whole network; masked-out rows are ignored."""
+    """Run one example, or a batch record, through the whole network.
+
+    Masked-out rows are ignored: a batch's row b is what example b gives
+    alone, up to rounding, and a row with no unmasked position raises
+    ``EmptyAttentionError``.
+    """
     mask = np.asarray(example.mask, dtype=bool)
     embedded = embed_sequence(example.token_ids, params.tables)
-    hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
-
     mean_embedding = None
     if not config.disable_position_attention:
-        # weights 1/n on the unmasked rows: their mean up to rounding, read in place
-        mean_embedding = ad.matmul(Tensor(mask / np.count_nonzero(mask)), embedded)
+        # weights 1/n on the unmasked rows: their mean, read in place; recorded before
+        # the BiLSTM, so its (B, T, 2d) gradient comes once the BiLSTM's buffers are freed
+        counts = np.maximum(np.count_nonzero(mask, axis=-1, keepdims=True), 1)
+        mean_embedding = ad.matmul(Tensor(mask / counts), embedded)
+    hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
 
     traces = []
     aspect_probs = []
@@ -237,7 +247,7 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
         attn = params.attention[k]
         sa = self_attention(hidden.values, attn, mask)
         if config.disable_position_attention:
-            context = ad.reduce_sum(sa.weighted, axis=0)
+            context = ad.reduce_sum(sa.weighted, axis=-2)
             trace = AttentionTrace(sa.weights, None, context)
         else:
             pa = position_aware_attention(
@@ -247,33 +257,33 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
         traces.append(trace)
         aspect_probs.append(_head_probs(params.aspect_heads[k], trace.context))
 
-    overall_probs = _head_probs(params.overall_head, ad.concat([t.context for t in traces]))
-    return ForwardOutput(aspect_probs, overall_probs, traces)
+    contexts = ad.concat([t.context for t in traces], axis=-1)
+    return ForwardOutput(aspect_probs, _head_probs(params.overall_head, contexts), traces)
 
 
-def cross_entropy(probs: Tensor, target: int) -> Tensor:
-    """Binary cross-entropy against a probability pair, as one tape op.
+def cross_entropy(probs: Tensor, target) -> Tensor:
+    """Binary cross-entropy, summed over probability pairs, as one tape op.
 
-    Index 1 of the pair is the positive class, and target 1 selects it;
-    only the log of the selected class's probability is taken. The positive
-    probability is clipped to [eps, 1 - eps] so the log stays finite, and
-    no gradient flows where the clip is active.
+    ``probs`` is a pair (2,) with an int target, or (B, 2) with (B,) targets,
+    where -1 leaves a row out. Index 1 of a pair is the positive class, and
+    target 1 selects it; only the log of the selected class's probability is
+    taken. The positive probability is clipped to [eps, 1 - eps] so the log
+    stays finite, and no gradient flows where the clip is active.
     """
-    p = probs.values[1]
-    q = np.clip(p, CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
-    sign = -1.0
-    if int(target) != 1:
-        q, sign = 1.0 - q, 1.0
-    inside = CROSS_ENTROPY_EPS <= p <= 1.0 - CROSS_ENTROPY_EPS
+    p = probs.values[..., 1]
+    target = np.asarray(target)
+    chosen, positive = target >= 0, target == 1
+    clipped = np.clip(p, CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
+    q = np.where(positive, clipped, 1.0 - clipped)
+    inside = chosen & (CROSS_ENTROPY_EPS <= p) & (p <= 1.0 - CROSS_ENTROPY_EPS)
 
     def grad_fn(g):
         dp = np.zeros(probs.values.shape)
-        if inside:
-            dp[1] = sign * g / q
+        dp[..., 1] = np.where(inside, np.where(positive, -g, g) / q, 0.0)
         return (dp,)
 
     # 0 - x is exact: a clipped probability's log is never 0, so no -0.0 arises
-    return ad.record((probs,), 0.0 - np.log(q), grad_fn)
+    return ad.record((probs,), np.sum(0.0 - np.log(q[chosen])), grad_fn)
 
 
 def orthogonal_penalty(matrix: Tensor) -> Tensor:
@@ -281,30 +291,31 @@ def orthogonal_penalty(matrix: Tensor) -> Tensor:
 
     Rows are scaled to unit length, so the penalty measures only the
     directions of the rows; it is zero exactly when they are mutually
-    orthogonal. Every row must be nonzero: each attention row is a softmax,
+    orthogonal. A batch (B, K, T) of matrices gives the sum of their
+    penalties. Every row must be nonzero: each attention row is a softmax,
     whose largest entry is at least 1/T. A matrix of one row or none has
     nothing to be orthogonal to, and its penalty is the constant 0.
     """
-    if matrix.values.ndim != 2:
+    if matrix.values.ndim not in (2, 3):
         raise ad.ShapeError(f"orthogonal_penalty: expected a matrix, got {matrix.values.shape}")
     a = matrix.values
-    if a.shape[0] <= 1:
+    if a.shape[-2] <= 1:
         return Tensor(0.0)
-    norms = np.sqrt(np.sum(a * a, axis=1))
-    n = a * (1.0 / norms)[:, None]
+    norms = np.sqrt(np.sum(a * a, axis=-1))
+    n = a * (1.0 / norms)[..., None]
     # a contiguous transpose: numpy computes n @ n.T by another BLAS routine, to other bits
-    d = n @ n.T.copy() - np.eye(a.shape[0])
-    p = np.sqrt(np.sum(d * d))
+    d = n @ np.swapaxes(n, -1, -2).copy() - np.eye(a.shape[-2])
+    p = np.sqrt(np.sum(d * d, axis=(-2, -1)))
 
     def grad_fn(g):
-        if p == 0.0:
-            return (np.zeros(a.shape),)
         # d(p)/d(d) = d / p, and d is symmetric, so the Gram product passes
-        # 2 (d / p) n to n; then back through n = a / |a| row by row
-        dn = 2.0 * (g / p) * (d @ n)
-        return ((dn - n * np.sum(dn * n, axis=1)[:, None]) / norms[:, None],)
+        # 2 (d / p) n to n; then back through n = a / |a| row by row; a zero
+        # penalty passes nothing
+        per_p = 2.0 * np.divide(g, p, out=np.zeros_like(p), where=p != 0.0)
+        dn = per_p[..., None, None] * (d @ n)
+        return ((dn - n * np.sum(dn * n, axis=-1)[..., None]) / norms[..., None],)
 
-    return ad.record((matrix,), p, grad_fn)
+    return ad.record((matrix,), np.sum(p), grad_fn)
 
 
 @dataclass
@@ -313,7 +324,7 @@ class LossBreakdown:
 
     ``aspect_terms`` lists (aspect index, cross-entropy) for the rated
     aspects, in aspect order. Terms that were weightless or structurally
-    absent are None.
+    absent are None. A batch's values are means over its examples.
     """
 
     overall: float
@@ -336,40 +347,47 @@ def combined_loss(
     config: ModelConfig,
     l2: Optional[Tensor] = None,
 ) -> tuple[Tensor, LossBreakdown]:
-    """Assemble the full objective for one example.
+    """Assemble the full objective for one example, or its mean over a batch record.
 
     Every rated aspect contributes cross-entropy; unrated ones do not, but
     their traces still feed the orthogonality terms. Each term is one tape
-    op, each weight one ``mul`` and each sum one ``add``; a stage's K
-    weight vectors become its K x T matrix in one ``stack_rows``. The L2
-    term depends on the parameters alone, so a batch can build it once with
-    ``l2_penalty`` and pass it in as ``l2`` to every example; without it,
+    op, summed over a batch's rows, each weight one ``mul`` and each sum one
+    ``add``, and a batch adds one ``mul`` by 1/B; a stage's K weight vectors
+    become its (B,) K x T matrix in one ``stack_rows``. The L2 term depends on
+    the parameters alone: pass it in as ``l2``, built with ``l2_penalty``, or
     one is built here.
     """
+    targets = example.aspect_labels  # a batch record's (B, K) ints, -1 where unrated
+    if not isinstance(targets, np.ndarray):
+        targets = np.array([-1 if label is None else label for label in targets])
+    rows = len(targets) if targets.ndim == 2 else 1
     total = cross_entropy(output.overall_probs, example.overall_label)
-    overall_value = total.item()
+    overall_value = total.item() / rows
 
-    rated = [k for k, label in enumerate(example.aspect_labels) if label is not None]
+    rated = [k for k in range(config.aspect_count) if np.any(targets[..., k] >= 0)]
     aspect_terms = []
     if rated and config.aspect_loss_weight > 0:
         aspect_sum = None
         for k in rated:
-            term = cross_entropy(output.aspect_probs[k], example.aspect_labels[k])
-            aspect_terms.append((k, term.item()))
+            term = cross_entropy(output.aspect_probs[k], targets[..., k])
+            aspect_terms.append((k, term.item() / rows))
             aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
         total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))
 
     self_orth_value = None
     if config.self_orth_weight > 0:
         self_orth = orthogonal_penalty(ad.stack_rows([t.self_weights for t in output.traces]))
-        self_orth_value = self_orth.item()
+        self_orth_value = self_orth.item() / rows
         total = ad.add(total, ad.mul(self_orth, Tensor(config.self_orth_weight)))
 
     pos_orth_value = None
     if not config.disable_position_attention and config.pos_orth_weight > 0:
         pos_orth = orthogonal_penalty(ad.stack_rows([t.pos_weights for t in output.traces]))
-        pos_orth_value = pos_orth.item()
+        pos_orth_value = pos_orth.item() / rows
         total = ad.add(total, ad.mul(pos_orth, Tensor(config.pos_orth_weight)))
+
+    if targets.ndim == 2:
+        total = ad.mul(total, Tensor(1.0 / rows))
 
     l2_value = None
     if config.l2_weight > 0:
@@ -378,15 +396,8 @@ def combined_loss(
         l2_value = l2.item()
         total = ad.add(total, ad.mul(l2, Tensor(config.l2_weight)))
 
-    breakdown = LossBreakdown(
-        overall=overall_value,
-        aspect_terms=aspect_terms,
-        self_orth=self_orth_value,
-        pos_orth=pos_orth_value,
-        l2=l2_value,
-        total=total.item(),
-    )
-    return total, breakdown
+    values = (overall_value, aspect_terms, self_orth_value, pos_orth_value, l2_value)
+    return total, LossBreakdown(*values, total=total.item())
 
 
 def aspect_rank(traces: Sequence[AttentionTrace]):

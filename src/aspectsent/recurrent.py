@@ -1,16 +1,19 @@
 """The BiLSTM sequence encoder, one autodiff tape op for both directions.
 
 Each direction keeps its four gates side by side in one ``w``, ``u``, ``b``
-block (see ``LstmParams``). ``bilstm_forward`` runs the encoder as one
-operation recorded through ``autodiff.record``, with the two directions in
-lockstep: loop step j advances the forward direction at the j-th unmasked
-position and the backward direction at the j-th from the end. Its forward
-pass makes one input projection per direction, then per step one recurrent
-matrix-vector product per direction and one tanh over both directions'
+block (see ``LstmParams``). ``bilstm_forward`` runs the encoder over one
+sequence, or a padded batch of them, as one operation recorded through
+``autodiff.record``, with the two directions in lockstep: loop step j
+advances the forward direction at each sequence's j-th unmasked position
+and the backward direction at its j-th from the end. Sequences run longest
+first, so those still running at step j are a prefix of that order, and
+per-step arrays hold real positions only, packed step after step. The
+forward pass makes one input projection per direction, then per step one
+recurrent product over (2, rows, H) and one tanh over both directions'
 gates, keeping the activations. A logistic gate is σ(z) = 0.5 + 0.5·tanh(z/2):
-the input, forget and output columns of the projection, of uᵀ and of b are
-halved once per call, which is exact, and each step finishes those blocks
-with ``*= 0.5`` and ``+= 0.5``. Its backward pass is hand-written
+the i, f and o columns of the projection, of u and of b are halved once
+per call, which is exact, and each step finishes those blocks with
+``*= 0.5`` and ``+= 0.5``. The backward pass is hand-written
 backpropagation through time over those activations, in lockstep too.
 
 Padding steps are skipped entirely: the cell state carries over unchanged
@@ -80,91 +83,143 @@ def init_lstm_params(
     })
 
 
+DX_BLOCK = 256  # real positions per block of the weight- and input-gradient products
+
+
 def bilstm_forward(
     inputs: Tensor, forward_params: LstmParams, backward_params: LstmParams, mask
 ) -> HiddenStates:
-    """Bidirectional LSTM; row t is [forward state at t, backward state at t].
+    """Bidirectional LSTM over (T, D) rows, or a batch (B, T, D) with a (B, T) mask.
 
-    The backward direction consumes the unmasked positions in reverse, so
-    its state at position t summarizes everything from the sequence end
-    back to t.
+    Row t of a sequence is [forward state at t, backward state at t]; the
+    backward direction consumes the unmasked positions in reverse. The
+    backward pass adds the input gradient into ``inputs``' buffer itself.
     """
     directions = (forward_params, backward_params)
     x, H = inputs.values, forward_params.cell_width
     for params in directions:
-        if x.ndim != 2 or x.shape[1] != params.input_width or params.cell_width != H:
+        if x.ndim not in (2, 3) or x.shape[-1] != params.input_width or params.cell_width != H:
             raise ShapeError(
                 f"lstm: input shape {x.shape} and forward cell width {H} do not match "
                 f"parameter input width {params.input_width} and cell width {params.cell_width}"
             )
-    steps = np.flatnonzero(np.asarray(mask, dtype=bool))
-    reverse, n = steps[::-1], len(steps)
+    m = np.asarray(mask, dtype=bool)
+    if m.shape != x.shape[:-1]:
+        raise ShapeError(f"lstm: mask shape {m.shape} does not match input shape {x.shape}")
+    m = m.reshape(-1, m.shape[-1])
+    (B, T), D = m.shape, x.shape[-1]
+    x_rows = x.reshape(B * T, D)
+
+    # the real positions, flat, and each one's packed row in either direction
+    # (array methods, not np. functions: this runs once per review explained)
+    real = m.ravel().nonzero()[0]
+    lengths = m.sum(axis=1)
+    rank = (-lengths).argsort(kind="stable").argsort()  # longest first
+    active = B - np.bincount(lengths).cumsum()[:-1]  # rows still running at each step
+    starts = active.cumsum() - active  # first packed row of each step
+    step = m.cumsum(axis=1).ravel()[real] - 1
+    seq = real // T
+    fwd = starts[step] + rank[seq]
+    bwd = starts[lengths[seq] - 1 - step] + rank[seq]
+    # per step: its packed rows, its and the previous step's rows in states and
+    # cells (which keep B zero rows in front, the state before step 0), as ints
+    # when one sequence runs (cheaper views), then lo, before and the row count
+    prev = np.concatenate([[0], B + starts[:-1]]).astype(np.int64)
+    spans = [
+        (lo, B + lo, before, lo, before, 1) if n == 1 else
+        (slice(lo, lo + n), slice(B + lo, B + lo + n), slice(before, before + n), lo, before, n)
+        for lo, n, before in zip(starts.tolist(), active.tolist(), prev.tolist())
+    ]
+
     # σ(z) = 0.5 + 0.5 tanh(z / 2): halve the i, f and o columns, and one tanh serves all
     halves = np.where(np.arange(4 * H) < 3 * H, 0.5, 1.0)
-    # project every row, padding too, so a row's bits do not depend on the mask
-    projected = np.empty((n, 2, 4 * H))
-    for d, (params, order) in enumerate(zip(directions, (steps, reverse))):
-        projected[:, d] = ((x @ params.w.values)[order] + params.b.values) * halves
-    u_t = np.stack([params.u.values.T for params in directions]) * halves[:, None]
-    gates = np.empty((n, 2, 4 * H))  # activations of the i, f, o and candidate blocks
-    cells = np.zeros((n + 1, 2, H))  # cells[j + 1] is c after step j
-    tanh_c = np.empty((n, 2, H))
-    states = np.zeros((n + 1, 2, H))  # states[j] is h before step j
+    R = len(real)
+    x_real = x_rows if R == B * T else x_rows[real]
+    projected = np.empty((R, 2, 4 * H))
+    for d, (params, rows) in enumerate(zip(directions, (fwd, bwd))):
+        projected[rows, d] = (x_real @ params.w.values + params.b.values) * halves
+    u_half = np.stack([params.u.values for params in directions]) * halves
+    # arrays are (row, direction, ...); the recurrent product uses (direction, row, ...) views
+    gates = np.empty((R, 2, 4 * H))  # activations of the i, f, o and candidate blocks
+    cells = np.zeros((B + R, 2, H))  # after the B zero rows, c after each packed row
+    tanh_c = np.empty((R, 2, H))
+    states = np.zeros((B + R, 2, H))  # likewise h
+    gates_t, states_t = gates.transpose(1, 0, 2), states.transpose(1, 0, 2)
     i, f, o, cand = (gates[..., k * H:(k + 1) * H] for k in range(4))
-    sigmoids, z, h_col = gates[..., :3 * H], gates[..., None], states[..., None]
-    ig = np.empty((2, H))
-    for j in range(n):
-        np.matmul(u_t, h_col[j], out=z[j])  # one uᵀh per direction, each into its row
-        a = gates[j]
-        a += projected[j]
-        np.tanh(a, out=a)
-        sig = sigmoids[j]
+    sigmoids = gates[..., :3 * H]
+    for rows, after, before_rows, lo, before, n in spans:
+        # uᵀh for both directions
+        np.matmul(states_t[:, before:before + n], u_half, out=gates_t[:, lo:lo + n])
+        z = gates[rows]
+        z += projected[rows]
+        np.tanh(z, out=z)
+        sig = sigmoids[rows]
         sig *= 0.5
         sig += 0.5
-        c = cells[j + 1]
-        np.multiply(f[j], cells[j], out=c)
-        np.multiply(i[j], cand[j], out=ig)
-        c += ig
-        np.tanh(c, out=tanh_c[j])
-        np.multiply(o[j], tanh_c[j], out=states[j + 1])
-    out = np.zeros((x.shape[0], 2 * H))
-    out[steps, :H] = states[1:, 0]
-    out[reverse, H:] = states[1:, 1]
+        c = cells[after]
+        np.multiply(f[rows], cells[before_rows], out=c)
+        t = tanh_c[rows]
+        np.multiply(i[rows], cand[rows], out=t)  # i * cand, until tanh(c) replaces it
+        c += t
+        np.tanh(c, out=t)
+        np.multiply(o[rows], t, out=states[after])
+    out = np.zeros((B * T, 2 * H))
+    out[real, :H] = states[B + fwd, 0]
+    out[real, H:] = states[B + bwd, 1]
 
     def grad_fn(g):
-        # per step and direction, dz = [dc, dc, dh, dc] * scale, block by block
+        # per row and direction, dz = [dc, dc, dh, dc] * scale, block by block
         # (i, f, o, candidate), and h_to_c is the part of dc that comes from dh
-        # through h = o tanh(c)
-        scale = np.stack([cand * i * (1.0 - i), cells[:-1] * f * (1.0 - f),
-                          tanh_c * o * (1.0 - o), i * (1.0 - cand * cand)], axis=2)
-        scale_o = scale[:, :, 2]
+        # through h = o tanh(c); each step turns its rows of scale into dz in place
+        before_rows = np.arange(R) + np.repeat(prev - starts, active)
+        dz = np.empty((R, 2, 4, H))
+        dz_if, dz_o, dz_c = dz[:, :, :2], dz[:, :, 2], dz[:, :, 3]
+        np.multiply(cand * i, 1.0 - i, out=dz[:, :, 0])
+        np.multiply(cells[before_rows] * f, 1.0 - f, out=dz[:, :, 1])
+        np.multiply(tanh_c * o, 1.0 - o, out=dz_o)
+        np.multiply(i, 1.0 - cand * cand, out=dz_c)
         h_to_c = o * (1.0 - tanh_c * tanh_c)
-        g_rows = np.stack([g[steps, :H], g[reverse, H:]], axis=1)
-        u = np.stack([params.u.values for params in directions])
-        dz = np.empty((n, 2, 4, H))
-        dz_o, dz_col = dz[:, :, 2], dz.reshape(n, 2, 4 * H, 1)
-        dh, dc = np.empty((2, H)), np.empty((2, H))
-        dc_blocks = dc[:, None]  # dc broadcast over the four gate blocks
-        dh_next, dc_next = np.zeros((2, H)), np.zeros((2, H))  # what step j + 1 passes back
-        dh_next_col = dh_next[..., None]
-        for j in range(n - 1, -1, -1):
-            np.add(dh_next, g_rows[j], out=dh)
-            np.multiply(dh, h_to_c[j], out=dc)
-            dc += dc_next
-            np.multiply(scale[j], dc_blocks, out=dz[j])
-            np.multiply(scale_o[j], dh, out=dz_o[j])
-            np.multiply(dc, f[j], out=dc_next)
-            np.matmul(u, dz_col[j], out=dh_next_col)
-        dz = dz.reshape(n, 2, 4 * H)
-        # both directions' rows of dz in position order, side by side: one product gives dw
-        dz_pos = np.concatenate([dz[:, 0], dz[::-1, 1]], axis=1)
-        dw = x[steps].T @ dz_pos
-        dx = np.zeros(x.shape)
-        dx[steps] = (dz_pos[:, :4 * H] @ forward_params.w.values.T
-                     + dz_pos[:, 4 * H:] @ backward_params.w.values.T)
-        du = [states[:-1, d].T @ dz[:, d] for d in range(2)]
-        db = np.sum(dz, axis=0)
-        return dx, dw[:, :4 * H], du[0], db[0], dw[:, 4 * H:], du[1], db[1]
+        g = g.reshape(B * T, 2 * H)
+        g_rows = np.empty((R, 2, H))
+        g_rows[fwd, 0] = g[real, :H]
+        g_rows[bwd, 1] = g[real, H:]
+        u_t = np.stack([params.u.values.T for params in directions])
+        dz_gates = dz.reshape(R, 2, 4 * H)
+        dz_t = dz_gates.transpose(1, 0, 2)
+        dh, dc = np.empty((B, 2, H)), np.empty((B, 2, H))
+        dc_pair = dc[:, :, None]  # dc broadcast over the i and f blocks
+        dh_next, dc_next = np.zeros((B, 2, H)), np.zeros((B, 2, H))  # what step j + 1 passes back
+        dh_next_t = dh_next.transpose(1, 0, 2)
+        for *_, lo, _, n in reversed(spans):
+            hi, dh_j, dc_j = lo + n, dh[:n], dc[:n]
+            np.add(dh_next[:n], g_rows[lo:hi], out=dh_j)
+            np.multiply(dh_j, h_to_c[lo:hi], out=dc_j)
+            dc_j += dc_next[:n]
+            dz_if[lo:hi] *= dc_pair[:n]
+            dz_o[lo:hi] *= dh_j
+            dz_c[lo:hi] *= dc_j
+            np.multiply(dc_j, f[lo:hi], out=dc_next[:n])
+            np.matmul(dz_t[:, lo:hi], u_t, out=dh_next_t[:, :n])
+        h_before = states[before_rows]
+        du = [h_before[:, d].T @ dz_gates[:, d] for d in range(2)]
+        db = np.sum(dz_gates, axis=0)
+        del h_to_c, g_rows, h_before  # freed before the input gradient is made
+        # dw and dx a block of real positions at a time, both directions side by
+        # side; a block's positions are distinct, so a plain += adds them
+        if inputs.grad is None:
+            inputs.grad = np.zeros(x.shape)
+        dx = inputs.grad.reshape(B * T, D)  # a view: gradient buffers are C-ordered
+        dw = np.zeros((D, 8 * H))
+        w_t = [params.w.values.T for params in directions]
+        for lo in range(0, R, DX_BLOCK):
+            part = slice(lo, lo + DX_BLOCK)
+            dz_block = np.stack([dz_gates[fwd[part], 0], dz_gates[bwd[part], 1]], axis=1)
+            dw += x_rows[real[part]].T @ dz_block.reshape(-1, 8 * H)
+            dx_block = dz_block[:, 0] @ w_t[0]
+            dx_block += dz_block[:, 1] @ w_t[1]
+            dx[real[part]] += dx_block
+        return None, dw[:, :4 * H], du[0], db[0], dw[:, 4 * H:], du[1], db[1]
 
     tensors = (inputs, *forward_params.tensors(), *backward_params.tensors())
-    return HiddenStates(values=ad.record(tensors, out, grad_fn))
+    values = ad.record(tensors, out.reshape(x.shape[:-1] + (2 * H,)), grad_fn)
+    return HiddenStates(values=values)

@@ -15,7 +15,7 @@ import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
-from aspectsent.data import DatasetSplit, batch_iter
+from aspectsent.data import DatasetSplit, batch_iter, collate
 from aspectsent.model import (
     ModelConfig,
     ModelParams,
@@ -163,25 +163,24 @@ class EvaluationReport:
     aspects: list  # Metrics per aspect, over examples where that aspect is rated
 
 
-def predict(example, params: ModelParams, config: ModelConfig):
-    out = forward(example, params, config)
-    overall = int(np.argmax(out.overall_probs.values))
-    aspects = [int(np.argmax(p.values)) for p in out.aspect_probs]
-    return overall, aspects
+EVAL_CHUNK = 32  # examples per forward pass of evaluate
 
 
 def evaluate(params: ModelParams, config: ModelConfig, examples) -> EvaluationReport:
+    """Metrics of the predictions, made without a tape, a collated chunk of
+    ``EVAL_CHUNK`` examples per forward pass; no examples give zero support."""
     overall_true, overall_pred = [], []
     aspect_true = [[] for _ in range(config.aspect_count)]
     aspect_pred = [[] for _ in range(config.aspect_count)]
-    for ex in examples:
-        overall, aspects = predict(ex, params, config)
-        overall_true.append(ex.overall_label)
-        overall_pred.append(overall)
-        for k, label in enumerate(ex.aspect_labels):
-            if label is not None:
-                aspect_true[k].append(label)
-                aspect_pred[k].append(aspects[k])
+    for start in range(0, len(examples), EVAL_CHUNK):
+        record = collate(examples[start : start + EVAL_CHUNK])
+        out = forward(record, params, config)
+        overall_true.extend(record.overall_label.tolist())
+        overall_pred.extend(np.argmax(out.overall_probs.values, axis=-1).tolist())
+        for k, probs in enumerate(out.aspect_probs):
+            rated = record.aspect_labels[:, k] >= 0
+            aspect_true[k].extend(record.aspect_labels[rated, k].tolist())
+            aspect_pred[k].extend(np.argmax(probs.values[rated], axis=-1).tolist())
     return EvaluationReport(
         overall=compute_metrics(overall_true, overall_pred),
         aspects=[
@@ -227,11 +226,12 @@ def train(
 ) -> TrainResult:
     """Optimize the combined objective; returns the best-validation params.
 
-    Each epoch shuffles the training part, takes one Adam step per
-    batch (batch loss is the mean of per-example losses), then
-    evaluates on the validation part. The L2 term depends only on the
-    parameters, so each batch builds it once and every example's loss
-    reuses it. The parameters with the best validation macro-F1 are what
+    Each epoch shuffles the training part, takes one Adam step per batch,
+    then evaluates on the validation part. A step collates its batch into
+    one padded record: one ``forward``, one ``combined_loss`` (the mean of
+    the examples' objectives) and one ``backward``. The L2 term is built
+    before the forward pass, so its table-sized gradients come last in the
+    backward pass. The parameters with the best validation macro-F1 are what
     the run returns: they are copied aside only when a later epoch could
     still change them, and restored only when a later epoch did. Training
     stops early after ``patience`` epochs without improvement.
@@ -249,14 +249,11 @@ def train(
     for epoch in range(train_config.epochs):
         losses = []
         for batch in batch_iter(data.train, train_config.batch_size, rng):
+            record = collate(batch)
             with Tape():
                 l2 = l2_penalty(params) if model_config.l2_weight > 0 else None
-                total = None
-                for ex in batch:
-                    out = forward(ex, params, model_config)
-                    loss, _ = combined_loss(out, ex, params, model_config, l2=l2)
-                    total = loss if total is None else ad.add(total, loss)
-                batch_loss = ad.mul(total, Tensor(1.0 / len(batch)))
+                out = forward(record, params, model_config)
+                batch_loss, _ = combined_loss(out, record, params, model_config, l2=l2)
                 if not np.isfinite(batch_loss.values):
                     raise NumericError(f"non-finite loss in batch {batch_index}")
                 backward(batch_loss)

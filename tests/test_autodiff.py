@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import aspectsent
 from aspectsent import autodiff as ad
-from aspectsent import model, recurrent
+from aspectsent import embeddings, model, recurrent
 from aspectsent.autodiff import (
     EmptyAttentionError,
     GraphError,
@@ -242,13 +242,18 @@ def test_grad_check_tanh_matmul_composition():
     assert err < 1e-6
 
 
-# One case per operation, plus "op-variant" cases for other operand forms.
+# One case per operation, plus "op-variant" cases for other operand forms;
+# a "-batch" case gives the operation a leading batch axis.
 GRAD_CHECK_CASES = [
-    "add", "mul", "mul-constant", "tanh", "matmul", "matmul-vector", "matmul-vector-left",
-    "reduce_sum", "concat", "stack_rows", "scale_rows",
-    "gather_rows", "gather_rows-int-matrix", "gather_rows-int-vector",
-    "masked_softmax", "sum_of_squares", "bilstm_forward", "bilstm_forward-padded",
-    "cross_entropy-target-0", "cross_entropy-target-1", "orthogonal_penalty",
+    "add", "mul", "mul-constant", "add-batch", "mul-batch", "tanh",
+    "matmul", "matmul-vector", "matmul-vector-left",
+    "matmul-batch", "matmul-vector-batch", "matmul-vector-left-batch",
+    "reduce_sum", "concat", "stack_rows", "stack_rows-batch", "scale_rows", "scale_rows-batch",
+    "embed_sequence", "embed_sequence-batch",
+    "masked_softmax", "masked_softmax-batch", "sum_of_squares",
+    "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
+    "cross_entropy-target-0", "cross_entropy-target-1", "cross_entropy-batch",
+    "orthogonal_penalty", "orthogonal_penalty-batch",
 ]
 
 
@@ -282,17 +287,24 @@ def test_grad_check_every_operation(name):
         a, b = vec(), vec()
         fn = getattr(ad, name)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(fn(a, b)))
+    elif name in ("add-batch", "mul-batch"):  # b broadcast over a's leading axes
+        a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(3, 4)
+        fn = getattr(ad, name.split("-")[0])
+        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(fn(a, b)))
     elif name == "tanh":
         a = vec()
         inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(a))
     elif name == "mul-constant":
         a = vec()
         inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.mul(a, Tensor(-1.7))))
+    elif name == "cross_entropy-batch":  # row 1 selects no class
+        probs, targets = ad.parameter(rng.uniform(0.2, 0.8, size=(4, 2))), np.array([1, -1, 0, 1])
+        inputs, f = [probs], lambda: model.cross_entropy(probs, targets)
     elif name.startswith("cross_entropy"):  # a probability pair, inside the clip range
         probs, target = ad.parameter(rng.uniform(0.2, 0.8, size=2)), int(name[-1])
         inputs, f = [probs], lambda: model.cross_entropy(probs, target)
-    elif name == "orthogonal_penalty":
-        m = mat(3, 5)
+    elif name.startswith("orthogonal_penalty"):
+        m = ad.parameter(rng.normal(size=(2, 3, 5) if name.endswith("batch") else (3, 5)))
         inputs, f = [m], lambda: model.orthogonal_penalty(m)
     elif name == "matmul":
         a, b = mat(2, 3), mat(3, 2)
@@ -303,6 +315,15 @@ def test_grad_check_every_operation(name):
     elif name == "matmul-vector-left":  # weights over rows, as the heads and attention use it
         v, a = vec(3), mat(3, 4)
         inputs, f = [v, a], lambda: ad.reduce_sum(ad.tanh(ad.matmul(v, a)))
+    elif name == "matmul-batch":  # every row's matrix times one shared matrix
+        a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(4, 2)
+        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
+    elif name == "matmul-vector-batch":  # each row's matrix times its own vector
+        a, v = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 4)
+        inputs, f = [a, v], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, v, per_row=True)))
+    elif name == "matmul-vector-left-batch":  # each row's weights over its own rows
+        v, a = mat(2, 3), ad.parameter(rng.normal(size=(2, 3, 4)))
+        inputs, f = [v, a], lambda: ad.reduce_sum(ad.tanh(ad.matmul(v, a)))
     elif name == "reduce_sum":
         a = mat()
         inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(a, axis=1)))
@@ -312,18 +333,20 @@ def test_grad_check_every_operation(name):
     elif name == "stack_rows":
         a, b = vec(), vec()
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.stack_rows([a, b])))
+    elif name == "stack_rows-batch":
+        a, b, readout = mat(), mat(), Tensor(rng.normal(size=(3, 2, 4)))
+        inputs, f = [a, b], lambda: ad.reduce_sum(ad.mul(ad.stack_rows([a, b]), readout))
     elif name == "scale_rows":
         m, w = mat(), vec(3)
         inputs, f = [m, w], lambda: ad.reduce_sum(ad.tanh(ad.scale_rows(m, w)))
-    elif name == "gather_rows":
-        t = mat(5, 3)
-        inputs, f = [t], lambda: ad.reduce_sum(ad.tanh(ad.gather_rows(t, [0, 2, 2, 4])))
-    elif name == "gather_rows-int-matrix":
-        m = mat()
-        inputs, f = [m], lambda: ad.reduce_sum(ad.tanh(ad.gather_rows(m, 1)))
-    elif name == "gather_rows-int-vector":
-        v = vec()
-        inputs, f = [v], lambda: ad.tanh(ad.gather_rows(v, 2))
+    elif name == "scale_rows-batch":
+        m, w = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 3)
+        inputs, f = [m, w], lambda: ad.reduce_sum(ad.tanh(ad.scale_rows(m, w)))
+    elif name.startswith("embed_sequence"):  # repeated ids add up in their row
+        tables = embeddings.EmbeddingTables(word=mat(5, 3), position=mat(4, 3))
+        ids = [[1, 2, 2], [4, 0, 2]] if name.endswith("batch") else [0, 2, 2, 4]
+        inputs = [tables.word, tables.position]
+        f = lambda: ad.reduce_sum(ad.tanh(embeddings.embed_sequence(ids, tables)))
     elif name == "sum_of_squares":
         a, b, c = mat(), vec(), ad.parameter(rng.normal())
         inputs, f = [a, b, c], lambda: ad.tanh(ad.mul(ad.sum_of_squares([a, b, c]), Tensor(0.1)))
@@ -331,6 +354,10 @@ def test_grad_check_every_operation(name):
         fwd, bwd = recurrent.init_lstm_params(3, 2, rng), recurrent.init_lstm_params(3, 2, rng)
         x = mat(5, 3)
         mask = np.arange(5) < (3 if name.endswith("padded") else 5)
+        if name.endswith("batch"):  # full, padded, a hole, and a row of one step
+            x = ad.parameter(rng.normal(size=(4, 5, 3)))
+            mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [1, 0, 1, 1, 0], [0, 0, 1, 0, 0]],
+                            dtype=bool)
         readout = Tensor(rng.normal(size=(4, 3)))
         inputs = fwd.tensors() + bwd.tensors() + [x]
         f = lambda: ad.reduce_sum(
@@ -342,6 +369,11 @@ def test_grad_check_every_operation(name):
         inputs, f = [v], lambda: ad.reduce_sum(
             ad.mul(ad.masked_softmax(v, mask), Tensor([0.3, -1.0, 0.0, 2.0, 0.7]))
         )
+    elif name == "masked_softmax-batch":  # a mask per row
+        v = mat(3, 5)
+        mask = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [0, 0, 1, 1, 0]], dtype=bool)
+        readout = Tensor(rng.normal(size=(3, 5)))
+        inputs, f = [v], lambda: ad.reduce_sum(ad.mul(ad.masked_softmax(v, mask), readout))
     assert grad_check(f, inputs) < 1e-4
 
 
@@ -357,58 +389,60 @@ def test_forward_replay_is_deterministic():
     assert run() == run()
 
 
-def test_gather_rows_sparse_gradient():
+def test_accumulate_rows_sparse_gradient():
     t = ad.parameter(np.ones((4, 2)))
-    with Tape():
-        backward(ad.reduce_sum(ad.gather_rows(t, [1, 1])))
+    t.accumulate_rows(np.array([1, 1]), np.ones((2, 2)))
     np.testing.assert_array_equal(t.grad, [[0, 0], [2, 2], [0, 0], [0, 0]])
 
-    # repeated indices, each row weighted differently
-    weights = Tensor([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
-    t.grad = None
+    # repeated indices, each row weighted differently, onto the gradient there
+    t.accumulate_rows(np.array([3, 0, 3]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
+    np.testing.assert_array_equal(t.grad, [[3, 4], [2, 2], [0, 0], [6, 8]])
+
+    # a (B, T, d) buffer takes flat row indices into B * T rows
+    x = ad.parameter(np.zeros((2, 3, 2)))
+    x.accumulate_rows(np.array([4, 0, 4]), np.ones((3, 2)))
+    np.testing.assert_array_equal(x.grad[1, 1], [2, 2])
+    np.testing.assert_array_equal(x.grad[0, 0], [1, 1])
+    assert np.count_nonzero(x.grad) == 4
+
+
+def test_embedding_scatter_adds_to_a_gradient_written_first():
+    # the tape replays in reverse, so the later-recorded square reaches the
+    # table first; the embedding's rows add onto it, and an earlier pass's
+    # gradient stays under both
+    tables = embeddings.EmbeddingTables(
+        word=ad.parameter(np.ones((4, 2))), position=ad.parameter(np.zeros((3, 2)))
+    )
+    word = tables.word
     with Tape():
-        backward(ad.reduce_sum(ad.mul(ad.gather_rows(t, [3, 0, 3]), weights)))
-    np.testing.assert_array_equal(t.grad, [[3, 4], [0, 0], [0, 0], [6, 8]])
-
-    # onto a gradient another op of the same pass wrote first (the tape
-    # replays in reverse, so the later-recorded square reaches t first)
-    t.grad = None
+        backward(ad.reduce_sum(embeddings.embed_sequence([0], tables)))
     with Tape():
-        backward(ad.add(ad.reduce_sum(ad.gather_rows(t, [2, 2])), ad.reduce_sum(ad.mul(t, t))))
-    np.testing.assert_array_equal(t.grad, [[2, 2], [2, 2], [4, 4], [2, 2]])
+        rows = embeddings.embed_sequence([[2, 2], [1, 2]], tables)
+        backward(ad.add(ad.reduce_sum(rows), ad.reduce_sum(ad.mul(word, word))))
+    np.testing.assert_array_equal(word.grad, [[3, 3], [3, 3], [5, 5], [2, 2]])
+    np.testing.assert_array_equal(tables.position.grad, [[3, 3], [2, 2], [0, 0]])
 
-    # onto a gradient left by an earlier backward pass
+
+def test_backward_frees_each_operations_gradients_before_the_next():
+    """A gradient that one op's backward returns is gone once it has been
+    added into its input, before an earlier op's backward runs."""
+    x = ad.parameter([1.0, -2.0])
+    seen = {}
+
+    def first_grad(g):
+        seen["alive"] = seen["returned"]() is not None
+        return (g,)
+
+    def second_grad(g):
+        returned = 3.0 * g
+        seen["returned"] = weakref.ref(returned)
+        return (returned,)
+
     with Tape():
-        backward(ad.reduce_sum(ad.gather_rows(t, [0])))
-    np.testing.assert_array_equal(t.grad, [[3, 3], [2, 2], [4, 4], [2, 2]])
-
-    # from a non-leaf table
-    t.grad = None
-    with Tape():
-        doubled = ad.concat([ad.mul(t, Tensor(2.0)), t], axis=1)
-        backward(ad.reduce_sum(ad.gather_rows(doubled, [1, 3, 1])))
-    np.testing.assert_array_equal(t.grad, [[0, 0], [6, 6], [0, 0], [3, 3]])
-
-    # an int index reads one row of a matrix, or one entry of a vector as a
-    # 0-d tensor, and its backward writes only that row: a dense write would
-    # add +0.0 to the other rows and turn their -0.0 into 0.0
-    for table in (t, ad.parameter([1.0, 2.0, 3.0, 4.0])):
-        table.grad = np.full(table.values.shape, -0.0)
-        with Tape():
-            backward(ad.reduce_sum(ad.gather_rows(table, 2)))
-        expected = np.zeros(table.values.shape)
-        expected[2] = 1.0
-        np.testing.assert_array_equal(table.grad, expected)
-        assert np.all(np.signbit(np.delete(table.grad, 2, axis=0)))
-
-    # two reads of one int index add up in that row
-    for table in (t, ad.parameter([1.0, 2.0, 3.0, 4.0])):
-        table.grad = None
-        with Tape():
-            backward(ad.reduce_sum(ad.add(ad.gather_rows(table, 1), ad.gather_rows(table, 1))))
-        expected = np.zeros(table.values.shape)
-        expected[1] = 2.0
-        np.testing.assert_array_equal(table.grad, expected)
+        hidden = ad.record((x,), 2.0 * x.values, first_grad)
+        backward(ad.reduce_sum(ad.record((hidden,), 3.0 * hidden.values, second_grad)))
+    assert seen["alive"] is False
+    np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
 def test_sum_of_squares_matches_composed_chain():

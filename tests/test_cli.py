@@ -748,3 +748,17 @@ def test_explain_names_outputs_by_source_line(tmp_path, config_path, capsys):
     html = (out_dir / "heatmap_003.html").read_text()
     for token in preprocess(RawReview(review.text, 4, []), PreprocessRules.default()).tokens:
         assert f">{token}</td>" in html
+
+
+def test_eval_of_a_corpus_whose_reviews_are_all_dropped_reports_zero_support(tmp_path, capsys):
+    corpus = tmp_path / "reviews.jsonl"
+    corpus.write_text(json.dumps({"text": "pizza", "overall": 4}) + "\n")
+    checkpoint = write_current_checkpoint(tmp_path / "model.npz")
+    out_dir = tmp_path / "eval"
+    assert main(
+        ["eval", "--checkpoint", str(checkpoint), "--data", str(corpus), "--out", str(out_dir)]
+    ) == 0
+    assert "dropped 1 of 1 reviews" in capsys.readouterr().err
+    metrics = (out_dir / "metrics_eval.txt").read_text()
+    assert "overall.support = 0\n" in metrics
+    assert "aspect.food.support = 0\n" in metrics

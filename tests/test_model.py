@@ -19,6 +19,8 @@ from aspectsent.model import (
     orthogonal_penalty,
     save_checkpoint,
 )
+from aspectsent.autodiff import EmptyAttentionError
+from aspectsent.data import collate
 from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.heatmap import build_report
 from aspectsent.textfile import InputError
@@ -31,6 +33,7 @@ class FakeExample:
         self.mask = np.asarray(mask, dtype=bool)
         self.overall_label = overall_label
         self.aspect_labels = aspect_labels
+        self.tokens = [f"t{i}" for i in token_ids]
 
 
 def toy_config(**overrides):
@@ -259,27 +262,109 @@ def test_combined_loss_without_position_stage_has_no_position_term():
     assert total.item() == breakdown.total
 
 
+def grad_or_zeros(tensor):
+    return np.zeros(tensor.values.shape) if tensor.grad is None else tensor.grad.copy()
+
+
+def loss_op_kinds(tape, start):
+    return sorted(op.grad_fn.__qualname__.split(".")[0] for op in tape.ops[start:])
+
+
 def test_paper_width_forward_reads_weights_in_place():
-    # embedding 300, cell 64, K=4: 3 embedding ops, the BiLSTM, the mean
+    # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
     # embedding, 16 per aspect (7 self-attention, 6 position, 3 head) and 4
-    # for the overall head. The loss, with the L2 term built once for the
-    # batch, adds 20 whatever the labels: 5 cross-entropies, the aspect sum's
-    # 3 adds, per attention stage a stack and its penalty, and for each of the
-    # 4 weighted terms a mul by its weight and an add into the total
+    # for the overall head, for one example and for a batch record alike.
+    # The loss, with the L2 term built once for the batch, adds 20 when every
+    # aspect is rated: 5 cross-entropies, the aspect sum's 3 adds, per
+    # attention stage a stack and its penalty, and for each of the 4 weighted
+    # terms a mul by its weight and an add into the total. A batch adds one
+    # mul by 1/B, and an aspect no row rates drops its cross-entropy and add.
     config = ModelConfig(aspect_names=["a", "b", "c", "d"])
     params = init_params(config, vocab_size=20, seed=0)
     l2 = model.l2_penalty(params)
-    for overall, aspects in ((1, (1, 0, 1, 0)), (0, (0, 1, 0, 0))):
-        ex = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=overall, aspects=aspects)
+    first = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=1, aspects=(1, 0, 1, 0))
+    second = example(ids=range(5, 12), mask=[1] * 7, overall=0, aspects=(0, None, 0, None))
+    third = example(ids=range(3, 8), mask=[1] * 5, overall=0, aspects=(0, None, None, None))
+    every_term = ["orthogonal_penalty", "stack_rows"] * 2 + ["mul"] * 4 + ["add"] * 4
+    cases = [
+        (first, 5, []),
+        (example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=0, aspects=(0, 1, 0, 0)), 5, []),
+        (collate([first, second]), 5, ["mul"]),
+        (collate([second, third]), 3, ["mul"]),  # nobody rates aspects b and d
+    ]
+    for record, cross_entropies, per_batch in cases:
         with Tape() as tape:
-            output = forward(ex, params, config)
-            assert len(tape) == 73
-            combined_loss(output, ex, params, config, l2=l2)
-        loss_kinds = [op.grad_fn.__qualname__.split(".")[0] for op in tape.ops[73:]]
-        assert sorted(loss_kinds) == sorted(
-            ["cross_entropy"] * 5 + ["add"] * 7 + ["mul"] * 4
-            + ["stack_rows", "orthogonal_penalty"] * 2
+            output = forward(record, params, config)
+            assert len(tape) == 71
+            combined_loss(output, record, params, config, l2=l2)
+        assert loss_op_kinds(tape, 71) == sorted(
+            ["cross_entropy"] * cross_entropies + ["add"] * (cross_entropies - 2)
+            + every_term + per_batch
         )
+
+
+BATCHES = {
+    "mixed": [
+        example(ids=range(2, 14), mask=[1] * 12, overall=1, aspects=(1, 0, None, 1)),
+        example(ids=(4, 5, 3), mask=[1] * 3, overall=0, aspects=(None, 1, None, 0)),
+        example(ids=(6, 2, 3, 7, 5), mask=(1, 1, 0, 1, 1), overall=0, aspects=(0, None, None, 1)),
+        example(ids=range(9, 18), mask=[1] * 9, overall=1, aspects=(1, 1, None, 0)),
+    ],
+    "one": [example(ids=(2, 5, 4, 3), mask=[1] * 4, overall=1, aspects=(None, 0, 1, 1))],
+}
+
+
+@pytest.mark.parametrize("name", list(BATCHES))
+def test_batch_forward_and_loss_match_each_example(name):
+    """Row b of a batch's forward pass is example b's, within 1e-12, with weights
+    exactly 0 at its padding; the batch loss is the mean of the examples'
+    objectives within 1e-14 relative, and every gradient is within 1e-12
+    relative of the mean of theirs, with none reaching the padding row. At
+    paper widths, K=4, with mixed lengths, a masked hole and unrated aspects."""
+    config = ModelConfig(aspect_names=["a", "b", "c", "d"])
+    params = init_params(config, vocab_size=20, seed=3)
+    batch = BATCHES[name]
+    record = collate(batch)
+    l2 = model.l2_penalty(params)
+    ad.zero_grads(params.tensors())
+    with Tape():
+        batch_out = forward(record, params, config)
+        batch_loss, _ = combined_loss(batch_out, record, params, config, l2=l2)
+        backward(batch_loss)
+    batch_grads = [grad_or_zeros(t) for t in params.tensors()]
+    assert np.all(params.tables.word.grad[PAD_ID] == 0.0)
+
+    ad.zero_grads(params.tensors())
+    with Tape():
+        total = None
+        for b, ex in enumerate(batch):
+            out = forward(ex, params, config)
+            n = len(ex.token_ids)
+            for got, want in [(batch_out.overall_probs, out.overall_probs)] + list(
+                zip(batch_out.aspect_probs, out.aspect_probs)
+            ):
+                np.testing.assert_allclose(got.values[b], want.values, rtol=0, atol=1e-12)
+            for got, want in zip(batch_out.traces, out.traces):
+                for stage in ("self_weights", "pos_weights"):
+                    row = getattr(got, stage).values[b]
+                    np.testing.assert_allclose(row[:n], getattr(want, stage).values, atol=1e-12)
+                    assert np.all(row[n:] == 0.0)
+                np.testing.assert_allclose(got.context.values[b], want.context.values, atol=1e-12)
+            loss, _ = combined_loss(out, ex, params, config, l2=l2)
+            total = loss if total is None else ad.add(total, loss)
+        mean_loss = ad.mul(total, Tensor(1.0 / len(batch)))
+        backward(mean_loss)
+    assert abs(batch_loss.item() - mean_loss.item()) <= 1e-14 * abs(mean_loss.item())
+    for (label, tensor), got in zip(params.named_tensors(), batch_grads):
+        want = grad_or_zeros(tensor)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), label
+
+
+def test_fully_masked_row_of_a_batch_raises(toy_model):
+    config, params = toy_model
+    record = collate([example(), example(ids=(2, 3), mask=(0, 0))])
+    with pytest.raises(EmptyAttentionError):
+        forward(record, params, config)
 
 
 def test_combined_loss_skips_unrated_aspects(toy_model):

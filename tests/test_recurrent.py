@@ -175,11 +175,30 @@ def sigmoid(a):
     return ad.record((a,), y, lambda g: (g * y * (1.0 - y),))
 
 
+def read_rows(x, index):
+    """``x[index]`` as one tape op, which only the oracles use: an int reads
+    one row of a matrix, and an int vector one row per index."""
+    idx = np.asarray(index, dtype=np.int64)
+
+    def grad_fn(g):
+        dx = np.zeros(x.values.shape)
+        np.add.at(dx, idx, g)
+        return (dx,)
+
+    return ad.record((x,), x.values[idx], grad_fn)
+
+
 def test_oracle_sigmoid_gradient():
     a = ad.parameter(np.random.default_rng(12).normal(size=4) * 3)
     assert stable_sigmoid(np.float64(0.0)) == 0.5
     assert sigmoid(Tensor(0.0)).item() == 0.5
     assert grad_check(lambda: ad.reduce_sum(sigmoid(a)), [a]) < 1e-9
+
+
+def test_oracle_row_read_gradient():
+    m = ad.parameter(np.random.default_rng(13).normal(size=(4, 3)))
+    assert grad_check(lambda: ad.reduce_sum(ad.tanh(read_rows(m, [2, 0, 2]))), [m]) < 1e-9
+    assert grad_check(lambda: ad.reduce_sum(ad.tanh(read_rows(m, 1))), [m]) < 1e-9
 
 
 # One direction as one tape op, as the encoder ran before both directions
@@ -269,10 +288,10 @@ def composed_direction(inputs, params, mask, order):
     for t in order:
         if not mask[t]:
             continue
-        z = ad.add(ad.add(ad.gather_rows(projected, t), ad.matmul(h, params.u)), params.b)
-        gates = sigmoid(ad.gather_rows(z, sigmoid_part))
-        cand = ad.tanh(ad.gather_rows(z, cand_part))
-        i_gate, f_gate, o_gate = (ad.gather_rows(gates, part) for part in ifo_parts)
+        z = ad.add(ad.add(read_rows(projected, t), ad.matmul(h, params.u)), params.b)
+        gates = sigmoid(read_rows(z, sigmoid_part))
+        cand = ad.tanh(read_rows(z, cand_part))
+        i_gate, f_gate, o_gate = (read_rows(gates, part) for part in ifo_parts)
         c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
         h = ad.mul(o_gate, ad.tanh(c))
         rows[t] = h
@@ -390,7 +409,7 @@ def per_gate_direction(inputs, p, mask, order):
     projected = {gate: ad.matmul(inputs, p[gate, "w"]) for gate in GATES}
 
     def pre(gate, t, h):
-        row = ad.gather_rows(projected[gate], t)
+        row = read_rows(projected[gate], t)
         return ad.add(ad.add(row, ad.matmul(h, p[gate, "u"])), p[gate, "b"])
 
     zero_row = Tensor(np.zeros(cell_width))

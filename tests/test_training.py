@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from aspectsent import autodiff as ad
 from aspectsent import training
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
-from aspectsent.data import DatasetSplit, batch_iter
+from aspectsent.data import DatasetSplit, batch_iter, collate
 from aspectsent.embeddings import PAD_ID
 from aspectsent.model import ModelConfig, combined_loss, forward, init_params
 from aspectsent.training import (
@@ -287,7 +287,8 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
         batch_loss = ad.mul(total, Tensor(1.0 / len(batch)))
         backward(batch_loss)
 
-    assert result.log[0].mean_loss == batch_loss.item()
+    # one padded pass against the per-example sum: the same terms, summed in another order
+    assert abs(result.log[0].mean_loss - batch_loss.item()) <= 1e-14 * abs(batch_loss.item())
     expected = {name: t.grad for name, t in oracle.named_tensors() if t.grad is not None}
     assert captured.keys() == expected.keys()
     assert np.all(captured["word_table"][PAD_ID] == 0.0)
@@ -310,3 +311,60 @@ def test_learns_the_synthetic_corpus_without_l2(split_seed):
         labels = [ex.aspect_labels[k] for ex in split.test]
         majority = max(labels.count(0), labels.count(1)) / len(labels)
         assert metrics.accuracy >= majority + 0.05, (k, metrics.accuracy, majority)
+
+
+def test_training_step_records_one_forward_loss_and_backward(monkeypatch):
+    """Each batch is one padded record: one forward pass, one loss and one
+    backward pass, whose tape does not grow with the batch size."""
+    split, vocab, config = synthetic_split(n=40, seed=7)
+    calls = {"forward": [], "combined_loss": 0, "backward": []}
+
+    def counting(name, fn):
+        def run(*args, **kwargs):
+            if name == "forward":
+                calls[name].append(np.shape(args[0].token_ids))
+            elif name == "backward":
+                calls[name].append(len(args[0].tape))
+            else:
+                calls[name] += 1
+            return fn(*args, **kwargs)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(training, name, counting(name, getattr(training, name)))
+    no_validation = DatasetSplit(split.train[:10], [], [], seed=7)
+    params = init_params(config, len(vocab), seed=0)
+    train(params, config, TrainConfig(epochs=1, batch_size=8, seed=0), no_validation)
+    assert [shape[0] for shape in calls["forward"]] == [8, 2]
+    assert calls["combined_loss"] == 2
+    assert len(calls["backward"]) == 2 and calls["backward"][0] == calls["backward"][1]
+
+
+def test_evaluate_of_no_examples_has_zero_support():
+    _, vocab, config = synthetic_split(n=20, seed=8)
+    params = init_params(config, len(vocab), seed=0)
+    report = evaluate(params, config, [])
+    assert report.overall.support == 0
+    assert [metrics.support for metrics in report.aspects] == [0] * config.aspect_count
+    with pytest.raises(ValueError, match="no examples"):
+        collate([])
+
+
+def test_evaluate_matches_each_example_alone():
+    split, vocab, config = synthetic_split(n=120, seed=9, unrated_fraction=0.3)
+    params = init_params(config, len(vocab), seed=0)
+    examples = split.train  # more than one chunk
+    assert len(examples) > training.EVAL_CHUNK
+    report = evaluate(params, config, examples)
+    overall, aspects = [], [[] for _ in range(config.aspect_count)]
+    for ex in examples:
+        out = forward(ex, params, config)
+        overall.append(int(np.argmax(out.overall_probs.values)))
+        for k, probs in enumerate(out.aspect_probs):
+            if ex.aspect_labels[k] is not None:
+                aspects[k].append(int(np.argmax(probs.values)))
+    expected = compute_metrics([ex.overall_label for ex in examples], overall)
+    assert np.array_equal(report.overall.confusion, expected.confusion)
+    for k, metrics in enumerate(report.aspects):
+        labels = [ex.aspect_labels[k] for ex in examples if ex.aspect_labels[k] is not None]
+        assert np.array_equal(metrics.confusion, compute_metrics(labels, aspects[k]).confusion)
