@@ -57,48 +57,40 @@ class AdamState:
     step: int = 0
 
 
-def _gradient(name: str, tensor: Tensor) -> np.ndarray:
-    g = tensor.grad
-    if g is None:
-        return np.zeros_like(tensor.values)
-    if not np.all(np.isfinite(g)):
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
-    return g
-
-
-ADAM_BLOCK = 1 << 16  # entries per block; the two scratch blocks stay in cache
-
-
 def adam_step(named_params, state: AdamState, config: TrainConfig) -> None:
     """One bias-corrected adaptive-moment update, in place.
 
-    The moments are updated in place. Each parameter is updated in blocks
-    of leading-axis rows, with each block's step formed in two scratch
-    arrays made once per parameter. The operations run in the order of
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    The moments are updated in place. Each parameter is updated in
+    ``ad.row_blocks`` blocks of leading-axis rows, with each block's step
+    formed in two scratch arrays made once per parameter. The operations run
+    in the order of ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
     ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; every one is elementwise, so
-    every value matches that formula to the bit.
+    every value matches that formula to the bit. A parameter without a
+    gradient is updated with a zero one.
+
+    Each block's gradient is checked before the block is updated: a
+    non-finite entry raises ``NumericError`` naming the parameter. The
+    parameters before it, and the earlier blocks of that parameter, are
+    then already updated; ``train`` stops either way.
     """
     state.step += 1
     t = state.step
     m_scale = 1 - config.beta1**t
     v_scale = 1 - config.beta2**t
     for name, p in named_params:
-        g = _gradient(name, p)
         m = state.first.get(name)
         v = state.second.get(name)
         if m is None:
             m = state.first[name] = np.zeros(p.values.shape)
             v = state.second[name] = np.zeros(p.values.shape)
         # a 0-d parameter is updated through a one-entry view
-        p_rows, g_rows, m_rows, v_rows = np.atleast_1d(p.values, g, m, v)
-        rows = max(1, ADAM_BLOCK // p_rows[0].size)
-        step_block = np.empty((min(rows, len(p_rows)),) + p_rows.shape[1:])
-        denom_block = np.empty_like(step_block)
-        for lo in range(0, len(p_rows), rows):
-            part = slice(lo, lo + rows)
-            pb, gb, mb, vb = p_rows[part], g_rows[part], m_rows[part], v_rows[part]
-            step, denom = step_block[: len(pb)], denom_block[: len(pb)]
+        p_rows, m_rows, v_rows = np.atleast_1d(p.values, m, v)
+        g_rows = np.broadcast_to(0.0, p_rows.shape) if p.grad is None else np.atleast_1d(p.grad)
+        for part, step, denom in ad.row_blocks(p_rows, scratch=2):
+            gb = g_rows[part]
+            if not np.isfinite(gb).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
+            pb, mb, vb = p_rows[part], m_rows[part], v_rows[part]
             mb *= config.beta1
             np.multiply(1 - config.beta1, gb, out=step)
             mb += step
@@ -230,11 +222,13 @@ def train(
     then evaluates on the validation part. A step collates its batch into
     one padded record: one ``forward``, one ``combined_loss`` (the mean of
     the examples' objectives) and one ``backward``. The L2 term is built
-    before the forward pass, so its table-sized gradients come last in the
-    backward pass. The parameters with the best validation macro-F1 are what
-    the run returns: they are copied aside only when a later epoch could
-    still change them, and restored only when a later epoch did. Training
-    stops early after ``patience`` epochs without improvement.
+    before the forward pass, so its backward runs last: it adds its
+    gradients, block by block, into the buffers the other terms left, with
+    no table-sized temporary. The parameters with the best validation
+    macro-F1 are what the run returns: they are copied aside only when a
+    later epoch could still change them, and restored only when a later
+    epoch did. Training stops early after ``patience`` epochs without
+    improvement.
     """
     rng = np.random.default_rng(train_config.seed)
     named = params.named_tensors()

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import tracemalloc
 import weakref
 import zlib
 
@@ -458,11 +459,68 @@ def test_sum_of_squares_matches_composed_chain():
         chain = term if chain is None else ad.add(chain, term)
     fused = ad.sum_of_squares(tensors)
     assert fused.values.shape == ()
-    assert fused.item() == chain.item()
+    # np.vdot sums in another order than the chain's np.sum
+    assert abs(fused.item() - chain.item()) <= 1e-14 * chain.item()
     with Tape():
         backward(ad.mul(ad.sum_of_squares(tensors), Tensor(0.5)))
     for t in tensors:
         np.testing.assert_array_equal(t.grad, t.values)
+
+
+def oracle_sum_of_squares(tensors):
+    """The L2 op as it was: ``np.sum(x * x)`` per tensor, and each input's
+    gradient ``x * 2g`` handed back to the engine to add."""
+    total = None
+    for t in tensors:
+        term = np.sum(t.values * t.values)
+        total = term if total is None else total + term
+
+    def grad_fn(g):
+        return tuple(t.values * (2.0 * g) for t in tensors)
+
+    return ad.record(tuple(tensors), np.asarray(total), grad_fn)
+
+
+@pytest.mark.parametrize("shape", [
+    (3 * (ad.BLOCK // 300) + 7, 300),  # three full blocks and a partial one
+    (2 * ad.BLOCK + 3,),
+    (),
+])
+@pytest.mark.parametrize("has_grad", [True, False])
+def test_sum_of_squares_streams_the_oracle_gradient(shape, has_grad):
+    rng = np.random.default_rng(17)
+    x = rng.normal(size=shape)
+    start = rng.normal(size=shape) if has_grad else None
+    grads = []
+    for op in (ad.sum_of_squares, oracle_sum_of_squares):
+        t = ad.parameter(x.copy())
+        t.grad = None if start is None else np.array(start)
+        with Tape():
+            value = op([t])
+            backward(ad.mul(value, Tensor(0.37)))
+        assert abs(value.item() - np.sum(x * x)) <= 1e-14 * np.sum(x * x)
+        assert t.grad.shape == shape and isinstance(t.grad, np.ndarray)
+        grads.append(t.grad)
+    assert np.array_equal(grads[0], grads[1])
+
+
+def test_sum_of_squares_scratch_stays_within_two_blocks():
+    # a table with a gradient already: forward and backward add no table-sized array
+    rows = 10 * (ad.BLOCK // 300) + 1
+    table = ad.parameter(np.random.default_rng(5).normal(size=(rows, 300)))
+    table.grad = np.ones(table.values.shape)
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with Tape():
+            backward(ad.sum_of_squares([table]))
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 2 * ad.BLOCK * 8 + 64 * 1024, peak
 
 
 def test_operations_outside_tape_do_not_record():

@@ -20,6 +20,7 @@ from aspectsent.training import (
     train,
 )
 from tests.corpus import synthetic_split, tiny_model_config
+from tests.test_autodiff import oracle_sum_of_squares
 
 
 def test_adam_first_step_is_signed_learning_rate():
@@ -51,6 +52,18 @@ def test_adam_aborts_on_nonfinite_gradient():
     p.grad = np.array([np.nan])
     with pytest.raises(NumericError, match="embedding.weight"):
         adam_step([("embedding.weight", p)], AdamState(), TrainConfig())
+
+    # in a later block of a multi-block table: that block and the ones after
+    # it stay as they were
+    rows = ad.BLOCK // 30
+    start = np.random.default_rng(2).normal(size=(4 * rows + 5, 30))
+    for bad in (np.nan, np.inf):
+        table = ad.parameter(start.copy(), "word_table")
+        table.grad = np.ones(start.shape)
+        table.grad[2 * rows + 3, 7] = bad
+        with pytest.raises(NumericError, match="word_table"):
+            adam_step([("word_table", table)], AdamState(), TrainConfig())
+        assert np.array_equal(table.values[2 * rows:], start[2 * rows:])
 
 
 def reference_adam_step(named_params, first, second, t, config):
@@ -295,6 +308,26 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
     for name, grad in expected.items():
         scale = max(np.max(np.abs(grad)), 1e-300)
         assert np.max(np.abs(captured[name] - grad)) <= 1e-12 * scale, name
+
+
+def test_streamed_l2_trains_bit_identically_to_the_oracle(monkeypatch):
+    """Three epochs at the default config: every parameter equals, to the bit,
+    a run whose L2 op hands table-sized gradients back to the engine; each
+    epoch's mean loss moves only by the rounding of the L2 value."""
+    split, vocab, config = synthetic_split(n=300, seed=0)
+    assert config.l2_weight > 0
+    runs = []
+    for penalty in (training.l2_penalty, lambda p: oracle_sum_of_squares(p.tensors())):
+        monkeypatch.setattr(training, "l2_penalty", penalty)
+        params = init_params(config, len(vocab), seed=0)
+        runs.append(train(params, config, TrainConfig(epochs=3), split))
+    streamed, oracle = runs
+    assert len(streamed.log) == len(oracle.log) == 3
+    for ours, theirs in zip(streamed.log, oracle.log):
+        assert abs(ours.mean_loss - theirs.mean_loss) <= 1e-14 * abs(theirs.mean_loss)
+    for (name, ours), (_, theirs) in zip(streamed.params.named_tensors(),
+                                         oracle.params.named_tensors()):
+        assert np.array_equal(ours.values, theirs.values), name
 
 
 @pytest.mark.parametrize("split_seed", [0, 3])
