@@ -5,14 +5,12 @@ recorded operations replayed in reverse. A tape is activated as a context
 manager; outside any tape, operations run forward-only, which is what
 evaluation code uses.
 
-Each of the 10 operations is one numpy primitive: elementwise ``add`` (+),
+Each of the 8 operations is one numpy primitive: elementwise ``add`` (+),
 ``mul`` and ``tanh``, where a constant enters as a 0-d ``Tensor``;
 ``matmul`` (@: matrix @ matrix, matrix @ vector or vector @ matrix);
-``reduce_sum`` and ``sum_of_squares`` (``np.vdot(x, x)`` over many
-tensors); ``concat``, ``stack_rows`` and ``scale_rows``
-(``m * w[..., None]``); ``masked_softmax``. Composites are built from
-these: a weighted sum of rows is ``matmul(w, rows)``, and so is a mean,
-with weights ``1/n``.
+``reduce_sum``; ``concat`` and ``scale_rows`` (``m * w[..., None]``);
+``masked_softmax``. Composites are built from these: a weighted sum of
+rows is ``matmul(w, rows)``, and so is a mean, with weights ``1/n``.
 
 A training batch runs each operation once over a leading batch axis B; a
 single sequence is the same call without it. ``add`` and ``mul`` broadcast
@@ -24,7 +22,9 @@ hand, is defined where it is used and recorded through the public
 ``record``: ``embeddings.embed_sequence`` reads both tables as one
 operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
 whole batch as one operation, and ``model.cross_entropy`` and
-``model.orthogonal_penalty`` are one operation each.
+``model.orthogonal_penalty`` are one operation each. The objective's L2
+term over every parameter is no operation: ``training.adam_step`` adds its
+closed-form gradient to each parameter's.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
@@ -32,18 +32,13 @@ drops its gradient once that gradient has been passed on to the inputs, so
 the buffers of intermediate values live only while the pass needs them.
 ``Tensor.accumulate_rows`` scatter-adds rows into a buffer in place, so a
 lookup into a large table never builds a table-sized array of its own.
-``sum_of_squares`` records a penalty over many tensors as one operation
-and makes no table-sized array either: its value is one ``np.vdot`` per
-tensor, and its backward adds into each gradient buffer in place, one
-``row_blocks`` block at a time.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 import weakref
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -327,67 +322,6 @@ def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
     return record((a,), np.sum(a.values, axis=axis), grad_fn)
 
 
-BLOCK = 1 << 16
-# Entries per block of a streaming pass over a large tensor; the block size
-# bounds the scratch memory (512 KB per float64 block). Measured over a
-# 50k x 300 table on a 2-vCPU Xeon with 2 MB of L2 per core: blocks of
-# 2^12-2^16 entries cost the same per entry, apart from per-call overhead
-# (about 15 us per Adam block); from 2^17 up, where Adam's two scratch
-# blocks fill L2, each entry costs 15-30% more.
-
-
-def row_blocks(a: np.ndarray, scratch: int = 1) -> Iterator[tuple]:
-    """Walk ``np.atleast_1d(a)`` in blocks of whole leading-axis rows, about
-    ``BLOCK`` entries each (a row larger than that is a block of its own).
-
-    Yields each block's row slice followed by ``scratch`` float64 arrays of
-    that block's shape, views of buffers made once per call.
-    """
-    rows_view = np.atleast_1d(a)
-    n, row_shape = len(rows_view), rows_view.shape[1:]
-    rows = max(1, BLOCK // max(1, math.prod(row_shape)))
-    buffers = [np.empty((min(rows, n),) + row_shape) for _ in range(scratch)]
-    for lo in range(0, n, rows):
-        size = min(rows, n - lo)
-        yield (slice(lo, lo + size), *(b[:size] for b in buffers))
-
-
-def sum_of_squares(tensors: Sequence[Tensor]) -> Tensor:
-    """Scalar sum of the squares of every entry of every tensor, in one tape op.
-
-    Tensor by tensor, in the given order, it adds ``np.vdot(x, x)`` to a
-    running total: one BLAS pass over each tensor, with no product array
-    and no scratch (over a 50k x 300 table, 13 ms against 34 ms for a
-    blocked ``np.sum`` and 73 ms for ``np.sum(x * x)``). The value is that
-    of the chain of ``reduce_sum(mul(x, x))`` terms joined by ``add``
-    within rounding, as ``np.vdot`` sums in another order than ``np.sum``.
-    The gradients are the chain's to the bit: ``x * 2g`` is added into each
-    tensor's existing buffer in place, one ``row_blocks`` block of scratch
-    at a time, or written as the buffer when it has none, so the engine
-    gets None for every input.
-    """
-    if not tensors:
-        raise ShapeError("sum_of_squares: empty tensor list")
-    total = None
-    for t in tensors:
-        term = np.vdot(t.values, t.values)
-        total = term if total is None else total + term
-
-    def grad_fn(g):
-        two_g = 2.0 * g
-        for t in tensors:
-            if t.grad is None:
-                t.grad = np.multiply(t.values, two_g, out=np.empty(t.values.shape))
-                continue
-            x_rows, g_rows = np.atleast_1d(t.values, t.grad)
-            for part, step in row_blocks(x_rows):
-                np.multiply(x_rows[part], two_g, out=step)
-                g_rows[part] += step
-        return (None,) * len(tensors)
-
-    return record(tuple(tensors), np.asarray(total), grad_fn)
-
-
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Join tensors along an axis; numpy checks ranks and side dimensions."""
     try:
@@ -400,24 +334,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
 
     return record(tuple(parts), out, grad_fn)
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack equal-shape vectors into a matrix, one vector per row: K (T,)
-    parts give (K, T), and K (B, T) parts give (B, K, T)."""
-    if not parts:
-        raise ShapeError("stack_rows: empty part list")
-    n = parts[0].values.shape
-    for p in parts:
-        if p.values.ndim not in (1, 2) or p.values.shape != n:
-            raise ShapeError(
-                f"stack_rows: expected equal-shape vectors, got {p.values.shape} vs {n}"
-            )
-
-    def grad_fn(g):
-        return tuple(g[..., i, :].copy() for i in range(len(parts)))
-
-    return record(tuple(parts), np.stack([p.values for p in parts], axis=-2), grad_fn)
 
 
 def scale_rows(m: Tensor, w: Tensor) -> Tensor:

@@ -44,12 +44,12 @@ class RawReview:
 @dataclass
 class ProcessedExample:
     """One encoded review, or a batch record of B of them made by ``collate``,
-    whose ids are padded with ``PAD_ID`` and whose unrated aspects are -1."""
+    whose ids are padded with ``PAD_ID``; an unrated aspect's label is -1."""
 
     token_ids: np.ndarray  # int64 (T,), or (B, T)
     mask: np.ndarray  # bool (T,), all True as encoded, or (B, T)
     overall_label: object  # int, or (B,) ints
-    aspect_labels: object  # Optional[int] per aspect, or (B, K) ints
+    aspect_labels: np.ndarray  # int64 (K,), -1 where unrated, or (B, K)
     tokens: list  # surviving token strings, or one list per review
 
 
@@ -250,7 +250,9 @@ def encode_example(review: PreprocessedReview, vocab: Vocabulary) -> ProcessedEx
         token_ids=ids,
         mask=np.ones(len(ids), dtype=bool),
         overall_label=review.overall_label,
-        aspect_labels=list(review.aspect_labels),
+        aspect_labels=np.array(
+            [-1 if label is None else label for label in review.aspect_labels], dtype=np.int64
+        ),
         tokens=list(review.tokens),
     )
 
@@ -265,9 +267,9 @@ def collate(examples: Sequence[ProcessedExample]) -> ProcessedExample:
     for row, ex in enumerate(examples):
         ids[row, : len(ex.token_ids)] = ex.token_ids
         mask[row, : len(ex.mask)] = ex.mask
-    labels = [[-1 if label is None else label for label in ex.aspect_labels] for ex in examples]
     return ProcessedExample(ids, mask, np.array([ex.overall_label for ex in examples]),
-                            np.array(labels, dtype=np.int64), [ex.tokens for ex in examples])
+                            np.stack([ex.aspect_labels for ex in examples]),
+                            [ex.tokens for ex in examples])
 
 
 def batch_iter(

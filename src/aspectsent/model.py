@@ -7,8 +7,10 @@ in declared aspect order. The objective adds, to the overall cross-entropy:
 the weighted sum of rated-aspect cross-entropies, weighted orthogonality
 penalties on both attention-weight matrices, and a weighted L2 term over
 all trainable parameters. Each cross-entropy and each penalty records
-itself as one tape op with a hand-written backward pass, so the objective
-adds only their weighting and summing to the tape.
+itself as one tape op with a hand-written backward pass, so ``combined_loss``
+adds only their weighting and summing to the tape. The L2 term is not on
+the tape: ``training.adam_step`` adds its gradient to each parameter's, and
+``l2_penalty`` gives its value.
 
 ``forward`` and ``combined_loss`` take one example, or a batch record made
 by ``data.collate``; a batch runs every layer once, with a leading batch
@@ -96,7 +98,10 @@ class ModelConfig:
     hidden row is 2 * cell_width wide. Every rated aspect contributes
     cross-entropy. A term whose weight is 0 is left out of the objective
     entirely; disable_position_attention removes the position-attention
-    stage and its parameters.
+    stage and its parameters. ``l2_weight`` scales the sum of squares of
+    every parameter; ``training.adam_step`` applies it by adding
+    2 * l2_weight * p to each parameter p's gradient: the coupled L2 of
+    ``Adam(weight_decay=...)``, not AdamW's decoupled decay.
     """
 
     aspect_names: list = field(default_factory=list)
@@ -286,19 +291,23 @@ def cross_entropy(probs: Tensor, target) -> Tensor:
     return ad.record((probs,), np.sum(0.0 - np.log(q[chosen])), grad_fn)
 
 
-def orthogonal_penalty(matrix: Tensor) -> Tensor:
+def orthogonal_penalty(weights: Sequence[Tensor]) -> Tensor:
     """Frobenius distance of the row-normalized Gram matrix from identity, as one tape op.
 
-    Rows are scaled to unit length, so the penalty measures only the
-    directions of the rows; it is zero exactly when they are mutually
-    orthogonal. A batch (B, K, T) of matrices gives the sum of their
-    penalties. Every row must be nonzero: each attention row is a softmax,
-    whose largest entry is at least 1/T. A matrix of one row or none has
-    nothing to be orthogonal to, and its penalty is the constant 0.
+    The K weight vectors, (T,) each, are the rows of a K x T matrix; K (B, T)
+    ones give a batch of B matrices and the sum of their penalties. Rows are
+    scaled to unit length, so the penalty measures only their directions; it
+    is zero exactly when they are mutually orthogonal. Every row must be
+    nonzero: each attention row is a softmax, whose largest entry is at least
+    1/T. One row or none has nothing to be orthogonal to, and its penalty is
+    the constant 0.
     """
-    if matrix.values.ndim not in (2, 3):
-        raise ad.ShapeError(f"orthogonal_penalty: expected a matrix, got {matrix.values.shape}")
-    a = matrix.values
+    try:
+        a = np.stack([w.values for w in weights], axis=-2)
+    except ValueError as exc:
+        raise ad.ShapeError(f"orthogonal_penalty: {exc}") from None
+    if a.ndim not in (2, 3):
+        raise ad.ShapeError(f"orthogonal_penalty: expected (T,) or (B, T) rows, got {a.shape}")
     if a.shape[-2] <= 1:
         return Tensor(0.0)
     norms = np.sqrt(np.sum(a * a, axis=-1))
@@ -313,9 +322,10 @@ def orthogonal_penalty(matrix: Tensor) -> Tensor:
         # penalty passes nothing
         per_p = 2.0 * np.divide(g, p, out=np.zeros_like(p), where=p != 0.0)
         dn = per_p[..., None, None] * (d @ n)
-        return ((dn - n * np.sum(dn * n, axis=-1)[..., None]) / norms[..., None],)
+        da = (dn - n * np.sum(dn * n, axis=-1)[..., None]) / norms[..., None]
+        return tuple(np.moveaxis(da, -2, 0))  # row k to weight vector k
 
-    return ad.record((matrix,), np.sum(p), grad_fn)
+    return ad.record(tuple(weights), np.sum(p), grad_fn)
 
 
 @dataclass
@@ -331,35 +341,28 @@ class LossBreakdown:
     aspect_terms: list
     self_orth: Optional[float]
     pos_orth: Optional[float]
-    l2: Optional[float]
     total: float
 
 
-def l2_penalty(params: ModelParams) -> Tensor:
-    """Sum of squares of every parameter, in ``named_tensors`` order."""
-    return ad.sum_of_squares(params.tensors())
+def l2_penalty(params: ModelParams) -> float:
+    """Sum of the squares of every parameter's entries: one ``np.vdot`` per
+    tensor, in ``named_tensors`` order, with no product array."""
+    return float(sum(np.vdot(t.values, t.values) for t in params.tensors()))
 
 
 def combined_loss(
-    output: ForwardOutput,
-    example,
-    params: ModelParams,
-    config: ModelConfig,
-    l2: Optional[Tensor] = None,
+    output: ForwardOutput, example, params: ModelParams, config: ModelConfig
 ) -> tuple[Tensor, LossBreakdown]:
-    """Assemble the full objective for one example, or its mean over a batch record.
+    """Assemble the objective for one example, or its mean over a batch record,
+    less the L2 term: that depends on the parameters alone, and the optimizer
+    applies it (see ``ModelConfig``), so ``params`` is not read.
 
     Every rated aspect contributes cross-entropy; unrated ones do not, but
     their traces still feed the orthogonality terms. Each term is one tape
     op, summed over a batch's rows, each weight one ``mul`` and each sum one
-    ``add``, and a batch adds one ``mul`` by 1/B; a stage's K weight vectors
-    become its (B,) K x T matrix in one ``stack_rows``. The L2 term depends on
-    the parameters alone: pass it in as ``l2``, built with ``l2_penalty``, or
-    one is built here.
+    ``add``, and a batch adds one ``mul`` by 1/B.
     """
-    targets = example.aspect_labels  # a batch record's (B, K) ints, -1 where unrated
-    if not isinstance(targets, np.ndarray):
-        targets = np.array([-1 if label is None else label for label in targets])
+    targets = example.aspect_labels  # (K,) or (B, K) ints, -1 where unrated
     rows = len(targets) if targets.ndim == 2 else 1
     total = cross_entropy(output.overall_probs, example.overall_label)
     overall_value = total.item() / rows
@@ -376,27 +379,20 @@ def combined_loss(
 
     self_orth_value = None
     if config.self_orth_weight > 0:
-        self_orth = orthogonal_penalty(ad.stack_rows([t.self_weights for t in output.traces]))
+        self_orth = orthogonal_penalty([t.self_weights for t in output.traces])
         self_orth_value = self_orth.item() / rows
         total = ad.add(total, ad.mul(self_orth, Tensor(config.self_orth_weight)))
 
     pos_orth_value = None
     if not config.disable_position_attention and config.pos_orth_weight > 0:
-        pos_orth = orthogonal_penalty(ad.stack_rows([t.pos_weights for t in output.traces]))
+        pos_orth = orthogonal_penalty([t.pos_weights for t in output.traces])
         pos_orth_value = pos_orth.item() / rows
         total = ad.add(total, ad.mul(pos_orth, Tensor(config.pos_orth_weight)))
 
     if targets.ndim == 2:
         total = ad.mul(total, Tensor(1.0 / rows))
 
-    l2_value = None
-    if config.l2_weight > 0:
-        if l2 is None:
-            l2 = l2_penalty(params)
-        l2_value = l2.item()
-        total = ad.add(total, ad.mul(l2, Tensor(config.l2_weight)))
-
-    values = (overall_value, aspect_terms, self_orth_value, pos_orth_value, l2_value)
+    values = (overall_value, aspect_terms, self_orth_value, pos_orth_value)
     return total, LossBreakdown(*values, total=total.item())
 
 

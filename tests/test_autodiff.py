@@ -3,7 +3,6 @@ import importlib
 import inspect
 import pkgutil
 import re
-import tracemalloc
 import weakref
 import zlib
 
@@ -249,9 +248,9 @@ GRAD_CHECK_CASES = [
     "add", "mul", "mul-constant", "add-batch", "mul-batch", "tanh",
     "matmul", "matmul-vector", "matmul-vector-left",
     "matmul-batch", "matmul-vector-batch", "matmul-vector-left-batch",
-    "reduce_sum", "concat", "stack_rows", "stack_rows-batch", "scale_rows", "scale_rows-batch",
+    "reduce_sum", "concat", "scale_rows", "scale_rows-batch",
     "embed_sequence", "embed_sequence-batch",
-    "masked_softmax", "masked_softmax-batch", "sum_of_squares",
+    "masked_softmax", "masked_softmax-batch",
     "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
     "cross_entropy-target-0", "cross_entropy-target-1", "cross_entropy-batch",
     "orthogonal_penalty", "orthogonal_penalty-batch",
@@ -304,9 +303,10 @@ def test_grad_check_every_operation(name):
     elif name.startswith("cross_entropy"):  # a probability pair, inside the clip range
         probs, target = ad.parameter(rng.uniform(0.2, 0.8, size=2)), int(name[-1])
         inputs, f = [probs], lambda: model.cross_entropy(probs, target)
-    elif name.startswith("orthogonal_penalty"):
-        m = ad.parameter(rng.normal(size=(2, 3, 5) if name.endswith("batch") else (3, 5)))
-        inputs, f = [m], lambda: model.orthogonal_penalty(m)
+    elif name.startswith("orthogonal_penalty"):  # K=3 weight vectors, (5,) or (2, 5) each
+        rows = [ad.parameter(rng.normal(size=(2, 5) if name.endswith("batch") else 5))
+                for _ in range(3)]
+        inputs, f = rows, lambda: model.orthogonal_penalty(rows)
     elif name == "matmul":
         a, b = mat(2, 3), mat(3, 2)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
@@ -331,12 +331,6 @@ def test_grad_check_every_operation(name):
     elif name == "concat":
         a, b = vec(3), vec(2)
         inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.concat([a, b])))
-    elif name == "stack_rows":
-        a, b = vec(), vec()
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.stack_rows([a, b])))
-    elif name == "stack_rows-batch":
-        a, b, readout = mat(), mat(), Tensor(rng.normal(size=(3, 2, 4)))
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.mul(ad.stack_rows([a, b]), readout))
     elif name == "scale_rows":
         m, w = mat(), vec(3)
         inputs, f = [m, w], lambda: ad.reduce_sum(ad.tanh(ad.scale_rows(m, w)))
@@ -348,9 +342,6 @@ def test_grad_check_every_operation(name):
         ids = [[1, 2, 2], [4, 0, 2]] if name.endswith("batch") else [0, 2, 2, 4]
         inputs = [tables.word, tables.position]
         f = lambda: ad.reduce_sum(ad.tanh(embeddings.embed_sequence(ids, tables)))
-    elif name == "sum_of_squares":
-        a, b, c = mat(), vec(), ad.parameter(rng.normal())
-        inputs, f = [a, b, c], lambda: ad.tanh(ad.mul(ad.sum_of_squares([a, b, c]), Tensor(0.1)))
     elif name.startswith("bilstm_forward"):  # padded: rows 3 and 4 are masked
         fwd, bwd = recurrent.init_lstm_params(3, 2, rng), recurrent.init_lstm_params(3, 2, rng)
         x = mat(5, 3)
@@ -446,30 +437,10 @@ def test_backward_frees_each_operations_gradients_before_the_next():
     np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
-def test_sum_of_squares_matches_composed_chain():
-    rng = np.random.default_rng(3)
-    tensors = [
-        ad.parameter(rng.normal(size=(50, 7))),
-        ad.parameter(rng.normal(size=5)),
-        ad.parameter(rng.normal()),
-    ]
-    chain = None
-    for t in tensors:
-        term = ad.reduce_sum(ad.mul(t, t))
-        chain = term if chain is None else ad.add(chain, term)
-    fused = ad.sum_of_squares(tensors)
-    assert fused.values.shape == ()
-    # np.vdot sums in another order than the chain's np.sum
-    assert abs(fused.item() - chain.item()) <= 1e-14 * chain.item()
-    with Tape():
-        backward(ad.mul(ad.sum_of_squares(tensors), Tensor(0.5)))
-    for t in tensors:
-        np.testing.assert_array_equal(t.grad, t.values)
-
-
 def oracle_sum_of_squares(tensors):
-    """The L2 op as it was: ``np.sum(x * x)`` per tensor, and each input's
-    gradient ``x * 2g`` handed back to the engine to add."""
+    """The L2 term as a tape op, as the objective once recorded it:
+    ``np.sum(x * x)`` per tensor, and each input's gradient ``x * 2g``
+    handed back to the engine to add."""
     total = None
     for t in tensors:
         term = np.sum(t.values * t.values)
@@ -479,48 +450,6 @@ def oracle_sum_of_squares(tensors):
         return tuple(t.values * (2.0 * g) for t in tensors)
 
     return ad.record(tuple(tensors), np.asarray(total), grad_fn)
-
-
-@pytest.mark.parametrize("shape", [
-    (3 * (ad.BLOCK // 300) + 7, 300),  # three full blocks and a partial one
-    (2 * ad.BLOCK + 3,),
-    (),
-])
-@pytest.mark.parametrize("has_grad", [True, False])
-def test_sum_of_squares_streams_the_oracle_gradient(shape, has_grad):
-    rng = np.random.default_rng(17)
-    x = rng.normal(size=shape)
-    start = rng.normal(size=shape) if has_grad else None
-    grads = []
-    for op in (ad.sum_of_squares, oracle_sum_of_squares):
-        t = ad.parameter(x.copy())
-        t.grad = None if start is None else np.array(start)
-        with Tape():
-            value = op([t])
-            backward(ad.mul(value, Tensor(0.37)))
-        assert abs(value.item() - np.sum(x * x)) <= 1e-14 * np.sum(x * x)
-        assert t.grad.shape == shape and isinstance(t.grad, np.ndarray)
-        grads.append(t.grad)
-    assert np.array_equal(grads[0], grads[1])
-
-
-def test_sum_of_squares_scratch_stays_within_two_blocks():
-    # a table with a gradient already: forward and backward add no table-sized array
-    rows = 10 * (ad.BLOCK // 300) + 1
-    table = ad.parameter(np.random.default_rng(5).normal(size=(rows, 300)))
-    table.grad = np.ones(table.values.shape)
-    tracing = tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with Tape():
-            backward(ad.sum_of_squares([table]))
-        peak = tracemalloc.get_traced_memory()[1] - before
-    finally:
-        if not tracing:
-            tracemalloc.stop()
-    assert peak < 2 * ad.BLOCK * 8 + 64 * 1024, peak
 
 
 def test_operations_outside_tape_do_not_record():

@@ -225,7 +225,7 @@ def test_cli_train_starts_from_pretrained_rows(tmp_path, corpus_path, config_pat
     ))
     config_path.write_text(CONFIG_TEXT + f"embedding_file = {vectors}\n")
     # without the optimizer step, the checkpoint holds the parameters training started from
-    monkeypatch.setattr(training, "adam_step", lambda named, state, config: None)
+    monkeypatch.setattr(training, "adam_step", lambda named, state, config, l2_weight: None)
     out_dir = tmp_path / "run"
     assert main(
         ["train", "--config", str(config_path), "--data", str(corpus_path), "--out", str(out_dir)]

@@ -11,6 +11,7 @@ from aspectsent.data import (
     RawReview,
     batch_iter,
     binarize,
+    collate,
     encode_example,
     ingest,
     preprocess,
@@ -122,6 +123,16 @@ def test_preprocess_binarizes_labels(rules):
     processed = preprocess(review, rules)
     assert processed.overall_label == 1
     assert processed.aspect_labels == [0, 1, None, 0]
+
+
+def test_encode_example_marks_unrated_aspects_minus_one(rules):
+    processed = preprocess(RawReview("tasty pizza crispy crust", 5, [3, 4, None, 1]), rules)
+    ex = encode_example(processed, build_vocabulary([processed.tokens]))
+    assert ex.aspect_labels.dtype == np.int64
+    assert ex.aspect_labels.tolist() == [0, 1, -1, 0]
+    record = collate([ex, ex])
+    assert record.aspect_labels.dtype == np.int64
+    assert record.aspect_labels.tolist() == [[0, 1, -1, 0]] * 2
 
 
 def test_split_exact_sizes():

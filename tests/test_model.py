@@ -55,7 +55,8 @@ def toy_model():
 
 
 def example(ids=(2, 3, 4), mask=(1, 1, 1), overall=1, aspects=(1, 0)):
-    return FakeExample(list(ids), list(mask), overall, list(aspects))
+    """An encoded example; an unrated aspect's label is -1."""
+    return FakeExample(list(ids), list(mask), overall, np.array(aspects, dtype=np.int64))
 
 
 def test_forward_probability_pairs_normalized(toy_model):
@@ -101,7 +102,7 @@ def test_forward_composes_module_oracles(toy_model):
     # 3-token example with one padded position, checked against a
     # from-scratch numpy recomputation
     config, params = toy_model
-    ex = example(ids=(2, 3, 4, 0), mask=(1, 1, 1, 0), aspects=(1, None))
+    ex = example(ids=(2, 3, 4, 0), mask=(1, 1, 1, 0), aspects=(1, -1))
     out = forward(ex, params, config)
 
     emb = np.hstack(
@@ -187,18 +188,29 @@ def test_cross_entropy_matches_two_log_oracle(target, positive):
     assert np.array_equal(probs.grad, expected_grad)
 
 
+def rows_of(matrix):
+    return [Tensor(row) for row in matrix]
+
+
 def test_orthogonal_penalty_orthonormal_rows_zero():
-    assert orthogonal_penalty(Tensor(np.eye(3))).item() == 0.0
+    assert orthogonal_penalty(rows_of(np.eye(3))).item() == 0.0
     # one row has no other row to be orthogonal to: the constant 0, on no tape
     with Tape() as tape:
-        assert orthogonal_penalty(ad.parameter([[0.6, 0.8]])).item() == 0.0
+        assert orthogonal_penalty([ad.parameter([0.6, 0.8])]).item() == 0.0
     assert len(tape) == 0
 
 
 def test_orthogonal_penalty_duplicate_unit_rows():
     row = np.array([0.6, 0.8])
-    penalty = orthogonal_penalty(Tensor(np.stack([row, row])))
+    penalty = orthogonal_penalty(rows_of([row, row]))
     assert abs(penalty.item() - math.sqrt(2)) <= 1e-9
+
+
+def test_orthogonal_penalty_rejects_rows_it_cannot_stack():
+    for rows in ([], rows_of([np.ones(3)]) + rows_of([np.ones(4)]), [Tensor(1.0)] * 2,
+                 [Tensor(np.ones((2, 2, 3)))] * 2):
+        with pytest.raises(ad.ShapeError, match="orthogonal_penalty"):
+            orthogonal_penalty(rows)
 
 
 def test_orthogonal_penalty_matches_brute_force():
@@ -208,7 +220,19 @@ def test_orthogonal_penalty_matches_brute_force():
         normalized = m / np.linalg.norm(m, axis=1, keepdims=True)
         gram = normalized @ normalized.T
         expected = np.linalg.norm(gram - np.eye(3))
-        assert abs(orthogonal_penalty(Tensor(m)).item() - expected) < 1e-10
+        assert abs(orthogonal_penalty(rows_of(m)).item() - expected) < 1e-10
+
+
+def test_l2_penalty_matches_composed_chain():
+    params = init_params(toy_config(), vocab_size=6, seed=4)
+    chain = None
+    for t in params.tensors():
+        term = ad.reduce_sum(ad.mul(t, t))
+        chain = term if chain is None else ad.add(chain, term)
+    value = model.l2_penalty(params)
+    assert isinstance(value, float)
+    # np.vdot sums in another order than the chain's np.sum
+    assert abs(value - chain.item()) <= 1e-14 * chain.item()
 
 
 def test_combined_loss_reduces_to_overall_when_weights_zero(toy_model):
@@ -222,7 +246,6 @@ def test_combined_loss_reduces_to_overall_when_weights_zero(toy_model):
     assert total.item() == breakdown.overall
     assert breakdown.aspect_terms == []
     assert breakdown.self_orth is None and breakdown.pos_orth is None
-    assert breakdown.l2 is None
 
 
 def test_combined_loss_zero_parameters_closed_form():
@@ -242,7 +265,7 @@ def test_combined_loss_zero_parameters_closed_form():
     expected_orth = math.sqrt(2)
     assert abs(breakdown.self_orth - expected_orth) < 1e-9
     assert abs(breakdown.pos_orth - expected_orth) < 1e-9
-    assert breakdown.l2 == 0.0
+    assert model.l2_penalty(params) == 0.0
     expected_total = (
         ln2 * (1 + config.aspect_loss_weight * 2)
         + (config.self_orth_weight + config.pos_orth_weight) * expected_orth
@@ -274,18 +297,17 @@ def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
     # embedding, 16 per aspect (7 self-attention, 6 position, 3 head) and 4
     # for the overall head, for one example and for a batch record alike.
-    # The loss, with the L2 term built once for the batch, adds 20 when every
-    # aspect is rated: 5 cross-entropies, the aspect sum's 3 adds, per
-    # attention stage a stack and its penalty, and for each of the 4 weighted
-    # terms a mul by its weight and an add into the total. A batch adds one
-    # mul by 1/B, and an aspect no row rates drops its cross-entropy and add.
+    # The loss adds 16 when every aspect is rated: 5 cross-entropies, the
+    # aspect sum's 3 adds, a penalty per attention stage, and for each of the
+    # 3 weighted terms a mul by its weight and an add into the total. A batch
+    # adds one mul by 1/B, and an aspect no row rates drops its cross-entropy
+    # and add. The L2 term records nothing.
     config = ModelConfig(aspect_names=["a", "b", "c", "d"])
     params = init_params(config, vocab_size=20, seed=0)
-    l2 = model.l2_penalty(params)
     first = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=1, aspects=(1, 0, 1, 0))
-    second = example(ids=range(5, 12), mask=[1] * 7, overall=0, aspects=(0, None, 0, None))
-    third = example(ids=range(3, 8), mask=[1] * 5, overall=0, aspects=(0, None, None, None))
-    every_term = ["orthogonal_penalty", "stack_rows"] * 2 + ["mul"] * 4 + ["add"] * 4
+    second = example(ids=range(5, 12), mask=[1] * 7, overall=0, aspects=(0, -1, 0, -1))
+    third = example(ids=range(3, 8), mask=[1] * 5, overall=0, aspects=(0, -1, -1, -1))
+    every_term = ["orthogonal_penalty"] * 2 + ["mul"] * 3 + ["add"] * 3
     cases = [
         (first, 5, []),
         (example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=0, aspects=(0, 1, 0, 0)), 5, []),
@@ -296,7 +318,7 @@ def test_paper_width_forward_reads_weights_in_place():
         with Tape() as tape:
             output = forward(record, params, config)
             assert len(tape) == 71
-            combined_loss(output, record, params, config, l2=l2)
+            combined_loss(output, record, params, config)
         assert loss_op_kinds(tape, 71) == sorted(
             ["cross_entropy"] * cross_entropies + ["add"] * (cross_entropies - 2)
             + every_term + per_batch
@@ -305,12 +327,12 @@ def test_paper_width_forward_reads_weights_in_place():
 
 BATCHES = {
     "mixed": [
-        example(ids=range(2, 14), mask=[1] * 12, overall=1, aspects=(1, 0, None, 1)),
-        example(ids=(4, 5, 3), mask=[1] * 3, overall=0, aspects=(None, 1, None, 0)),
-        example(ids=(6, 2, 3, 7, 5), mask=(1, 1, 0, 1, 1), overall=0, aspects=(0, None, None, 1)),
-        example(ids=range(9, 18), mask=[1] * 9, overall=1, aspects=(1, 1, None, 0)),
+        example(ids=range(2, 14), mask=[1] * 12, overall=1, aspects=(1, 0, -1, 1)),
+        example(ids=(4, 5, 3), mask=[1] * 3, overall=0, aspects=(-1, 1, -1, 0)),
+        example(ids=(6, 2, 3, 7, 5), mask=(1, 1, 0, 1, 1), overall=0, aspects=(0, -1, -1, 1)),
+        example(ids=range(9, 18), mask=[1] * 9, overall=1, aspects=(1, 1, -1, 0)),
     ],
-    "one": [example(ids=(2, 5, 4, 3), mask=[1] * 4, overall=1, aspects=(None, 0, 1, 1))],
+    "one": [example(ids=(2, 5, 4, 3), mask=[1] * 4, overall=1, aspects=(-1, 0, 1, 1))],
 }
 
 
@@ -325,11 +347,10 @@ def test_batch_forward_and_loss_match_each_example(name):
     params = init_params(config, vocab_size=20, seed=3)
     batch = BATCHES[name]
     record = collate(batch)
-    l2 = model.l2_penalty(params)
     ad.zero_grads(params.tensors())
     with Tape():
         batch_out = forward(record, params, config)
-        batch_loss, _ = combined_loss(batch_out, record, params, config, l2=l2)
+        batch_loss, _ = combined_loss(batch_out, record, params, config)
         backward(batch_loss)
     batch_grads = [grad_or_zeros(t) for t in params.tensors()]
     assert np.all(params.tables.word.grad[PAD_ID] == 0.0)
@@ -350,7 +371,7 @@ def test_batch_forward_and_loss_match_each_example(name):
                     np.testing.assert_allclose(row[:n], getattr(want, stage).values, atol=1e-12)
                     assert np.all(row[n:] == 0.0)
                 np.testing.assert_allclose(got.context.values[b], want.context.values, atol=1e-12)
-            loss, _ = combined_loss(out, ex, params, config, l2=l2)
+            loss, _ = combined_loss(out, ex, params, config)
             total = loss if total is None else ad.add(total, loss)
         mean_loss = ad.mul(total, Tensor(1.0 / len(batch)))
         backward(mean_loss)
@@ -369,7 +390,7 @@ def test_fully_masked_row_of_a_batch_raises(toy_model):
 
 def test_combined_loss_skips_unrated_aspects(toy_model):
     config, params = toy_model
-    ex = example(aspects=(None, None))
+    ex = example(aspects=(-1, -1))
     out = forward(ex, params, config)
     total, breakdown = combined_loss(out, ex, params, config)
     assert breakdown.aspect_terms == []
@@ -405,7 +426,6 @@ def test_ablation_identity_recomposition(toy_model):
         aspect_sum = aspect_sum + value
     recomposed = full.overall + config.aspect_loss_weight * aspect_sum
     recomposed = recomposed + config.pos_orth_weight * full.pos_orth
-    recomposed = recomposed + config.l2_weight * full.l2
     assert ablated_total.item() == recomposed
 
 

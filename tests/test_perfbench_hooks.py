@@ -50,10 +50,11 @@ def test_case_call_shapes():
     params = model.init_params(config, len(vocab), seed=0)
     example = split.train[0]
     output = model.forward(example, params, config)
-    with ad.Tape():
+    with ad.Tape() as tape:
         root = model.combined_loss(output, example, params, config)[0]
+        assert root.values.shape == () and np.isfinite(root.item())
+        assert root.tape is not None and len(tape) > 0
         ad.backward(root)
-    assert params.tables.word.grad is not None
     ad.zero_grads(params.tensors())
 
     named = params.named_tensors()

@@ -298,12 +298,17 @@ def composed_direction(inputs, params, mask, order):
     return rows
 
 
+def stack_rows(rows):
+    """Equal-shape vectors as the rows of a matrix, in one recorded op."""
+    return ad.record(tuple(rows), np.stack([r.values for r in rows]), tuple)
+
+
 def composed_bilstm(inputs, fwd, bwd, mask):
     """The encoder as the composed cell built it: two stacks and one concat."""
     mask = np.asarray(mask, dtype=bool)
     rows_f = composed_direction(inputs, fwd, mask, range(len(mask)))
     rows_b = composed_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
-    return HiddenStates(ad.concat([ad.stack_rows(rows_f), ad.stack_rows(rows_b)], axis=1))
+    return HiddenStates(ad.concat([stack_rows(rows_f), stack_rows(rows_b)], axis=1))
 
 
 def per_position_bilstm(inputs, fwd, bwd, mask):
@@ -311,7 +316,7 @@ def per_position_bilstm(inputs, fwd, bwd, mask):
     mask = np.asarray(mask, dtype=bool)
     rows_f = composed_direction(inputs, fwd, mask, range(len(mask)))
     rows_b = composed_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
-    return HiddenStates(ad.stack_rows([ad.concat([f, b]) for f, b in zip(rows_f, rows_b)]))
+    return HiddenStates(stack_rows([ad.concat([f, b]) for f, b in zip(rows_f, rows_b)]))
 
 
 def grad_or_zeros(tensor):
@@ -454,7 +459,7 @@ def test_fused_direction_matches_per_gate_oracle():
         def per_gate():
             rows_f = per_gate_direction(x, fwd_gates, mask, range(len(mask)))
             rows_b = per_gate_direction(x, bwd_gates, mask, range(len(mask) - 1, -1, -1))
-            return ad.concat([ad.stack_rows(rows_f), ad.stack_rows(rows_b)], axis=1)
+            return ad.concat([stack_rows(rows_f), stack_rows(rows_b)], axis=1)
 
         ad.zero_grads(fwd.tensors() + bwd.tensors())
         ad.zero_grads(list(fwd_gates.values()) + list(bwd_gates.values()))
@@ -499,7 +504,7 @@ def test_model_loss_and_gradients_match_composed_encoder(monkeypatch, length, pa
     mask = np.arange(padded) < length
     example = SimpleNamespace(
         token_ids=np.where(mask, rng.integers(2, 40, size=padded), 0), mask=mask,
-        overall_label=1, aspect_labels=[1, 0, None, 1],
+        overall_label=1, aspect_labels=np.array([1, 0, -1, 1]),
     )
     runs, states = [], []
 

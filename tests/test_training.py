@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 from aspectsent import autodiff as ad
 from aspectsent import training
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
-from aspectsent.data import DatasetSplit, batch_iter, collate
+from aspectsent.data import DatasetSplit, ProcessedExample, batch_iter, collate
 from aspectsent.embeddings import PAD_ID
 from aspectsent.model import ModelConfig, combined_loss, forward, init_params
 from aspectsent.training import (
@@ -48,22 +50,71 @@ def test_adam_minimizes_quadratic():
 
 
 def test_adam_aborts_on_nonfinite_gradient():
-    p = ad.parameter(np.array([1.0]), "embedding.weight")
-    p.grad = np.array([np.nan])
-    with pytest.raises(NumericError, match="embedding.weight"):
-        adam_step([("embedding.weight", p)], AdamState(), TrainConfig())
+    for l2_weight in (0.0, 0.01):  # the decay joins the gradient before the check
+        p = ad.parameter(np.array([1.0]), "embedding.weight")
+        p.grad = np.array([np.nan])
+        with pytest.raises(NumericError, match="embedding.weight"):
+            adam_step([("embedding.weight", p)], AdamState(), TrainConfig(), l2_weight)
 
     # in a later block of a multi-block table: that block and the ones after
     # it stay as they were
-    rows = ad.BLOCK // 30
+    rows = training.BLOCK // 30
     start = np.random.default_rng(2).normal(size=(4 * rows + 5, 30))
-    for bad in (np.nan, np.inf):
+    for bad, l2_weight in ((np.nan, 0.0), (np.inf, 0.0), (np.inf, 0.01)):
         table = ad.parameter(start.copy(), "word_table")
         table.grad = np.ones(start.shape)
         table.grad[2 * rows + 3, 7] = bad
         with pytest.raises(NumericError, match="word_table"):
-            adam_step([("word_table", table)], AdamState(), TrainConfig())
+            adam_step([("word_table", table)], AdamState(), TrainConfig(), l2_weight)
         assert np.array_equal(table.values[2 * rows:], start[2 * rows:])
+
+
+@pytest.mark.parametrize("shape", [
+    (3 * (training.BLOCK // 300) + 7, 300),  # three full blocks and a partial one
+    (2 * training.BLOCK + 3,),
+    (),
+])
+@pytest.mark.parametrize("has_grad", [True, False])
+def test_adam_decay_equals_the_gradient_it_adds(shape, has_grad):
+    """A step with ``l2_weight`` is, to the bit, a step without it given the
+    gradient ``g + 2 * l2_weight * p``, or ``2 * l2_weight * p`` without a
+    gradient buffer; over three steps, so the moments carry the decay too."""
+    rng = np.random.default_rng(17)
+    lam = 0.37
+    start = np.asarray(rng.normal(size=shape))
+    decayed, oracle = ad.parameter(start.copy(), "p"), ad.parameter(start.copy(), "p")
+    states = AdamState(), AdamState()
+    for _ in range(3):
+        g = np.asarray(rng.normal(size=shape)) if has_grad else None
+        decayed.grad = g
+        oracle.grad = 2 * lam * oracle.values if g is None else g + 2 * lam * oracle.values
+        adam_step([("p", decayed)], states[0], TrainConfig(), l2_weight=lam)
+        adam_step([("p", oracle)], states[1], TrainConfig())
+        assert decayed.values.shape == shape
+        assert np.array_equal(decayed.values, oracle.values)
+        assert np.array_equal(states[0].first["p"], states[1].first["p"])
+        assert np.array_equal(states[0].second["p"], states[1].second["p"])
+
+
+def test_adam_decay_scratch_stays_within_two_blocks():
+    # moments already made: a step with decay adds no table-sized array
+    rows = 10 * (training.BLOCK // 300) + 1
+    table = ad.parameter(np.random.default_rng(5).normal(size=(rows, 300)), "word_table")
+    state = AdamState()
+    for _ in range(2):
+        table.grad = np.ones(table.values.shape)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            adam_step([("word_table", table)], state, TrainConfig(), l2_weight=0.01)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+    # two float64 scratch blocks and the finiteness check's bool block
+    assert peak < 2 * training.BLOCK * 8 + training.BLOCK + 64 * 1024, peak
 
 
 def reference_adam_step(named_params, first, second, t, config):
@@ -237,9 +288,7 @@ def test_evaluate_skips_absent_aspect_labels():
     split, vocab, config = synthetic_split(n=20, seed=3, unrated_fraction=0.5)
     params = init_params(config, len(vocab), seed=0)
     report = evaluate(params, config, split.train)
-    rated = sum(
-        1 for ex in split.train for lbl in [ex.aspect_labels[0]] if lbl is not None
-    )
+    rated = sum(1 for ex in split.train if ex.aspect_labels[0] >= 0)
     assert report.aspects[0].support == rated
 
 
@@ -275,13 +324,18 @@ def composed_l2(params):
 
 
 def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
+    """One padded batch against the per-example sum. The gradients that reach
+    the optimizer are the data terms' alone, and the optimizer is asked for
+    the configured L2 weight; the logged loss adds the L2 term once."""
     split, vocab, config = synthetic_split(n=30, seed=5)
+    assert config.l2_weight > 0
     train_config = TrainConfig(epochs=1, batch_size=8, seed=4)
     one_batch = DatasetSplit(split.train[:8], split.validation, [], seed=5)
 
     captured = {}
 
-    def capture(named, state, config):
+    def capture(named, state, config, l2_weight):
+        captured["l2_weight"] = l2_weight
         captured.update((name, t.grad.copy()) for name, t in named if t.grad is not None)
 
     monkeypatch.setattr(training, "adam_step", capture)
@@ -295,13 +349,15 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
         total = None
         for ex in batch:
             out = forward(ex, oracle, config)
-            loss, _ = combined_loss(out, ex, oracle, config, l2=composed_l2(oracle))
+            loss, _ = combined_loss(out, ex, oracle, config)
             total = loss if total is None else ad.add(total, loss)
         batch_loss = ad.mul(total, Tensor(1.0 / len(batch)))
         backward(batch_loss)
 
-    # one padded pass against the per-example sum: the same terms, summed in another order
-    assert abs(result.log[0].mean_loss - batch_loss.item()) <= 1e-14 * abs(batch_loss.item())
+    # the same terms, summed in another order
+    expected_loss = batch_loss.item() + config.l2_weight * composed_l2(oracle).item()
+    assert abs(result.log[0].mean_loss - expected_loss) <= 1e-14 * abs(expected_loss)
+    assert captured.pop("l2_weight") == config.l2_weight
     expected = {name: t.grad for name, t in oracle.named_tensors() if t.grad is not None}
     assert captured.keys() == expected.keys()
     assert np.all(captured["word_table"][PAD_ID] == 0.0)
@@ -312,20 +368,37 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
 
 def test_streamed_l2_trains_bit_identically_to_the_oracle(monkeypatch):
     """Three epochs at the default config: every parameter equals, to the bit,
-    a run whose L2 op hands table-sized gradients back to the engine; each
-    epoch's mean loss moves only by the rounding of the L2 value."""
+    a run that records the L2 term on the tape, before the forward pass so
+    that its backward adds 2 * l2_weight * p after every data gradient, and
+    steps Adam without decay; each epoch's mean loss moves only by the
+    rounding of the L2 value."""
     split, vocab, config = synthetic_split(n=300, seed=0)
     assert config.l2_weight > 0
-    runs = []
-    for penalty in (training.l2_penalty, lambda p: oracle_sum_of_squares(p.tensors())):
-        monkeypatch.setattr(training, "l2_penalty", penalty)
-        params = init_params(config, len(vocab), seed=0)
-        runs.append(train(params, config, TrainConfig(epochs=3), split))
-    streamed, oracle = runs
-    assert len(streamed.log) == len(oracle.log) == 3
-    for ours, theirs in zip(streamed.log, oracle.log):
+    params = init_params(config, len(vocab), seed=0)
+    decayed = train(params, config, TrainConfig(epochs=3), split)
+
+    latest = {}
+
+    def forward_after_l2(record, params, config):
+        latest["l2"] = oracle_sum_of_squares(params.tensors())
+        return forward(record, params, config)
+
+    def loss_with_l2(output, record, params, config):
+        total, breakdown = combined_loss(output, record, params, config)
+        return ad.add(total, ad.mul(latest["l2"], Tensor(config.l2_weight))), breakdown
+
+    monkeypatch.setattr(training, "forward", forward_after_l2)
+    monkeypatch.setattr(training, "combined_loss", loss_with_l2)
+    monkeypatch.setattr(training, "l2_penalty", lambda params: 0.0)  # already in the loss
+    monkeypatch.setattr(training, "adam_step", lambda named, state, config, l2_weight:
+                        adam_step(named, state, config, l2_weight=0))
+    params = init_params(config, len(vocab), seed=0)
+    oracle = train(params, config, TrainConfig(epochs=3), split)
+
+    assert len(decayed.log) == len(oracle.log) == 3
+    for ours, theirs in zip(decayed.log, oracle.log):
         assert abs(ours.mean_loss - theirs.mean_loss) <= 1e-14 * abs(theirs.mean_loss)
-    for (name, ours), (_, theirs) in zip(streamed.params.named_tensors(),
+    for (name, ours), (_, theirs) in zip(decayed.params.named_tensors(),
                                          oracle.params.named_tensors()):
         assert np.array_equal(ours.values, theirs.values), name
 
@@ -373,6 +446,24 @@ def test_training_step_records_one_forward_loss_and_backward(monkeypatch):
     assert len(calls["backward"]) == 2 and calls["backward"][0] == calls["backward"][1]
 
 
+def test_paper_width_training_step_records_88_tape_ops(monkeypatch):
+    """Embedding 300, cell 64, K=4, every aspect rated: 71 forward ops, 16 for
+    the loss and the batch's mul by 1/B; the L2 term records none."""
+    config = ModelConfig(aspect_names=["a", "b", "c", "d"])
+    rng = np.random.default_rng(8)
+    examples = [
+        ProcessedExample(rng.integers(2, 20, size=n), np.ones(n, dtype=bool), n % 2,
+                         np.array(labels), ["t"] * n)
+        for n, labels in ((7, [1, 0, -1, 1]), (5, [0, -1, 1, 0]), (9, [-1, 1, 0, 1]))
+    ]
+    sizes = []
+    monkeypatch.setattr(training, "backward",
+                        lambda root: sizes.append(len(root.tape)) or backward(root))
+    params = init_params(config, vocab_size=20, seed=0)
+    train(params, config, TrainConfig(epochs=1, batch_size=3), DatasetSplit(examples, [], [], 0))
+    assert sizes == [88]
+
+
 def test_evaluate_of_no_examples_has_zero_support():
     _, vocab, config = synthetic_split(n=20, seed=8)
     params = init_params(config, len(vocab), seed=0)
@@ -394,10 +485,10 @@ def test_evaluate_matches_each_example_alone():
         out = forward(ex, params, config)
         overall.append(int(np.argmax(out.overall_probs.values)))
         for k, probs in enumerate(out.aspect_probs):
-            if ex.aspect_labels[k] is not None:
+            if ex.aspect_labels[k] >= 0:
                 aspects[k].append(int(np.argmax(probs.values)))
     expected = compute_metrics([ex.overall_label for ex in examples], overall)
     assert np.array_equal(report.overall.confusion, expected.confusion)
     for k, metrics in enumerate(report.aspects):
-        labels = [ex.aspect_labels[k] for ex in examples if ex.aspect_labels[k] is not None]
+        labels = [ex.aspect_labels[k] for ex in examples if ex.aspect_labels[k] >= 0]
         assert np.array_equal(metrics.confusion, compute_metrics(labels, aspects[k]).confusion)
