@@ -23,22 +23,24 @@ hand, is defined where it is used and recorded through the public
 operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
 whole batch as one operation, and ``model.cross_entropy`` and
 ``model.orthogonal_penalty`` are one operation each. The objective's L2
-term over every parameter is no operation: ``training.adam_step`` adds its
-closed-form gradient to each parameter's.
+term is no operation: ``training.adam_step`` adds its closed-form gradient
+to each parameter's in its scope.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
 drops its gradient once that gradient has been passed on to the inputs, so
 the buffers of intermediate values live only while the pass needs them.
-``Tensor.accumulate_rows`` scatter-adds rows into a buffer in place, so a
-lookup into a large table never builds a table-sized array of its own.
+A lookup into a large table adds its rows through
+``Tensor.accumulate_rows``, which keeps the gradient row-sparse: a
+``RowGrad`` of the rows it touched, so no table-sized array is made.
+``dense_grad`` reads either form as a dense array.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,6 +61,22 @@ class NumericError(ArithmeticError):
     """A non-finite value appeared where a finite one is required."""
 
 
+class RowGrad(NamedTuple):
+    """A row-sparse gradient: ``sums[i]`` is the gradient of row ``rows[i]``,
+    counting rows over the flattened leading axes, and every other row's is zero.
+
+    ``rows`` holds distinct ids in ascending order.
+    """
+
+    rows: np.ndarray
+    sums: np.ndarray
+
+    def dense(self, shape: tuple) -> np.ndarray:
+        out = np.zeros(shape)
+        out.reshape((-1,) + self.sums.shape[1:])[self.rows] = self.sums
+        return out
+
+
 class Tensor:
     """Dense float64 array plus an optional same-shape gradient buffer.
 
@@ -66,14 +84,15 @@ class Tensor:
     cleared, so backward from each term of an objective sums their
     gradients; the output of a recorded operation holds a gradient only
     during the backward pass that reaches it.
-    A float64 array passed in is wrapped without a copy.
+    A float64 array passed in is wrapped without a copy. The gradient is a
+    ``RowGrad`` while only ``accumulate_rows`` has added to it.
     """
 
     __slots__ = ("values", "grad", "name", "tape")
 
     def __init__(self, values, name: Optional[str] = None):
         self.values = np.asarray(values, dtype=np.float64)
-        self.grad: Optional[np.ndarray] = None
+        self.grad: "np.ndarray | RowGrad | None" = None
         self.name = name
         self.tape: Optional["Tape"] = None
 
@@ -88,14 +107,32 @@ class Tensor:
         if self.grad is None:  # a copy: g may be another input's gradient too
             self.grad = np.array(np.broadcast_to(g, self.values.shape), np.float64, order="C")
         else:
+            if isinstance(self.grad, RowGrad):
+                self.grad = self.grad.dense(self.values.shape)
             self.grad += g
 
     def accumulate_rows(self, idx: np.ndarray, rows: np.ndarray) -> None:
         """Add ``rows[i]`` to gradient row ``idx[i]``, counting rows over the
-        flattened leading axes (a C-ordered buffer's view); repeated indices add up."""
-        if self.grad is None:
-            self.grad = np.zeros(self.values.shape)
-        np.add.at(self.grad.reshape((-1,) + rows.shape[1:]), idx, rows)
+        flattened leading axes; repeated indices add up.
+
+        Without a dense gradient the result is a ``RowGrad``: one sum per
+        distinct row, over the rows added so far, of (rows, row width) size.
+        Each row's sum is added up in the order of ``np.add.at`` into a zeroed
+        buffer, earlier calls first, so it equals that scatter to the bit.
+        """
+        if isinstance(self.grad, np.ndarray):
+            np.add.at(self.grad.reshape((-1,) + rows.shape[1:]), idx, rows)
+            return
+        old = self.grad
+        if old is not None:
+            idx = np.concatenate([old.rows, idx])
+        ids, slot = np.unique(idx, return_inverse=True)
+        sums = np.zeros((len(ids),) + rows.shape[1:])
+        if old is not None:
+            sums[slot[: len(old.rows)]] = old.sums
+            slot = slot[len(old.rows):]
+        np.add.at(sums, slot, rows)
+        self.grad = RowGrad(ids, sums)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -200,8 +237,18 @@ def backward(root: Tensor) -> None:
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
+    """Clear every gradient, dense or row-sparse."""
     for t in tensors:
         t.grad = None
+
+
+def dense_grad(t: Tensor) -> np.ndarray:
+    """A new dense array of ``t``'s gradient, in either form; zeros without one."""
+    if t.grad is None:
+        return np.zeros(t.values.shape)
+    if isinstance(t.grad, RowGrad):
+        return t.grad.dense(t.values.shape)
+    return t.grad.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +443,7 @@ def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], h: float = 1e-
         if not np.isfinite(out.values):
             raise NumericError("grad_check: non-finite function value")
         backward(out)
-    analytic = [
-        np.zeros_like(t.values) if t.grad is None else t.grad.copy() for t in inputs
-    ]
+    analytic = [dense_grad(t) for t in inputs]
 
     worst = 0.0
     for t, a in zip(inputs, analytic):

@@ -134,10 +134,12 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Tensor:
     """Map token ids, (T,) or a batch (B, T), to their (..., T, 2d) rows, as one tape op.
 
     Row t is the word vector of token t concatenated with the vector of
-    absolute position t. The backward pass scatter-adds into the tables'
-    gradients, the position half summed over the batch first. Sequences
-    longer than the position table are a caller error; truncation belongs
-    to the data pipeline.
+    absolute position t. The backward pass adds into the tables' gradients
+    through ``Tensor.accumulate_rows``, the position half summed over the
+    batch first, so each table's gradient is row-sparse: the rows the ids
+    and positions touched, which ``training.adam_step`` updates alone (the
+    tables are outside the L2 term). Sequences longer than the position
+    table are a caller error; truncation belongs to the data pipeline.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     length, d = ids.shape[-1], tables.width

@@ -6,11 +6,12 @@ vector; the overall head consumes the concatenation of all aspect contexts
 in declared aspect order. The objective adds, to the overall cross-entropy:
 the weighted sum of rated-aspect cross-entropies, weighted orthogonality
 penalties on both attention-weight matrices, and a weighted L2 term over
-all trainable parameters. Each cross-entropy and each penalty records
-itself as one tape op with a hand-written backward pass, so ``combined_loss``
-adds only their weighting and summing to the tape. The L2 term is not on
-the tape: ``training.adam_step`` adds its gradient to each parameter's, and
-``l2_penalty`` gives its value.
+every trainable parameter but the two embedding tables (``L2_EXEMPT``).
+Each cross-entropy and each penalty records itself as one tape op with a
+hand-written backward pass, so ``combined_loss`` adds only their weighting
+and summing to the tape. The L2 term is not on the tape:
+``training.adam_step`` adds its gradient to each parameter's in its scope,
+and ``l2_penalty`` gives its value.
 
 ``forward`` and ``combined_loss`` take one example, or a batch record made
 by ``data.collate``; a batch runs every layer once, with a leading batch
@@ -53,6 +54,9 @@ from aspectsent.textfile import InputError
 CROSS_ENTROPY_EPS = 1e-12
 CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
 CHECKPOINT_FORMAT = 5  # archives without a format_version are version 1
+# Outside the L2 term: the tables' gradients touch only the rows a batch
+# looks up, and Adam updates those rows alone (``training.adam_step``).
+L2_EXEMPT = frozenset({"word_table", "position_table"})
 
 
 def check_range(settings, names, ok, requirement: str) -> None:
@@ -99,9 +103,10 @@ class ModelConfig:
     cross-entropy. A term whose weight is 0 is left out of the objective
     entirely; disable_position_attention removes the position-attention
     stage and its parameters. ``l2_weight`` scales the sum of squares of
-    every parameter; ``training.adam_step`` applies it by adding
-    2 * l2_weight * p to each parameter p's gradient: the coupled L2 of
-    ``Adam(weight_decay=...)``, not AdamW's decoupled decay.
+    every parameter but the embedding tables (``L2_EXEMPT``);
+    ``training.adam_step`` applies it by adding 2 * l2_weight * p to each
+    such parameter p's gradient: the coupled L2 of ``Adam(weight_decay=...)``,
+    not AdamW's decoupled decay.
     """
 
     aspect_names: list = field(default_factory=list)
@@ -345,9 +350,12 @@ class LossBreakdown:
 
 
 def l2_penalty(params: ModelParams) -> float:
-    """Sum of the squares of every parameter's entries: one ``np.vdot`` per
-    tensor, in ``named_tensors`` order, with no product array."""
-    return float(sum(np.vdot(t.values, t.values) for t in params.tensors()))
+    """Sum of the squares of the entries of every parameter outside
+    ``L2_EXEMPT``: one ``np.vdot`` per tensor, in ``named_tensors`` order,
+    with no product array."""
+    return float(sum(
+        np.vdot(t.values, t.values) for name, t in params.named_tensors() if name not in L2_EXEMPT
+    ))
 
 
 def combined_loss(

@@ -18,6 +18,7 @@ from aspectsent import autodiff as ad
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
 from aspectsent.data import DatasetSplit, batch_iter, collate
 from aspectsent.model import (
+    L2_EXEMPT,
     ModelConfig,
     ModelParams,
     check_range,
@@ -77,37 +78,138 @@ def row_blocks(rows_view: np.ndarray) -> Iterator[tuple]:
 
 
 @dataclass
+class RowMoments:
+    """Adam's moments for the rows of a table that have had a gradient.
+
+    Row r's moments are ``first[slot[r]]`` and ``second[slot[r]]``; a row
+    with slot -1 has had no gradient, and its moments are zero. A row takes
+    the next free slot at its first gradient, and a full store doubles its
+    capacity, so over R rows it is reallocated O(log R) times and holds at
+    most 2R rows. Writing a few rows of a table-sized zeroed pair instead
+    costs a page fault per row: numpy asks for huge pages on arrays of
+    4 MB and more, and each first write zeroes a 2 MB page.
+    """
+
+    slot: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    used: int = 0
+
+    @classmethod
+    def empty(cls, rows: int, row_shape: tuple) -> "RowMoments":
+        none = np.zeros((0,) + row_shape)
+        return cls(np.full(rows, -1, dtype=np.int64), none, none)
+
+    def slots_of(self, rows: np.ndarray) -> np.ndarray:
+        """The slots of the distinct ``rows``; those without one take the next free ones."""
+        new = rows[self.slot[rows] < 0]
+        end = self.used + len(new)
+        if end > len(self.first):
+            capacity = max(end, 2 * len(self.first))
+            grown = [np.zeros((capacity,) + m.shape[1:]) for m in (self.first, self.second)]
+            for bigger, m in zip(grown, (self.first, self.second)):
+                bigger[: self.used] = m[: self.used]
+            self.first, self.second = grown
+        self.slot[new] = np.arange(self.used, end)
+        self.used = end
+        return self.slot[rows]
+
+    def dense(self, shape: tuple) -> tuple:
+        """Both moments as whole arrays of ``shape``, zero on the rows without a slot."""
+        rows = np.flatnonzero(self.slot >= 0)
+        at = self.slot[rows]
+        return tuple(ad.RowGrad(rows, m[at]).dense(shape) for m in (self.first, self.second))
+
+
+@dataclass
 class AdamState:
-    first: dict = field(default_factory=dict)
+    first: dict = field(default_factory=dict)  # whole-tensor moments by parameter name
     second: dict = field(default_factory=dict)
+    rows: dict = field(default_factory=dict)  # RowMoments of lazily updated tables
     step: int = 0
+
+
+def _adam_block(pb, mb, vb, gb, step, denom, config: TrainConfig, m_scale, v_scale) -> None:
+    """Adam's update of one block in place, given its gradient and two scratch arrays."""
+    mb *= config.beta1
+    np.multiply(1 - config.beta1, gb, out=step)
+    mb += step
+    vb *= config.beta2
+    np.multiply(1 - config.beta2, gb, out=step)
+    step *= gb
+    vb += step
+    np.divide(vb, v_scale, out=denom)
+    np.sqrt(denom, out=denom)
+    denom += config.eps
+    np.divide(mb, m_scale, out=step)
+    np.multiply(config.learning_rate, step, out=step)
+    step /= denom
+    pb -= step
+
+
+def _row_step(name, p: Tensor, grad: ad.RowGrad, state: AdamState, config, m_scale, v_scale):
+    """Adam on the rows of a row-sparse gradient alone, with their moments."""
+    if not np.isfinite(grad.sums).all():
+        raise NumericError(f"non-finite gradient for parameter {name!r}")
+    row_shape = grad.sums.shape[1:]
+    table = p.values.reshape((-1,) + row_shape)
+    if name in state.first:  # whole-tensor moments from an earlier step
+        m, v = state.first[name].reshape(table.shape), state.second[name].reshape(table.shape)
+        slots = grad.rows
+    else:
+        store = state.rows.get(name)
+        if store is None:
+            store = state.rows[name] = RowMoments.empty(len(table), row_shape)
+        slots = store.slots_of(grad.rows)
+        m, v = store.first, store.second
+    for part, step, denom in row_blocks(grad.sums):
+        rows, at = grad.rows[part], slots[part]
+        pb, mb, vb = table[rows], m[at], v[at]
+        _adam_block(pb, mb, vb, grad.sums[part], step, denom, config, m_scale, v_scale)
+        table[rows], m[at], v[at] = pb, mb, vb
 
 
 def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: float = 0.0) -> None:
     """One bias-corrected adaptive-moment update, in place, with coupled L2.
 
-    Each parameter's gradient is ``g + 2 * l2_weight * p``: its gradient
-    buffer, or zero without one, plus the gradient of ``l2_weight`` times
-    the parameter's sum of squares (the model's L2 term, which the tape does
-    not hold). The moments are updated in place. Each parameter is updated
-    in ``row_blocks`` blocks of leading-axis rows, with each block's
-    gradient and step formed in two scratch arrays made once per parameter.
-    The operations run in the order of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*m_hat / (sqrt(v_hat) + eps)``;
-    every one is elementwise, so every value matches that formula to the
-    bit.
+    The gradient of each parameter outside ``model.L2_EXEMPT`` is
+    ``g + 2 * l2_weight * p``: its gradient buffer, or zero without one,
+    plus the gradient of ``l2_weight`` times the parameter's sum of squares
+    (the model's L2 term, which the tape does not hold). An exempt
+    parameter's gradient is ``g`` alone. The operations run in the order of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; every one is elementwise, so
+    every value matches that formula to the bit.
 
-    Each block's gradient is checked before the block is updated: a
-    non-finite entry raises ``NumericError`` naming the parameter. The
-    parameters before it, and the earlier blocks of that parameter, are
-    then already updated; ``train`` stops either way.
+    A row-sparse gradient (``autodiff.RowGrad``) with no decay updates its
+    rows alone: lazy Adam, as PyTorch's ``SparseAdam``. Every other row
+    keeps its value and its moments, and a table's moments are kept for
+    the rows that have had a gradient only (``RowMoments``). From fresh
+    moments that step equals the whole-tensor one, which moves a row with
+    a zero gradient by zero. Any other parameter, with a dense gradient or
+    none, is updated whole, in ``row_blocks`` blocks of leading-axis rows,
+    with each block's gradient and step formed in two scratch arrays made
+    once per parameter; a table's row moments become whole arrays first.
+
+    A non-finite gradient entry raises ``NumericError`` naming the
+    parameter; a whole-tensor update checks each block before updating it,
+    so the parameters before it, and the earlier blocks of that parameter,
+    are then already updated. ``train`` stops either way.
     """
     state.step += 1
     t = state.step
     m_scale = 1 - config.beta1**t
     v_scale = 1 - config.beta2**t
-    decay = 2.0 * l2_weight
     for name, p in named_params:
+        decay = 0.0 if name in L2_EXEMPT else 2.0 * l2_weight
+        grad = p.grad
+        if isinstance(grad, ad.RowGrad):
+            if not decay:
+                _row_step(name, p, grad, state, config, m_scale, v_scale)
+                continue
+            grad = grad.dense(p.values.shape)  # the decay reaches every row
+        if name in state.rows:
+            state.first[name], state.second[name] = state.rows.pop(name).dense(p.values.shape)
         m = state.first.get(name)
         v = state.second.get(name)
         if m is None:
@@ -115,28 +217,15 @@ def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: fl
             v = state.second[name] = np.zeros(p.values.shape)
         # a 0-d parameter is updated through a one-entry view
         p_rows, m_rows, v_rows = np.atleast_1d(p.values, m, v)
-        g_rows = np.broadcast_to(0.0, p_rows.shape) if p.grad is None else np.atleast_1d(p.grad)
+        g_rows = np.broadcast_to(0.0, p_rows.shape) if grad is None else np.atleast_1d(grad)
         for part, step, denom in row_blocks(p_rows):
             pb, mb, vb, gb = p_rows[part], m_rows[part], v_rows[part], g_rows[part]
             if decay:  # the block's gradient, held in denom until the denominator is formed
                 decayed = np.multiply(pb, decay, out=denom)
-                gb = decayed if p.grad is None else np.add(decayed, gb, out=denom)
+                gb = decayed if grad is None else np.add(decayed, gb, out=denom)
             if not np.isfinite(gb).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            mb *= config.beta1
-            np.multiply(1 - config.beta1, gb, out=step)
-            mb += step
-            vb *= config.beta2
-            np.multiply(1 - config.beta2, gb, out=step)
-            step *= gb
-            vb += step
-            np.divide(vb, v_scale, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += config.eps
-            np.divide(mb, m_scale, out=step)
-            np.multiply(config.learning_rate, step, out=step)
-            step /= denom
-            pb -= step
+            _adam_block(pb, mb, vb, gb, step, denom, config, m_scale, v_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +344,8 @@ def train(
     one padded record: one ``forward``, one ``combined_loss`` (the mean of
     the examples' objectives, less the L2 term) and one ``backward``; then
     ``adam_step`` adds the L2 term's gradient to the data gradient as it
-    updates each parameter. A batch's logged loss is the full objective:
+    updates each parameter in the term's scope, and updates the embedding
+    tables on the rows the batch looked up. A batch's logged loss is the full objective:
     ``combined_loss``'s value plus ``l2_weight`` times ``l2_penalty``, taken
     before the step. The parameters with the best validation
     macro-F1 are what the run returns: they are copied aside only when a

@@ -136,10 +136,11 @@ def test_embedding_gradient_hits_only_looked_up_rows(small_vocab):
     with Tape():
         backward(ad.reduce_sum(embed_sequence(ids, tables)))
     used = set(ids.tolist())
+    grad = ad.dense_grad(tables.word)
     for row in range(len(small_vocab)):
         if row not in used:
-            np.testing.assert_array_equal(tables.word.grad[row], np.zeros(2))
+            np.testing.assert_array_equal(grad[row], np.zeros(2))
     # pizza appears twice: its row accumulates twice
     np.testing.assert_array_equal(
-        tables.word.grad[small_vocab.token_to_id["pizza"]], np.full(2, 2.0)
+        grad[small_vocab.token_to_id["pizza"]], np.full(2, 2.0)
     )
