@@ -78,54 +78,9 @@ def row_blocks(rows_view: np.ndarray) -> Iterator[tuple]:
 
 
 @dataclass
-class RowMoments:
-    """Adam's moments for the rows of a table that have had a gradient.
-
-    Row r's moments are ``first[slot[r]]`` and ``second[slot[r]]``; a row
-    with slot -1 has had no gradient, and its moments are zero. A row takes
-    the next free slot at its first gradient, and a full store doubles its
-    capacity, so over R rows it is reallocated O(log R) times and holds at
-    most 2R rows. Writing a few rows of a table-sized zeroed pair instead
-    costs a page fault per row: numpy asks for huge pages on arrays of
-    4 MB and more, and each first write zeroes a 2 MB page.
-    """
-
-    slot: np.ndarray
-    first: np.ndarray
-    second: np.ndarray
-    used: int = 0
-
-    @classmethod
-    def empty(cls, rows: int, row_shape: tuple) -> "RowMoments":
-        none = np.zeros((0,) + row_shape)
-        return cls(np.full(rows, -1, dtype=np.int64), none, none)
-
-    def slots_of(self, rows: np.ndarray) -> np.ndarray:
-        """The slots of the distinct ``rows``; those without one take the next free ones."""
-        new = rows[self.slot[rows] < 0]
-        end = self.used + len(new)
-        if end > len(self.first):
-            capacity = max(end, 2 * len(self.first))
-            grown = [np.zeros((capacity,) + m.shape[1:]) for m in (self.first, self.second)]
-            for bigger, m in zip(grown, (self.first, self.second)):
-                bigger[: self.used] = m[: self.used]
-            self.first, self.second = grown
-        self.slot[new] = np.arange(self.used, end)
-        self.used = end
-        return self.slot[rows]
-
-    def dense(self, shape: tuple) -> tuple:
-        """Both moments as whole arrays of ``shape``, zero on the rows without a slot."""
-        rows = np.flatnonzero(self.slot >= 0)
-        at = self.slot[rows]
-        return tuple(ad.RowGrad(rows, m[at]).dense(shape) for m in (self.first, self.second))
-
-
-@dataclass
 class AdamState:
-    first: dict = field(default_factory=dict)  # whole-tensor moments by parameter name
+    first: dict = field(default_factory=dict)
     second: dict = field(default_factory=dict)
-    rows: dict = field(default_factory=dict)  # RowMoments of lazily updated tables
     step: int = 0
 
 
@@ -147,26 +102,16 @@ def _adam_block(pb, mb, vb, gb, step, denom, config: TrainConfig, m_scale, v_sca
     pb -= step
 
 
-def _row_step(name, p: Tensor, grad: ad.RowGrad, state: AdamState, config, m_scale, v_scale):
-    """Adam on the rows of a row-sparse gradient alone, with their moments."""
+def _row_step(name, p: Tensor, grad: ad.RowGrad, m, v, config, m_scale, v_scale) -> None:
+    """Adam on the rows of a row-sparse gradient alone, and on their rows of the moments."""
     if not np.isfinite(grad.sums).all():
         raise NumericError(f"non-finite gradient for parameter {name!r}")
-    row_shape = grad.sums.shape[1:]
-    table = p.values.reshape((-1,) + row_shape)
-    if name in state.first:  # whole-tensor moments from an earlier step
-        m, v = state.first[name].reshape(table.shape), state.second[name].reshape(table.shape)
-        slots = grad.rows
-    else:
-        store = state.rows.get(name)
-        if store is None:
-            store = state.rows[name] = RowMoments.empty(len(table), row_shape)
-        slots = store.slots_of(grad.rows)
-        m, v = store.first, store.second
+    table, m, v = (a.reshape((-1,) + grad.sums.shape[1:]) for a in (p.values, m, v))
     for part, step, denom in row_blocks(grad.sums):
-        rows, at = grad.rows[part], slots[part]
-        pb, mb, vb = table[rows], m[at], v[at]
+        rows = grad.rows[part]
+        pb, mb, vb = table[rows], m[rows], v[rows]
         _adam_block(pb, mb, vb, grad.sums[part], step, denom, config, m_scale, v_scale)
-        table[rows], m[at], v[at] = pb, mb, vb
+        table[rows], m[rows], v[rows] = pb, mb, vb
 
 
 def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: float = 0.0) -> None:
@@ -182,14 +127,14 @@ def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: fl
     every value matches that formula to the bit.
 
     A row-sparse gradient (``autodiff.RowGrad``) with no decay updates its
-    rows alone: lazy Adam, as PyTorch's ``SparseAdam``. Every other row
-    keeps its value and its moments, and a table's moments are kept for
-    the rows that have had a gradient only (``RowMoments``). From fresh
-    moments that step equals the whole-tensor one, which moves a row with
-    a zero gradient by zero. Any other parameter, with a dense gradient or
-    none, is updated whole, in ``row_blocks`` blocks of leading-axis rows,
-    with each block's gradient and step formed in two scratch arrays made
-    once per parameter; a table's row moments become whole arrays first.
+    rows alone, and those rows of the moments: lazy Adam, as PyTorch's
+    ``SparseAdam``. Every other row keeps its value and its moments. From
+    fresh moments that step equals the whole-tensor one, which moves a row
+    with a zero gradient by zero. Any other gradient, dense, decayed or
+    none, updates the whole parameter, in ``row_blocks`` blocks of
+    leading-axis rows, with each block's gradient and step formed in two
+    scratch arrays made once per parameter. The moments are whole arrays of
+    each parameter's shape, made at its first step.
 
     A non-finite gradient entry raises ``NumericError`` naming the
     parameter; a whole-tensor update checks each block before updating it,
@@ -202,19 +147,17 @@ def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: fl
     v_scale = 1 - config.beta2**t
     for name, p in named_params:
         decay = 0.0 if name in L2_EXEMPT else 2.0 * l2_weight
-        grad = p.grad
-        if isinstance(grad, ad.RowGrad):
-            if not decay:
-                _row_step(name, p, grad, state, config, m_scale, v_scale)
-                continue
-            grad = grad.dense(p.values.shape)  # the decay reaches every row
-        if name in state.rows:
-            state.first[name], state.second[name] = state.rows.pop(name).dense(p.values.shape)
         m = state.first.get(name)
         v = state.second.get(name)
         if m is None:
             m = state.first[name] = np.zeros(p.values.shape)
             v = state.second[name] = np.zeros(p.values.shape)
+        grad = p.grad
+        if isinstance(grad, ad.RowGrad):
+            if not decay:
+                _row_step(name, p, grad, m, v, config, m_scale, v_scale)
+                continue
+            grad = grad.dense(p.values.shape)  # the decay reaches every row
         # a 0-d parameter is updated through a one-entry view
         p_rows, m_rows, v_rows = np.atleast_1d(p.values, m, v)
         g_rows = np.broadcast_to(0.0, p_rows.shape) if grad is None else np.atleast_1d(grad)
@@ -345,12 +288,12 @@ def train(
     the examples' objectives, less the L2 term) and one ``backward``; then
     ``adam_step`` adds the L2 term's gradient to the data gradient as it
     updates each parameter in the term's scope, and updates the embedding
-    tables on the rows the batch looked up. A batch's logged loss is the full objective:
-    ``combined_loss``'s value plus ``l2_weight`` times ``l2_penalty``, taken
-    before the step. The parameters with the best validation
-    macro-F1 are what the run returns: they are copied aside only when a
-    later epoch could still change them, and restored only when a later
-    epoch did. Training stops early after ``patience`` epochs without
+    tables on the rows the batch looked up. A batch's logged loss is the
+    full objective: ``combined_loss``'s value plus ``l2_weight`` times
+    ``l2_penalty``, taken before the step. The parameters with the best
+    validation macro-F1 are what the run returns: they are copied aside
+    only when a later epoch could still change them, and restored only when
+    a later epoch did. Training stops early after ``patience`` epochs without
     improvement.
     """
     rng = np.random.default_rng(train_config.seed)

@@ -17,7 +17,7 @@ from aspectsent.autodiff import NumericError, Tape, backward
 from aspectsent.data import DatasetSplit
 from aspectsent.embeddings import EmbeddingTables, embed_sequence
 from aspectsent.model import init_params
-from aspectsent.training import AdamState, RowMoments, TrainConfig, adam_step, train
+from aspectsent.training import AdamState, TrainConfig, adam_step, train
 from tests.corpus import synthetic_split
 from tests.test_training import reference_adam_step
 
@@ -78,7 +78,7 @@ def test_lazy_rows_equal_the_dense_oracle_on_every_step():
 
         touched = np.zeros(shape[0], dtype=bool)
         touched[rows] = True
-        m, v = state.rows["word_table"].dense(shape)
+        m, v = state.first["word_table"].copy(), state.second["word_table"].copy()
         for got, want, old in zip((table.values, m, v),
                                   (oracle.values, first["word_table"], second["word_table"]),
                                   before):
@@ -98,10 +98,10 @@ def test_rows_without_a_gradient_keep_values_and_moments():
     table.grad = row_grad(shape, [1, 2], rng)
     adam_step([("word_table", table)], state, CONFIG)
     values = table.values.copy()
-    moments = state.rows["word_table"].dense(shape)
+    moments = state.first["word_table"].copy(), state.second["word_table"].copy()
     table.grad = row_grad(shape, [4], rng)
     adam_step([("word_table", table)], state, CONFIG)
-    after = state.rows["word_table"].dense(shape)
+    after = state.first["word_table"], state.second["word_table"]
     for row in (0, 1, 2, 3, 5):
         assert np.array_equal(table.values[row], values[row]), row
         for old, new in zip(moments, after):
@@ -122,8 +122,8 @@ def test_one_step_from_fresh_moments_equals_dense_adam_everywhere():
     adam_step([("word_table", table)], state, CONFIG)
     reference_adam_step([("word_table", oracle)], first, second, 1, CONFIG)
     assert np.array_equal(table.values, oracle.values)
-    m, v = state.rows["word_table"].dense(shape)
-    assert np.array_equal(m, first["word_table"]) and np.array_equal(v, second["word_table"])
+    for ours, theirs in ((state.first, first), (state.second, second)):
+        assert np.array_equal(ours["word_table"], theirs["word_table"])
 
 
 def test_one_training_step_equals_dense_adam_with_the_tables_out_of_the_decay(monkeypatch):
@@ -140,7 +140,6 @@ def test_one_training_step_equals_dense_adam_with_the_tables_out_of_the_decay(mo
             if isinstance(t.grad, ad.RowGrad):
                 t.grad = ad.dense_grad(t)
         adam_step(named, state, config, l2_weight)
-        assert not state.rows
 
     monkeypatch.setattr(training, "adam_step", dense_adam)
     dense = train(init_params(config, len(vocab), seed=3), config, train_config, one_batch)
@@ -149,30 +148,30 @@ def test_one_training_step_equals_dense_adam_with_the_tables_out_of_the_decay(mo
 
 
 def test_gradient_forms_can_alternate():
-    """A dense gradient after row steps starts from the rows' moments; a row
-    gradient after a dense step updates its rows from the whole moments."""
+    """A dense gradient after a row step starts from the moments the rows
+    left; a row gradient after a dense step updates its rows alone."""
     rng = np.random.default_rng(12)
     shape = (10, 3)
     table = ad.parameter(rng.normal(size=shape), "word_table")
     oracle = ad.parameter(table.values.copy(), "word_table")
-    state, first, second = AdamState(), {}, {}
+    state = AdamState()
     table.grad = row_grad(shape, [0, 5, 5], rng)
     adam_step([("word_table", table)], state, CONFIG)
     oracle.values = table.values.copy()
-    first["word_table"], second["word_table"] = state.rows["word_table"].dense(shape)
+    first = {"word_table": state.first["word_table"].copy()}
+    second = {"word_table": state.second["word_table"].copy()}
 
     table.grad = rng.normal(size=shape)
     oracle.grad = table.grad.copy()
     adam_step([("word_table", table)], state, CONFIG)
     reference_adam_step([("word_table", oracle)], first, second, 2, CONFIG)
-    assert not state.rows
     assert np.array_equal(table.values, oracle.values)
     assert np.array_equal(state.first["word_table"], first["word_table"])
+    assert np.array_equal(state.second["word_table"], second["word_table"])
 
     values, moments = table.values.copy(), state.first["word_table"].copy()
     table.grad = row_grad(shape, [2], rng)
     adam_step([("word_table", table)], state, CONFIG)
-    assert not state.rows
     changed = np.any(table.values != values, axis=1) | np.any(state.first["word_table"] != moments,
                                                              axis=1)
     np.testing.assert_array_equal(np.flatnonzero(changed), [2])
@@ -190,7 +189,6 @@ def test_a_decayed_row_gradient_updates_every_row():
     adam_step([("p", p)], states[0], CONFIG, l2_weight=0.1)
     adam_step([("p", oracle)], states[1], CONFIG, l2_weight=0.1)
     assert np.array_equal(p.values, oracle.values)
-    assert not states[0].rows
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -205,7 +203,7 @@ def test_nonfinite_row_gradient_raises_naming_the_parameter(bad):
     with pytest.raises(NumericError, match="word_table"):
         adam_step([("word_table", table)], state, TrainConfig())
     assert np.array_equal(table.values, start)
-    assert not state.rows  # checked before any moment is made
+    assert not state.first["word_table"].any()  # checked before any row is updated
 
 
 def test_paper_width_backward_at_v50k_makes_no_table_sized_array():
@@ -226,42 +224,21 @@ def test_paper_width_backward_at_v50k_makes_no_table_sized_array():
     np.testing.assert_array_equal(tables.word.grad.rows, np.unique(ids))
 
 
-def test_fresh_adam_step_on_200_rows_stays_small():
-    """Fresh moments for a 200-row gradient of a 50k x 300 table: a few MB
-    (3.6 measured) for the row map, the rows' moments and the block scratch;
-    the table is outside the decay, so no table-sized array is made."""
+def test_adam_step_on_200_rows_allocates_only_the_moments():
+    """A 200-row gradient of a 50k x 300 table: the first step makes the two
+    whole moments and a few MB more (the gathered rows and the block
+    scratch); a later step makes no table-sized array. The table is outside
+    the decay, so its gradient is never made dense."""
     rng = np.random.default_rng(2)
     table = ad.parameter(np.zeros((50_000, 300)), "word_table")
-    table.grad = row_grad(table.values.shape, rng.choice(50_000, size=200, replace=False), rng)
     state = AdamState()
-    peak = traced_peak(lambda: adam_step([("word_table", table)], state, TrainConfig(), 0.01))
-    assert peak < 8 * MB, peak
-    assert len(state.rows["word_table"].first) == 200
-    assert not state.first
 
+    def step():
+        table.grad = row_grad(table.values.shape, rng.choice(50_000, size=200, replace=False), rng)
+        return traced_peak(lambda: adam_step([("word_table", table)], state, TrainConfig(), 0.01))
 
-def test_row_store_grows_by_doubling():
-    """Over N steps on new rows the store is reallocated O(log N) times and
-    holds at most twice the rows it uses."""
-    rng = np.random.default_rng(7)
-    shape = (1000, 2)
-    table = ad.parameter(rng.normal(size=shape), "word_table")
-    state = AdamState()
-    steps, allocations, last = 150, 0, None
-    for step in range(steps):
-        rows = [3 * step, 3 * step + 1, 3 * step + 2, 0]  # three new rows, one seen
-        table.grad = row_grad(shape, rows, rng)
-        adam_step([("word_table", table)], state, CONFIG)
-        store = state.rows["word_table"]
-        if store.first is not last:
-            allocations, last = allocations + 1, store.first
-        assert store.used == 3 * step + 3 and len(store.first) <= 2 * store.used
-    assert allocations <= np.log2(steps) + 2, allocations
-
-
-def test_row_moments_hand_out_slots_in_first_gradient_order():
-    store = RowMoments.empty(10, (2,))
-    np.testing.assert_array_equal(store.slots_of(np.array([4, 7])), [0, 1])
-    np.testing.assert_array_equal(store.slots_of(np.array([2, 4, 9])), [2, 0, 3])
-    np.testing.assert_array_equal(store.slot, [-1, -1, 2, -1, 0, -1, -1, 1, -1, 3])
-    assert store.used == 4 and len(store.first) == 4
+    first_peak = step()
+    assert first_peak < 2 * table.values.nbytes + 8 * MB, first_peak
+    moments = state.first["word_table"], state.second["word_table"]
+    assert step() < 8 * MB
+    assert state.first["word_table"] is moments[0] and state.second["word_table"] is moments[1]
