@@ -56,13 +56,11 @@ class AttentionTrace:
 
 
 class SelfAttentionResult(NamedTuple):
-    logits: Tensor
     weights: Tensor
     weighted: Tensor
 
 
 class PositionAttentionResult(NamedTuple):
-    logits: Tensor
     weights: Tensor
     context: Tensor
 
@@ -111,7 +109,7 @@ def self_attention(
     logits = ad.tanh(ad.add(raw, params.self_attn_b))
     weights = ad.masked_softmax(logits, mask)
     weighted = ad.scale_rows(hidden, weights)
-    return SelfAttentionResult(logits, weights, weighted)
+    return SelfAttentionResult(weights, weighted)
 
 
 def position_aware_attention(
@@ -134,5 +132,5 @@ def position_aware_attention(
     logits = ad.tanh(ad.add(scores, params.pos_attn_b))
     weights = ad.masked_softmax(logits, mask)
     context = ad.matmul(weights, weighted)  # (..., H)
-    return PositionAttentionResult(logits, weights, context)
+    return PositionAttentionResult(weights, context)
 

@@ -2,8 +2,9 @@
 
 Values live in numpy arrays; the differentiation graph is a flat tape of
 recorded operations replayed in reverse. A tape is activated as a context
-manager; outside any tape, operations run forward-only, which is what
-evaluation code uses.
+manager, on one module-level stack of tapes for the process's one thread;
+outside any tape, operations run forward-only, which is what evaluation
+code uses.
 
 Each of the 8 operations is one numpy primitive: elementwise ``add`` (+),
 ``mul`` and ``tanh``, where a constant enters as a 0-d ``Tensor``;
@@ -38,7 +39,6 @@ A lookup into a large table adds its rows through
 
 from __future__ import annotations
 
-import threading
 import weakref
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -96,10 +96,6 @@ class Tensor:
         self.name = name
         self.tape: Optional["Tape"] = None
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
     def item(self) -> float:
         return float(self.values)
 
@@ -153,34 +149,27 @@ class _TapeOp:
         self.grad_fn = grad_fn
 
 
-_LOCAL = threading.local()
-
-
-def _tape_stack() -> list:
-    stack = getattr(_LOCAL, "stack", None)
-    if stack is None:
-        stack = _LOCAL.stack = []
-    return stack
+_TAPES: list = []  # the entered tapes, innermost last
 
 
 def active_tape() -> Optional["Tape"]:
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return _TAPES[-1] if _TAPES else None
 
 
 class Tape:
-    """Ordered record of operations; creation order is topological order."""
+    """Ordered record of operations; creation order is topological order.
+    Entering pushes it on the module's stack of tapes; the innermost records."""
 
     def __init__(self):
         self.ops: list[_TapeOp] = []
         self.proxy = weakref.proxy(self)  # what outputs hold: tape and outputs form no cycle
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _TAPES.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        popped = _tape_stack().pop()
+        popped = _TAPES.pop()
         if popped is not self:
             raise GraphError("tape context exited out of order")
         return False

@@ -273,35 +273,30 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+def _seed(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
+_COMMANDS = (  # name, what runs it, help, and the file it reads its settings from
+    ("train", _cmd_train, "train a model and write a checkpoint", "--config"),
+    ("eval", _cmd_eval, "evaluate a checkpoint on a corpus", "--checkpoint"),
+    ("explain", _cmd_explain, "write attention heatmaps per review", "--checkpoint"),
+    ("ablate", _cmd_ablate, "train and compare standard ablations", "--config"),
+)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aspectsent", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    train_p = sub.add_parser("train", help="train a model and write a checkpoint")
-    train_p.add_argument("--config", required=True)
-    train_p.add_argument("--data", required=True)
-    train_p.add_argument("--out", required=True)
-    train_p.add_argument("--seed", type=int, default=None)
-    train_p.set_defaults(run=_cmd_train)
-
-    eval_p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    eval_p.add_argument("--checkpoint", required=True)
-    eval_p.add_argument("--data", required=True)
-    eval_p.add_argument("--out", required=True)
-    eval_p.set_defaults(run=_cmd_eval)
-
-    explain_p = sub.add_parser("explain", help="write attention heatmaps per review")
-    explain_p.add_argument("--checkpoint", required=True)
-    explain_p.add_argument("--data", required=True)
-    explain_p.add_argument("--out", required=True)
-    explain_p.set_defaults(run=_cmd_explain)
-
-    ablate_p = sub.add_parser("ablate", help="train and compare standard ablations")
-    ablate_p.add_argument("--config", required=True)
-    ablate_p.add_argument("--data", required=True)
-    ablate_p.add_argument("--out", required=True)
-    ablate_p.add_argument("--seed", type=int, default=None)
-    ablate_p.set_defaults(run=_cmd_ablate)
+    for name, run, help_text, settings in _COMMANDS:
+        command = sub.add_parser(name, help=help_text)
+        for flag in (settings, "--data", "--out"):
+            command.add_argument(flag, required=True)
+        if settings == "--config":  # the commands that train take a seed
+            command.add_argument("--seed", type=_seed, default=None)
+        command.set_defaults(run=run)
     return parser
 
 

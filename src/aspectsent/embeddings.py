@@ -46,9 +46,6 @@ class Vocabulary:
             [self.token_to_id.get(t, UNK_ID) for t in tokens], dtype=np.int64
         )
 
-    def decode(self, ids: Iterable[int]) -> list:
-        return [self.id_to_token[int(i)] for i in ids]
-
 
 def build_vocabulary(corpus: Iterable[Sequence[str]], min_count: int = 1) -> Vocabulary:
     """Build a vocabulary from token sequences.

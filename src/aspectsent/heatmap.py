@@ -24,7 +24,6 @@ class HeatmapReport:
     tokens: list
     aspect_names: list
     intensities: np.ndarray  # aspects x tokens, alpha + beta per token
-    scores: list  # aspect_rank's magnitude score per aspect, aligned by aspect index
     ranking: list  # (aspect index, score), descending
     aspect_predictions: list  # 0/1 per aspect
     overall_prediction: int
@@ -43,16 +42,11 @@ def build_report(
         if trace.pos_weights is not None:
             row = row + trace.pos_weights.values
         rows.append(row[: len(tokens)])
-    ranking = aspect_rank(output.traces)
-    scores = [0.0] * len(aspect_names)
-    for k, score in ranking:
-        scores[k] = score
     return HeatmapReport(
         tokens=list(tokens),
         aspect_names=list(aspect_names),
         intensities=np.stack(rows),
-        scores=scores,
-        ranking=ranking,
+        ranking=aspect_rank(output.traces),
         aspect_predictions=[int(np.argmax(p.values)) for p in output.aspect_probs],
         overall_prediction=int(np.argmax(output.overall_probs.values)),
     )
@@ -79,7 +73,8 @@ def _shade(norm: float) -> str:
 def render_heatmap(report: HeatmapReport) -> str:
     """Render a report as one self-contained HTML document."""
     peak = float(report.intensities.max()) if report.intensities.size else 0.0
-    max_score = max(report.scores) if report.scores else 0.0
+    scores = dict(report.ranking)
+    max_score = max(scores.values(), default=0.0)
     top_aspect = report.ranking[0][0] if report.ranking else -1
 
     lines = [
@@ -105,7 +100,7 @@ def render_heatmap(report: HeatmapReport) -> str:
                 f"<td style='background:{_shade(norm)}' title='{weight:.6f}'>"
                 f"{escape(report.tokens[j])}</td>"
             )
-        score = report.scores[k]
+        score = scores[k]
         width = int(round(score / max_score * 240)) if max_score > 0 else 0
         lines.append(
             f"<tr{marked}><td>{escape(name)}{star}</td>"

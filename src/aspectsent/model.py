@@ -170,7 +170,7 @@ class ModelParams:
         return [t for _, t in self.named_tensors()]
 
     def parameter_count(self) -> int:
-        return sum(t.size for t in self.tensors())
+        return sum(t.values.size for t in self.tensors())
 
 
 def _init_head(in_width: int, rng, prefix: str) -> HeadParams:

@@ -15,7 +15,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from aspectsent import autodiff as ad
-from aspectsent.autodiff import NumericError, Tape, Tensor, backward
+from aspectsent.autodiff import NumericError, Tape, backward
 from aspectsent.data import DatasetSplit, batch_iter, collate
 from aspectsent.model import (
     L2_EXEMPT,
@@ -45,6 +45,7 @@ class TrainConfig:
     def __post_init__(self) -> None:
         check_range(self, ("learning_rate", "eps"), lambda v: v > 0, "positive")
         check_range(self, ("epochs", "batch_size", "patience"), lambda v: v >= 1, "at least 1")
+        check_range(self, ("seed",), lambda v: v >= 0, "non-negative")
         check_range(self, ("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)")
 
 
@@ -84,36 +85,6 @@ class AdamState:
     step: int = 0
 
 
-def _adam_block(pb, mb, vb, gb, step, denom, config: TrainConfig, m_scale, v_scale) -> None:
-    """Adam's update of one block in place, given its gradient and two scratch arrays."""
-    mb *= config.beta1
-    np.multiply(1 - config.beta1, gb, out=step)
-    mb += step
-    vb *= config.beta2
-    np.multiply(1 - config.beta2, gb, out=step)
-    step *= gb
-    vb += step
-    np.divide(vb, v_scale, out=denom)
-    np.sqrt(denom, out=denom)
-    denom += config.eps
-    np.divide(mb, m_scale, out=step)
-    np.multiply(config.learning_rate, step, out=step)
-    step /= denom
-    pb -= step
-
-
-def _row_step(name, p: Tensor, grad: ad.RowGrad, m, v, config, m_scale, v_scale) -> None:
-    """Adam on the rows of a row-sparse gradient alone, and on their rows of the moments."""
-    if not np.isfinite(grad.sums).all():
-        raise NumericError(f"non-finite gradient for parameter {name!r}")
-    table, m, v = (a.reshape((-1,) + grad.sums.shape[1:]) for a in (p.values, m, v))
-    for part, step, denom in row_blocks(grad.sums):
-        rows = grad.rows[part]
-        pb, mb, vb = table[rows], m[rows], v[rows]
-        _adam_block(pb, mb, vb, grad.sums[part], step, denom, config, m_scale, v_scale)
-        table[rows], m[rows], v[rows] = pb, mb, vb
-
-
 def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: float = 0.0) -> None:
     """One bias-corrected adaptive-moment update, in place, with coupled L2.
 
@@ -126,20 +97,21 @@ def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: fl
     ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; every one is elementwise, so
     every value matches that formula to the bit.
 
-    A row-sparse gradient (``autodiff.RowGrad``) with no decay updates its
-    rows alone, and those rows of the moments: lazy Adam, as PyTorch's
-    ``SparseAdam``. Every other row keeps its value and its moments. From
-    fresh moments that step equals the whole-tensor one, which moves a row
-    with a zero gradient by zero. Any other gradient, dense, decayed or
-    none, updates the whole parameter, in ``row_blocks`` blocks of
-    leading-axis rows, with each block's gradient and step formed in two
-    scratch arrays made once per parameter. The moments are whole arrays of
-    each parameter's shape, made at its first step.
+    One loop walks each gradient in ``row_blocks`` blocks of leading-axis
+    rows, forming a block's gradient and step in two scratch arrays. A
+    dense, decayed or absent gradient covers the whole parameter, a block
+    being a view of its rows. A row-sparse one (``autodiff.RowGrad``) with no
+    decay covers its rows alone, gathered from p and the moments and
+    scattered back: lazy Adam, as PyTorch's ``SparseAdam``. Every other row
+    keeps its value and moments; from fresh moments this equals the
+    whole-tensor step, which moves a zero-gradient row by zero. The moments
+    are whole arrays of each parameter's shape, made at its first step.
 
     A non-finite gradient entry raises ``NumericError`` naming the
-    parameter; a whole-tensor update checks each block before updating it,
-    so the parameters before it, and the earlier blocks of that parameter,
-    are then already updated. ``train`` stops either way.
+    parameter; the parameters before it are then already updated. A
+    ``RowGrad`` is checked whole, before any of its rows changes; a dense
+    or decayed gradient block by block, so its earlier blocks have changed.
+    ``train`` stops either way.
     """
     state.step += 1
     t = state.step
@@ -153,22 +125,41 @@ def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: fl
             m = state.first[name] = np.zeros(p.values.shape)
             v = state.second[name] = np.zeros(p.values.shape)
         grad = p.grad
-        if isinstance(grad, ad.RowGrad):
-            if not decay:
-                _row_step(name, p, grad, m, v, config, m_scale, v_scale)
-                continue
+        if isinstance(grad, ad.RowGrad) and decay:
             grad = grad.dense(p.values.shape)  # the decay reaches every row
-        # a 0-d parameter is updated through a one-entry view
-        p_rows, m_rows, v_rows = np.atleast_1d(p.values, m, v)
-        g_rows = np.broadcast_to(0.0, p_rows.shape) if grad is None else np.atleast_1d(grad)
-        for part, step, denom in row_blocks(p_rows):
-            pb, mb, vb, gb = p_rows[part], m_rows[part], v_rows[part], g_rows[part]
+        sparse = isinstance(grad, ad.RowGrad)
+        if sparse:
+            if not np.isfinite(grad.sums).all():
+                raise NumericError(f"non-finite gradient for parameter {name!r}")
+            g_rows = grad.sums
+            p_rows, m_rows, v_rows = (a.reshape((-1,) + g_rows.shape[1:]) for a in (p.values, m, v))
+        else:  # a 0-d parameter is updated through a one-entry view
+            p_rows, m_rows, v_rows = np.atleast_1d(p.values, m, v)
+            g_rows = np.broadcast_to(0.0, p_rows.shape) if grad is None else np.atleast_1d(grad)
+        for part, step, denom in row_blocks(g_rows):
+            rows = grad.rows[part] if sparse else part
+            pb, mb, vb, gb = p_rows[rows], m_rows[rows], v_rows[rows], g_rows[part]
             if decay:  # the block's gradient, held in denom until the denominator is formed
                 decayed = np.multiply(pb, decay, out=denom)
                 gb = decayed if grad is None else np.add(decayed, gb, out=denom)
-            if not np.isfinite(gb).all():
+            if not sparse and not np.isfinite(gb).all():
                 raise NumericError(f"non-finite gradient for parameter {name!r}")
-            _adam_block(pb, mb, vb, gb, step, denom, config, m_scale, v_scale)
+            mb *= config.beta1
+            np.multiply(1 - config.beta1, gb, out=step)
+            mb += step
+            vb *= config.beta2
+            np.multiply(1 - config.beta2, gb, out=step)
+            step *= gb
+            vb += step
+            np.divide(vb, v_scale, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += config.eps
+            np.divide(mb, m_scale, out=step)
+            np.multiply(config.learning_rate, step, out=step)
+            step /= denom
+            pb -= step
+            if sparse:  # the gathered rows are copies
+                p_rows[rows], m_rows[rows], v_rows[rows] = pb, mb, vb
 
 
 # ---------------------------------------------------------------------------

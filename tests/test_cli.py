@@ -192,6 +192,26 @@ def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, me
     assert err.splitlines()[-1].startswith(f"error: config {path}: {at}{message}")
 
 
+@pytest.mark.parametrize("command", ["train", "ablate"])
+@pytest.mark.parametrize("form", ["config", "flag"])
+def test_negative_seed_exits_1_naming_seed(tmp_path, corpus_path, config_path, command, form,
+                                          capsys):
+    # a negative seed is bad input: it must not reach the random generator
+    if form == "config":
+        config_path.write_text(CONFIG_TEXT.replace("seed = 3", "seed = -2"))
+        flags, message = [], f"error: config {config_path}: seed must be non-negative, got -2"
+    else:
+        flags, message = ["--seed", "-1"], "error: argument --seed: expected a non-negative"
+    out = tmp_path / "out"
+    status = main(
+        [command, "--config", str(config_path), "--data", str(corpus_path), "--out", str(out)]
+        + flags
+    )
+    assert status == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_malformed_line(tmp_path):
     path = tmp_path / "config.txt"
     path.write_text("aspects a, b\n")
@@ -668,7 +688,6 @@ def make_report(intensities, scores=None):
         tokens=[f"tok{j}" for j in range(t)],
         aspect_names=[f"aspect{i}" for i in range(k)],
         intensities=intensities,
-        scores=list(scores),
         ranking=ranking,
         aspect_predictions=[1] * k,
         overall_prediction=0,

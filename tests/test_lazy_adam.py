@@ -206,6 +206,59 @@ def test_nonfinite_row_gradient_raises_naming_the_parameter(bad):
     assert not state.first["word_table"].any()  # checked before any row is updated
 
 
+WIDE = (2000, 300)  # a paper-width table; its block holds BLOCK // 300 = 218 rows
+
+
+def wide_row_grad(rng):
+    """Unsorted ids with repeats whose distinct rows span at least 3 blocks."""
+    grad = row_grad(WIDE, rng.integers(0, WIDE[0], size=1200), rng)
+    assert len(grad.rows) > 2 * (training.BLOCK // WIDE[1])
+    return grad
+
+
+def test_a_row_gradient_over_several_blocks_equals_the_oracle():
+    """The gather and scatter across blocks: each step, the touched rows of
+    the table and of its moments equal the dense formula from the current
+    state, to the bit, and every other row keeps its value."""
+    rng = np.random.default_rng(21)
+    table = ad.parameter(rng.normal(size=WIDE), "word_table")
+    state = AdamState()
+    for t in (1, 2, 3):
+        table.grad = wide_row_grad(rng)
+        touched = np.zeros(WIDE[0], dtype=bool)
+        touched[table.grad.rows] = True
+        oracle = ad.parameter(table.values.copy(), "word_table")
+        oracle.grad = table.grad.dense(WIDE)
+        first = {name: moments.copy() for name, moments in state.first.items()}
+        second = {name: moments.copy() for name, moments in state.second.items()}
+        before = table.values.copy()
+        reference_adam_step([("word_table", oracle)], first, second, t, CONFIG)
+        adam_step([("word_table", table)], state, CONFIG)
+        for got, want in ((table.values, oracle.values),
+                          (state.first["word_table"], first["word_table"]),
+                          (state.second["word_table"], second["word_table"])):
+            assert np.array_equal(got[touched], want[touched]), t
+        assert np.array_equal(table.values[~touched], before[~touched]), t
+
+
+def test_a_nonfinite_entry_in_the_last_block_leaves_every_row_unchanged():
+    """A row gradient is checked whole before any of its blocks is updated."""
+    rng = np.random.default_rng(22)
+    table = ad.parameter(rng.normal(size=WIDE), "word_table")
+    state = AdamState()
+    table.grad = wide_row_grad(rng)
+    adam_step([("word_table", table)], state, CONFIG)
+    before = [a.copy() for a in (table.values, state.first["word_table"],
+                                 state.second["word_table"])]
+    table.grad = wide_row_grad(rng)
+    table.grad.sums[-1, 7] = np.nan  # the last row of the last block
+    with pytest.raises(NumericError, match="word_table"):
+        adam_step([("word_table", table)], state, CONFIG)
+    after = table.values, state.first["word_table"], state.second["word_table"]
+    for old, new in zip(before, after):
+        assert np.array_equal(new, old)
+
+
 def test_paper_width_backward_at_v50k_makes_no_table_sized_array():
     """A batch of 8 x 32 tokens into a 50k x 300 table: the backward's peak is
     a few MB (2.3 measured), where one table-sized array is 114 MB."""
