@@ -62,8 +62,8 @@ class NumericError(ArithmeticError):
 
 
 class RowGrad(NamedTuple):
-    """A row-sparse gradient: ``sums[i]`` is the gradient of row ``rows[i]``,
-    counting rows over the flattened leading axes, and every other row's is zero.
+    """A row-sparse gradient of a matrix: ``sums[i]`` is the gradient of row
+    ``rows[i]``, and every other row's is zero.
 
     ``rows`` holds distinct ids in ascending order.
     """
@@ -73,7 +73,7 @@ class RowGrad(NamedTuple):
 
     def dense(self, shape: tuple) -> np.ndarray:
         out = np.zeros(shape)
-        out.reshape((-1,) + self.sums.shape[1:])[self.rows] = self.sums
+        out[self.rows] = self.sums
         return out
 
 
@@ -108,8 +108,8 @@ class Tensor:
             self.grad += g
 
     def accumulate_rows(self, idx: np.ndarray, rows: np.ndarray) -> None:
-        """Add ``rows[i]`` to gradient row ``idx[i]``, counting rows over the
-        flattened leading axes; repeated indices add up.
+        """Add ``rows[i]`` to gradient row ``idx[i]`` of this matrix; repeated
+        indices add up.
 
         Without a dense gradient the result is a ``RowGrad``: one sum per
         distinct row, over the rows added so far, of (rows, row width) size.
@@ -117,13 +117,13 @@ class Tensor:
         buffer, earlier calls first, so it equals that scatter to the bit.
         """
         if isinstance(self.grad, np.ndarray):
-            np.add.at(self.grad.reshape((-1,) + rows.shape[1:]), idx, rows)
+            np.add.at(self.grad, idx, rows)
             return
         old = self.grad
         if old is not None:
             idx = np.concatenate([old.rows, idx])
         ids, slot = np.unique(idx, return_inverse=True)
-        sums = np.zeros((len(ids),) + rows.shape[1:])
+        sums = np.zeros((len(ids), rows.shape[1]))
         if old is not None:
             sums[slot[: len(old.rows)]] = old.sums
             slot = slot[len(old.rows):]

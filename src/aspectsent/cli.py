@@ -50,7 +50,8 @@ from aspectsent.training import (
 
 @dataclass(frozen=True)
 class DataSettings:
-    """Corpus and vocabulary settings, checked when made."""
+    """Corpus and vocabulary settings, checked when made; the aspect names
+    come from exactly one of ``domain`` and ``aspects``."""
 
     domain: str = ""
     aspects: list = field(default_factory=list)
@@ -66,6 +67,8 @@ class DataSettings:
                 f"unknown domain {self.domain!r}; expected one of "
                 f"{sorted(DOMAIN_ASPECTS)} or an explicit 'aspects' list"
             )
+        if self.aspects and self.domain:
+            raise ValueError("'domain' and 'aspects' are both set; set one")
 
     @property
     def aspect_names(self) -> list:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -31,51 +31,26 @@ from aspectsent.model import (
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer and loop settings, checked when made."""
+    """Loop settings and Adam's learning rate, checked when made; Adam's other
+    settings are the constants ``BETA1``, ``BETA2`` and ``EPS``."""
 
     learning_rate: float = 0.005
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     epochs: int = 30
     batch_size: int = 32
     seed: int = 0
     patience: int = 5  # epochs without validation macro-F1 improvement
 
     def __post_init__(self) -> None:
-        check_range(self, ("learning_rate", "eps"), lambda v: v > 0, "positive")
+        check_range(self, ("learning_rate",), lambda v: v > 0, "positive")
         check_range(self, ("epochs", "batch_size", "patience"), lambda v: v >= 1, "at least 1")
         check_range(self, ("seed",), lambda v: v >= 0, "non-negative")
-        check_range(self, ("beta1", "beta2"), lambda v: 0 <= v < 1, "in [0, 1)")
 
 
 # ---------------------------------------------------------------------------
-# optimizer: Adam, set by TrainConfig's learning_rate, beta1, beta2 and eps
+# optimizer: Adam at TrainConfig's learning_rate, with Kingma & Ba's decay
+# rates and guard (arXiv 1412.6980), the only values this model has trained with
 
-
-BLOCK = 1 << 16
-# Entries per block of Adam's pass over a large tensor; the block size
-# bounds the scratch memory (512 KB per float64 block). Measured over a
-# 50k x 300 table on a 2-vCPU Xeon with 2 MB of L2 per core: blocks of
-# 2^12-2^16 entries cost the same per entry, apart from per-call overhead
-# (about 15 us per block); from 2^17 up, where the two scratch blocks fill
-# L2, each entry costs 15-30% more.
-
-
-def row_blocks(rows_view: np.ndarray) -> Iterator[tuple]:
-    """Walk an array of at least one axis in blocks of whole leading-axis
-    rows, about ``BLOCK`` entries each (a row larger than that is a block of
-    its own).
-
-    Yields each block's row slice and two float64 scratch arrays of that
-    block's shape, views of buffers made once per call.
-    """
-    n, row_shape = len(rows_view), rows_view.shape[1:]
-    rows = max(1, BLOCK // max(1, math.prod(row_shape)))
-    buffers = [np.empty((min(rows, n),) + row_shape) for _ in range(2)]
-    for lo in range(0, n, rows):
-        size = min(rows, n - lo)
-        yield (slice(lo, lo + size), *(b[:size] for b in buffers))
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -88,35 +63,31 @@ class AdamState:
 def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: float = 0.0) -> None:
     """One bias-corrected adaptive-moment update, in place, with coupled L2.
 
-    The gradient of each parameter outside ``model.L2_EXEMPT`` is
-    ``g + 2 * l2_weight * p``: its gradient buffer, or zero without one,
-    plus the gradient of ``l2_weight`` times the parameter's sum of squares
-    (the model's L2 term, which the tape does not hold). An exempt
-    parameter's gradient is ``g`` alone. The operations run in the order of
-    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
-    ``p -= lr*m_hat / (sqrt(v_hat) + eps)``; every one is elementwise, so
-    every value matches that formula to the bit.
+    The gradient ``g`` of a parameter outside ``model.L2_EXEMPT`` gains
+    ``2 * l2_weight * p``, the gradient of the model's L2 term, which the
+    tape does not hold; a missing gradient buffer counts as zero. At step
+    ``t`` the update is ``m = BETA1*m + (1-BETA1)*g``,
+    ``v = BETA2*v + (1-BETA2)*g*g`` and
+    ``p -= lr * (m / (1-BETA1**t)) / (sqrt(v / (1-BETA2**t)) + EPS)``, run in
+    that order in two scratch arrays per parameter; every operation is
+    elementwise, so every value matches the formula to the bit.
 
-    One loop walks each gradient in ``row_blocks`` blocks of leading-axis
-    rows, forming a block's gradient and step in two scratch arrays. A
-    dense, decayed or absent gradient covers the whole parameter, a block
-    being a view of its rows. A row-sparse one (``autodiff.RowGrad``) with no
-    decay covers its rows alone, gathered from p and the moments and
-    scattered back: lazy Adam, as PyTorch's ``SparseAdam``. Every other row
-    keeps its value and moments; from fresh moments this equals the
-    whole-tensor step, which moves a zero-gradient row by zero. The moments
-    are whole arrays of each parameter's shape, made at its first step.
+    A dense, decayed or absent gradient updates the whole parameter and its
+    moments in place. An ``autodiff.RowGrad`` with no decay updates its rows
+    alone, gathered from p and the moments and scattered back: lazy Adam, as
+    PyTorch's ``SparseAdam``. Other rows keep their values and moments; from
+    fresh moments that equals the whole-matrix step, which moves a
+    zero-gradient row by zero. The moments are whole arrays, made at a
+    parameter's first step.
 
-    A non-finite gradient entry raises ``NumericError`` naming the
-    parameter; the parameters before it are then already updated. A
-    ``RowGrad`` is checked whole, before any of its rows changes; a dense
-    or decayed gradient block by block, so its earlier blocks have changed.
-    ``train`` stops either way.
+    Each gradient is checked whole once the decay has joined it: a
+    non-finite entry raises ``NumericError`` naming the parameter before it
+    or its moments change (the parameters before it are already updated).
     """
     state.step += 1
     t = state.step
-    m_scale = 1 - config.beta1**t
-    v_scale = 1 - config.beta2**t
+    m_scale = 1 - BETA1**t
+    v_scale = 1 - BETA2**t
     for name, p in named_params:
         decay = 0.0 if name in L2_EXEMPT else 2.0 * l2_weight
         m = state.first.get(name)
@@ -127,39 +98,34 @@ def adam_step(named_params, state: AdamState, config: TrainConfig, l2_weight: fl
         grad = p.grad
         if isinstance(grad, ad.RowGrad) and decay:
             grad = grad.dense(p.values.shape)  # the decay reaches every row
-        sparse = isinstance(grad, ad.RowGrad)
-        if sparse:
-            if not np.isfinite(grad.sums).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            g_rows = grad.sums
-            p_rows, m_rows, v_rows = (a.reshape((-1,) + g_rows.shape[1:]) for a in (p.values, m, v))
-        else:  # a 0-d parameter is updated through a one-entry view
-            p_rows, m_rows, v_rows = np.atleast_1d(p.values, m, v)
-            g_rows = np.broadcast_to(0.0, p_rows.shape) if grad is None else np.atleast_1d(grad)
-        for part, step, denom in row_blocks(g_rows):
-            rows = grad.rows[part] if sparse else part
-            pb, mb, vb, gb = p_rows[rows], m_rows[rows], v_rows[rows], g_rows[part]
-            if decay:  # the block's gradient, held in denom until the denominator is formed
-                decayed = np.multiply(pb, decay, out=denom)
-                gb = decayed if grad is None else np.add(decayed, gb, out=denom)
-            if not sparse and not np.isfinite(gb).all():
-                raise NumericError(f"non-finite gradient for parameter {name!r}")
-            mb *= config.beta1
-            np.multiply(1 - config.beta1, gb, out=step)
-            mb += step
-            vb *= config.beta2
-            np.multiply(1 - config.beta2, gb, out=step)
-            step *= gb
-            vb += step
-            np.divide(vb, v_scale, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += config.eps
-            np.divide(mb, m_scale, out=step)
-            np.multiply(config.learning_rate, step, out=step)
-            step /= denom
-            pb -= step
-            if sparse:  # the gathered rows are copies
-                p_rows[rows], m_rows[rows], v_rows[rows] = pb, mb, vb
+        if isinstance(grad, ad.RowGrad):  # copies of the touched rows
+            rows, g = grad.rows, grad.sums
+            pv, mv, vv = p.values[rows], m[rows], v[rows]
+        else:
+            rows, pv, mv, vv = None, p.values, m, v
+            g = np.broadcast_to(0.0, pv.shape) if grad is None else grad
+        step, denom = np.empty(pv.shape), np.empty(pv.shape)
+        if decay:  # the gradient, held in denom until the denominator is formed
+            np.multiply(pv, decay, out=denom)
+            g = denom if grad is None else np.add(denom, g, out=denom)
+        if not np.isfinite(g).all():
+            raise NumericError(f"non-finite gradient for parameter {name!r}")
+        mv *= BETA1
+        np.multiply(1 - BETA1, g, out=step)
+        mv += step
+        vv *= BETA2
+        np.multiply(1 - BETA2, g, out=step)
+        step *= g
+        vv += step
+        np.divide(vv, v_scale, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += EPS
+        np.divide(mv, m_scale, out=step)
+        np.multiply(config.learning_rate, step, out=step)
+        step /= denom
+        pv -= step
+        if rows is not None:
+            p.values[rows], m[rows], v[rows] = pv, mv, vv
 
 
 # ---------------------------------------------------------------------------

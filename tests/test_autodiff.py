@@ -392,13 +392,6 @@ def test_accumulate_rows_sparse_gradient():
     # kept as the touched rows alone
     np.testing.assert_array_equal(t.grad.rows, [0, 1, 3])
 
-    # a (B, T, d) buffer takes flat row indices into B * T rows
-    x = ad.parameter(np.zeros((2, 3, 2)))
-    x.accumulate_rows(np.array([4, 0, 4]), np.ones((3, 2)))
-    np.testing.assert_array_equal(ad.dense_grad(x)[1, 1], [2, 2])
-    np.testing.assert_array_equal(ad.dense_grad(x)[0, 0], [1, 1])
-    assert np.count_nonzero(ad.dense_grad(x)) == 4
-
 
 def test_embedding_scatter_adds_to_a_gradient_written_first():
     # the tape replays in reverse, so the later-recorded square reaches the

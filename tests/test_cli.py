@@ -101,9 +101,6 @@ CONFIG_SAMPLES = {
     "l2_weight": ("0.002", 0.002),
     "disable_position_attention": ("yes", True),
     "learning_rate": ("0.02", 0.02),
-    "beta1": ("0.8", 0.8),
-    "beta2": ("0.99", 0.99),
-    "eps": ("1e-7", 1e-7),
     "epochs": ("3", 3),
     "batch_size": ("4", 4),
     "seed": ("11", 11),
@@ -124,7 +121,8 @@ CONFIG_SAMPLES = {
 def test_every_config_key_parses_to_its_field_type(tmp_path, key):
     raw, expected = CONFIG_SAMPLES[key]
     path = tmp_path / "config.txt"
-    path.write_text(f"aspects = a, b\n{key} = {raw}\n")
+    aspects = "" if key == "domain" else "aspects = a, b\n"  # one source of aspect names
+    path.write_text(f"{aspects}{key} = {raw}\n")
     configs = build_configs(parse_config_file(path))
     value = getattr(next(c for c in configs if hasattr(c, key)), key)
     assert value == expected
@@ -134,7 +132,7 @@ def test_every_config_key_parses_to_its_field_type(tmp_path, key):
 @pytest.mark.parametrize(
     "key",
     ["disable_l2", "class_count", "stop_train_accuracy", "bidirectional", "optimizer",
-     "max_rated_aspects"],
+     "max_rated_aspects", "beta1", "beta2", "eps"],
 )
 def test_removed_config_keys_rejected(tmp_path, corpus_path, key, capsys):
     path = tmp_path / "config.txt"
@@ -158,12 +156,10 @@ BAD_CONFIG_VALUES = [
     ("max_length", "0", "max_length must be at least 1"),
     ("patience", "-1", "patience must be at least 1"),
     ("min_count", "-4", "min_count must be at least 1"),
-    ("beta1", "1.5", "beta1 must be in [0, 1)"),
-    ("beta2", "-0.5", "beta2 must be in [0, 1)"),
-    ("eps", "-1", "eps must be positive"),
+    ("learning_rate", "0", "learning_rate must be positive"),
     ("learning_rate", "inf", "bad value for 'learning_rate': 'inf'"),
     ("aspect_loss_weight", "inf", "bad value for 'aspect_loss_weight': 'inf'"),
-    ("eps", "nan", "bad value for 'eps': 'nan'"),
+    ("learning_rate", "nan", "bad value for 'learning_rate': 'nan'"),
     ("aspects", "food, food", "aspect_names must be non-empty and distinct, got ['food', 'food']"),
     ("domain", "bogus", "unknown domain 'bogus'"),
 ]
@@ -174,8 +170,8 @@ BAD_CONFIG_VALUES = [
 )
 def test_bad_config_value_exits_1_naming_key(tmp_path, corpus_path, key, raw, message, capsys):
     path = tmp_path / "config.txt"
-    # a case that sets the aspects itself takes them with a known domain
-    first = "domain = restaurant" if key == "aspects" else "aspects = food, service"
+    # a case that sets the aspects itself needs no other key
+    first = "min_count = 1" if key == "aspects" else "aspects = food, service"
     path.write_text(f"{first}\n{key} = {raw}\n")
     with pytest.raises(InputError, match=re.escape(message)):
         build_configs(parse_config_file(path))
@@ -209,6 +205,22 @@ def test_negative_seed_exits_1_naming_seed(tmp_path, corpus_path, config_path, c
     )
     assert status == 1
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_domain_and_aspects_together_exit_1_naming_both(tmp_path, corpus_path, config_path,
+                                                       command, capsys):
+    # the aspect names come from one source; a domain beside a list is not a choice
+    config_path.write_text("domain = restaurant\n" + CONFIG_TEXT)
+    out = tmp_path / "out"
+    status = main(
+        [command, "--config", str(config_path), "--data", str(corpus_path), "--out", str(out)]
+    )
+    assert status == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {config_path}: ")
+    assert "'domain'" in err and "'aspects'" in err
     assert not out.exists()
 
 
@@ -484,7 +496,7 @@ def test_configs_are_frozen_and_checked_when_made():
     for make in (
         lambda: ModelConfig(aspect_names=["food"], cell_width=0),
         lambda: ModelConfig(aspect_names=[]),
-        lambda: TrainConfig(beta2=1.0),
+        lambda: TrainConfig(batch_size=0),
         lambda: DataSettings(aspects=["food"], min_count=0),
         lambda: DataSettings(domain="garage"),
     ):

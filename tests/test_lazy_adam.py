@@ -206,18 +206,18 @@ def test_nonfinite_row_gradient_raises_naming_the_parameter(bad):
     assert not state.first["word_table"].any()  # checked before any row is updated
 
 
-WIDE = (2000, 300)  # a paper-width table; its block holds BLOCK // 300 = 218 rows
+WIDE = (2000, 300)  # a paper-width table
 
 
 def wide_row_grad(rng):
-    """Unsorted ids with repeats whose distinct rows span at least 3 blocks."""
+    """Unsorted ids with repeats, over more than 400 distinct rows."""
     grad = row_grad(WIDE, rng.integers(0, WIDE[0], size=1200), rng)
-    assert len(grad.rows) > 2 * (training.BLOCK // WIDE[1])
+    assert len(grad.rows) > 400
     return grad
 
 
 def test_a_row_gradient_over_several_blocks_equals_the_oracle():
-    """The gather and scatter across blocks: each step, the touched rows of
+    """The gather and scatter of many rows: each step, the touched rows of
     the table and of its moments equal the dense formula from the current
     state, to the bit, and every other row keeps its value."""
     rng = np.random.default_rng(21)
@@ -242,7 +242,7 @@ def test_a_row_gradient_over_several_blocks_equals_the_oracle():
 
 
 def test_a_nonfinite_entry_in_the_last_block_leaves_every_row_unchanged():
-    """A row gradient is checked whole before any of its blocks is updated."""
+    """A row gradient is checked whole before any of its rows is updated."""
     rng = np.random.default_rng(22)
     table = ad.parameter(rng.normal(size=WIDE), "word_table")
     state = AdamState()
@@ -251,7 +251,7 @@ def test_a_nonfinite_entry_in_the_last_block_leaves_every_row_unchanged():
     before = [a.copy() for a in (table.values, state.first["word_table"],
                                  state.second["word_table"])]
     table.grad = wide_row_grad(rng)
-    table.grad.sums[-1, 7] = np.nan  # the last row of the last block
+    table.grad.sums[-1, 7] = np.nan  # the last touched row
     with pytest.raises(NumericError, match="word_table"):
         adam_step([("word_table", table)], state, CONFIG)
     after = table.values, state.first["word_table"], state.second["word_table"]
@@ -279,9 +279,9 @@ def test_paper_width_backward_at_v50k_makes_no_table_sized_array():
 
 def test_adam_step_on_200_rows_allocates_only_the_moments():
     """A 200-row gradient of a 50k x 300 table: the first step makes the two
-    whole moments and a few MB more (the gathered rows and the block
-    scratch); a later step makes no table-sized array. The table is outside
-    the decay, so its gradient is never made dense."""
+    whole moments and a few MB more (the gathered rows and their scratch);
+    a later step makes no table-sized array. The table is outside the
+    decay, so its gradient is never made dense."""
     rng = np.random.default_rng(2)
     table = ad.parameter(np.zeros((50_000, 300)), "word_table")
     state = AdamState()
