@@ -31,9 +31,9 @@ Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
 drops its gradient once that gradient has been passed on to the inputs, so
 the buffers of intermediate values live only while the pass needs them.
-A lookup into a large table adds its rows through
-``Tensor.accumulate_rows``, which keeps the gradient row-sparse: a
-``RowGrad`` of the rows it touched, so no table-sized array is made.
+An operation reading rows of a large table adds their gradient through
+``Tensor.accumulate_rows``, which keeps it row-sparse (a ``RowGrad``), as
+``bilstm_forward`` does with its input gradient into the embedding tables.
 ``dense_grad`` reads either form as a dense array.
 """
 
@@ -77,6 +77,31 @@ class RowGrad(NamedTuple):
         return out
 
 
+def segment_sum(ids: np.ndarray, rows: np.ndarray, start: Optional[RowGrad] = None) -> RowGrad:
+    """Each distinct id of ``start.rows`` and ``ids``, with the ``rows`` at its ids
+    added in order onto its ``start`` sum, or onto zero: ``np.add.at``'s sums, to
+    the bit. Level k of the packed rows holds each id's k-th row, the ids with the
+    most rows first, so a level adds one contiguous block onto a prefix of the sums."""
+    start = start or RowGrad(ids[:0], rows[:0])
+    distinct, inverse = np.unique(np.concatenate([start.rows, ids]), return_inverse=True)
+    group = inverse[len(start.rows):]  # each row's id, as its index in distinct
+    counts = np.bincount(group, minlength=len(distinct))
+    slot = np.empty_like(counts)  # each id's row in sums: the most rows first
+    slot[(-counts).argsort(kind="stable")] = np.arange(len(distinct))
+    active = np.bincount(counts)[::-1].cumsum()[::-1][1:]  # ids with more than k rows
+    starts = active.cumsum() - active
+    order = group.argsort(kind="stable")  # the rows id by id, each id's in their order
+    level = np.arange(len(ids)) - (counts.cumsum() - counts)[group[order]]
+    source = np.empty_like(order)
+    source[starts[level] + slot[group[order]]] = order
+    packed = rows[source]
+    sums = np.zeros((len(distinct), rows.shape[1]))
+    sums[slot[inverse[:len(start.rows)]]] = start.sums
+    for lo, n in zip(starts.tolist(), active.tolist()):
+        sums[:n] += packed[lo:lo + n]
+    return RowGrad(distinct, sums[slot])
+
+
 class Tensor:
     """Dense float64 array plus an optional same-shape gradient buffer.
 
@@ -109,26 +134,15 @@ class Tensor:
 
     def accumulate_rows(self, idx: np.ndarray, rows: np.ndarray) -> None:
         """Add ``rows[i]`` to gradient row ``idx[i]`` of this matrix; repeated
-        indices add up.
-
-        Without a dense gradient the result is a ``RowGrad``: one sum per
-        distinct row, over the rows added so far, of (rows, row width) size.
-        Each row's sum is added up in the order of ``np.add.at`` into a zeroed
-        buffer, earlier calls first, so it equals that scatter to the bit.
-        """
+        indices add up, through ``segment_sum``. A dense gradient gets each
+        distinct row's sum added on; otherwise the result is a ``RowGrad`` of
+        the rows added so far, earlier calls first, equal to ``np.add.at`` into
+        a zeroed buffer to the bit."""
         if isinstance(self.grad, np.ndarray):
-            np.add.at(self.grad, idx, rows)
-            return
-        old = self.grad
-        if old is not None:
-            idx = np.concatenate([old.rows, idx])
-        ids, slot = np.unique(idx, return_inverse=True)
-        sums = np.zeros((len(ids), rows.shape[1]))
-        if old is not None:
-            sums[slot[: len(old.rows)]] = old.sums
-            slot = slot[len(old.rows):]
-        np.add.at(sums, slot, rows)
-        self.grad = RowGrad(ids, sums)
+            ids, sums = segment_sum(idx, rows)
+            self.grad[ids] += sums
+        else:
+            self.grad = segment_sum(idx, rows, self.grad)
 
     def __repr__(self) -> str:
         label = f" {self.name!r}" if self.name else ""
@@ -178,8 +192,9 @@ class Tape:
         return len(self.ops)
 
 
-def record(inputs: tuple, out_values: np.ndarray, grad_fn: Callable) -> Tensor:
-    """Wrap ``out_values`` as the output of an operation on ``inputs``.
+def record(inputs: tuple, out_values, grad_fn: Callable) -> Tensor:
+    """Wrap ``out_values`` as the output of an operation on ``inputs``; a
+    ``Tensor`` (such as ``embeddings.Lookup``) is the output itself.
 
     On an active tape the operation is recorded: in ``backward``,
     ``grad_fn(output_grad)`` returns one gradient per input, or None for an
@@ -187,7 +202,7 @@ def record(inputs: tuple, out_values: np.ndarray, grad_fn: Callable) -> Tensor:
     buffer. Outside any tape only the output is made. Every operation,
     here and in other modules, records through this function.
     """
-    out = Tensor(out_values)
+    out = out_values if isinstance(out_values, Tensor) else Tensor(out_values)
     tape = active_tape()
     if tape is not None:
         out.tape = tape.proxy
@@ -409,45 +424,3 @@ def masked_softmax(logits: Tensor, mask) -> Tensor:
         return (out * (g - np.matmul(g[..., None, :], out[..., :, None])[..., 0]),)
 
     return record((logits,), out, grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# gradient checking
-
-
-def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], h: float = 1e-5) -> float:
-    """Compare reverse-mode gradients of a scalar function to central differences.
-
-    Returns the maximum over all input components of
-    |analytic - numeric| / max(1, |analytic|, |numeric|).
-    The function is re-evaluated forward-only for every perturbed component,
-    so it must be deterministic.
-    """
-    for t in inputs:
-        t.grad = None
-    with Tape():
-        out = f()
-        if out.values.shape != ():
-            raise GraphError("grad_check: function must return a scalar")
-        if not np.isfinite(out.values):
-            raise NumericError("grad_check: non-finite function value")
-        backward(out)
-    analytic = [dense_grad(t) for t in inputs]
-
-    worst = 0.0
-    for t, a in zip(inputs, analytic):
-        flat = t.values.reshape(-1)
-        a_flat = a.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = float(f().values)
-            flat[i] = orig - h
-            down = float(f().values)
-            flat[i] = orig
-            if not (np.isfinite(up) and np.isfinite(down)):
-                raise NumericError("grad_check: non-finite value during perturbation")
-            numeric = (up - down) / (2.0 * h)
-            denom = max(1.0, abs(a_flat[i]), abs(numeric))
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst

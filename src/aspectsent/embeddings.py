@@ -2,7 +2,8 @@
 
 Every token occurrence is represented by its word vector concatenated with
 the vector for its absolute position, so a width-d table pair yields
-width-2d sequence rows. The padding row of the word table is all zeros, and
+width-2d sequence rows, as a ``Lookup`` that also carries the ids and tables
+they were read from. The padding row of the word table is all zeros, and
 no gradient reaches it: padding positions are masked out downstream, and a
 masked-out row gets a zero gradient.
 """
@@ -127,7 +128,13 @@ def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
             word[idx] = row
 
 
-def embed_sequence(token_ids, tables: EmbeddingTables) -> Tensor:
+class Lookup(Tensor):
+    """``embed_sequence``'s rows, with the ``ids`` and ``tables`` it read them from."""
+
+    __slots__ = ("ids", "tables")
+
+
+def embed_sequence(token_ids, tables: EmbeddingTables) -> Lookup:
     """Map token ids, (T,) or a batch (B, T), to their (..., T, 2d) rows, as one tape op.
 
     Row t is the word vector of token t concatenated with the vector of
@@ -135,8 +142,10 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Tensor:
     through ``Tensor.accumulate_rows``, the position half summed over the
     batch first, so each table's gradient is row-sparse: the rows the ids
     and positions touched, which ``training.adam_step`` updates alone (the
-    tables are outside the L2 term). Sequences longer than the position
-    table are a caller error; truncation belongs to the data pipeline.
+    tables are outside the L2 term). ``bilstm_forward`` adds its own part
+    into the tables, so in ``model`` this carries the mean embedding's alone.
+    Sequences longer than the position table are a caller error; truncation
+    belongs to the data pipeline.
     """
     ids = np.asarray(token_ids, dtype=np.int64)
     length, d = ids.shape[-1], tables.width
@@ -154,4 +163,6 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Tensor:
         tables.position.accumulate_rows(np.arange(length), positions)
         return None, None
 
-    return ad.record((tables.word, tables.position), out, grad_fn)
+    rows = Lookup(out)
+    rows.ids, rows.tables = ids, tables
+    return ad.record((tables.word, tables.position), rows, grad_fn)

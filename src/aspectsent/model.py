@@ -245,8 +245,9 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
     embedded = embed_sequence(example.token_ids, params.tables)
     mean_embedding = None
     if not config.disable_position_attention:
-        # weights 1/n on the unmasked rows: their mean, read in place; recorded before
-        # the BiLSTM, so its (B, T, 2d) gradient comes once the BiLSTM's buffers are freed
+        # weights 1/n on the unmasked rows: their mean, read in place; recorded before the
+        # BiLSTM, its (B, T, 2d) gradient, the only one of the embedded rows (the BiLSTM
+        # writes the tables itself), comes once the BiLSTM's buffers are freed
         counts = np.maximum(np.count_nonzero(mask, axis=-1, keepdims=True), 1)
         mean_embedding = ad.matmul(Tensor(mask / counts), embedded)
     hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)

@@ -15,6 +15,9 @@ the i, f and o columns of the projection, of u and of b are halved once
 per call, which is exact, and each step finishes those blocks with
 ``*= 0.5`` and ``+= 0.5``. The backward pass is hand-written
 backpropagation through time over those activations, in lockstep too.
+The input gradient is made per distinct row of the tables an
+``embeddings.Lookup`` input was read from, from each row's sum of gate
+gradients, into the tables' row-sparse gradients; the projection is per token.
 
 Padding steps are skipped entirely: the cell state carries over unchanged
 and the emitted row for a masked position is exactly zero, so appending
@@ -29,6 +32,7 @@ import numpy as np
 
 from aspectsent import autodiff as ad
 from aspectsent.autodiff import ShapeError, Tensor
+from aspectsent.embeddings import Lookup
 
 GATES = ("input", "forget", "output", "candidate")
 
@@ -83,7 +87,17 @@ def init_lstm_params(
     })
 
 
-DX_BLOCK = 256  # real positions per block of the weight- and input-gradient products
+def _input_parts(inputs: Tensor, real: np.ndarray, T: int) -> list:
+    """The input's rows as matrix ``Tensor``s side by side, each with the row each
+    real position (flat in the (B, T) grid) reads: a ``Lookup``'s word table at the
+    token ids and position table at the columns, or any other input's own rows."""
+    if isinstance(inputs, Lookup):
+        word, position = inputs.tables.word, inputs.tables.position
+        return [(word, inputs.ids.reshape(-1)[real]), (position, real % T)]
+    inputs.grad = np.zeros(inputs.values.shape) if inputs.grad is None else inputs.grad
+    rows = Tensor(inputs.values.reshape(-1, inputs.values.shape[-1]))
+    rows.grad = inputs.grad.reshape(rows.values.shape)  # a view: gradient buffers are C-ordered
+    return [(rows, real)]
 
 
 def bilstm_forward(
@@ -93,7 +107,8 @@ def bilstm_forward(
 
     Row t of a sequence is [forward state at t, backward state at t]; the
     backward direction consumes the unmasked positions in reverse. The
-    backward pass adds the input gradient into ``inputs``' buffer itself.
+    backward pass adds the input gradient in itself: a ``Lookup`` input's
+    into its tables' gradients, any other input's into its own buffer.
     """
     directions = (forward_params, backward_params)
     x, H = inputs.values, forward_params.cell_width
@@ -204,21 +219,18 @@ def bilstm_forward(
         du = [h_before[:, d].T @ dz_gates[:, d] for d in range(2)]
         db = np.sum(dz_gates, axis=0)
         del h_to_c, g_rows, h_before  # freed before the input gradient is made
-        # dw and dx a block of real positions at a time, both directions side by
-        # side; a block's positions are distinct, so a plain += adds them
-        if inputs.grad is None:
-            inputs.grad = np.zeros(x.shape)
-        dx = inputs.grad.reshape(B * T, D)  # a view: gradient buffers are C-ordered
-        dw = np.zeros((D, 8 * H))
-        w_t = [params.w.values.T for params in directions]
-        for lo in range(0, R, DX_BLOCK):
-            part = slice(lo, lo + DX_BLOCK)
-            dz_block = np.stack([dz_gates[fwd[part], 0], dz_gates[bwd[part], 1]], axis=1)
-            dw += x_rows[real[part]].T @ dz_block.reshape(-1, 8 * H)
-            dx_block = dz_block[:, 0] @ w_t[0]
-            dx_block += dz_block[:, 1] @ w_t[1]
-            dx[real[part]] += dx_block
-        return None, dw[:, :4 * H], du[0], db[0], dw[:, 4 * H:], du[1], db[1]
+        # per table and direction, each distinct row's sum of dz over the packed rows
+        # that read it gives the table's block of dw and its part of the row's gradient
+        dw, lo = [np.empty((D, 4 * H)) for _ in directions], 0
+        for table, ids in _input_parts(inputs, real, T):
+            block, grad = slice(lo, lo + table.values.shape[1]), 0.0
+            for d, (params, rows) in enumerate(zip(directions, (fwd, bwd))):
+                distinct, sums = ad.segment_sum(ids[rows.argsort()], dz_gates[:, d])
+                dw[d][block] = table.values[distinct].T @ sums
+                grad = grad + sums @ params.w.values[block].T
+            table.accumulate_rows(distinct, grad)
+            lo = block.stop
+        return None, dw[0], du[0], db[0], dw[1], du[1], db[1]
 
     tensors = (inputs, *forward_params.tensors(), *backward_params.tensors())
     values = ad.record(tensors, out.reshape(x.shape[:-1] + (2 * H,)), grad_fn)

@@ -10,7 +10,8 @@ from aspectsent.attention import (
     position_aware_attention,
     self_attention,
 )
-from aspectsent.autodiff import EmptyAttentionError, Tensor, grad_check
+from aspectsent.autodiff import EmptyAttentionError, Tensor
+from tests.gradcheck import grad_check
 
 
 def make_params(hidden, embed, rng=None, zero=False):

@@ -21,8 +21,8 @@ from aspectsent.autodiff import (
     Tape,
     Tensor,
     backward,
-    grad_check,
 )
+from tests.gradcheck import grad_check
 
 
 def test_matmul_identity():

@@ -3,7 +3,7 @@ import pytest
 
 from aspectsent import autodiff as ad
 from aspectsent import embeddings as emb
-from aspectsent.autodiff import Tape, Tensor, backward, grad_check
+from aspectsent.autodiff import Tape, Tensor, backward
 from aspectsent.embeddings import (
     PAD_ID,
     UNK_ID,
@@ -14,6 +14,7 @@ from aspectsent.embeddings import (
     random_tables,
 )
 from aspectsent.textfile import InputError
+from tests.gradcheck import grad_check
 
 
 def test_build_vocabulary_ordering():

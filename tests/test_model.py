@@ -6,7 +6,7 @@ import pytest
 
 from aspectsent import autodiff as ad
 from aspectsent.attention import AttentionTrace
-from aspectsent.autodiff import Tape, Tensor, backward, grad_check
+from aspectsent.autodiff import Tape, Tensor, backward
 from aspectsent import model
 from aspectsent.model import (
     ModelConfig,
@@ -25,6 +25,7 @@ from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.heatmap import build_report
 from aspectsent.textfile import InputError
 from aspectsent.training import standard_ablation_grid
+from tests.gradcheck import grad_check
 
 
 class FakeExample:

@@ -5,8 +5,10 @@ import pytest
 
 from aspectsent import autodiff as ad
 from aspectsent import model
-from aspectsent.autodiff import ShapeError, Tape, Tensor, backward, grad_check
+from aspectsent.autodiff import ShapeError, Tape, Tensor, backward
+from aspectsent.embeddings import PAD_ID, EmbeddingTables, embed_sequence, random_tables
 from aspectsent.recurrent import GATES, HiddenStates, LstmParams, bilstm_forward, init_lstm_params
+from tests.gradcheck import grad_check
 
 
 def zero_params(input_width, cell_width):
@@ -574,3 +576,107 @@ def test_cell_width_mismatch_raises():
     for fwd, bwd in ((narrow, wide), (wide, narrow)):
         with pytest.raises(ShapeError, match="cell width"):
             bilstm_forward(Tensor(np.zeros((2, 3))), fwd, bwd, [True, True])
+
+
+# A lookup input (``embed_sequence``'s rows, with their ids and tables) against
+# the plain-Tensor path on a leaf copy of the same rows, whose gradient the
+# test scatters into the tables by id and by column.
+
+LOOKUP_CASES = {
+    # repeated ids, padding at the ends and a hole in row 2
+    "padded": ([[3, 1, 3, 3, 5, 1], [1, 1, 4, 0, 0, 0], [2, 0, 2, 6, 0, 0]],
+               [[1] * 6, [1, 1, 1, 0, 0, 0], [1, 0, 1, 1, 0, 0]]),
+    "length-1-row": ([[4, 2, 4], [6, 0, 0]], [[1, 1, 1], [1, 0, 0]]),
+    "length-1-sequence": ([5], [1]),
+    "max-length": ([[1, 2, 3, 1, 2, 3, 1, 2, 3, 4, 5, 6], [6] * 12], [[1] * 12] * 2),
+}
+
+
+def lookup_and_plain_gradients(ids, mask, d, H, seed):
+    """Hidden states and every gradient through a lookup input, then through a
+    plain leaf holding the same rows, the leaf's gradient scattered by id
+    and column; the tables hold 7 word rows and 12 positions."""
+    rng = np.random.default_rng(seed)
+    tables = random_tables(7, d, 12, rng)
+    fwd, bwd = init_lstm_params(2 * d, H, rng), init_lstm_params(2 * d, H, rng)
+    readout = Tensor(rng.normal(size=(2 * H, 3)))
+    ids, mask = np.asarray(ids), np.asarray(mask, dtype=bool)
+    lstm = fwd.tensors() + bwd.tensors()
+    results = []
+    for plain in (False, True):
+        ad.zero_grads(lstm + [tables.word, tables.position])
+        with Tape():
+            embedded = embed_sequence(ids, tables)
+            x = ad.parameter(embedded.values.copy()) if plain else embedded
+            out = bilstm_forward(x, fwd, bwd, mask).values
+            backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+        if plain:
+            d_x = x.grad.reshape(-1, 2 * d)
+            columns = np.broadcast_to(np.arange(ids.shape[-1]), ids.shape).ravel()
+            word, position = np.zeros((7, d)), np.zeros((12, d))
+            np.add.at(word, ids.ravel(), d_x[:, :d])
+            np.add.at(position, columns, d_x[:, d:])
+        else:
+            word, position = ad.dense_grad(tables.word), ad.dense_grad(tables.position)
+        results.append((out.values, [ad.dense_grad(t) for t in lstm] + [word, position]))
+    return results
+
+
+@pytest.mark.parametrize("case", list(LOOKUP_CASES))
+def test_lookup_input_matches_the_plain_rows_path(case):
+    """At paper widths the hidden states are the same bits, and every gradient,
+    the tables' included, agrees within 1e-10 relative."""
+    ids, mask = LOOKUP_CASES[case]
+    (lookup_out, lookup_grads), (plain_out, plain_grads) = lookup_and_plain_gradients(
+        ids, mask, d=300, H=64, seed=20
+    )
+    assert np.array_equal(lookup_out, plain_out)
+    for got, expected in zip(lookup_grads, plain_grads):
+        assert within(got, expected, 1e-10), case
+
+
+def test_lookup_gradient_check_through_both_tables():
+    rng = np.random.default_rng(22)
+    tables = EmbeddingTables(word=ad.parameter(rng.normal(size=(5, 3))),
+                             position=ad.parameter(rng.normal(size=(4, 3))))
+    fwd, bwd = init_lstm_params(6, 2, rng), init_lstm_params(6, 2, rng)
+    ids = np.array([[1, 2, 2, 4], [3, 2, 0, 0], [4, 0, 0, 0]])  # repeats, padding, one token
+    mask = np.array([[1, 1, 1, 1], [1, 1, 0, 0], [1, 0, 0, 0]], dtype=bool)
+    readout = Tensor(rng.normal(size=(4, 3)))
+
+    def f():
+        out = bilstm_forward(embed_sequence(ids, tables), fwd, bwd, mask).values
+        return ad.reduce_sum(ad.tanh(ad.matmul(out, readout)))
+
+    assert grad_check(f, [tables.word, tables.position] + fwd.tensors() + bwd.tensors()) < 1e-6
+
+
+@pytest.mark.parametrize("disable_position_attention", [True, False],
+                         ids=["bilstm-only", "with-mean-embedding"])
+def test_model_table_gradients_are_the_batch_rows_and_one_bilstm_op(disable_position_attention):
+    """Through ``model.forward`` on a padded batch, each table's gradient is a
+    ``RowGrad`` over the batch's distinct real ids and positions; the mean
+    embedding's scatter adds the padding id, with a zero sum, because its
+    (B, T, 2d) gradient covers the padding positions. The BiLSTM is one op."""
+    config = model.ModelConfig(aspect_names=["food", "service"], embedding_width=4,
+                               cell_width=3, max_length=8,
+                               disable_position_attention=disable_position_attention)
+    params = model.init_params(config, vocab_size=12, seed=3)
+    mask = np.arange(6) < np.array([[6], [3], [1]])
+    ids = np.where(mask, [[2, 5, 2, 9, 5, 11], [7, 2, 7, 3, 3, 3], [10, 4, 4, 4, 4, 4]], 0)
+    batch = SimpleNamespace(token_ids=ids, mask=mask, overall_label=np.array([1, 0, 1]),
+                            aspect_labels=np.array([[1, 0], [0, -1], [1, 1]]))
+    with Tape() as tape:
+        output = model.forward(batch, params, config)
+        loss, _ = model.combined_loss(output, batch, params, config)
+        backward(loss)
+    word, position = params.tables.word.grad, params.tables.position.grad
+    assert isinstance(word, ad.RowGrad) and isinstance(position, ad.RowGrad)
+    real_ids = np.unique(ids[mask])
+    if disable_position_attention:
+        np.testing.assert_array_equal(word.rows, real_ids)
+    else:
+        np.testing.assert_array_equal(word.rows, np.concatenate([[PAD_ID], real_ids]))
+        assert not np.any(word.sums[0])
+    np.testing.assert_array_equal(position.rows, np.arange(6))
+    assert sum(any(t is params.lstm_fwd.w for t in op.inputs) for op in tape.ops) == 1
