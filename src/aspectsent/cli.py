@@ -60,6 +60,7 @@ class DataSettings:
 
     def __post_init__(self) -> None:
         check_range(self, ("min_count",), lambda v: v >= 1, "at least 1")
+        check_range(self, ("aspects",), lambda v: len(set(v)) == len(v), "distinct")
         if not (self.aspects or self.domain):
             raise ValueError("neither 'domain' nor 'aspects' is set")
         if self.domain and self.domain not in DOMAIN_ASPECTS:
@@ -204,10 +205,9 @@ def _cmd_train(args) -> int:
 
     result = train(params, model_config, train_config, dataset)
     save_checkpoint(out_dir / "checkpoint.npz", model_config, vocab, result.params)
+    # the best epoch's report: the returned parameters are that epoch's
     _write_reports(
-        out_dir, "validation",
-        evaluate(result.params, model_config, dataset.validation),
-        model_config.aspect_names,
+        out_dir, "validation", result.log[result.best_epoch].validation, model_config.aspect_names
     )
     _write_reports(
         out_dir, "test",

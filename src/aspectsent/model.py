@@ -11,7 +11,8 @@ Each cross-entropy and each penalty records itself as one tape op with a
 hand-written backward pass, so ``combined_loss`` adds only their weighting
 and summing to the tape. The L2 term is not on the tape:
 ``training.adam_step`` adds its gradient to each parameter's in its scope,
-and ``l2_penalty`` gives its value.
+and ``combined_loss`` adds its value, from ``l2_penalty``, to the
+objective's value it reports. That value is the only one training logs.
 
 ``forward`` and ``combined_loss`` take one example, or a batch record made
 by ``data.collate``; a batch runs every layer once, with a leading batch
@@ -340,13 +341,16 @@ class LossBreakdown:
 
     ``aspect_terms`` lists (aspect index, cross-entropy) for the rated
     aspects, in aspect order. Terms that were weightless or structurally
-    absent are None. A batch's values are means over its examples.
+    absent are None. A batch's values are means over its examples; ``l2`` is
+    ``l2_penalty``, unweighted. ``total`` is the whole objective: the tape's
+    value plus ``l2_weight`` times ``l2``.
     """
 
     overall: float
     aspect_terms: list
     self_orth: Optional[float]
     pos_orth: Optional[float]
+    l2: Optional[float]
     total: float
 
 
@@ -362,14 +366,14 @@ def l2_penalty(params: ModelParams) -> float:
 def combined_loss(
     output: ForwardOutput, example, params: ModelParams, config: ModelConfig
 ) -> tuple[Tensor, LossBreakdown]:
-    """Assemble the objective for one example, or its mean over a batch record,
-    less the L2 term: that depends on the parameters alone, and the optimizer
-    applies it (see ``ModelConfig``), so ``params`` is not read.
+    """The objective for one example, or its mean over a batch record, as the
+    tape's root and the value of every term.
 
     Every rated aspect contributes cross-entropy; unrated ones do not, but
     their traces still feed the orthogonality terms. Each term is one tape
     op, summed over a batch's rows, each weight one ``mul`` and each sum one
-    ``add``, and a batch adds one ``mul`` by 1/B.
+    ``add``, and a batch adds one ``mul`` by 1/B. The L2 term is off the tape
+    (the optimizer applies its gradient); its value joins ``total``.
     """
     targets = example.aspect_labels  # (K,) or (B, K) ints, -1 where unrated
     rows = len(targets) if targets.ndim == 2 else 1
@@ -401,8 +405,10 @@ def combined_loss(
     if targets.ndim == 2:
         total = ad.mul(total, Tensor(1.0 / rows))
 
-    values = (overall_value, aspect_terms, self_orth_value, pos_orth_value)
-    return total, LossBreakdown(*values, total=total.item())
+    l2 = l2_penalty(params) if config.l2_weight > 0 else None
+    value = total.item() if l2 is None else total.item() + config.l2_weight * l2
+    values = (overall_value, aspect_terms, self_orth_value, pos_orth_value, l2)
+    return total, LossBreakdown(*values, total=value)
 
 
 def aspect_rank(traces: Sequence[AttentionTrace]):

@@ -19,13 +19,13 @@ from aspectsent.autodiff import NumericError, Tape, backward
 from aspectsent.data import DatasetSplit, batch_iter, collate
 from aspectsent.model import (
     L2_EXEMPT,
+    LossBreakdown,
     ModelConfig,
     ModelParams,
     check_range,
     combined_loss,
     forward,
     init_params,
-    l2_penalty,
 )
 
 
@@ -231,6 +231,28 @@ def _restore(params: ModelParams, snapshot: dict) -> None:
         t.values[...] = snapshot[name]
 
 
+def step(params: ModelParams, adam_state: AdamState, record, model_config: ModelConfig,
+         train_config: TrainConfig) -> LossBreakdown:
+    """One Adam step on a record made by ``data.collate``; returns its loss
+    breakdown, whose ``total`` is the whole objective before the step.
+
+    One tape records ``forward``, ``combined_loss`` and ``backward``; a
+    non-finite objective raises ``NumericError`` before the backward pass,
+    with the parameters and Adam moments unchanged. Then ``adam_step`` and
+    ``zero_grads``. Each is looked up in this module: a wrapper set here sees it.
+    """
+    named = params.named_tensors()
+    with Tape():
+        out = forward(record, params, model_config)
+        loss, breakdown = combined_loss(out, record, params, model_config)
+        if not math.isfinite(breakdown.total):
+            raise NumericError(f"non-finite loss {breakdown.total!r}")
+        backward(loss)
+    adam_step(named, adam_state, train_config, model_config.l2_weight)
+    ad.zero_grads([t for _, t in named])
+    return breakdown
+
+
 def train(
     params: ModelParams,
     model_config: ModelConfig,
@@ -239,56 +261,28 @@ def train(
 ) -> TrainResult:
     """Optimize the combined objective; returns the best-validation params.
 
-    Each epoch shuffles the training part, takes one Adam step per batch,
-    then evaluates on the validation part. A step collates its batch into
-    one padded record: one ``forward``, one ``combined_loss`` (the mean of
-    the examples' objectives, less the L2 term) and one ``backward``; then
-    ``adam_step`` adds the L2 term's gradient to the data gradient as it
-    updates each parameter in the term's scope, and updates the embedding
-    tables on the rows the batch looked up. A batch's logged loss is the
-    full objective: ``combined_loss``'s value plus ``l2_weight`` times
-    ``l2_penalty``, taken before the step. The parameters with the best
-    validation macro-F1 are what the run returns: they are copied aside
-    only when a later epoch could still change them, and restored only when
-    a later epoch did. Training stops early after ``patience`` epochs without
-    improvement.
+    Each epoch shuffles the training part, runs one ``step`` per batch,
+    collated into one padded record, then evaluates on the validation part.
+    An epoch's logged loss is the mean of its steps' ``total``. The
+    parameters with the best validation macro-F1 are what the run returns:
+    they are copied aside only when a later epoch could still change them,
+    and restored only when a later epoch did. Training stops early after
+    ``patience`` epochs without improvement.
     """
     rng = np.random.default_rng(train_config.seed)
-    named = params.named_tensors()
-    tensors = [t for _, t in named]
     adam_state = AdamState()
 
     log: list[EpochRecord] = []
     best_macro_f1 = -1.0  # below any macro-F1, so epoch 0 is always best so far
     best_epoch = -1
     best_snapshot = None
-    batch_index = 0
     for epoch in range(train_config.epochs):
-        losses = []
-        for batch in batch_iter(data.train, train_config.batch_size, rng):
-            record = collate(batch)
-            with Tape():
-                out = forward(record, params, model_config)
-                batch_loss, _ = combined_loss(out, record, params, model_config)
-                loss = batch_loss.item()
-                if model_config.l2_weight > 0:
-                    loss += model_config.l2_weight * l2_penalty(params)
-                if not math.isfinite(loss):
-                    raise NumericError(f"non-finite loss in batch {batch_index}")
-                backward(batch_loss)
-            adam_step(named, adam_state, train_config, model_config.l2_weight)
-            ad.zero_grads(tensors)
-            losses.append(loss)
-            batch_index += 1
-
+        losses = [
+            step(params, adam_state, collate(batch), model_config, train_config).total
+            for batch in batch_iter(data.train, train_config.batch_size, rng)
+        ]
         validation = evaluate(params, model_config, data.validation)
-        log.append(
-            EpochRecord(
-                epoch=epoch,
-                mean_loss=float(np.mean(losses)) if losses else 0.0,
-                validation=validation,
-            )
-        )
+        log.append(EpochRecord(epoch, float(np.mean(losses)) if losses else 0.0, validation))
         if validation.overall.macro_f1 > best_macro_f1:
             best_macro_f1 = validation.overall.macro_f1
             best_epoch = epoch

@@ -160,7 +160,7 @@ BAD_CONFIG_VALUES = [
     ("learning_rate", "inf", "bad value for 'learning_rate': 'inf'"),
     ("aspect_loss_weight", "inf", "bad value for 'aspect_loss_weight': 'inf'"),
     ("learning_rate", "nan", "bad value for 'learning_rate': 'nan'"),
-    ("aspects", "food, food", "aspect_names must be non-empty and distinct, got ['food', 'food']"),
+    ("aspects", "food, food", "aspects must be distinct, got ['food', 'food']"),
     ("domain", "bogus", "unknown domain 'bogus'"),
 ]
 

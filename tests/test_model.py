@@ -247,7 +247,8 @@ def test_combined_loss_reduces_to_overall_when_weights_zero(toy_model):
     )
     out = forward(example(), params, config)
     total, breakdown = combined_loss(out, example(), params, config)
-    assert total.item() == breakdown.overall
+    assert total.item() == breakdown.overall == breakdown.total
+    assert breakdown.l2 is None
     assert breakdown.aspect_terms == []
     assert breakdown.self_orth is None and breakdown.pos_orth is None
 
@@ -286,7 +287,9 @@ def test_combined_loss_without_position_stage_has_no_position_term():
     total, breakdown = combined_loss(out, ex, params, config)
     assert breakdown.pos_orth is None
     assert breakdown.self_orth is not None
-    assert total.item() == breakdown.total
+    # the total is the whole objective: the tape's value and the L2 term's
+    assert breakdown.l2 == model.l2_penalty(params) > 0
+    assert total.item() + config.l2_weight * breakdown.l2 == breakdown.total
 
 
 def loss_op_kinds(tape, start):

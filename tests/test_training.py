@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aspectsent import autodiff as ad
-from aspectsent import training
+from aspectsent import model, training
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
 from aspectsent.data import DatasetSplit, ProcessedExample, batch_iter, collate
 from aspectsent.embeddings import PAD_ID
@@ -17,6 +19,7 @@ from aspectsent.training import (
     evaluate,
     run_ablation,
     standard_ablation_grid,
+    step,
     train,
 )
 from tests.corpus import synthetic_split, tiny_model_config
@@ -369,11 +372,12 @@ def test_streamed_l2_trains_bit_identically_to_the_oracle(monkeypatch):
 
     def loss_with_l2(output, record, params, config):
         total, breakdown = combined_loss(output, record, params, config)
-        return ad.add(total, ad.mul(latest["l2"], Tensor(config.l2_weight))), breakdown
+        total = ad.add(total, ad.mul(latest["l2"], Tensor(config.l2_weight)))
+        return total, replace(breakdown, total=total.item())
 
     monkeypatch.setattr(training, "forward", forward_after_l2)
     monkeypatch.setattr(training, "combined_loss", loss_with_l2)
-    monkeypatch.setattr(training, "l2_penalty", lambda params: 0.0)  # already in the loss
+    monkeypatch.setattr(model, "l2_penalty", lambda params: 0.0)  # already in the loss
     monkeypatch.setattr(training, "adam_step", lambda named, state, config, l2_weight:
                         adam_step(named, state, config, l2_weight=0))
     params = init_params(config, len(vocab), seed=0)
@@ -404,8 +408,8 @@ def test_learns_the_synthetic_corpus_without_l2(split_seed):
 
 
 def test_training_step_records_one_forward_loss_and_backward(monkeypatch):
-    """Each batch is one padded record: one forward pass, one loss and one
-    backward pass, whose tape does not grow with the batch size."""
+    """A step on a padded record: one forward pass, one loss and one backward
+    pass, whose tape does not grow with the batch size."""
     split, vocab, config = synthetic_split(n=40, seed=7)
     calls = {"forward": [], "combined_loss": 0, "backward": []}
 
@@ -422,12 +426,28 @@ def test_training_step_records_one_forward_loss_and_backward(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(training, name, counting(name, getattr(training, name)))
-    no_validation = DatasetSplit(split.train[:10], [], [], seed=7)
     params = init_params(config, len(vocab), seed=0)
-    train(params, config, TrainConfig(epochs=1, batch_size=8, seed=0), no_validation)
+    state = AdamState()
+    for batch in (split.train[:8], split.train[8:10]):
+        step(params, state, collate(batch), config, TrainConfig())
     assert [shape[0] for shape in calls["forward"]] == [8, 2]
     assert calls["combined_loss"] == 2
     assert len(calls["backward"]) == 2 and calls["backward"][0] == calls["backward"][1]
+    assert state.step == 2
+    assert all(t.grad is None for t in params.tensors())
+
+
+def test_train_runs_one_step_per_batch(monkeypatch):
+    split, vocab, config = synthetic_split(n=40, seed=7)
+    sizes = []
+    real_step = training.step
+    monkeypatch.setattr(training, "step", lambda params, state, record, *configs:
+                        sizes.append(len(record.token_ids)) or real_step(params, state, record,
+                                                                          *configs))
+    no_validation = DatasetSplit(split.train[:10], [], [], seed=7)
+    params = init_params(config, len(vocab), seed=0)
+    train(params, config, TrainConfig(epochs=2, batch_size=8, seed=0), no_validation)
+    assert sizes == [8, 2, 8, 2]
 
 
 def test_paper_width_training_step_records_88_tape_ops(monkeypatch):
@@ -444,8 +464,62 @@ def test_paper_width_training_step_records_88_tape_ops(monkeypatch):
     monkeypatch.setattr(training, "backward",
                         lambda root: sizes.append(len(root.tape)) or backward(root))
     params = init_params(config, vocab_size=20, seed=0)
-    train(params, config, TrainConfig(epochs=1, batch_size=3), DatasetSplit(examples, [], [], 0))
+    step(params, AdamState(), collate(examples), config, TrainConfig())
     assert sizes == [88]
+
+
+@pytest.mark.parametrize("poison", ["l2_overflow", "nan_head"])
+def test_nonfinite_objective_stops_the_step_before_backward(poison, monkeypatch):
+    """A non-finite objective raises before ``backward``: the parameters and
+    both Adam moments keep the values the step before left."""
+    split, vocab, config = synthetic_split(n=20, seed=2)
+    assert config.l2_weight > 0
+    params = init_params(config, len(vocab), seed=0)
+    state = AdamState()
+    record = collate(split.train[:8])
+    step(params, state, record, config, TrainConfig())  # warm moments
+    if poison == "l2_overflow":  # its square is inf; the data terms stay finite
+        params.overall_head.bias.values[0] = 1e160
+    else:
+        params.aspect_heads[0].weight.values[0, 0] = np.nan
+    before = [{name: a.copy() for name, a in d.items()}
+              for d in (dict((n, t.values) for n, t in params.named_tensors()),
+                        state.first, state.second)]
+    backwards = []
+    monkeypatch.setattr(training, "backward", lambda root: backwards.append(root))
+    with pytest.raises(NumericError, match="non-finite loss"):
+        step(params, state, record, config, TrainConfig())
+    assert backwards == [] and state.step == 1
+    after = (dict((n, t.values) for n, t in params.named_tensors()), state.first, state.second)
+    for old, new in zip(before, after):
+        assert old.keys() == new.keys()
+        for name in old:
+            assert np.array_equal(old[name], new[name], equal_nan=True), name
+
+
+@pytest.mark.parametrize("l2_weight", [0.0, 0.01])
+@pytest.mark.parametrize("n", [1, 8])
+def test_logged_loss_is_the_breakdown_total(l2_weight, n):
+    """One batch: the epoch's mean loss is ``combined_loss``'s total at the
+    starting parameters, L2 term included; for one example, the batch of
+    one matches the example alone up to rounding."""
+    split, vocab, config = synthetic_split(
+        n=30, seed=5, config=tiny_model_config(l2_weight=l2_weight))
+    train_config = TrainConfig(epochs=1, batch_size=8, seed=4)
+    one_batch = DatasetSplit(split.train[:n], split.validation, [], seed=5)
+    result = train(init_params(config, len(vocab), seed=2), config, train_config, one_batch)
+
+    params = init_params(config, len(vocab), seed=2)
+    (batch,) = batch_iter(one_batch.train, train_config.batch_size,
+                          np.random.default_rng(train_config.seed))
+    record = collate(batch)
+    _, breakdown = combined_loss(forward(record, params, config), record, params, config)
+    assert result.log[0].mean_loss == breakdown.total
+    assert (breakdown.l2 is None) == (l2_weight == 0)
+    if n == 1:
+        (ex,) = batch
+        _, alone = combined_loss(forward(ex, params, config), ex, params, config)
+        assert abs(alone.total - breakdown.total) <= 1e-12 * abs(breakdown.total)
 
 
 def test_evaluate_of_no_examples_has_zero_support():
