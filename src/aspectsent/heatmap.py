@@ -33,7 +33,8 @@ def build_report(
     tokens: Sequence[str], output: ForwardOutput, aspect_names, mode: str = "magnitude"
 ) -> HeatmapReport:
     """Collect one example's attention weights, ranking and predictions for
-    display. ``mode`` must name the one ranking, "magnitude"."""
+    display; each prediction is the argmax of its head's logits. ``mode``
+    must name the one ranking, "magnitude"."""
     if mode != "magnitude":
         raise ValueError(f"unknown ranking mode {mode!r}")
     rows = []
@@ -47,8 +48,8 @@ def build_report(
         aspect_names=list(aspect_names),
         intensities=np.stack(rows),
         ranking=aspect_rank(output.traces),
-        aspect_predictions=[int(np.argmax(p.values)) for p in output.aspect_probs],
-        overall_prediction=int(np.argmax(output.overall_probs.values)),
+        aspect_predictions=[int(np.argmax(z.values)) for z in output.aspect_logits],
+        overall_prediction=int(np.argmax(output.overall_logits.values)),
     )
 
 

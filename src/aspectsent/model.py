@@ -1,9 +1,9 @@
 """Full model: embeddings, recurrence, per-aspect attention, classifier
 heads, the combined training objective, and the aspect-ranking explanation.
 
-One classifier head per aspect consumes that aspect's attention context
-vector; the overall head consumes the concatenation of all aspect contexts
-in declared aspect order. The objective adds, to the overall cross-entropy:
+One linear head per aspect maps its attention context to two logits; the
+overall head maps all contexts, concatenated in aspect order; the softmax
+lives in ``cross_entropy``. The objective adds, to the overall cross-entropy:
 the weighted sum of rated-aspect cross-entropies, weighted orthogonality
 penalties on both attention-weight matrices, and a weighted L2 term over
 every trainable parameter but the two embedding tables (``L2_EXEMPT``).
@@ -52,7 +52,6 @@ from aspectsent.embeddings import (
 from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params
 from aspectsent.textfile import InputError
 
-CROSS_ENTROPY_EPS = 1e-12
 CLASS_COUNT = 2  # binary polarity: index 0 negative, 1 positive
 CHECKPOINT_FORMAT = 5  # archives without a format_version are version 1
 # Outside the L2 term: the tables' gradients touch only the rows a batch
@@ -225,14 +224,14 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardOutput:
-    aspect_probs: list  # K tensors of shape (2,), or (B, 2) for a batch
-    overall_probs: Tensor  # (2,), or (B, 2)
+    """Each head's logits, whose argmax is its prediction, and each aspect's attention."""
+    aspect_logits: list  # K tensors of shape (2,), or (B, 2) for a batch
+    overall_logits: Tensor  # (2,), or (B, 2)
     traces: list  # K AttentionTrace
 
 
-def _head_probs(head: HeadParams, vec: Tensor) -> Tensor:
-    logits = ad.add(ad.matmul(vec, head.weight), head.bias)
-    return ad.masked_softmax(logits, np.ones(logits.values.shape, dtype=bool))
+def _head_logits(head: HeadParams, vec: Tensor) -> Tensor:
+    return ad.add(ad.matmul(vec, head.weight), head.bias)
 
 
 def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
@@ -254,7 +253,7 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
     hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
 
     traces = []
-    aspect_probs = []
+    aspect_logits = []
     for k in range(config.aspect_count):
         attn = params.attention[k]
         sa = self_attention(hidden.values, attn, mask)
@@ -267,35 +266,32 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
             )
             trace = AttentionTrace(sa.weights, pa.weights, pa.context)
         traces.append(trace)
-        aspect_probs.append(_head_probs(params.aspect_heads[k], trace.context))
+        aspect_logits.append(_head_logits(params.aspect_heads[k], trace.context))
 
     contexts = ad.concat([t.context for t in traces], axis=-1)
-    return ForwardOutput(aspect_probs, _head_probs(params.overall_head, contexts), traces)
+    return ForwardOutput(aspect_logits, _head_logits(params.overall_head, contexts), traces)
 
 
-def cross_entropy(probs: Tensor, target) -> Tensor:
-    """Binary cross-entropy, summed over probability pairs, as one tape op.
+def cross_entropy(logits: Tensor, target) -> Tensor:
+    """Softmax cross-entropy, summed over the chosen rows, as one tape op.
 
-    ``probs`` is a pair (2,) with an int target, or (B, 2) with (B,) targets,
-    where -1 leaves a row out. Index 1 of a pair is the positive class, and
-    target 1 selects it; only the log of the selected class's probability is
-    taken. The positive probability is clipped to [eps, 1 - eps] so the log
-    stays finite, and no gradient flows where the clip is active.
+    ``logits`` is a pair (2,) with an int target, or (B, 2) with (B,)
+    targets, where -1 leaves a row out; index 1 is the positive class. A
+    chosen row z with target t adds logsumexp(z) - z[t], and its gradient is
+    softmax(z) - onehot(t): finite at any margin, so a confident wrong
+    prediction costs its margin and still passes a gradient of about 1.
     """
-    p = probs.values[..., 1]
-    target = np.asarray(target)
-    chosen, positive = target >= 0, target == 1
-    clipped = np.clip(p, CROSS_ENTROPY_EPS, 1.0 - CROSS_ENTROPY_EPS)
-    q = np.where(positive, clipped, 1.0 - clipped)
-    inside = chosen & (CROSS_ENTROPY_EPS <= p) & (p <= 1.0 - CROSS_ENTROPY_EPS)
+    z, target = logits.values, np.asarray(target)
+    chosen = target >= 0
+    onehot = np.arange(CLASS_COUNT) == target[..., None]  # no entry for target -1
+    with np.errstate(invalid="ignore"):  # a NaN logit: a NaN loss, which training.step reports
+        lse = np.logaddexp(z[..., 0], z[..., 1])
 
     def grad_fn(g):
-        dp = np.zeros(probs.values.shape)
-        dp[..., 1] = np.where(inside, np.where(positive, -g, g) / q, 0.0)
-        return (dp,)
+        dz = np.exp(z - lse[..., None]) - onehot
+        return (np.where(chosen[..., None], g * dz, 0.0),)
 
-    # 0 - x is exact: a clipped probability's log is never 0, so no -0.0 arises
-    return ad.record((probs,), np.sum(0.0 - np.log(q[chosen])), grad_fn)
+    return ad.record((logits,), np.sum(lse[chosen] - z[onehot]), grad_fn)
 
 
 def orthogonal_penalty(weights: Sequence[Tensor]) -> Tensor:
@@ -377,7 +373,7 @@ def combined_loss(
     """
     targets = example.aspect_labels  # (K,) or (B, K) ints, -1 where unrated
     rows = len(targets) if targets.ndim == 2 else 1
-    total = cross_entropy(output.overall_probs, example.overall_label)
+    total = cross_entropy(output.overall_logits, example.overall_label)
     overall_value = total.item() / rows
 
     rated = [k for k in range(config.aspect_count) if np.any(targets[..., k] >= 0)]
@@ -385,7 +381,7 @@ def combined_loss(
     if rated and config.aspect_loss_weight > 0:
         aspect_sum = None
         for k in rated:
-            term = cross_entropy(output.aspect_probs[k], targets[..., k])
+            term = cross_entropy(output.aspect_logits[k], targets[..., k])
             aspect_terms.append((k, term.item() / rows))
             aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
         total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))

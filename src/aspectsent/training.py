@@ -189,11 +189,11 @@ def evaluate(params: ModelParams, config: ModelConfig, examples) -> EvaluationRe
         record = collate(examples[start : start + EVAL_CHUNK])
         out = forward(record, params, config)
         overall_true.extend(record.overall_label.tolist())
-        overall_pred.extend(np.argmax(out.overall_probs.values, axis=-1).tolist())
-        for k, probs in enumerate(out.aspect_probs):
+        overall_pred.extend(np.argmax(out.overall_logits.values, axis=-1).tolist())
+        for k, logits in enumerate(out.aspect_logits):
             rated = record.aspect_labels[:, k] >= 0
             aspect_true[k].extend(record.aspect_labels[rated, k].tolist())
-            aspect_pred[k].extend(np.argmax(probs.values[rated], axis=-1).tolist())
+            aspect_pred[k].extend(np.argmax(logits.values[rated], axis=-1).tolist())
     return EvaluationReport(
         overall=compute_metrics(overall_true, overall_pred),
         aspects=[

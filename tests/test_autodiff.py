@@ -298,11 +298,14 @@ def test_grad_check_every_operation(name):
         a = vec()
         inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.mul(a, Tensor(-1.7))))
     elif name == "cross_entropy-batch":  # row 1 selects no class
-        probs, targets = ad.parameter(rng.uniform(0.2, 0.8, size=(4, 2))), np.array([1, -1, 0, 1])
-        inputs, f = [probs], lambda: model.cross_entropy(probs, targets)
-    elif name.startswith("cross_entropy"):  # a probability pair, inside the clip range
-        probs, target = ad.parameter(rng.uniform(0.2, 0.8, size=2)), int(name[-1])
-        inputs, f = [probs], lambda: model.cross_entropy(probs, target)
+        logits, targets = ad.parameter(rng.normal(size=(4, 2))), np.array([1, -1, 0, 1])
+        inputs, f = [logits], lambda: model.cross_entropy(logits, targets)
+    elif name == "cross_entropy-target-1":  # a wrong prediction by a logit margin of 40
+        logits = ad.parameter([40.0, 0.0] + rng.normal(scale=0.1, size=2))
+        inputs, f = [logits], lambda: model.cross_entropy(logits, 1)
+    elif name == "cross_entropy-target-0":
+        logits = vec(2)
+        inputs, f = [logits], lambda: model.cross_entropy(logits, 0)
     elif name.startswith("orthogonal_penalty"):  # K=3 weight vectors, (5,) or (2, 5) each
         rows = [ad.parameter(rng.normal(size=(2, 5) if name.endswith("batch") else 5))
                 for _ in range(3)]

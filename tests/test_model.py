@@ -61,12 +61,15 @@ def example(ids=(2, 3, 4), mask=(1, 1, 1), overall=1, aspects=(1, 0)):
 
 
 def test_forward_probability_pairs_normalized(toy_model):
+    # each head gives a logit pair; the probabilities its losses stand for,
+    # exp(-loss) per target, form a pair that sums to one
     config, params = toy_model
     out = forward(example(), params, config)
-    for probs in out.aspect_probs + [out.overall_probs]:
-        assert probs.values.shape == (2,)
-        assert np.all(probs.values >= 0)
-        assert abs(probs.values.sum() - 1.0) <= 1e-9
+    for logits in out.aspect_logits + [out.overall_logits]:
+        assert logits.values.shape == (2,)
+        probs = [math.exp(-cross_entropy(logits, target).item()) for target in (0, 1)]
+        assert min(probs) > 0
+        assert abs(sum(probs) - 1.0) <= 1e-9
 
 
 def test_forward_zeroed_heads_give_uniform_probs(toy_model):
@@ -75,8 +78,10 @@ def test_forward_zeroed_heads_give_uniform_probs(toy_model):
         head.weight.values[:] = 0.0
         head.bias.values[:] = 0.0
     out = forward(example(), params, config)
-    for probs in out.aspect_probs + [out.overall_probs]:
-        np.testing.assert_allclose(probs.values, [0.5, 0.5])
+    for logits in out.aspect_logits + [out.overall_logits]:
+        assert np.array_equal(logits.values, [0.0, 0.0])
+        for target in (0, 1):
+            assert abs(cross_entropy(logits, target).item() - math.log(2)) < 1e-12
 
 
 def numpy_lstm(xs, p):
@@ -138,55 +143,104 @@ def test_forward_composes_module_oracles(toy_model):
 
         head = params.aspect_heads[k]
         head_logits = s @ head.weight.values + head.bias.values
-        probs = np.exp(head_logits - head_logits.max())
-        probs /= probs.sum()
-        np.testing.assert_allclose(out.aspect_probs[k].values, probs, atol=1e-12)
+        np.testing.assert_allclose(out.aspect_logits[k].values, head_logits, atol=1e-12)
 
     s_o = np.concatenate(contexts)
     head_logits = s_o @ params.overall_head.weight.values + params.overall_head.bias.values
-    probs = np.exp(head_logits - head_logits.max())
-    probs /= probs.sum()
-    np.testing.assert_allclose(out.overall_probs.values, probs, atol=1e-12)
+    np.testing.assert_allclose(out.overall_logits.values, head_logits, atol=1e-12)
 
 
 def test_cross_entropy_uniform_is_ln2():
-    for target in (0, 1):
-        loss = cross_entropy(Tensor([0.5, 0.5]), target)
-        assert abs(loss.item() - math.log(2)) < 1e-12
+    for logits in ([0.0, 0.0], [3.5, 3.5], [-2.0, -2.0]):
+        for target in (0, 1):
+            loss = cross_entropy(Tensor(logits), target)
+            assert abs(loss.item() - math.log(2)) < 1e-12
 
 
 def test_cross_entropy_perfect_prediction_is_tiny():
-    assert cross_entropy(Tensor([0.0, 1.0]), 1).item() < 1e-11
-    assert cross_entropy(Tensor([1.0, 0.0]), 0).item() < 1e-11
+    assert cross_entropy(Tensor([-20.0, 20.0]), 1).item() < 1e-11
+    assert cross_entropy(Tensor([20.0, -20.0]), 0).item() < 1e-11
 
 
 def test_cross_entropy_hand_value():
-    loss = cross_entropy(Tensor([0.1, 0.9]), 1)
+    # logits 0 and ln 9: softmax (0.1, 0.9)
+    loss = cross_entropy(Tensor([0.0, math.log(9.0)]), 1)
     assert abs(loss.item() - (-math.log(0.9))) < 1e-12
 
 
-def two_log_cross_entropy(positive, target):
-    """The earlier formula, in numpy: both logs, each weighted by its label
-    indicator, and the derivative by the positive probability of the pair,
-    which is 0 where the clip is active."""
-    eps = model.CROSS_ENTROPY_EPS
-    q = np.clip(positive, eps, 1.0 - eps)
-    value = -(target * np.log(q) + (1 - target) * np.log(1.0 - q))
-    inside = eps <= positive <= 1.0 - eps
-    grad = -(target / q - (1 - target) / (1.0 - q)) if inside else 0.0
-    return value, np.array([0.0, grad])
+def two_log_cross_entropy(logits, target):
+    """The earlier composition, in numpy: the softmax of the logit pair, each
+    probability clipped to [1e-12, 1 - 1e-12], and both logs, each weighted
+    by its label indicator; the derivative by the logits, which is 0 where
+    the chosen probability's clip is active. Returns both, and whether that
+    clip is inactive."""
+    eps = 1e-12
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    q = np.clip(probs, eps, 1.0 - eps)
+    label = np.array([1 - target, target])
+    value = -np.sum(label * np.log(q))
+    inside = eps <= probs[target] <= 1.0 - eps
+    dp = -label / q if inside else np.zeros(2)
+    return value, probs * (dp - dp @ probs), inside
+
+
+def softmax_minus_onehot(logits, target):
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    probs[target] -= 1.0
+    return probs
 
 
 @pytest.mark.parametrize("target", [0, 1])
 @pytest.mark.parametrize("positive", [0.9, 0.23, 0.0, 1e-12, 1.0 - 1e-12, 1.0])  # clip bounds
 def test_cross_entropy_matches_two_log_oracle(target, positive):
-    probs = ad.parameter([1.0 - positive, positive])
+    """``positive`` is the softmax's positive probability; 0 and 1 stand for a
+    margin of 800, where it rounds to exactly 0 or 1. Where the earlier clip
+    is inactive the op equals the earlier composition within 1e-12, in value
+    and gradient; where it is active the op still costs the margin, less its
+    rounding, and passes softmax - onehot, which the clip did not."""
+    margin = {0.0: -800.0, 1.0: 800.0}.get(positive)
+    if margin is None:
+        margin = math.log(positive) - math.log1p(-positive)
+    logits = ad.parameter([0.0, margin])
     with Tape():
-        loss = cross_entropy(probs, target)
+        loss = cross_entropy(logits, target)
         backward(loss)
-    expected_value, expected_grad = two_log_cross_entropy(positive, target)
-    assert loss.item() == expected_value
-    assert np.array_equal(probs.grad, expected_grad)
+    expected_value, expected_grad, inside = two_log_cross_entropy(logits.values, target)
+    if inside:
+        assert abs(loss.item() - expected_value) <= 1e-12 * max(1.0, expected_value)
+        assert np.max(np.abs(logits.grad - expected_grad)) <= 1e-12
+    else:
+        assert not expected_grad.any()
+        wrong_by = margin if target == 0 else -margin
+        assert abs(loss.item() - max(wrong_by, 0.0)) <= 1e-11
+        assert np.max(np.abs(logits.grad - softmax_minus_onehot(logits.values, target))) <= 1e-12
+        assert abs(logits.grad[target]) == pytest.approx(1.0 if wrong_by > 0 else 0.0, abs=1e-11)
+
+
+@pytest.mark.parametrize("margin", [28.0, 40.0])
+def test_cross_entropy_wrong_prediction_costs_its_margin(margin):
+    """A wrong prediction by a logit margin of 27.6 or more met the earlier
+    clip: a loss of 27.631 and no gradient. Now its loss is the margin
+    within 1e-12, and the logits' gradients are +1 and -1, in a pair or in
+    a batch row; a row with target -1 adds nothing."""
+    pair = ad.parameter([margin, 0.0])
+    rows = ad.parameter([[0.0, margin], [0.3, -0.2], [0.0, margin]])
+    with Tape():
+        loss = cross_entropy(pair, 1)
+        batch = cross_entropy(rows, np.array([0, -1, 0]))
+        backward(ad.add(loss, batch))
+    assert abs(loss.item() - margin) <= 1e-12 * margin
+    assert abs(batch.item() - 2 * margin) <= 2e-12 * margin
+    np.testing.assert_allclose(pair.grad, [1.0, -1.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows.grad, [[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]],
+                               rtol=0, atol=1e-12)
+
+
+def test_cross_entropy_of_a_nan_logit_is_nan_without_a_warning():
+    # warnings are errors here: the loss must be NaN, for training.step to report
+    assert math.isnan(cross_entropy(Tensor([float("nan"), 0.0]), 1).item())
 
 
 def rows_of(matrix):
@@ -298,7 +352,7 @@ def loss_op_kinds(tape, start):
 
 def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
-    # embedding, 16 per aspect (7 self-attention, 6 position, 3 head) and 4
+    # embedding, 15 per aspect (7 self-attention, 6 position, 2 head) and 3
     # for the overall head, for one example and for a batch record alike.
     # The loss adds 16 when every aspect is rated: 5 cross-entropies, the
     # aspect sum's 3 adds, a penalty per attention stage, and for each of the
@@ -320,9 +374,9 @@ def test_paper_width_forward_reads_weights_in_place():
     for record, cross_entropies, per_batch in cases:
         with Tape() as tape:
             output = forward(record, params, config)
-            assert len(tape) == 71
+            assert len(tape) == 66
             combined_loss(output, record, params, config)
-        assert loss_op_kinds(tape, 71) == sorted(
+        assert loss_op_kinds(tape, 66) == sorted(
             ["cross_entropy"] * cross_entropies + ["add"] * (cross_entropies - 2)
             + every_term + per_batch
         )
@@ -364,8 +418,8 @@ def test_batch_forward_and_loss_match_each_example(name):
         for b, ex in enumerate(batch):
             out = forward(ex, params, config)
             n = len(ex.token_ids)
-            for got, want in [(batch_out.overall_probs, out.overall_probs)] + list(
-                zip(batch_out.aspect_probs, out.aspect_probs)
+            for got, want in [(batch_out.overall_logits, out.overall_logits)] + list(
+                zip(batch_out.aspect_logits, out.aspect_logits)
             ):
                 np.testing.assert_allclose(got.values[b], want.values, rtol=0, atol=1e-12)
             for got, want in zip(batch_out.traces, out.traces):
@@ -455,7 +509,7 @@ def test_aspect_head_gradients_are_label_decoupled(toy_model):
     ex = example(aspects=(1, 0))
     with ad.Tape():
         out = forward(ex, params, config)
-        loss = cross_entropy(out.aspect_probs[0], 1)
+        loss = cross_entropy(out.aspect_logits[0], 1)
         ad.backward(loss)
     assert params.aspect_heads[1].weight.grad is None
     assert params.aspect_heads[1].bias.grad is None
@@ -518,7 +572,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, toy_model):
     ex = example()
     out1 = forward(ex, params, config)
     out2 = forward(ex, params2, config2)
-    np.testing.assert_array_equal(out1.overall_probs.values, out2.overall_probs.values)
+    np.testing.assert_array_equal(out1.overall_logits.values, out2.overall_logits.values)
 
 
 @pytest.mark.parametrize("position_stage", [True, False], ids=["position", "no-position"])
