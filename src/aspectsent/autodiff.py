@@ -23,9 +23,9 @@ hand, is defined where it is used and recorded through the public
 ``record``: ``embeddings.embed_sequence`` reads both tables as one
 operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
 whole batch as one operation, and ``model.cross_entropy`` (a head's logits
-through softmax and log-loss, with no clip) and ``model.orthogonal_penalty``
-are one operation each. The objective's L2 term is no operation:
-``training.adam_step`` adds its closed-form gradient to each parameter's.
+through softmax and log-loss) and ``model.orthogonal_penalty`` are one
+operation each. The L2 term is no operation: ``training.adam_step`` adds
+its closed-form gradient to each parameter's in its scope.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output

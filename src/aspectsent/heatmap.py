@@ -32,9 +32,8 @@ class HeatmapReport:
 def build_report(
     tokens: Sequence[str], output: ForwardOutput, aspect_names, mode: str = "magnitude"
 ) -> HeatmapReport:
-    """Collect one example's attention weights, ranking and predictions for
-    display; each prediction is the argmax of its head's logits. ``mode``
-    must name the one ranking, "magnitude"."""
+    """Collect one example's attention weights, ranking and predictions (each
+    head's argmax logit) for display. ``mode`` must name the one ranking, "magnitude"."""
     if mode != "magnitude":
         raise ValueError(f"unknown ranking mode {mode!r}")
     rows = []

@@ -225,6 +225,7 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
 @dataclass
 class ForwardOutput:
     """Each head's logits, whose argmax is its prediction, and each aspect's attention."""
+
     aspect_logits: list  # K tensors of shape (2,), or (B, 2) for a batch
     overall_logits: Tensor  # (2,), or (B, 2)
     traces: list  # K AttentionTrace
