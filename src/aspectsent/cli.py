@@ -5,6 +5,8 @@ under --out and all messages to standard error. Exit status is 0 on
 success, 1 for an ``InputError`` (a malformed argument, config file, corpus,
 vector file or checkpoint, or an --out that cannot be a directory; the
 message names the file), 2 for any other exception, a fault of the program.
+``ablate`` trains each variant of its grid as ``train`` trains, pretrained
+rows included: both make the same run.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from aspectsent.training import (
     evaluate,
     format_metrics_report,
     metrics_to_mapping,
-    run_ablation,
     standard_ablation_grid,
     train,
     write_ablation_table,
@@ -194,26 +195,26 @@ def _write_reports(out_dir: Path, stem: str, report, aspect_names) -> None:
     )
 
 
-def _cmd_train(args) -> int:
-    model_config, train_config, data_settings = _read_configs(args)
-    out_dir = _out_dir(args.out)
-
-    dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
+def _run(model_config, train_config, data_settings, dataset, vocab):
+    """A training run: seeded parameters, ``embedding_file`` rows, ``train``, test report."""
     params = init_params(model_config, len(vocab), seed=train_config.seed)
     if data_settings.embedding_file:
         load_pretrained(data_settings.embedding_file, vocab, params.tables)
-
     result = train(params, model_config, train_config, dataset)
+    return result, evaluate(result.params, model_config, dataset.test)
+
+
+def _cmd_train(args) -> int:
+    model_config, train_config, data_settings = _read_configs(args)
+    out_dir = _out_dir(args.out)
+    dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
+    result, test = _run(model_config, train_config, data_settings, dataset, vocab)
     save_checkpoint(out_dir / "checkpoint.npz", model_config, vocab, result.params)
     # the best epoch's report: the returned parameters are that epoch's
     _write_reports(
         out_dir, "validation", result.log[result.best_epoch].validation, model_config.aspect_names
     )
-    _write_reports(
-        out_dir, "test",
-        evaluate(result.params, model_config, dataset.test),
-        model_config.aspect_names,
-    )
+    _write_reports(out_dir, "test", test, model_config.aspect_names)
     with open(out_dir / "epochs.csv", "w", encoding="utf-8") as fh:
         fh.write("epoch,mean_loss,validation_macro_f1\n")
         for record in result.log:
@@ -260,12 +261,17 @@ def _cmd_explain(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    """Each grid variant trained as ``train`` trains, pretrained rows included; its row kept."""
     model_config, train_config, data_settings = _read_configs(args)
     out_dir = _out_dir(args.out)
     dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
-    rows = run_ablation(
-        standard_ablation_grid(model_config), dataset, train_config, len(vocab)
-    )
+
+    def row(name, config):
+        result, test = _run(config, train_config, data_settings, dataset, vocab)
+        return (name, result.params.parameter_count(), test.overall.accuracy,
+                test.overall.macro_f1, result.best_macro_f1)
+
+    rows = [row(name, config) for name, config in standard_ablation_grid(model_config)]
     write_ablation_table(out_dir / "ablation.csv", rows)
     print(f"ran {len(rows)} ablation variants", file=sys.stderr)
     return 0

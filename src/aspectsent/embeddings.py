@@ -4,8 +4,8 @@ Every token occurrence is represented by its word vector concatenated with
 the vector for its absolute position, so a width-d table pair yields
 width-2d sequence rows, as a ``Lookup`` that also carries the ids and tables
 they were read from. The padding row of the word table is all zeros, and
-no gradient reaches it: padding positions are masked out downstream, and a
-masked-out row gets a zero gradient.
+no gradient reaches it: ``embed_sequence``'s backward adds no row for
+``PAD_ID``, and the layers downstream mask padding positions out.
 """
 
 from __future__ import annotations
@@ -142,8 +142,9 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Lookup:
     through ``Tensor.accumulate_rows``, the position half summed over the
     batch first, so each table's gradient is row-sparse: the rows the ids
     and positions touched, which ``training.adam_step`` updates alone (the
-    tables are outside the L2 term). ``bilstm_forward`` adds its own part
-    into the tables, so in ``model`` this carries the mean embedding's alone.
+    tables are outside the L2 term); a ``PAD_ID`` position adds no word row.
+    ``bilstm_forward`` adds its own part into the tables, so in ``model``
+    this carries the mean embedding's alone.
     Sequences longer than the position table are a caller error; truncation
     belongs to the data pipeline.
     """
@@ -158,7 +159,8 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Lookup:
     out[..., d:] = tables.position.values[:length]
 
     def grad_fn(g):
-        tables.word.accumulate_rows(ids.reshape(-1), g[..., :d].reshape(-1, d))
+        real = ids != PAD_ID
+        tables.word.accumulate_rows(ids[real], g[..., :d][real])
         positions = g[..., d:].reshape(-1, length, d).sum(axis=0)
         tables.position.accumulate_rows(np.arange(length), positions)
         return None, None

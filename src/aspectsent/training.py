@@ -1,4 +1,4 @@
-"""The Adam optimizer, the training loop, evaluation metrics, and ablation runs.
+"""The Adam optimizer, the training loop, evaluation metrics, the ablation grid and its table.
 
 Training is deterministic for a fixed (seed, config, data) triple: all
 randomness flows from one generator, and evaluation is pure. The best
@@ -25,7 +25,6 @@ from aspectsent.model import (
     check_range,
     combined_loss,
     forward,
-    init_params,
 )
 
 
@@ -312,50 +311,15 @@ def standard_ablation_grid(base: ModelConfig):
     ]
 
 
-@dataclass
-class AblationRow:
-    name: str
-    parameter_count: int
-    test_accuracy: float
-    test_macro_f1: float
-    validation_macro_f1: float
-
-
-def run_ablation(
-    variants,
-    data: DatasetSplit,
-    train_config: TrainConfig,
-    vocab_size: int,
-):
-    """Train every variant with the same seed and data; one row per variant."""
-    rows = []
-    for name, config in variants:
-        params = init_params(config, vocab_size, seed=train_config.seed)
-        result = train(params, config, train_config, data)
-        report = evaluate(result.params, config, data.test)
-        rows.append(
-            AblationRow(
-                name=name,
-                parameter_count=params.parameter_count(),
-                test_accuracy=report.overall.accuracy,
-                test_macro_f1=report.overall.macro_f1,
-                validation_macro_f1=result.best_macro_f1,
-            )
-        )
-    return rows
-
-
 def write_ablation_table(path, rows) -> None:
+    """Rows of (variant, parameters, test accuracy, test macro-F1, validation macro-F1) as CSV."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(
             ["variant", "parameters", "test_accuracy", "test_macro_f1", "validation_macro_f1"]
         )
-        for row in rows:
-            writer.writerow(
-                [row.name, row.parameter_count, repr(row.test_accuracy),
-                 repr(row.test_macro_f1), repr(row.validation_macro_f1)]
-            )
+        for name, parameter_count, *scores in rows:
+            writer.writerow([name, parameter_count, *map(repr, scores)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import re
@@ -248,7 +249,8 @@ def test_cli_train_writes_outputs(tmp_path, corpus_path, config_path, capsys):
         assert (out_dir / name).exists(), name
 
 
-def test_cli_train_starts_from_pretrained_rows(tmp_path, corpus_path, config_path, monkeypatch):
+def use_vectors(tmp_path, config_path):
+    """Set ``embedding_file`` to a width-6 vector file; returns its rows by token."""
     tokens = ["<pad>", "pizza", "menu", "absent"]
     rows = {token: np.arange(6.0) + 10 * i for i, token in enumerate(tokens)}
     vectors = tmp_path / "vectors.txt"
@@ -256,6 +258,11 @@ def test_cli_train_starts_from_pretrained_rows(tmp_path, corpus_path, config_pat
         token + " " + " ".join(map(repr, row.tolist())) + "\n" for token, row in rows.items()
     ))
     config_path.write_text(CONFIG_TEXT + f"embedding_file = {vectors}\n")
+    return rows
+
+
+def test_cli_train_starts_from_pretrained_rows(tmp_path, corpus_path, config_path, monkeypatch):
+    rows = use_vectors(tmp_path, config_path)
     # without the optimizer step, the checkpoint holds the parameters training started from
     monkeypatch.setattr(training, "adam_step", lambda named, state, config, l2_weight: None)
     out_dir = tmp_path / "run"
@@ -273,6 +280,39 @@ def test_cli_train_starts_from_pretrained_rows(tmp_path, corpus_path, config_pat
     np.testing.assert_array_equal(word[others], drawn.word.values[others])
     np.testing.assert_array_equal(word[PAD_ID], np.zeros(6))
     np.testing.assert_array_equal(params.tables.position.values, drawn.position.values)
+
+
+def test_cli_ablate_variants_start_from_the_rows_train_starts_from(tmp_path, corpus_path,
+                                                                  config_path, monkeypatch):
+    use_vectors(tmp_path, config_path)
+    starts = []  # the word table at each run's first step
+    real_step = training.step
+
+    def recording_step(params, adam_state, *rest):
+        if adam_state.step == 0:
+            starts.append(params.tables.word.values.copy())
+        return real_step(params, adam_state, *rest)
+
+    monkeypatch.setattr(training, "step", recording_step)
+    for command in ("train", "ablate"):
+        assert main([command, "--config", str(config_path), "--data", str(corpus_path),
+                     "--out", str(tmp_path / command)]) == 0
+    assert len(starts) == 1 + 6
+    for start in starts[1:]:
+        np.testing.assert_array_equal(start, starts[0])
+
+
+def test_cli_ablate_writes_one_row_per_variant(tmp_path, corpus_path, config_path):
+    out_dir = tmp_path / "ablate"
+    assert main(["ablate", "--config", str(config_path), "--data", str(corpus_path),
+                 "--out", str(out_dir)]) == 0
+    with open(out_dir / "ablation.csv", encoding="utf-8") as fh:
+        parameters = {row["variant"]: int(row["parameters"]) for row in csv.DictReader(fh)}
+    config = build_configs(parse_config_file(config_path))[0]
+    assert list(parameters) == [name for name, _ in training.standard_ablation_grid(config)]
+    # the position stage: a (2d x H) weight and a scalar bias per aspect
+    position_stage = config.aspect_count * (2 * config.embedding_width * config.hidden_width + 1)
+    assert parameters["full"] - parameters["no_position_attention"] == position_stage
 
 
 def test_cli_missing_required_flag(capsys):
@@ -545,7 +585,8 @@ def test_bad_input_file_exits_1_naming_file_and_line(tmp_path, corpus_path, conf
 UNOPENABLE_INPUTS = [
     (kind, command, fault)
     for kind, command in [("config", "train"), ("corpus", "train"), ("embeddings", "train"),
-                          ("checkpoint", "eval"), ("checkpoint", "explain")]
+                          ("embeddings", "ablate"), ("checkpoint", "eval"),
+                          ("checkpoint", "explain")]
     for fault in ("missing", "directory")
 ] + [("out", command, "file") for command in ("train", "eval", "explain")]
 
@@ -564,7 +605,7 @@ def test_input_that_cannot_be_opened_exits_1_naming_it(tmp_path, corpus_path, co
     elif fault == "file":
         bad.write_text("not a directory\n")
     paths = {"corpus": corpus_path, "out": tmp_path / "run"}
-    if command == "train":
+    if command in ("train", "ablate"):
         paths["config"] = config_path
     else:
         paths["checkpoint"] = write_current_checkpoint(tmp_path / "model.npz")

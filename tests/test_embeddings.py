@@ -134,8 +134,9 @@ def test_embedding_gradient_hits_only_looked_up_rows(small_vocab):
     assert err < 1e-6
 
     ad.zero_grads([tables.word, tables.position])
-    with Tape():
-        backward(ad.reduce_sum(embed_sequence(ids, tables)))
+    with Tape():  # a padding position passes no gradient to its word row
+        backward(ad.reduce_sum(embed_sequence(np.append(ids, PAD_ID), tables)))
+    assert PAD_ID not in tables.word.grad.rows
     used = set(ids.tolist())
     grad = ad.dense_grad(tables.word)
     for row in range(len(small_vocab)):

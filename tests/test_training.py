@@ -17,7 +17,6 @@ from aspectsent.training import (
     adam_step,
     compute_metrics,
     evaluate,
-    run_ablation,
     standard_ablation_grid,
     step,
     train,
@@ -284,17 +283,6 @@ def test_ablation_grid_shape_and_flags():
     by_name = dict(grid)
     assert by_name["no_l2"].l2_weight == 0
     assert by_name["no_position_attention"].disable_position_attention
-
-
-def test_run_ablation_emits_one_row_per_variant():
-    split, vocab, config = synthetic_split(n=20, seed=4)
-    train_config = TrainConfig(epochs=1, batch_size=8, seed=2, patience=5)
-    rows = run_ablation(standard_ablation_grid(config), split, train_config, len(vocab))
-    assert len(rows) == 6
-    by_name = {row.name: row for row in rows}
-    d2 = 2 * config.embedding_width
-    drop = config.aspect_count * (d2 * config.hidden_width + 1)
-    assert by_name["full"].parameter_count - by_name["no_position_attention"].parameter_count == drop
 
 
 def composed_l2(params):
