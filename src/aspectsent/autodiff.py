@@ -6,12 +6,12 @@ manager, on one module-level stack of tapes for the process's one thread;
 outside any tape, operations run forward-only, which is what evaluation
 code uses.
 
-Each of the 8 operations is one numpy primitive: elementwise ``add`` (+),
-``mul`` and ``tanh``, where a constant enters as a 0-d ``Tensor``;
-``matmul`` (@: matrix @ matrix, matrix @ vector or vector @ matrix);
-``reduce_sum``; ``concat`` and ``scale_rows`` (``m * w[..., None]``);
-``masked_softmax``. Composites are built from these: a weighted sum of
-rows is ``matmul(w, rows)``, and so is a mean, with weights ``1/n``.
+Each of the 6 operations is one numpy primitive: elementwise ``add`` (+)
+and ``mul``, where a constant enters as a 0-d ``Tensor``; ``matmul`` (@:
+matrix @ matrix, matrix @ vector or vector @ matrix); ``reduce_sum``;
+``concat`` and ``scale_rows`` (``m * w[..., None]``). Composites are built
+from these: a weighted sum of rows is ``matmul(w, rows)``, and so is a
+mean, with weights ``1/n``.
 
 A training batch runs each operation once over a leading batch axis B; a
 single sequence is the same call without it. ``add`` and ``mul`` broadcast
@@ -22,10 +22,12 @@ An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
 ``record``: ``embeddings.embed_sequence`` reads both tables as one
 operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
-whole batch as one operation, and ``model.cross_entropy`` (a head's logits
-through softmax and log-loss) and ``model.orthogonal_penalty`` are one
-operation each. The L2 term is no operation: ``training.adam_step`` adds
-its closed-form gradient to each parameter's in its scope.
+whole batch as one operation, ``attention.attention_weights`` turns an
+attention stage's scores into its weights as one operation, and
+``model.cross_entropy`` (a head's logits through softmax and log-loss) and
+``model.orthogonal_penalty`` are one operation each. The L2 term is no
+operation: ``training.adam_step`` adds its closed-form gradient to each
+parameter's in its scope.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
@@ -50,7 +52,7 @@ class ShapeError(ValueError):
 
 
 class EmptyAttentionError(ValueError):
-    """A softmax mask excludes every position."""
+    """An attention mask excludes every position of a row."""
 
 
 class GraphError(RuntimeError):
@@ -298,15 +300,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, grad_fn)
 
 
-def tanh(a: Tensor) -> Tensor:
-    y = np.tanh(a.values)
-
-    def grad_fn(g):
-        return (g * (1.0 - y * y),)
-
-    return record((a,), y, grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -399,28 +392,3 @@ def scale_rows(m: Tensor, w: Tensor) -> Tensor:
 
     return record((m, w), mv * wv[..., None], grad_fn)
 
-
-def masked_softmax(logits: Tensor, mask) -> Tensor:
-    """Softmax over the unmasked entries of the last axis, row by row.
-
-    ``mask`` has the logits' shape. Masked positions get exactly zero; each
-    row's unmasked outputs are positive and sum to one. Logits are shifted
-    by their row's unmasked maximum before exponentiation, which leaves the
-    result unchanged but keeps exp finite.
-    """
-    m = np.asarray(mask, dtype=bool)
-    x = logits.values
-    if x.ndim == 0 or m.shape != x.shape:
-        raise ShapeError(f"masked_softmax: logits {x.shape} vs mask {m.shape}")
-    top = x.max(axis=-1, keepdims=True, where=m, initial=-np.inf)
-    e = np.exp(x - top, out=np.zeros(x.shape), where=m)
-    total = e.sum(axis=-1, keepdims=True)
-    if not total.all():  # an unmasked row's sum is at least exp(0) = 1
-        raise EmptyAttentionError("masked_softmax: mask excludes every position of a row")
-    out = e / total
-
-    def grad_fn(g):
-        # each row's g·out as one dot product, (1, T) @ (T, 1), as for a vector
-        return (out * (g - np.matmul(g[..., None, :], out[..., :, None])[..., 0]),)
-
-    return record((logits,), out, grad_fn)

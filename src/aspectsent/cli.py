@@ -161,6 +161,7 @@ def _preprocess(data_path, config) -> list:
 
 
 def _prepare_dataset(data_path, model_config, data_settings, seed):
+    """The encoded split, its vocabulary, and ``load_pretrained``'s rows (none without a file)."""
     processed = _preprocess(data_path, model_config)
     try:
         parts = split(processed, seed=seed)
@@ -175,7 +176,9 @@ def _prepare_dataset(data_path, model_config, data_settings, seed):
         test=[encode_example(p, vocab) for p in parts.test],
         seed=seed,
     )
-    return encoded, vocab
+    path = data_settings.embedding_file
+    pretrained = load_pretrained(path, vocab, model_config.embedding_width) if path else {}
+    return encoded, vocab, pretrained
 
 
 def _out_dir(path) -> Path:
@@ -195,11 +198,11 @@ def _write_reports(out_dir: Path, stem: str, report, aspect_names) -> None:
     )
 
 
-def _run(model_config, train_config, data_settings, dataset, vocab):
+def _run(model_config, train_config, dataset, vocab, pretrained):
     """A training run: seeded parameters, ``embedding_file`` rows, ``train``, test report."""
     params = init_params(model_config, len(vocab), seed=train_config.seed)
-    if data_settings.embedding_file:
-        load_pretrained(data_settings.embedding_file, vocab, params.tables)
+    for idx, row in pretrained.items():
+        params.tables.word.values[idx] = row
     result = train(params, model_config, train_config, dataset)
     return result, evaluate(result.params, model_config, dataset.test)
 
@@ -207,8 +210,9 @@ def _run(model_config, train_config, data_settings, dataset, vocab):
 def _cmd_train(args) -> int:
     model_config, train_config, data_settings = _read_configs(args)
     out_dir = _out_dir(args.out)
-    dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
-    result, test = _run(model_config, train_config, data_settings, dataset, vocab)
+    dataset, vocab, pretrained = _prepare_dataset(args.data, model_config, data_settings,
+                                                  train_config.seed)
+    result, test = _run(model_config, train_config, dataset, vocab, pretrained)
     save_checkpoint(out_dir / "checkpoint.npz", model_config, vocab, result.params)
     # the best epoch's report: the returned parameters are that epoch's
     _write_reports(
@@ -264,10 +268,11 @@ def _cmd_ablate(args) -> int:
     """Each grid variant trained as ``train`` trains, pretrained rows included; its row kept."""
     model_config, train_config, data_settings = _read_configs(args)
     out_dir = _out_dir(args.out)
-    dataset, vocab = _prepare_dataset(args.data, model_config, data_settings, train_config.seed)
+    dataset, vocab, pretrained = _prepare_dataset(args.data, model_config, data_settings,
+                                                  train_config.seed)
 
     def row(name, config):
-        result, test = _run(config, train_config, data_settings, dataset, vocab)
+        result, test = _run(config, train_config, dataset, vocab, pretrained)
         return (name, result.params.parameter_count(), test.overall.accuracy,
                 test.overall.macro_f1, result.best_macro_f1)
 

@@ -97,16 +97,16 @@ def random_tables(
     )
 
 
-def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
-    """Copy the rows of a whitespace-separated pretrained-vector file into ``tables``.
+def load_pretrained(path, vocab: Vocabulary, width: int) -> dict:
+    """The vocabulary's rows in a whitespace-separated pretrained-vector file,
+    as a map of token id to row, for the word table.
 
-    File format: one token per line followed by ``tables.width`` finite
-    decimal numbers. Each vocabulary token in the file gets its file row
-    exactly; every other row, the padding row and the position table keep
-    the values they have. Errors name the file and the line.
+    File format: one token per line followed by ``width`` finite decimal
+    numbers. A token listed twice keeps its last row, and the padding token
+    gets none. Errors name the file and the line.
     """
-    word, width = tables.word.values, tables.width
     where = f"embeddings {path}"
+    found = {}
     for line_no, line in read_lines(path, where):
         if not line.strip():
             continue
@@ -125,7 +125,8 @@ def load_pretrained(path, vocab: Vocabulary, tables: EmbeddingTables) -> None:
             raise InputError(f"{where}: line {line_no}: non-finite value for {token!r}")
         idx = vocab.token_to_id.get(token)
         if idx is not None and idx != PAD_ID:
-            word[idx] = row
+            found[idx] = row
+    return found
 
 
 class Lookup(Tensor):

@@ -214,8 +214,8 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
     """Initialize all trainable parameters from one seed.
 
     The embedding tables and the other parameters each draw from their own
-    generator seeded with ``seed``. The word table is random;
-    ``embeddings.load_pretrained`` copies pretrained word vectors into it.
+    generator seeded with ``seed``. The word table is random; the rows
+    ``embeddings.load_pretrained`` reads are written over it.
     """
     return _build_params(
         config, vocab_size, np.random.default_rng(seed), np.random.default_rng(seed)

@@ -1,10 +1,19 @@
-"""Central-difference gradient checking, the oracle for every op's backward."""
+"""Central-difference gradient checking, the oracle for every op's backward,
+and the tanh op that the checks put over an op's output as a non-linear root."""
 
 from typing import Callable, Sequence
 
 import numpy as np
 
-from aspectsent.autodiff import GraphError, NumericError, Tape, Tensor, backward, dense_grad
+from aspectsent.autodiff import (
+    GraphError,
+    NumericError,
+    Tape,
+    Tensor,
+    backward,
+    dense_grad,
+    record,
+)
 
 
 def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], h: float = 1e-5) -> float:
@@ -43,3 +52,9 @@ def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], h: float = 1e-
             denom = max(1.0, abs(a_flat[i]), abs(numeric))
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
     return worst
+
+
+def tanh(a: Tensor) -> Tensor:
+    """Elementwise tanh as a recorded op, with the backward ``g * (1 - y²)``."""
+    y = np.tanh(a.values)
+    return record((a,), y, lambda g: (g * (1.0 - y * y),))

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import aspectsent
 from aspectsent import autodiff as ad
 from aspectsent import embeddings, model, recurrent
+from aspectsent.attention import attention_weights
 from aspectsent.autodiff import (
     EmptyAttentionError,
     GraphError,
@@ -22,7 +23,8 @@ from aspectsent.autodiff import (
     Tensor,
     backward,
 )
-from tests.gradcheck import grad_check
+from tests import gradcheck
+from tests.gradcheck import grad_check, tanh
 
 
 def test_matmul_identity():
@@ -62,14 +64,14 @@ def test_matmul_gradient_matches_finite_differences():
 
 
 def test_tanh_at_zero():
-    assert ad.tanh(Tensor(0.0)).item() == 0.0
+    assert tanh(Tensor(0.0)).item() == 0.0
 
 
 def test_tanh_derivative_matches_central_difference():
     x = ad.parameter(1.0)
     h = 1e-6
     with Tape():
-        backward(ad.tanh(x))
+        backward(tanh(x))
     numeric = (np.tanh(1 + h) - np.tanh(1 - h)) / (2 * h)
     assert abs(float(x.grad) - numeric) < 1e-6
 
@@ -85,45 +87,59 @@ def test_scalar_broadcast_add_and_grad():
     np.testing.assert_array_equal(v.grad, np.ones(3))
 
 
+# the attention stages' weights op: a masked softmax of tanh(scores + b)
+
+
 def test_masked_softmax_uniform_and_single():
-    out = ad.masked_softmax(Tensor([0.0, 0.0]), [True, True])
+    out = attention_weights(Tensor([0.3, 0.3]), Tensor(-0.2), [True, True])
     np.testing.assert_allclose(out.values, [0.5, 0.5])
     for x in (-50.0, 0.0, 123.0):
-        assert ad.masked_softmax(Tensor([x]), [True]).values[0] == 1.0
+        assert attention_weights(Tensor([x]), Tensor(0.5), [True]).values[0] == 1.0
 
 
 def test_masked_softmax_matches_direct_renormalization():
-    out = ad.masked_softmax(Tensor([1.0, 2.0, 3.0]), [True, True, False])
-    direct = np.exp([1.0, 2.0]) / np.exp([1.0, 2.0]).sum()
+    out = attention_weights(Tensor([1.0, 2.0, 3.0]), Tensor(-0.5), [True, True, False])
+    logits = np.tanh([0.5, 1.5])
+    direct = np.exp(logits) / np.exp(logits).sum()
     np.testing.assert_allclose(out.values[:2], direct, atol=1e-15)
     assert out.values[2] == 0.0
 
 
 def test_masked_softmax_empty_mask():
-    with pytest.raises(EmptyAttentionError):
-        ad.masked_softmax(Tensor([1.0, 2.0]), [False, False])
+    with pytest.raises(EmptyAttentionError, match="^attention_weights: "):
+        attention_weights(Tensor([1.0, 2.0]), Tensor(0.0), [False, False])
+    with pytest.raises(EmptyAttentionError):  # one empty row of a batch
+        attention_weights(Tensor(np.ones((2, 2))), Tensor(0.0), [[True, False], [False, False]])
+
+
+def test_attention_weights_rejects_a_mask_of_another_shape():
+    for scores, mask in ((np.ones(3), [True, True]), (np.ones((2, 3)), [True] * 3),
+                         (np.float64(1.0), True)):
+        with pytest.raises(ShapeError, match="^attention_weights: "):
+            attention_weights(Tensor(scores), Tensor(0.0), mask)
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=8),
+    st.floats(min_value=-5, max_value=5),
     st.data(),
 )
-def test_masked_softmax_properties(logits, data):
-    mask = data.draw(
-        st.lists(st.booleans(), min_size=len(logits), max_size=len(logits)).filter(any)
-    )
-    out = ad.masked_softmax(Tensor(logits), mask).values
+def test_masked_softmax_properties(scores, bias, data):
+    mask = np.asarray(data.draw(
+        st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)).filter(any)
+    ))
+    out = attention_weights(Tensor(scores), Tensor(bias), mask).values
     assert np.all(out >= 0)
-    assert np.all(out[~np.asarray(mask)] == 0.0)
-    assert abs(out[np.asarray(mask)].sum() - 1.0) <= 1e-9
-    shift = data.draw(st.floats(min_value=-30, max_value=30))
-    shifted = ad.masked_softmax(Tensor(np.asarray(logits) + shift), mask).values
-    np.testing.assert_allclose(shifted, out, atol=1e-12)
+    assert np.all(out[~mask] == 0.0)
+    assert abs(out[mask].sum() - 1.0) <= 1e-9
+    # the shift by the row's unmasked maximum leaves the result unchanged
+    e = np.exp(np.tanh(np.asarray(scores) + bias)[mask])
+    np.testing.assert_allclose(out[mask], e / e.sum(), atol=1e-12)
 
 
 def test_sum_of_softmax_is_one():
-    out = ad.reduce_sum(ad.masked_softmax(Tensor([0.3, -1.2, 2.0]), [1, 1, 1]))
+    out = ad.reduce_sum(attention_weights(Tensor([0.3, -1.2, 2.0]), Tensor(0.1), [1, 1, 1]))
     assert abs(out.item() - 1.0) < 1e-12
 
 
@@ -175,7 +191,7 @@ def test_backward_accumulates_without_zeroing():
 def test_two_roots_on_one_tape_sum_their_gradients():
     x = ad.parameter([0.3, -0.7])
     with Tape():
-        y = ad.tanh(x)
+        y = tanh(x)
         backward(ad.reduce_sum(y))
         backward(ad.reduce_sum(ad.mul(y, y)))
     t = np.tanh(x.values)
@@ -185,7 +201,7 @@ def test_two_roots_on_one_tape_sum_their_gradients():
 def test_backward_leaves_gradients_on_leaves_only():
     a, b = ad.parameter([[1.0, 2.0], [3.0, 4.0]]), ad.parameter([0.5, -1.0])
     with Tape() as tape:
-        backward(ad.reduce_sum(ad.tanh(ad.matmul(a, b))))
+        backward(ad.reduce_sum(tanh(ad.matmul(a, b))))
     assert a.grad is not None and b.grad is not None
     assert all(op.output.grad is None for op in tape.ops)
 
@@ -216,7 +232,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         with Tape() as tape:
-            root = ad.mul(ad.tanh(x), x)
+            root = ad.mul(tanh(x), x)
             backward(root)
             assert len(root.tape) == 2
         alive = weakref.ref(tape)
@@ -238,7 +254,7 @@ def test_grad_check_tanh_matmul_composition():
     rng = np.random.default_rng(2)
     a = ad.parameter(rng.normal(size=(3, 3)))
     b = ad.parameter(rng.normal(size=(3, 2)))
-    err = grad_check(lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b))), [a, b])
+    err = grad_check(lambda: ad.reduce_sum(tanh(ad.matmul(a, b))), [a, b])
     assert err < 1e-6
 
 
@@ -250,7 +266,7 @@ GRAD_CHECK_CASES = [
     "matmul-batch", "matmul-vector-batch", "matmul-vector-left-batch",
     "reduce_sum", "concat", "scale_rows", "scale_rows-batch",
     "embed_sequence", "embed_sequence-batch",
-    "masked_softmax", "masked_softmax-batch",
+    "attention_weights", "attention_weights-batch",
     "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
     "cross_entropy-target-0", "cross_entropy-target-1", "cross_entropy-batch",
     "orthogonal_penalty", "orthogonal_penalty-batch",
@@ -258,11 +274,12 @@ GRAD_CHECK_CASES = [
 
 
 def test_every_tape_op_has_a_grad_check_case():
-    # every function, in any module of the package, that calls record or ad.record
+    # every function, in any module of the package or in the checks' own
+    # helpers (their tanh root), that calls record or ad.record
     modules = [
         importlib.import_module(info.name)
         for info in pkgutil.iter_modules(aspectsent.__path__, "aspectsent.")
-    ]
+    ] + [gradcheck]
     recorders = {
         name
         for module in modules
@@ -286,17 +303,17 @@ def test_grad_check_every_operation(name):
     if name in ("add", "mul"):
         a, b = vec(), vec()
         fn = getattr(ad, name)
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(fn(a, b)))
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(fn(a, b)))
     elif name in ("add-batch", "mul-batch"):  # b broadcast over a's leading axes
         a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(3, 4)
         fn = getattr(ad, name.split("-")[0])
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(fn(a, b)))
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(fn(a, b)))
     elif name == "tanh":
         a = vec()
-        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(a))
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(a))
     elif name == "mul-constant":
         a = vec()
-        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.mul(a, Tensor(-1.7))))
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.mul(a, Tensor(-1.7))))
     elif name == "cross_entropy-batch":  # row 1 selects no class
         logits, targets = ad.parameter(rng.normal(size=(4, 2))), np.array([1, -1, 0, 1])
         inputs, f = [logits], lambda: model.cross_entropy(logits, targets)
@@ -312,40 +329,40 @@ def test_grad_check_every_operation(name):
         inputs, f = rows, lambda: model.orthogonal_penalty(rows)
     elif name == "matmul":
         a, b = mat(2, 3), mat(3, 2)
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.matmul(a, b)))
     elif name == "matmul-vector":
         a, v = mat(3, 4), vec(4)
-        inputs, f = [a, v], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, v)))
+        inputs, f = [a, v], lambda: ad.reduce_sum(tanh(ad.matmul(a, v)))
     elif name == "matmul-vector-left":  # weights over rows, as the heads and attention use it
         v, a = vec(3), mat(3, 4)
-        inputs, f = [v, a], lambda: ad.reduce_sum(ad.tanh(ad.matmul(v, a)))
+        inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
     elif name == "matmul-batch":  # every row's matrix times one shared matrix
         a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(4, 2)
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, b)))
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.matmul(a, b)))
     elif name == "matmul-vector-batch":  # each row's matrix times its own vector
         a, v = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 4)
-        inputs, f = [a, v], lambda: ad.reduce_sum(ad.tanh(ad.matmul(a, v, per_row=True)))
+        inputs, f = [a, v], lambda: ad.reduce_sum(tanh(ad.matmul(a, v, per_row=True)))
     elif name == "matmul-vector-left-batch":  # each row's weights over its own rows
         v, a = mat(2, 3), ad.parameter(rng.normal(size=(2, 3, 4)))
-        inputs, f = [v, a], lambda: ad.reduce_sum(ad.tanh(ad.matmul(v, a)))
+        inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
     elif name == "reduce_sum":
         a = mat()
-        inputs, f = [a], lambda: ad.reduce_sum(ad.tanh(ad.reduce_sum(a, axis=1)))
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.reduce_sum(a, axis=1)))
     elif name == "concat":
         a, b = vec(3), vec(2)
-        inputs, f = [a, b], lambda: ad.reduce_sum(ad.tanh(ad.concat([a, b])))
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.concat([a, b])))
     elif name == "scale_rows":
         m, w = mat(), vec(3)
-        inputs, f = [m, w], lambda: ad.reduce_sum(ad.tanh(ad.scale_rows(m, w)))
+        inputs, f = [m, w], lambda: ad.reduce_sum(tanh(ad.scale_rows(m, w)))
     elif name == "scale_rows-batch":
         m, w = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 3)
-        inputs, f = [m, w], lambda: ad.reduce_sum(ad.tanh(ad.scale_rows(m, w)))
+        inputs, f = [m, w], lambda: ad.reduce_sum(tanh(ad.scale_rows(m, w)))
     elif name.startswith("embed_sequence"):  # repeated ids add up in their row
         # ids from 1: the padding id's row takes no gradient
         tables = embeddings.EmbeddingTables(word=mat(5, 3), position=mat(4, 3))
         ids = [[1, 2, 2], [4, 3, 2]] if name.endswith("batch") else [3, 2, 2, 4]
         inputs = [tables.word, tables.position]
-        f = lambda: ad.reduce_sum(ad.tanh(embeddings.embed_sequence(ids, tables)))
+        f = lambda: ad.reduce_sum(tanh(embeddings.embed_sequence(ids, tables)))
     elif name.startswith("bilstm_forward"):  # padded: rows 3 and 4 are masked
         fwd, bwd = recurrent.init_lstm_params(3, 2, rng), recurrent.init_lstm_params(3, 2, rng)
         x = mat(5, 3)
@@ -357,19 +374,19 @@ def test_grad_check_every_operation(name):
         readout = Tensor(rng.normal(size=(4, 3)))
         inputs = fwd.tensors() + bwd.tensors() + [x]
         f = lambda: ad.reduce_sum(
-            ad.tanh(ad.matmul(recurrent.bilstm_forward(x, fwd, bwd, mask).values, readout))
+            tanh(ad.matmul(recurrent.bilstm_forward(x, fwd, bwd, mask).values, readout))
         )
-    elif name == "masked_softmax":
-        v = vec(5)
+    elif name == "attention_weights":
+        v, b = vec(5), ad.parameter(0.4)
         mask = [True, True, False, True, True]
-        inputs, f = [v], lambda: ad.reduce_sum(
-            ad.mul(ad.masked_softmax(v, mask), Tensor([0.3, -1.0, 0.0, 2.0, 0.7]))
+        inputs, f = [v, b], lambda: ad.reduce_sum(
+            ad.mul(attention_weights(v, b, mask), Tensor([0.3, -1.0, 0.0, 2.0, 0.7]))
         )
-    elif name == "masked_softmax-batch":  # a mask per row
-        v = mat(3, 5)
-        mask = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [0, 0, 1, 1, 0]], dtype=bool)
+    elif name == "attention_weights-batch":  # a mask per row, the last with a masked tail
+        v, b = mat(3, 5), ad.parameter(-0.3)
+        mask = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=bool)
         readout = Tensor(rng.normal(size=(3, 5)))
-        inputs, f = [v], lambda: ad.reduce_sum(ad.mul(ad.masked_softmax(v, mask), readout))
+        inputs, f = [v, b], lambda: ad.reduce_sum(ad.mul(attention_weights(v, b, mask), readout))
     assert grad_check(f, inputs) < 1e-4
 
 
@@ -380,7 +397,7 @@ def test_forward_replay_is_deterministic():
 
     def run():
         a, v = Tensor(a_vals), Tensor(v_vals)
-        return ad.reduce_sum(ad.tanh(ad.matmul(a, v))).item()
+        return ad.reduce_sum(tanh(ad.matmul(a, v))).item()
 
     assert run() == run()
 

@@ -10,7 +10,7 @@ import pytest
 from aspectsent.cli import DataSettings, build_configs, main, parse_config_file
 from aspectsent.heatmap import HeatmapReport, build_report, render_heatmap
 from aspectsent.data import PreprocessRules, RawReview, preprocess
-from aspectsent import training
+from aspectsent import embeddings, training
 from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.model import (
     ModelConfig,
@@ -302,6 +302,20 @@ def test_cli_ablate_variants_start_from_the_rows_train_starts_from(tmp_path, cor
         np.testing.assert_array_equal(start, starts[0])
 
 
+def test_cli_reads_the_vectors_file_once_per_command(tmp_path, corpus_path, config_path,
+                                                     monkeypatch):
+    use_vectors(tmp_path, config_path)
+    reads = []
+    real_read_lines = embeddings.read_lines
+    monkeypatch.setattr(embeddings, "read_lines",
+                        lambda path, where: reads.append(path) or real_read_lines(path, where))
+    for command in ("train", "ablate"):
+        reads.clear()
+        assert main([command, "--config", str(config_path), "--data", str(corpus_path),
+                     "--out", str(tmp_path / command)]) == 0
+        assert reads == [str(tmp_path / "vectors.txt")], command
+
+
 def test_cli_ablate_writes_one_row_per_variant(tmp_path, corpus_path, config_path):
     out_dir = tmp_path / "ablate"
     assert main(["ablate", "--config", str(config_path), "--data", str(corpus_path),
@@ -556,12 +570,16 @@ BAD_INPUT_FILES = {
     "embeddings-width": (b"pizza 1 2 3 4 5 6\nfood 1 2 3\n", 2),
     "embeddings-nan": (b"tasty 1 2 3 4 5 6\npizza nan 0.1 0.1 0.1 0.1 0.1\n", 2),
     "embeddings-inf": (b"pizza 1 2 3 4 5 inf\n", 1),
+    "embeddings-ablate": (b"pizza 1 2 3 4 5 6\ntasty 1 2 3 oops 5 6\n", 2),
 }
 
 
 @pytest.mark.parametrize("kind", BAD_INPUT_FILES)
 def test_bad_input_file_exits_1_naming_file_and_line(tmp_path, corpus_path, config_path, kind,
-                                                     capsys):
+                                                     capsys, monkeypatch):
+    """Under ``train``, or ``ablate`` for the last case: exit 1 before any training step."""
+    steps = []
+    monkeypatch.setattr(training, "step", lambda *args: steps.append(args))
     content, line = BAD_INPUT_FILES[kind]
     bad = tmp_path / "bad.txt"
     bad.write_bytes(content)
@@ -572,10 +590,10 @@ def test_bad_input_file_exits_1_naming_file_and_line(tmp_path, corpus_path, conf
     else:
         config_path.write_text(CONFIG_TEXT + f"embedding_file = {bad}\n")
     status = main(
-        ["train", "--config", str(config_path), "--data", str(corpus_path),
-         "--out", str(tmp_path / "run")]
+        ["ablate" if kind.endswith("ablate") else "train", "--config", str(config_path),
+         "--data", str(corpus_path), "--out", str(tmp_path / "run")]
     )
-    assert status == 1
+    assert status == 1 and steps == []
     last = capsys.readouterr().err.splitlines()[-1]
     assert last.startswith(f"error: {kind.split('-')[0]} {bad}: line {line}: ")
 

@@ -14,7 +14,7 @@ from aspectsent.embeddings import (
     random_tables,
 )
 from aspectsent.textfile import InputError
-from tests.gradcheck import grad_check
+from tests.gradcheck import grad_check, tanh
 
 
 def test_build_vocabulary_ordering():
@@ -50,19 +50,18 @@ def drawn_tables(vocab, width=3, max_length=4, seed=0):
 
 def test_load_pretrained_copies_file_rows(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
-    path.write_text("pizza 1.0 2.0 3.0\nabsent 9.0 9.0 9.0\n")
-    tables = drawn_tables(small_vocab)
-    load_pretrained(path, small_vocab, tables)
-    row = tables.word.values[small_vocab.token_to_id["pizza"]]
-    np.testing.assert_array_equal(row, [1.0, 2.0, 3.0])
+    path.write_text("pizza 1.0 2.0 3.0\nabsent 9.0 9.0 9.0\nslow 0 0 1\npizza 4.0 5.0 6.0\n")
+    rows = load_pretrained(path, small_vocab, 3)
+    # in the vocabulary only, each token with the last row the file lists for it
+    assert set(rows) == {small_vocab.token_to_id[t] for t in ("pizza", "slow")}
+    np.testing.assert_array_equal(rows[small_vocab.token_to_id["pizza"]], [4.0, 5.0, 6.0])
+    np.testing.assert_array_equal(rows[small_vocab.token_to_id["slow"]], [0.0, 0.0, 1.0])
 
 
 def test_load_pretrained_padding_row_zero(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("good 0.5 0.5 0.5\n<pad> 0.5 0.5 0.5\n")
-    tables = drawn_tables(small_vocab)
-    load_pretrained(path, small_vocab, tables)
-    np.testing.assert_array_equal(tables.word.values[PAD_ID], np.zeros(3))
+    assert list(load_pretrained(path, small_vocab, 3)) == [small_vocab.token_to_id["good"]]
 
 
 def test_load_pretrained_oov_rows_reproducible_and_bounded(tmp_path, small_vocab):
@@ -70,8 +69,9 @@ def test_load_pretrained_oov_rows_reproducible_and_bounded(tmp_path, small_vocab
     path.write_text("good 0.5 0.5 0.5\n")
     t1, t2 = drawn_tables(small_vocab, seed=11), drawn_tables(small_vocab, seed=11)
     drawn = drawn_tables(small_vocab, seed=11)
-    load_pretrained(path, small_vocab, t1)
-    load_pretrained(path, small_vocab, t2)
+    for tables in (t1, t2):
+        for idx, row in load_pretrained(path, small_vocab, 3).items():
+            tables.word.values[idx] = row
     np.testing.assert_array_equal(t1.word.values, t2.word.values)
     oov = [i for i in range(len(small_vocab)) if i != small_vocab.token_to_id["good"]]
     np.testing.assert_array_equal(t1.word.values[oov], drawn.word.values[oov])
@@ -84,14 +84,14 @@ def test_load_pretrained_width_mismatch(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0\n")
     with pytest.raises(InputError, match="line 1"):
-        load_pretrained(path, small_vocab, drawn_tables(small_vocab))
+        load_pretrained(path, small_vocab, 3)
 
 
 def test_load_pretrained_malformed_line(tmp_path, small_vocab):
     path = tmp_path / "vectors.txt"
     path.write_text("pizza 1.0 2.0 3.0\nslow 1.0 oops 3.0\n")
     with pytest.raises(InputError, match="line 2"):
-        load_pretrained(path, small_vocab, drawn_tables(small_vocab))
+        load_pretrained(path, small_vocab, 3)
 
 
 def test_embed_sequence_single_token(small_vocab):
@@ -128,7 +128,7 @@ def test_embedding_gradient_hits_only_looked_up_rows(small_vocab):
     tables = drawn_tables(small_vocab, width=2, seed=5)
     ids = small_vocab.encode(["pizza", "good", "pizza"])
     err = grad_check(
-        lambda: ad.reduce_sum(ad.tanh(embed_sequence(ids, tables))),
+        lambda: ad.reduce_sum(tanh(embed_sequence(ids, tables))),
         [tables.word, tables.position],
     )
     assert err < 1e-6

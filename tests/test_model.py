@@ -343,7 +343,7 @@ def loss_op_kinds(tape, start):
 
 def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
-    # embedding, 15 per aspect (7 self-attention, 6 position, 2 head) and 3
+    # embedding, 11 per aspect (5 self-attention, 4 position, 2 head) and 3
     # for the overall head, for one example and for a batch record alike.
     # The loss adds 16 when every aspect is rated: 5 cross-entropies, the
     # aspect sum's 3 adds, a penalty per attention stage, and for each of the
@@ -365,9 +365,9 @@ def test_paper_width_forward_reads_weights_in_place():
     for record, cross_entropies, per_batch in cases:
         with Tape() as tape:
             output = forward(record, params, config)
-            assert len(tape) == 66
+            assert len(tape) == 50
             combined_loss(output, record, params, config)
-        assert loss_op_kinds(tape, 66) == sorted(
+        assert loss_op_kinds(tape, 50) == sorted(
             ["cross_entropy"] * cross_entropies + ["add"] * (cross_entropies - 2)
             + every_term + per_batch
         )

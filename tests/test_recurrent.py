@@ -8,7 +8,7 @@ from aspectsent import model
 from aspectsent.autodiff import ShapeError, Tape, Tensor, backward
 from aspectsent.embeddings import PAD_ID, EmbeddingTables, embed_sequence, random_tables
 from aspectsent.recurrent import GATES, HiddenStates, LstmParams, bilstm_forward, init_lstm_params
-from tests.gradcheck import grad_check
+from tests.gradcheck import grad_check, tanh
 
 
 def zero_params(input_width, cell_width):
@@ -135,7 +135,7 @@ def test_lstm_gradient_check():
 
     def f():
         states = bilstm_forward(x, fwd, bwd, mask)
-        return ad.reduce_sum(ad.tanh(ad.matmul(states.values, readout)))
+        return ad.reduce_sum(tanh(ad.matmul(states.values, readout)))
 
     err = grad_check(f, fwd.tensors() + bwd.tensors() + [x])
     assert err < 1e-4
@@ -150,7 +150,7 @@ def test_bilstm_gradient_check():
 
     def f():
         states = bilstm_forward(x, fwd, bwd, np.ones(3, bool))
-        return ad.reduce_sum(ad.tanh(ad.matmul(states.values, readout)))
+        return ad.reduce_sum(tanh(ad.matmul(states.values, readout)))
 
     err = grad_check(f, fwd.tensors() + bwd.tensors() + [x])
     assert err < 1e-4
@@ -199,8 +199,8 @@ def test_oracle_sigmoid_gradient():
 
 def test_oracle_row_read_gradient():
     m = ad.parameter(np.random.default_rng(13).normal(size=(4, 3)))
-    assert grad_check(lambda: ad.reduce_sum(ad.tanh(read_rows(m, [2, 0, 2]))), [m]) < 1e-9
-    assert grad_check(lambda: ad.reduce_sum(ad.tanh(read_rows(m, 1))), [m]) < 1e-9
+    assert grad_check(lambda: ad.reduce_sum(tanh(read_rows(m, [2, 0, 2]))), [m]) < 1e-9
+    assert grad_check(lambda: ad.reduce_sum(tanh(read_rows(m, 1))), [m]) < 1e-9
 
 
 # One direction as one tape op, as the encoder ran before both directions
@@ -292,10 +292,10 @@ def composed_direction(inputs, params, mask, order):
             continue
         z = ad.add(ad.add(read_rows(projected, t), ad.matmul(h, params.u)), params.b)
         gates = sigmoid(read_rows(z, sigmoid_part))
-        cand = ad.tanh(read_rows(z, cand_part))
+        cand = tanh(read_rows(z, cand_part))
         i_gate, f_gate, o_gate = (read_rows(gates, part) for part in ifo_parts)
         c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
-        h = ad.mul(o_gate, ad.tanh(c))
+        h = ad.mul(o_gate, tanh(c))
         rows[t] = h
     return rows
 
@@ -347,7 +347,7 @@ def check_against_oracle(oracle, seed):
             ad.zero_grads(tensors)
             with Tape():
                 out = build(x, fwd, bwd, mask).values
-                backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+                backward(ad.reduce_sum(tanh(ad.matmul(out, readout))))
             results.append((out.values, [ad.dense_grad(t) for t in tensors]))
         (fused_out, fused_grads), (oracle_out, oracle_grads) = results
         assert within(fused_out, oracle_out, 1e-12), label
@@ -421,9 +421,9 @@ def per_gate_direction(inputs, p, mask, order):
         if not mask[t]:
             continue
         i_gate, f_gate, o_gate = (sigmoid(pre(g, t, h)) for g in ("input", "forget", "output"))
-        cand = ad.tanh(pre("candidate", t, h))
+        cand = tanh(pre("candidate", t, h))
         c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
-        h = ad.mul(o_gate, ad.tanh(c))
+        h = ad.mul(o_gate, tanh(c))
         rows[t] = h
     return rows
 
@@ -465,7 +465,7 @@ def test_fused_direction_matches_per_gate_oracle():
             ad.zero_grads([x])
             with Tape():
                 out = build()
-                backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+                backward(ad.reduce_sum(tanh(ad.matmul(out, readout))))
             results.append((out.values, ad.dense_grad(x)))
         (fused_out, fused_x_grad), (oracle_out, oracle_x_grad) = results
 
@@ -545,7 +545,7 @@ def test_masked_rows_of_both_halves_are_zero():
     mask = np.array([0, 1, 0, 1, 1, 0, 1, 0], dtype=bool)
     with Tape():
         out = bilstm_forward(x, fwd, bwd, mask).values
-        backward(ad.reduce_sum(ad.tanh(out)))
+        backward(ad.reduce_sum(tanh(out)))
     assert np.array_equal(out.values[~mask], np.zeros((4, 8)))
     assert np.all(out.values[mask, :4] != 0) and np.all(out.values[mask, 4:] != 0)
     assert np.array_equal(x.grad[~mask], np.zeros((4, 3)))  # masked inputs are never read
@@ -561,7 +561,7 @@ def test_saturated_preactivations_give_finite_gates_and_gradients(sign):
     x = ad.parameter(rng.normal(size=(5, 3)))
     with np.errstate(all="raise"), Tape():
         out = bilstm_forward(x, fwd, bwd, np.ones(5, dtype=bool)).values
-        backward(ad.reduce_sum(ad.tanh(out)))
+        backward(ad.reduce_sum(tanh(out)))
     # i = f = o = 1 and a candidate of 1 make c count the steps; all gates 0 give h = 0
     expected = np.tanh(np.arange(1.0, 6.0)) if sign > 0 else np.zeros(5)
     assert np.array_equal(out.values[:, :4], np.repeat(expected[:, None], 4, axis=1))
@@ -609,7 +609,7 @@ def lookup_and_plain_gradients(ids, mask, d, H, seed):
             embedded = embed_sequence(ids, tables)
             x = ad.parameter(embedded.values.copy()) if plain else embedded
             out = bilstm_forward(x, fwd, bwd, mask).values
-            backward(ad.reduce_sum(ad.tanh(ad.matmul(out, readout))))
+            backward(ad.reduce_sum(tanh(ad.matmul(out, readout))))
         if plain:
             d_x = x.grad.reshape(-1, 2 * d)
             columns = np.broadcast_to(np.arange(ids.shape[-1]), ids.shape).ravel()
@@ -646,7 +646,7 @@ def test_lookup_gradient_check_through_both_tables():
 
     def f():
         out = bilstm_forward(embed_sequence(ids, tables), fwd, bwd, mask).values
-        return ad.reduce_sum(ad.tanh(ad.matmul(out, readout)))
+        return ad.reduce_sum(tanh(ad.matmul(out, readout)))
 
     assert grad_check(f, [tables.word, tables.position] + fwd.tensors() + bwd.tensors()) < 1e-6
 

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from aspectsent import autodiff as ad
 from aspectsent import model, training
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
-from aspectsent.data import DatasetSplit, ProcessedExample, batch_iter, collate
-from aspectsent.embeddings import PAD_ID
+from aspectsent.attention import attention_weights
+from aspectsent.data import DOMAIN_ASPECTS, DatasetSplit, ProcessedExample, batch_iter, collate
+from aspectsent.embeddings import PAD_ID, embed_sequence
 from aspectsent.model import L2_EXEMPT, ModelConfig, combined_loss, forward, init_params
+from aspectsent.recurrent import bilstm_forward
 from aspectsent.training import (
     AdamState,
     TrainConfig,
@@ -441,22 +443,39 @@ def test_train_runs_one_step_per_batch(monkeypatch):
     assert sizes == [8, 2, 8, 2]
 
 
-def test_paper_width_training_step_records_83_tape_ops(monkeypatch):
-    """Embedding 300, cell 64, K=4, every aspect rated: 66 forward ops, 16 for
-    the loss and the batch's mul by 1/B; the L2 term records none."""
-    config = ModelConfig(aspect_names=["a", "b", "c", "d"])
+def test_training_step_records_only_the_model_ops(monkeypatch):
+    """One batch step, the four restaurant aspects each rated by some row and
+    every loss term on, records 6 + 11K ops in the forward and 13K + 15 in
+    the step (50 and 67 at K=4): each from one of the 6 engine ops, each of
+    which the model calls, or from one of the model's own ops; the L2 term
+    records none."""
+    aspects = list(DOMAIN_ASPECTS["restaurant"])
+    config = ModelConfig(aspect_names=aspects, embedding_width=6, cell_width=5, max_length=16)
     rng = np.random.default_rng(8)
     examples = [
         ProcessedExample(rng.integers(2, 20, size=n), np.ones(n, dtype=bool), n % 2,
                          np.array(labels), ["t"] * n)
         for n, labels in ((7, [1, 0, -1, 1]), (5, [0, -1, 1, 0]), (9, [-1, 1, 0, 1]))
     ]
-    sizes = []
+    forward_ops, ops = [], []
+
+    def counted_forward(*args):
+        out = forward(*args)
+        forward_ops.append(len(ad.active_tape()))
+        return out
+
+    monkeypatch.setattr(training, "forward", counted_forward)
     monkeypatch.setattr(training, "backward",
-                        lambda root: sizes.append(len(root.tape)) or backward(root))
+                        lambda root: ops.extend(root.tape.ops) or backward(root))
     params = init_params(config, vocab_size=20, seed=0)
     step(params, AdamState(), collate(examples), config, TrainConfig())
-    assert sizes == [83]
+    K = len(aspects)
+    assert K == 4 and forward_ops == [6 + 11 * K] and len(ops) == 13 * K + 15
+    engine = [ad.add, ad.mul, ad.matmul, ad.reduce_sum, ad.concat, ad.scale_rows]
+    own = [embed_sequence, bilstm_forward, attention_weights, model.cross_entropy,
+           model.orthogonal_penalty]
+    recorded = {(op.grad_fn.__module__, op.grad_fn.__qualname__.split(".")[0]) for op in ops}
+    assert recorded == {(f.__module__, f.__name__) for f in engine + own}
 
 
 @pytest.mark.parametrize("poison", ["l2_overflow", "nan_head"])
