@@ -6,12 +6,12 @@ manager, on one module-level stack of tapes for the process's one thread;
 outside any tape, operations run forward-only, which is what evaluation
 code uses.
 
-Each of the 6 operations is one numpy primitive: elementwise ``add`` (+)
+Each of the 5 operations is one numpy primitive: elementwise ``add`` (+)
 and ``mul``, where a constant enters as a 0-d ``Tensor``; ``matmul`` (@:
-matrix @ matrix, matrix @ vector or vector @ matrix); ``reduce_sum``;
-``concat`` and ``scale_rows`` (``m * w[..., None]``). Composites are built
-from these: a weighted sum of rows is ``matmul(w, rows)``, and so is a
-mean, with weights ``1/n``.
+matrix @ matrix, matrix @ vector or vector @ matrix); ``reduce_sum``; and
+``scale_rows`` (``m * w[..., None]``). Composites are built from these: a
+weighted sum of rows is ``matmul(w, rows)``, and so is a mean, with weights
+``1/n``.
 
 A training batch runs each operation once over a leading batch axis B; a
 single sequence is the same call without it. ``add`` and ``mul`` broadcast
@@ -23,9 +23,9 @@ hand, is defined where it is used and recorded through the public
 ``record``: ``embeddings.embed_sequence`` reads both tables as one
 operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
 whole batch as one operation, ``attention.attention_weights`` turns an
-attention stage's scores into its weights as one operation, and
-``model.cross_entropy`` (a head's logits through softmax and log-loss) and
-``model.orthogonal_penalty`` are one operation each. The L2 term is no
+attention stage's scores into its weights, ``model.heads`` gives every
+classifier head's logits, and ``model.combined_loss`` records the weighted
+objective, its cross-entropies and orthogonality penalties. The L2 term is no
 operation: ``training.adam_step`` adds its closed-form gradient to each
 parameter's in its scope.
 
@@ -349,7 +349,7 @@ def matmul(a: Tensor, b: Tensor, per_row: bool = False) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions, reshaping, indexing
+# reductions and row scaling
 
 
 def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -364,20 +364,6 @@ def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return record((a,), np.sum(a.values, axis=axis), grad_fn)
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Join tensors along an axis; numpy checks ranks and side dimensions."""
-    try:
-        out = np.concatenate([p.values for p in parts], axis=axis)
-    except ValueError as exc:
-        raise ShapeError(f"concat: {exc}") from None
-    bounds = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
-
-    def grad_fn(g):
-        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
-
-    return record(tuple(parts), out, grad_fn)
 
 
 def scale_rows(m: Tensor, w: Tensor) -> Tensor:

@@ -32,10 +32,11 @@ class HeatmapReport:
 def build_report(
     tokens: Sequence[str], output: ForwardOutput, aspect_names, mode: str = "magnitude"
 ) -> HeatmapReport:
-    """Collect one example's attention weights, ranking and predictions (each
-    head's argmax logit) for display. ``mode`` must name the one ranking, "magnitude"."""
+    """Collect one example's attention weights, ranking and predictions (an
+    argmax over its logits) for display. ``mode`` must name the one ranking, "magnitude"."""
     if mode != "magnitude":
         raise ValueError(f"unknown ranking mode {mode!r}")
+    predicted = np.argmax(output.logits.values, axis=-1).tolist()  # overall last
     rows = []
     for trace in output.traces:
         row = trace.self_weights.values.copy()
@@ -47,8 +48,8 @@ def build_report(
         aspect_names=list(aspect_names),
         intensities=np.stack(rows),
         ranking=aspect_rank(output.traces),
-        aspect_predictions=[int(np.argmax(z.values)) for z in output.aspect_logits],
-        overall_prediction=int(np.argmax(output.overall_logits.values)),
+        aspect_predictions=predicted[:-1],
+        overall_prediction=predicted[-1],
     )
 
 

@@ -2,17 +2,16 @@
 heads, the combined training objective, and the aspect-ranking explanation.
 
 One linear head per aspect maps its attention context to two logits; the
-overall head maps all contexts, concatenated in aspect order; the softmax
-lives in ``cross_entropy``. The objective adds, to the overall cross-entropy:
+overall head maps all contexts, concatenated in aspect order; ``heads`` is
+all of them as one tape op. The objective adds, to the overall cross-entropy:
 the weighted sum of rated-aspect cross-entropies, weighted orthogonality
 penalties on both attention-weight matrices, and a weighted L2 term over
 every trainable parameter but the two embedding tables (``L2_EXEMPT``).
-Each cross-entropy and each penalty records itself as one tape op with a
-hand-written backward pass, so ``combined_loss`` adds only their weighting
-and summing to the tape. The L2 term is not on the tape:
-``training.adam_step`` adds its gradient to each parameter's in its scope,
-and ``combined_loss`` adds its value, from ``l2_penalty``, to the
-objective's value it reports. That value is the only one training logs.
+``combined_loss`` records the first three as one tape op, from the numpy
+helpers ``cross_entropy`` (which owns the softmax) and ``orthogonal_penalty``.
+The L2 term is not on the tape: ``training.adam_step`` adds its gradient to
+each parameter's in its scope, and ``combined_loss`` adds its value, from
+``l2_penalty``, to the objective's value it reports, the one training logs.
 
 ``forward`` and ``combined_loss`` take one example, or a batch record made
 by ``data.collate``; a batch runs every layer once, with a leading batch
@@ -224,15 +223,38 @@ def init_params(config: ModelConfig, vocab_size: int, seed: int) -> ModelParams:
 
 @dataclass
 class ForwardOutput:
-    """Each head's logits, whose argmax is its prediction, and each aspect's attention."""
+    """Every head's logits, whose argmax is its prediction, and each aspect's attention."""
 
-    aspect_logits: list  # K tensors of shape (2,), or (B, 2) for a batch
-    overall_logits: Tensor  # (2,), or (B, 2)
+    logits: Tensor  # (K + 1, 2), or (B, K + 1, 2): row k aspect k's head, the last overall
     traces: list  # K AttentionTrace
 
 
-def _head_logits(head: HeadParams, vec: Tensor) -> Tensor:
-    return ad.add(ad.matmul(vec, head.weight), head.bias)
+def heads(contexts: Sequence[Tensor], params: ModelParams) -> Tensor:
+    """Every head's logits as one tape op: row k is ``c_k @ W_k + b_k`` for aspect
+    k's context, and the last row the overall head's, over the contexts
+    concatenated in aspect order. A head whose gradient block is all zero, one
+    no loss term reads, passes nothing: its weight and bias get no gradient.
+    """
+    cs = [c.values for c in contexts]
+    pairs = list(zip(cs, params.aspect_heads)) + [(np.concatenate(cs, axis=-1), params.overall_head)]
+    out = np.stack([c @ head.weight.values + head.bias.values for c, head in pairs], axis=-2)
+    bounds = np.cumsum([c.shape[-1] for c in cs])[:-1]
+
+    def grad_fn(g):
+        into_contexts, into_heads = [None] * len(cs), []
+        for k, (c, head) in enumerate(pairs):
+            gk = np.ascontiguousarray(g[..., k, :])
+            if not gk.any():
+                into_heads += [None, None]
+                continue
+            into_heads += [np.outer(c, gk) if c.ndim == 1 else c.T @ gk,
+                           gk if gk.ndim == 1 else np.sum(gk, axis=0)]
+            back = gk @ head.weight.values.T  # the overall head's splits, a piece per context
+            for i, piece in [(k, back)] if k < len(cs) else enumerate(np.split(back, bounds, -1)):
+                into_contexts[i] = piece if into_contexts[i] is None else into_contexts[i] + piece
+        return (*into_contexts, *into_heads)
+
+    return ad.record((*contexts, *(t for _, h in pairs for t in h.tensors())), out, grad_fn)
 
 
 def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
@@ -254,73 +276,68 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
     hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
 
     traces = []
-    aspect_logits = []
     for k in range(config.aspect_count):
         attn = params.attention[k]
         sa = self_attention(hidden.values, attn, mask)
         if config.disable_position_attention:
-            context = ad.reduce_sum(sa.weighted, axis=-2)
-            trace = AttentionTrace(sa.weights, None, context)
+            traces.append(AttentionTrace(sa.weights, None, ad.reduce_sum(sa.weighted, axis=-2)))
         else:
-            pa = position_aware_attention(
-                sa.weighted, hidden.values, mean_embedding, attn, mask
-            )
-            trace = AttentionTrace(sa.weights, pa.weights, pa.context)
-        traces.append(trace)
-        aspect_logits.append(_head_logits(params.aspect_heads[k], trace.context))
-
-    contexts = ad.concat([t.context for t in traces], axis=-1)
-    return ForwardOutput(aspect_logits, _head_logits(params.overall_head, contexts), traces)
+            pa = position_aware_attention(sa.weighted, hidden.values, mean_embedding, attn, mask)
+            traces.append(AttentionTrace(sa.weights, pa.weights, pa.context))
+    return ForwardOutput(heads([t.context for t in traces], params), traces)
 
 
-def cross_entropy(logits: Tensor, target) -> Tensor:
-    """Softmax cross-entropy, summed over the chosen rows, as one tape op.
+def cross_entropy(logits: np.ndarray, target):
+    """Softmax cross-entropy, summed over the chosen rows, and its gradient.
 
     ``logits`` is a pair (2,) with an int target, or (B, 2) with (B,)
     targets, where -1 leaves a row out; index 1 is the positive class. A
     chosen row z with target t adds logsumexp(z) - z[t], and its gradient is
     softmax(z) - onehot(t): finite at any margin, so a confident wrong
     prediction costs its margin and still passes a gradient of about 1.
+    Returns the value and a function from the value's gradient g to the
+    logits' gradient.
     """
-    z, target = logits.values, np.asarray(target)
+    z, target = np.asarray(logits), np.asarray(target)
     chosen = target >= 0
     onehot = np.arange(CLASS_COUNT) == target[..., None]  # no entry for target -1
     with np.errstate(invalid="ignore"):  # a NaN logit: a NaN loss, which training.step reports
         lse = np.logaddexp(z[..., 0], z[..., 1])
 
-    def grad_fn(g):
+    def grad(g):
         dz = np.exp(z - lse[..., None]) - onehot
-        return (np.where(chosen[..., None], g * dz, 0.0),)
+        return np.where(chosen[..., None], g * dz, 0.0)
 
-    return ad.record((logits,), np.sum(lse[chosen] - z[onehot]), grad_fn)
+    return np.sum(lse[chosen] - z[onehot]), grad
 
 
-def orthogonal_penalty(weights: Sequence[Tensor]) -> Tensor:
-    """Frobenius distance of the row-normalized Gram matrix from identity, as one tape op.
+def orthogonal_penalty(weights: Sequence[np.ndarray]):
+    """Frobenius distance of the row-normalized Gram matrix from identity, and its gradient.
 
     The K weight vectors, (T,) each, are the rows of a K x T matrix; K (B, T)
     ones give a batch of B matrices and the sum of their penalties. Rows are
     scaled to unit length, so the penalty measures only their directions; it
     is zero exactly when they are mutually orthogonal. Every row must be
     nonzero: each attention row is a softmax, whose largest entry is at least
-    1/T. One row or none has nothing to be orthogonal to, and its penalty is
-    the constant 0.
+    1/T. One row or none has nothing to be orthogonal to: its penalty is the
+    constant 0, with no gradient (None). Returns the value and a function from
+    the value's gradient g to the K weight vectors' gradients.
     """
     try:
-        a = np.stack([w.values for w in weights], axis=-2)
+        a = np.stack(weights, axis=-2)
     except ValueError as exc:
         raise ad.ShapeError(f"orthogonal_penalty: {exc}") from None
     if a.ndim not in (2, 3):
         raise ad.ShapeError(f"orthogonal_penalty: expected (T,) or (B, T) rows, got {a.shape}")
     if a.shape[-2] <= 1:
-        return Tensor(0.0)
+        return 0.0, lambda g: (None,) * len(weights)
     norms = np.sqrt(np.sum(a * a, axis=-1))
     n = a * (1.0 / norms)[..., None]
     # a contiguous transpose: numpy computes n @ n.T by another BLAS routine, to other bits
     d = n @ np.swapaxes(n, -1, -2).copy() - np.eye(a.shape[-2])
     p = np.sqrt(np.sum(d * d, axis=(-2, -1)))
 
-    def grad_fn(g):
+    def grad(g):
         # d(p)/d(d) = d / p, and d is symmetric, so the Gram product passes
         # 2 (d / p) n to n; then back through n = a / |a| row by row; a zero
         # penalty passes nothing
@@ -329,7 +346,7 @@ def orthogonal_penalty(weights: Sequence[Tensor]) -> Tensor:
         da = (dn - n * np.sum(dn * n, axis=-1)[..., None]) / norms[..., None]
         return tuple(np.moveaxis(da, -2, 0))  # row k to weight vector k
 
-    return ad.record(tuple(weights), np.sum(p), grad_fn)
+    return np.sum(p), grad
 
 
 @dataclass
@@ -363,49 +380,50 @@ def l2_penalty(params: ModelParams) -> float:
 def combined_loss(
     output: ForwardOutput, example, params: ModelParams, config: ModelConfig
 ) -> tuple[Tensor, LossBreakdown]:
-    """The objective for one example, or its mean over a batch record, as the
-    tape's root and the value of every term.
+    """The objective for one example, or its mean over a batch record, as one
+    tape op over the logits and each included penalty's weight vectors; and
+    the value of every term.
 
-    Every rated aspect contributes cross-entropy; unrated ones do not, but
-    their traces still feed the orthogonality terms. Each term is one tape
-    op, summed over a batch's rows, each weight one ``mul`` and each sum one
-    ``add``, and a batch adds one ``mul`` by 1/B. The L2 term is off the tape
-    (the optimizer applies its gradient); its value joins ``total``.
+    Every rated aspect contributes cross-entropy; unrated ones do not, and
+    their heads get no gradient, but their traces still feed the penalties.
+    The value is the overall cross-entropy, plus the rated aspects' sum times
+    its weight, plus each penalty times its weight, times 1/B (1 for one
+    example); a term's gradient is g·(1/B)·weight. The L2 term is off the
+    tape (the optimizer applies its gradient); its value joins ``total``.
     """
     targets = example.aspect_labels  # (K,) or (B, K) ints, -1 where unrated
     rows = len(targets) if targets.ndim == 2 else 1
-    total = cross_entropy(output.overall_logits, example.overall_label)
-    overall_value = total.item() / rows
+    z, overall = output.logits.values, config.aspect_count  # the overall head's row
+    overall_ce, overall_grad = cross_entropy(z[..., overall, :], example.overall_label)
+    total = overall_ce
+    terms = [(k, *cross_entropy(z[..., k, :], targets[..., k])) for k in range(config.aspect_count)
+             if config.aspect_loss_weight > 0 and np.any(targets[..., k] >= 0)]
+    if terms:  # summed in aspect order
+        total = total + sum(term for _, term, _ in terms) * config.aspect_loss_weight
+    pos_weight = 0.0 if config.disable_position_attention else config.pos_orth_weight
+    penalties = {}  # stage: its weight vectors, weight, value and gradient
+    for stage, weight in (("self_weights", config.self_orth_weight), ("pos_weights", pos_weight)):
+        if weight > 0:
+            vectors = [getattr(t, stage) for t in output.traces]
+            penalties[stage] = (vectors, weight, *orthogonal_penalty([w.values for w in vectors]))
+            total = total + penalties[stage][2] * weight
 
-    rated = [k for k in range(config.aspect_count) if np.any(targets[..., k] >= 0)]
-    aspect_terms = []
-    if rated and config.aspect_loss_weight > 0:
-        aspect_sum = None
-        for k in rated:
-            term = cross_entropy(output.aspect_logits[k], targets[..., k])
-            aspect_terms.append((k, term.item() / rows))
-            aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
-        total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))
+    def grad_fn(g):
+        g = g * (1.0 / rows)
+        dz = np.zeros(z.shape)
+        dz[..., overall, :] = overall_grad(g)
+        for k, _, grad in terms:
+            dz[..., k, :] = grad(g * config.aspect_loss_weight)
+        return [dz] + [d for _, weight, _, grad in penalties.values() for d in grad(g * weight)]
 
-    self_orth_value = None
-    if config.self_orth_weight > 0:
-        self_orth = orthogonal_penalty([t.self_weights for t in output.traces])
-        self_orth_value = self_orth.item() / rows
-        total = ad.add(total, ad.mul(self_orth, Tensor(config.self_orth_weight)))
-
-    pos_orth_value = None
-    if not config.disable_position_attention and config.pos_orth_weight > 0:
-        pos_orth = orthogonal_penalty([t.pos_weights for t in output.traces])
-        pos_orth_value = pos_orth.item() / rows
-        total = ad.add(total, ad.mul(pos_orth, Tensor(config.pos_orth_weight)))
-
-    if targets.ndim == 2:
-        total = ad.mul(total, Tensor(1.0 / rows))
-
+    vectors = [w for stage in penalties.values() for w in stage[0]]
+    loss = ad.record((output.logits, *vectors), total * (1.0 / rows), grad_fn)
     l2 = l2_penalty(params) if config.l2_weight > 0 else None
-    value = total.item() if l2 is None else total.item() + config.l2_weight * l2
-    values = (overall_value, aspect_terms, self_orth_value, pos_orth_value, l2)
-    return total, LossBreakdown(*values, total=value)
+    value = loss.item() if l2 is None else loss.item() + config.l2_weight * l2
+    orth = [float(penalties[s][2]) / rows if s in penalties else None
+            for s in ("self_weights", "pos_weights")]
+    aspect_terms = [(k, float(term) / rows) for k, term, _ in terms]
+    return loss, LossBreakdown(float(overall_ce) / rows, aspect_terms, *orth, l2, total=value)
 
 
 def aspect_rank(traces: Sequence[AttentionTrace]):

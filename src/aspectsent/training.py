@@ -180,26 +180,21 @@ EVAL_CHUNK = 32  # examples per forward pass of evaluate
 
 def evaluate(params: ModelParams, config: ModelConfig, examples) -> EvaluationReport:
     """Metrics of the predictions, made without a tape, a collated chunk of
-    ``EVAL_CHUNK`` examples per forward pass; no examples give zero support."""
-    overall_true, overall_pred = [], []
-    aspect_true = [[] for _ in range(config.aspect_count)]
-    aspect_pred = [[] for _ in range(config.aspect_count)]
+    ``EVAL_CHUNK`` examples per forward pass: one argmax over the logits gives
+    each head's, scored where its label column (the overall head's last) rates
+    the example. No examples give zero support."""
+    truth = [[] for _ in range(config.aspect_count + 1)]
+    predictions = [[] for _ in truth]
     for start in range(0, len(examples), EVAL_CHUNK):
         record = collate(examples[start : start + EVAL_CHUNK])
-        out = forward(record, params, config)
-        overall_true.extend(record.overall_label.tolist())
-        overall_pred.extend(np.argmax(out.overall_logits.values, axis=-1).tolist())
-        for k, logits in enumerate(out.aspect_logits):
-            rated = record.aspect_labels[:, k] >= 0
-            aspect_true[k].extend(record.aspect_labels[rated, k].tolist())
-            aspect_pred[k].extend(np.argmax(logits.values[rated], axis=-1).tolist())
-    return EvaluationReport(
-        overall=compute_metrics(overall_true, overall_pred),
-        aspects=[
-            compute_metrics(aspect_true[k], aspect_pred[k])
-            for k in range(config.aspect_count)
-        ],
-    )
+        predicted = np.argmax(forward(record, params, config).logits.values, axis=-1)
+        labels = np.column_stack([record.aspect_labels, record.overall_label])
+        for k, (true, pred) in enumerate(zip(truth, predictions)):
+            rated = labels[:, k] >= 0
+            true.extend(labels[rated, k].tolist())
+            pred.extend(predicted[rated, k].tolist())
+    metrics = [compute_metrics(true, pred) for true, pred in zip(truth, predictions)]
+    return EvaluationReport(overall=metrics[-1], aspects=metrics[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Central-difference gradient checking, the oracle for every op's backward,
-and the tanh op that the checks put over an op's output as a non-linear root."""
+"""Central-difference gradient checking, the oracle for every op's backward;
+the tanh op that the checks put over an op's output as a non-linear root;
+and the concat op that the composed reference models join their parts with."""
 
 from typing import Callable, Sequence
 
@@ -58,3 +59,15 @@ def tanh(a: Tensor) -> Tensor:
     """Elementwise tanh as a recorded op, with the backward ``g * (1 - y²)``."""
     y = np.tanh(a.values)
     return record((a,), y, lambda g: (g * (1.0 - y * y),))
+
+
+def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
+    """Join tensors along an axis as a recorded op; each part's gradient is a
+    contiguous copy of its slice."""
+    out = np.concatenate([p.values for p in parts], axis=axis)
+    bounds = np.cumsum([p.values.shape[axis] for p in parts])[:-1]
+
+    def grad_fn(g):
+        return tuple(np.ascontiguousarray(piece) for piece in np.split(g, bounds, axis=axis))
+
+    return record(tuple(parts), out, grad_fn)

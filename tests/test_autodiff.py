@@ -5,6 +5,7 @@ import pkgutil
 import re
 import weakref
 import zlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import aspectsent
 from aspectsent import autodiff as ad
 from aspectsent import embeddings, model, recurrent
-from aspectsent.attention import attention_weights
+from aspectsent.attention import AttentionTrace, attention_weights
 from aspectsent.autodiff import (
     EmptyAttentionError,
     GraphError,
@@ -24,7 +25,7 @@ from aspectsent.autodiff import (
     backward,
 )
 from tests import gradcheck
-from tests.gradcheck import grad_check, tanh
+from tests.gradcheck import concat, grad_check, tanh
 
 
 def test_matmul_identity():
@@ -148,30 +149,6 @@ def test_reduce_axis_out_of_range():
         ad.reduce_sum(Tensor([[1.0]]), axis=2)
 
 
-def test_concat_values_and_backward():
-    a = ad.parameter([1.0, 2.0])
-    b = ad.parameter([3.0])
-    with Tape():
-        out = ad.concat([a, b])
-        np.testing.assert_array_equal(out.values, [1.0, 2.0, 3.0])
-        backward(ad.reduce_sum(out))
-    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
-    np.testing.assert_array_equal(b.grad, [1.0])
-
-
-def test_concat_shape_law():
-    parts = [Tensor(np.zeros(4)) for _ in range(3)]
-    assert ad.concat(parts).values.shape == (12,)
-
-
-def test_concat_side_dimension_mismatch():
-    with pytest.raises(ShapeError):
-        ad.concat([Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4)))], axis=0)
-    for parts in ([], [Tensor(1.0), Tensor(2.0)], [Tensor(np.zeros(2)), Tensor(np.zeros((1, 2)))]):
-        with pytest.raises(ShapeError):
-            ad.concat(parts)
-
-
 def test_backward_square():
     x = ad.parameter(3.0)
     with Tape():
@@ -268,8 +245,7 @@ GRAD_CHECK_CASES = [
     "embed_sequence", "embed_sequence-batch",
     "attention_weights", "attention_weights-batch",
     "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
-    "cross_entropy-target-0", "cross_entropy-target-1", "cross_entropy-batch",
-    "orthogonal_penalty", "orthogonal_penalty-batch",
+    "heads", "heads-batch", "combined_loss", "combined_loss-batch",
 ]
 
 
@@ -314,26 +290,37 @@ def test_grad_check_every_operation(name):
     elif name == "mul-constant":
         a = vec()
         inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.mul(a, Tensor(-1.7))))
-    elif name == "cross_entropy-batch":  # row 1 selects no class
-        logits, targets = ad.parameter(rng.normal(size=(4, 2))), np.array([1, -1, 0, 1])
-        inputs, f = [logits], lambda: model.cross_entropy(logits, targets)
-    elif name == "cross_entropy-target-1":  # a wrong prediction by a logit margin of 40
-        logits = ad.parameter([40.0, 0.0] + rng.normal(scale=0.1, size=2))
-        inputs, f = [logits], lambda: model.cross_entropy(logits, 1)
-    elif name == "cross_entropy-target-0":
-        logits = vec(2)
-        inputs, f = [logits], lambda: model.cross_entropy(logits, 0)
-    elif name.startswith("orthogonal_penalty"):  # K=3 weight vectors, (5,) or (2, 5) each
-        rows = [ad.parameter(rng.normal(size=(2, 5) if name.endswith("batch") else 5))
-                for _ in range(3)]
-        inputs, f = rows, lambda: model.orthogonal_penalty(rows)
+    elif name.startswith("heads"):  # K=2 contexts of width 3; the batch's readout drops head 1
+        lead = (2,) if name.endswith("batch") else ()
+        contexts = [ad.parameter(rng.normal(size=lead + (3,))) for _ in range(2)]
+        heads = [model.HeadParams(mat(3, 2), vec(2)) for _ in range(2)]
+        params = SimpleNamespace(aspect_heads=heads, overall_head=model.HeadParams(mat(6, 2), vec(2)))
+        readout = rng.normal(size=lead + (3, 2))
+        if lead:
+            readout[..., 1, :] = 0.0
+        inputs = contexts + [t for head in heads + [params.overall_head] for t in head.tensors()]
+        f = lambda: ad.reduce_sum(tanh(ad.mul(model.heads(contexts, params), Tensor(readout))))
+    elif name.startswith("combined_loss"):  # K=2 over 5 positions; the batch rates no aspect 1
+        lead = (3,) if name.endswith("batch") else ()
+        logits = ad.parameter(rng.normal(size=lead + (3, 2)))
+        traces = [AttentionTrace(*(ad.parameter(rng.uniform(0.1, 1.0, size=lead + (5,)))
+                                   for _ in range(2)), None) for _ in range(2)]
+        if lead:
+            record = SimpleNamespace(overall_label=np.array([1, 0, 1]),
+                                     aspect_labels=np.array([[0, -1], [1, -1], [-1, -1]]))
+        else:
+            record = SimpleNamespace(overall_label=1, aspect_labels=np.array([1, 0]))
+        output = model.ForwardOutput(logits, traces)
+        config = model.ModelConfig(aspect_names=["a", "b"], l2_weight=0.0)
+        inputs = [logits] + [w for t in traces for w in (t.self_weights, t.pos_weights)]
+        f = lambda: model.combined_loss(output, record, None, config)[0]
     elif name == "matmul":
         a, b = mat(2, 3), mat(3, 2)
         inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.matmul(a, b)))
     elif name == "matmul-vector":
         a, v = mat(3, 4), vec(4)
         inputs, f = [a, v], lambda: ad.reduce_sum(tanh(ad.matmul(a, v)))
-    elif name == "matmul-vector-left":  # weights over rows, as the heads and attention use it
+    elif name == "matmul-vector-left":  # weights over rows, as the position stage uses it
         v, a = vec(3), mat(3, 4)
         inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
     elif name == "matmul-batch":  # every row's matrix times one shared matrix
@@ -350,7 +337,7 @@ def test_grad_check_every_operation(name):
         inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.reduce_sum(a, axis=1)))
     elif name == "concat":
         a, b = vec(3), vec(2)
-        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.concat([a, b])))
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(concat([a, b])))
     elif name == "scale_rows":
         m, w = mat(), vec(3)
         inputs, f = [m, w], lambda: ad.reduce_sum(tanh(ad.scale_rows(m, w)))

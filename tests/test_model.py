@@ -25,7 +25,7 @@ from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.heatmap import build_report
 from aspectsent.textfile import InputError
 from aspectsent.training import standard_ablation_grid
-from tests.gradcheck import grad_check
+from tests.gradcheck import concat, grad_check
 
 
 class FakeExample:
@@ -65,9 +65,9 @@ def test_forward_probability_pairs_normalized(toy_model):
     # exp(-loss) per target, form a pair that sums to one
     config, params = toy_model
     out = forward(example(), params, config)
-    for logits in out.aspect_logits + [out.overall_logits]:
-        assert logits.values.shape == (2,)
-        probs = [math.exp(-cross_entropy(logits, target).item()) for target in (0, 1)]
+    assert out.logits.values.shape == (3, 2)
+    for logits in out.logits.values:
+        probs = [math.exp(-cross_entropy(logits, target)[0]) for target in (0, 1)]
         assert min(probs) > 0
         assert abs(sum(probs) - 1.0) <= 1e-9
 
@@ -78,10 +78,10 @@ def test_forward_zeroed_heads_give_uniform_probs(toy_model):
         head.weight.values[:] = 0.0
         head.bias.values[:] = 0.0
     out = forward(example(), params, config)
-    for logits in out.aspect_logits + [out.overall_logits]:
-        assert np.array_equal(logits.values, [0.0, 0.0])
+    assert np.array_equal(out.logits.values, np.zeros((3, 2)))
+    for logits in out.logits.values:
         for target in (0, 1):
-            assert abs(cross_entropy(logits, target).item() - math.log(2)) < 1e-12
+            assert abs(cross_entropy(logits, target)[0] - math.log(2)) < 1e-12
 
 
 def numpy_lstm(xs, p):
@@ -143,29 +143,29 @@ def test_forward_composes_module_oracles(toy_model):
 
         head = params.aspect_heads[k]
         head_logits = s @ head.weight.values + head.bias.values
-        np.testing.assert_allclose(out.aspect_logits[k].values, head_logits, atol=1e-12)
+        np.testing.assert_allclose(out.logits.values[k], head_logits, atol=1e-12)
 
     s_o = np.concatenate(contexts)
     head_logits = s_o @ params.overall_head.weight.values + params.overall_head.bias.values
-    np.testing.assert_allclose(out.overall_logits.values, head_logits, atol=1e-12)
+    np.testing.assert_allclose(out.logits.values[-1], head_logits, atol=1e-12)
 
 
 def test_cross_entropy_uniform_is_ln2():
     for logits in ([0.0, 0.0], [3.5, 3.5], [-2.0, -2.0]):
         for target in (0, 1):
-            loss = cross_entropy(Tensor(logits), target)
-            assert abs(loss.item() - math.log(2)) < 1e-12
+            value, _ = cross_entropy(np.array(logits), target)
+            assert abs(value - math.log(2)) < 1e-12
 
 
 def test_cross_entropy_perfect_prediction_is_tiny():
-    assert cross_entropy(Tensor([-20.0, 20.0]), 1).item() < 1e-11
-    assert cross_entropy(Tensor([20.0, -20.0]), 0).item() < 1e-11
+    assert cross_entropy(np.array([-20.0, 20.0]), 1)[0] < 1e-11
+    assert cross_entropy(np.array([20.0, -20.0]), 0)[0] < 1e-11
 
 
 def test_cross_entropy_hand_value():
     # logits 0 and ln 9: softmax (0.1, 0.9)
-    loss = cross_entropy(Tensor([0.0, math.log(9.0)]), 1)
-    assert abs(loss.item() - (-math.log(0.9))) < 1e-12
+    value, _ = cross_entropy(np.array([0.0, math.log(9.0)]), 1)
+    assert abs(value - (-math.log(0.9))) < 1e-12
 
 
 def two_log_cross_entropy(logits, target):
@@ -197,22 +197,20 @@ def test_cross_entropy_matches_two_log_oracle(target, positive):
     margin = {0.0: -800.0, 1.0: 800.0}.get(positive)
     if margin is None:
         margin = math.log(positive) - math.log1p(-positive)
-    logits = ad.parameter([0.0, margin])
-    with Tape():
-        loss = cross_entropy(logits, target)
-        backward(loss)
-    expected_value, expected_grad, inside = two_log_cross_entropy(logits.values, target)
+    logits = np.array([0.0, margin])
+    value, grad = cross_entropy(logits, target)
+    expected_value, expected_grad, inside = two_log_cross_entropy(logits, target)
     if inside:
-        assert abs(loss.item() - expected_value) <= 1e-12 * max(1.0, expected_value)
-        assert np.max(np.abs(logits.grad - expected_grad)) <= 1e-12
+        assert abs(value - expected_value) <= 1e-12 * max(1.0, expected_value)
+        assert np.max(np.abs(grad(1.0) - expected_grad)) <= 1e-12
     else:
         assert not expected_grad.any()
         wrong_by = margin if target == 0 else -margin
-        assert abs(loss.item() - max(wrong_by, 0.0)) <= 1e-11
+        assert abs(value - max(wrong_by, 0.0)) <= 1e-11
         wrong = 1.0 if wrong_by > 0 else 0.0
         softmax_minus_onehot = np.full(2, wrong)
         softmax_minus_onehot[target] = -wrong
-        assert np.max(np.abs(logits.grad - softmax_minus_onehot)) <= 1e-11
+        assert np.max(np.abs(grad(1.0) - softmax_minus_onehot)) <= 1e-11
 
 
 @pytest.mark.parametrize("margin", [28.0, 40.0])
@@ -221,40 +219,31 @@ def test_cross_entropy_wrong_prediction_costs_its_margin(margin):
     clip: a loss of 27.631 and no gradient. Now its loss is the margin
     within 1e-12, and the logits' gradients are +1 and -1, in a pair or in
     a batch row; a row with target -1 adds nothing."""
-    pair = ad.parameter([margin, 0.0])
-    rows = ad.parameter([[0.0, margin], [0.3, -0.2], [0.0, margin]])
-    with Tape():
-        loss = cross_entropy(pair, 1)
-        batch = cross_entropy(rows, np.array([0, -1, 0]))
-        backward(ad.add(loss, batch))
-    assert abs(loss.item() - margin) <= 1e-12 * margin
-    assert abs(batch.item() - 2 * margin) <= 2e-12 * margin
-    np.testing.assert_allclose(pair.grad, [1.0, -1.0], rtol=0, atol=1e-12)
-    np.testing.assert_allclose(rows.grad, [[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]],
+    loss, pair_grad = cross_entropy(np.array([margin, 0.0]), 1)
+    rows = np.array([[0.0, margin], [0.3, -0.2], [0.0, margin]])
+    batch, rows_grad = cross_entropy(rows, np.array([0, -1, 0]))
+    assert abs(loss - margin) <= 1e-12 * margin
+    assert abs(batch - 2 * margin) <= 2e-12 * margin
+    np.testing.assert_allclose(pair_grad(1.0), [1.0, -1.0], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rows_grad(1.0), [[-1.0, 1.0], [0.0, 0.0], [-1.0, 1.0]],
                                rtol=0, atol=1e-12)
 
 
-def rows_of(matrix):
-    return [Tensor(row) for row in matrix]
-
-
 def test_orthogonal_penalty_orthonormal_rows_zero():
-    assert orthogonal_penalty(rows_of(np.eye(3))).item() == 0.0
-    # one row has no other row to be orthogonal to: the constant 0, on no tape
-    with Tape() as tape:
-        assert orthogonal_penalty([ad.parameter([0.6, 0.8])]).item() == 0.0
-    assert len(tape) == 0
+    assert orthogonal_penalty(np.eye(3))[0] == 0.0
+    # one row has no other row to be orthogonal to: the constant 0, with no gradient
+    value, grad = orthogonal_penalty([np.array([0.6, 0.8])])
+    assert value == 0.0 and grad(1.0) == (None,)
 
 
 def test_orthogonal_penalty_duplicate_unit_rows():
     row = np.array([0.6, 0.8])
-    penalty = orthogonal_penalty(rows_of([row, row]))
-    assert abs(penalty.item() - math.sqrt(2)) <= 1e-9
+    penalty, _ = orthogonal_penalty([row, row])
+    assert abs(penalty - math.sqrt(2)) <= 1e-9
 
 
 def test_orthogonal_penalty_rejects_rows_it_cannot_stack():
-    for rows in ([], rows_of([np.ones(3)]) + rows_of([np.ones(4)]), [Tensor(1.0)] * 2,
-                 [Tensor(np.ones((2, 2, 3)))] * 2):
+    for rows in ([], [np.ones(3), np.ones(4)], [np.array(1.0)] * 2, [np.ones((2, 2, 3))] * 2):
         with pytest.raises(ad.ShapeError, match="orthogonal_penalty"):
             orthogonal_penalty(rows)
 
@@ -266,7 +255,7 @@ def test_orthogonal_penalty_matches_brute_force():
         normalized = m / np.linalg.norm(m, axis=1, keepdims=True)
         gram = normalized @ normalized.T
         expected = np.linalg.norm(gram - np.eye(3))
-        assert abs(orthogonal_penalty(rows_of(m)).item() - expected) < 1e-10
+        assert abs(orthogonal_penalty(m)[0] - expected) < 1e-10
 
 
 def test_l2_penalty_matches_composed_chain():
@@ -343,34 +332,27 @@ def loss_op_kinds(tape, start):
 
 def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
-    # embedding, 11 per aspect (5 self-attention, 4 position, 2 head) and 3
-    # for the overall head, for one example and for a batch record alike.
-    # The loss adds 16 when every aspect is rated: 5 cross-entropies, the
-    # aspect sum's 3 adds, a penalty per attention stage, and for each of the
-    # 3 weighted terms a mul by its weight and an add into the total. A batch
-    # adds one mul by 1/B, and an aspect no row rates drops its cross-entropy
-    # and add. The L2 term records nothing.
+    # embedding, 9 per aspect (5 self-attention, 4 position) and the heads,
+    # for one example and for a batch record alike: 4 + 9K. The loss adds
+    # its one op whichever aspects are rated; the L2 term records nothing.
     config = ModelConfig(aspect_names=["a", "b", "c", "d"])
     params = init_params(config, vocab_size=20, seed=0)
     first = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=1, aspects=(1, 0, 1, 0))
     second = example(ids=range(5, 12), mask=[1] * 7, overall=0, aspects=(0, -1, 0, -1))
     third = example(ids=range(3, 8), mask=[1] * 5, overall=0, aspects=(0, -1, -1, -1))
-    every_term = ["orthogonal_penalty"] * 2 + ["mul"] * 3 + ["add"] * 3
     cases = [
-        (first, 5, []),
-        (example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=0, aspects=(0, 1, 0, 0)), 5, []),
-        (collate([first, second]), 5, ["mul"]),
-        (collate([second, third]), 3, ["mul"]),  # nobody rates aspects b and d
+        first,
+        example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=0, aspects=(0, 1, 0, 0)),
+        collate([first, second]),
+        collate([second, third]),  # nobody rates aspects b and d
     ]
-    for record, cross_entropies, per_batch in cases:
+    for record in cases:
         with Tape() as tape:
             output = forward(record, params, config)
-            assert len(tape) == 50
+            assert len(tape) == 40
+            assert loss_op_kinds(tape, 39) == ["heads"]
             combined_loss(output, record, params, config)
-        assert loss_op_kinds(tape, 50) == sorted(
-            ["cross_entropy"] * cross_entropies + ["add"] * (cross_entropies - 2)
-            + every_term + per_batch
-        )
+        assert loss_op_kinds(tape, 40) == ["combined_loss"]
 
 
 BATCHES = {
@@ -409,10 +391,8 @@ def test_batch_forward_and_loss_match_each_example(name):
         for b, ex in enumerate(batch):
             out = forward(ex, params, config)
             n = len(ex.token_ids)
-            for got, want in [(batch_out.overall_logits, out.overall_logits)] + list(
-                zip(batch_out.aspect_logits, out.aspect_logits)
-            ):
-                np.testing.assert_allclose(got.values[b], want.values, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch_out.logits.values[b], out.logits.values,
+                                       rtol=0, atol=1e-12)
             for got, want in zip(batch_out.traces, out.traces):
                 for stage in ("self_weights", "pos_weights"):
                     row = getattr(got, stage).values[b]
@@ -458,6 +438,103 @@ def test_combined_loss_gradient_check():
     assert grad_check(f, params.tensors()) < 1e-4
 
 
+def recorded_cross_entropy(logits, target):
+    """``cross_entropy`` as a tape op of its own, on one head's logits."""
+    value, grad = cross_entropy(logits.values, target)
+    return ad.record((logits,), value, lambda g: (grad(g),))
+
+
+def recorded_orthogonal_penalty(weights):
+    """``orthogonal_penalty`` as a tape op of its own."""
+    value, grad = orthogonal_penalty([w.values for w in weights])
+    return ad.record(tuple(weights), value, grad)
+
+
+def composed_objective(output, record, params, config):
+    """The heads and the loss composed from engine ops, the reference for
+    ``heads`` and ``combined_loss``: an ``add`` of a ``matmul`` per head, the
+    contexts joined by ``concat``, one op per cross-entropy and penalty, and a
+    ``mul`` and an ``add`` per weighted term, then a ``mul`` by 1/B for a batch.
+    Reads only ``output``'s traces."""
+    contexts = [t.context for t in output.traces]
+    pairs = list(zip(contexts, params.aspect_heads))
+    logits = [ad.add(ad.matmul(c, head.weight), head.bias) for c, head in pairs]
+    joined = concat(contexts, axis=-1)
+    overall = ad.add(ad.matmul(joined, params.overall_head.weight), params.overall_head.bias)
+    targets = record.aspect_labels
+    total = recorded_cross_entropy(overall, record.overall_label)
+    rated = [k for k in range(config.aspect_count) if np.any(targets[..., k] >= 0)]
+    if rated and config.aspect_loss_weight > 0:
+        aspect_sum = None
+        for k in rated:
+            term = recorded_cross_entropy(logits[k], targets[..., k])
+            aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
+        total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))
+    stages = [("self_weights", config.self_orth_weight)]
+    if not config.disable_position_attention:
+        stages.append(("pos_weights", config.pos_orth_weight))
+    for stage, weight in stages:
+        if weight > 0:
+            penalty = recorded_orthogonal_penalty([getattr(t, stage) for t in output.traces])
+            total = ad.add(total, ad.mul(penalty, Tensor(weight)))
+    if targets.ndim == 2:
+        total = ad.mul(total, Tensor(1.0 / len(targets)))
+    return total
+
+
+def grad_bits(tensor):
+    grad = tensor.grad
+    if isinstance(grad, ad.RowGrad):
+        return grad.rows.tobytes(), grad.sums.tobytes()
+    return None if grad is None else grad.tobytes()
+
+
+ORACLE_RECORDS = {
+    # tiny widths, K=2: a padded position; the batch, of 3 so that 1/B rounds,
+    # rates no aspect 1
+    "tiny-one": example(ids=(2, 3, 4, 0), mask=(1, 1, 1, 0), aspects=(1, -1)),
+    "tiny-batch": collate([example(ids=(2, 3, 4, 5), mask=[1] * 4, overall=0, aspects=(1, -1)),
+                           example(ids=(4, 5), mask=[1] * 2, aspects=(-1, -1)),
+                           example(ids=(5, 3, 2), mask=[1] * 3, aspects=(0, -1))]),
+    # paper widths, K=4: a masked hole; mixed lengths and unrated aspects
+    "paper-one": BATCHES["mixed"][2],
+    "paper-batch": collate(BATCHES["mixed"]),
+}
+ORACLE_CONFIGS = {
+    "defaults": {},
+    "no-aspect-loss": dict(aspect_loss_weight=0.0),
+    "no-position": dict(disable_position_attention=True),
+    "no-orthogonality": dict(self_orth_weight=0.0, pos_orth_weight=0.0),
+}
+
+
+@pytest.mark.parametrize("overrides", list(ORACLE_CONFIGS.values()), ids=list(ORACLE_CONFIGS))
+@pytest.mark.parametrize("name", list(ORACLE_RECORDS))
+def test_fused_heads_and_loss_match_the_composed_reference(name, overrides):
+    """``heads`` and ``combined_loss`` give the composed reference's loss and
+    every parameter's gradient to the bit; a head no loss term reads gets no
+    gradient in both."""
+    if name.startswith("tiny"):
+        config, vocab_size = toy_config(**overrides), 6
+    else:
+        config, vocab_size = ModelConfig(aspect_names=["a", "b", "c", "d"], **overrides), 20
+    params = init_params(config, vocab_size=vocab_size, seed=3)
+    record = ORACLE_RECORDS[name]
+    fused = lambda *args: combined_loss(*args)[0]
+    runs = []
+    for objective in (fused, composed_objective):
+        ad.zero_grads(params.tensors())
+        with Tape():
+            out = forward(record, params, config)
+            loss = objective(out, record, params, config)
+            backward(loss)
+        runs.append((loss.values.tobytes(), [grad_bits(t) for t in params.tensors()]))
+    (loss, grads), (want_loss, want_grads) = runs
+    assert loss == want_loss
+    for (label, _), got, want in zip(params.named_tensors(), grads, want_grads):
+        assert got == want, label
+
+
 def test_ablation_identity_recomposition(toy_model):
     config, params = toy_model
     ex = example()
@@ -495,16 +572,22 @@ def test_masked_padding_rows_change_nothing(toy_model):
     assert np.all(ad.dense_grad(params.tables.word)[PAD_ID] == 0.0)
 
 
-def test_aspect_head_gradients_are_label_decoupled(toy_model):
-    config, params = toy_model
-    ex = example(aspects=(1, 0))
-    with ad.Tape():
-        out = forward(ex, params, config)
-        loss = cross_entropy(out.aspect_logits[0], 1)
-        ad.backward(loss)
-    assert params.aspect_heads[1].weight.grad is None
-    assert params.aspect_heads[1].bias.grad is None
-    assert params.aspect_heads[0].weight.grad is not None
+def test_aspect_head_gradients_are_label_decoupled():
+    """An unrated aspect's head, or every aspect head when their weight is 0,
+    gets no gradient at all, not a zero one."""
+    for aspect_loss_weight in (0.5, 0.0):
+        config = toy_config(aspect_loss_weight=aspect_loss_weight)
+        params = init_params(config, vocab_size=6, seed=0)
+        ex = example(aspects=(1, -1))
+        with ad.Tape():
+            out = forward(ex, params, config)
+            loss, _ = combined_loss(out, ex, params, config)
+            ad.backward(loss)
+        assert params.aspect_heads[1].weight.grad is None
+        assert params.aspect_heads[1].bias.grad is None
+        rated = params.aspect_heads[0]
+        assert (rated.weight.grad is None) == (rated.bias.grad is None) == (aspect_loss_weight == 0)
+        assert params.overall_head.weight.grad is not None
 
 
 def make_trace(alpha, beta, context):
@@ -563,7 +646,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path, toy_model):
     ex = example()
     out1 = forward(ex, params, config)
     out2 = forward(ex, params2, config2)
-    np.testing.assert_array_equal(out1.overall_logits.values, out2.overall_logits.values)
+    np.testing.assert_array_equal(out1.logits.values, out2.logits.values)
 
 
 @pytest.mark.parametrize("position_stage", [True, False], ids=["position", "no-position"])

@@ -8,7 +8,7 @@ from aspectsent import model
 from aspectsent.autodiff import ShapeError, Tape, Tensor, backward
 from aspectsent.embeddings import PAD_ID, EmbeddingTables, embed_sequence, random_tables
 from aspectsent.recurrent import GATES, HiddenStates, LstmParams, bilstm_forward, init_lstm_params
-from tests.gradcheck import grad_check, tanh
+from tests.gradcheck import concat, grad_check, tanh
 
 
 def zero_params(input_width, cell_width):
@@ -264,7 +264,7 @@ def lstm_direction(inputs, params, steps):
 def direction_pair_bilstm(inputs, fwd, bwd, mask):
     """The encoder as two direction ops and one concat."""
     steps = np.flatnonzero(np.asarray(mask, dtype=bool))
-    return HiddenStates(ad.concat(
+    return HiddenStates(concat(
         [lstm_direction(inputs, fwd, steps), lstm_direction(inputs, bwd, steps[::-1])], axis=1
     ))
 
@@ -310,7 +310,7 @@ def composed_bilstm(inputs, fwd, bwd, mask):
     mask = np.asarray(mask, dtype=bool)
     rows_f = composed_direction(inputs, fwd, mask, range(len(mask)))
     rows_b = composed_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
-    return HiddenStates(ad.concat([stack_rows(rows_f), stack_rows(rows_b)], axis=1))
+    return HiddenStates(concat([stack_rows(rows_f), stack_rows(rows_b)], axis=1))
 
 
 def per_position_bilstm(inputs, fwd, bwd, mask):
@@ -318,7 +318,7 @@ def per_position_bilstm(inputs, fwd, bwd, mask):
     mask = np.asarray(mask, dtype=bool)
     rows_f = composed_direction(inputs, fwd, mask, range(len(mask)))
     rows_b = composed_direction(inputs, bwd, mask, range(len(mask) - 1, -1, -1))
-    return HiddenStates(stack_rows([ad.concat([f, b]) for f, b in zip(rows_f, rows_b)]))
+    return HiddenStates(stack_rows([concat([f, b]) for f, b in zip(rows_f, rows_b)]))
 
 
 def within(got, expected, rel):
@@ -456,7 +456,7 @@ def test_fused_direction_matches_per_gate_oracle():
         def per_gate():
             rows_f = per_gate_direction(x, fwd_gates, mask, range(len(mask)))
             rows_b = per_gate_direction(x, bwd_gates, mask, range(len(mask) - 1, -1, -1))
-            return ad.concat([stack_rows(rows_f), stack_rows(rows_b)], axis=1)
+            return concat([stack_rows(rows_f), stack_rows(rows_b)], axis=1)
 
         ad.zero_grads(fwd.tensors() + bwd.tensors())
         ad.zero_grads(list(fwd_gates.values()) + list(bwd_gates.values()))

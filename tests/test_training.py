@@ -445,9 +445,9 @@ def test_train_runs_one_step_per_batch(monkeypatch):
 
 def test_training_step_records_only_the_model_ops(monkeypatch):
     """One batch step, the four restaurant aspects each rated by some row and
-    every loss term on, records 6 + 11K ops in the forward and 13K + 15 in
-    the step (50 and 67 at K=4): each from one of the 6 engine ops, each of
-    which the model calls, or from one of the model's own ops; the L2 term
+    every loss term on, records 4 + 9K ops in the forward and 5 + 9K in the
+    step (40 and 41 at K=4): each from one of the 4 engine ops the model
+    calls (not ``add``), or from one of the model's own ops; the L2 term
     records none."""
     aspects = list(DOMAIN_ASPECTS["restaurant"])
     config = ModelConfig(aspect_names=aspects, embedding_width=6, cell_width=5, max_length=16)
@@ -470,10 +470,9 @@ def test_training_step_records_only_the_model_ops(monkeypatch):
     params = init_params(config, vocab_size=20, seed=0)
     step(params, AdamState(), collate(examples), config, TrainConfig())
     K = len(aspects)
-    assert K == 4 and forward_ops == [6 + 11 * K] and len(ops) == 13 * K + 15
-    engine = [ad.add, ad.mul, ad.matmul, ad.reduce_sum, ad.concat, ad.scale_rows]
-    own = [embed_sequence, bilstm_forward, attention_weights, model.cross_entropy,
-           model.orthogonal_penalty]
+    assert K == 4 and forward_ops == [4 + 9 * K] and len(ops) == 5 + 9 * K
+    engine = [ad.mul, ad.matmul, ad.reduce_sum, ad.scale_rows]
+    own = [embed_sequence, bilstm_forward, attention_weights, model.heads, model.combined_loss]
     recorded = {(op.grad_fn.__module__, op.grad_fn.__qualname__.split(".")[0]) for op in ops}
     assert recorded == {(f.__module__, f.__name__) for f in engine + own}
 
@@ -550,11 +549,11 @@ def test_evaluate_matches_each_example_alone():
     report = evaluate(params, config, examples)
     overall, aspects = [], [[] for _ in range(config.aspect_count)]
     for ex in examples:
-        out = forward(ex, params, config)
-        overall.append(int(np.argmax(out.overall_logits.values)))
-        for k, logits in enumerate(out.aspect_logits):
+        predicted = np.argmax(forward(ex, params, config).logits.values, axis=-1)
+        overall.append(int(predicted[-1]))
+        for k in range(config.aspect_count):
             if ex.aspect_labels[k] >= 0:
-                aspects[k].append(int(np.argmax(logits.values)))
+                aspects[k].append(int(predicted[k]))
     expected = compute_metrics([ex.overall_label for ex in examples], overall)
     assert np.array_equal(report.overall.confusion, expected.confusion)
     for k, metrics in enumerate(report.aspects):
