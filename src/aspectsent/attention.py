@@ -3,8 +3,9 @@
 Stage one scores each position against itself through a bilinear form and
 turns the scores into gate weights that rescale the hidden rows. Stage two
 couples the sequence's mean embedding with each hidden row to weight the
-rescaled rows into a single aspect context vector. Both stages end in one
-recorded op, ``attention_weights``: softmax(tanh(score + b)) over the
+rescaled rows into a single aspect context vector. Each stage records its
+weights, scores included, as one op with a hand-written backward, through
+the numpy helper ``attention_weights``: softmax(tanh(score + b)) over the
 unmasked positions. Each aspect owns an independent parameter set. Every
 function takes one sequence, (T, H) rows with a (T,) mask, or a padded
 batch of them, (B, T, H) with a (B, T) mask, and then returns every result
@@ -101,15 +102,27 @@ def self_attention(
     """Score every position against itself and rescale the hidden rows.
 
     The score for position t is h_t W h_t^T, a single scalar per position;
-    ``attention_weights`` turns the scores into weights that scale each
-    row, preserving the sequence so the next stage can reweight it. Summing
-    the output rows recovers the plain attention-pooled vector.
+    the weights, softmax(tanh(score + b)), are one recorded op over the
+    hidden rows and both parameters, and they scale each row, preserving the
+    sequence so the next stage can reweight it. Summing the output rows
+    recovers the plain attention-pooled vector.
     """
-    projected = ad.matmul(hidden, params.self_attn_w)  # (..., T, H)
-    raw = ad.reduce_sum(ad.mul(projected, hidden), axis=-1)  # (..., T)
-    weights = attention_weights(raw, params.self_attn_b, mask)
-    weighted = ad.scale_rows(hidden, weights)
-    return SelfAttentionResult(weights, weighted)
+    h, w = hidden.values, params.self_attn_w.values
+    rows = h.reshape(-1, h.shape[-1])
+    projected = (rows @ w).reshape(h.shape)  # (..., T, H): W over every row at once
+    out, weights_grad = attention_weights(np.sum(projected * h, axis=-1),
+                                          params.self_attn_b.values, mask)
+
+    def grad_fn(g):
+        gs, gb = weights_grad(g)
+        # the two terms of the rows' gradient reach their buffer one after the
+        # other, as two composed ops would add them: one sum of both rounds differently
+        hidden.accumulate_grad(gs[..., None] * projected)
+        gp_rows = (gs[..., None] * h).reshape(rows.shape)
+        return (gp_rows @ w.T).reshape(h.shape), rows.T @ gp_rows, gb
+
+    weights = ad.record((hidden, params.self_attn_w, params.self_attn_b), out, grad_fn)
+    return SelfAttentionResult(weights, ad.scale_rows(hidden, weights))
 
 
 def position_aware_attention(
@@ -123,28 +136,39 @@ def position_aware_attention(
 
     The score for position t is e W h_t^T where e is the mean of the
     unmasked embedding rows: the query e W is one vector-matrix product,
-    read from W in place. ``attention_weights`` turns the scores into a row
-    of weights, which times the stage-one rows is the aspect context vector.
+    read from W in place. The weights, softmax(tanh(score + b)), are one
+    recorded op over the hidden rows, e and both parameters; times the
+    stage-one rows they give the aspect context vector.
     """
-    query = ad.matmul(mean_embedding, params.pos_attn_w)  # (..., H)
-    scores = ad.matmul(hidden, query, per_row=hidden.values.ndim == 3)  # (..., T)
-    weights = attention_weights(scores, params.pos_attn_b, mask)
-    context = ad.matmul(weights, weighted)  # (..., H)
-    return PositionAttentionResult(weights, context)
+    h, e, w = hidden.values, mean_embedding.values, params.pos_attn_w.values
+    query = e @ w  # (..., H)
+    out, weights_grad = attention_weights(np.matmul(h, query[..., None])[..., 0],
+                                          params.pos_attn_b.values, mask)
+
+    def grad_fn(g):
+        gs, gb = weights_grad(g)
+        gq = np.matmul(gs[..., None, :], h)[..., 0, :]  # the query's gradient
+        return (gs[..., None] * query[..., None, :], gq @ w.T,
+                e.reshape(-1, w.shape[0]).T @ gq.reshape(-1, w.shape[1]), gb)
+
+    inputs = (hidden, mean_embedding, params.pos_attn_w, params.pos_attn_b)
+    weights = ad.record(inputs, out, grad_fn)
+    return PositionAttentionResult(weights, ad.matmul(weights, weighted))
 
 
-def attention_weights(scores: Tensor, bias: Tensor, mask) -> Tensor:
+def attention_weights(scores: np.ndarray, bias, mask):
     """softmax(tanh(scores + b)) over the unmasked entries of the last axis,
-    row by row, as one recorded op: masked positions get exactly zero, and
-    each row's unmasked weights are positive and sum to one. ``mask`` has the
-    scores' shape, and ``bias`` is a scalar. Each row's logits are shifted by
-    their unmasked maximum first, which leaves the result unchanged.
+    row by row: masked positions get exactly zero, and each row's unmasked
+    weights are positive and sum to one. ``mask`` has the scores' shape, and
+    ``bias`` is a scalar. Each row's logits are shifted by their unmasked
+    maximum first, which leaves the result unchanged. Returns the weights and
+    a function from their gradient to the scores' gradient and the bias's.
     """
     m = np.asarray(mask, dtype=bool)
-    x = scores.values
+    x = np.asarray(scores, dtype=np.float64)
     if x.ndim == 0 or m.shape != x.shape:
         raise ShapeError(f"attention_weights: scores {x.shape} vs mask {m.shape}")
-    y = np.tanh(x + bias.values)
+    y = np.tanh(x + bias)
     top = y.max(axis=-1, keepdims=True, where=m, initial=-np.inf)
     e = np.exp(y - top, out=np.zeros(x.shape), where=m)
     total = e.sum(axis=-1, keepdims=True)
@@ -157,4 +181,4 @@ def attention_weights(scores: Tensor, bias: Tensor, mask) -> Tensor:
         g = out * (g - np.matmul(g[..., None, :], out[..., :, None])[..., 0]) * (1.0 - y * y)
         return g, np.asarray(np.sum(g, axis=tuple(range(g.ndim))))
 
-    return ad.record((scores, bias), out, grad_fn)
+    return out, grad_fn

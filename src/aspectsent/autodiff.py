@@ -6,28 +6,27 @@ manager, on one module-level stack of tapes for the process's one thread;
 outside any tape, operations run forward-only, which is what evaluation
 code uses.
 
-Each of the 5 operations is one numpy primitive: elementwise ``add`` (+)
-and ``mul``, where a constant enters as a 0-d ``Tensor``; ``matmul`` (@:
-matrix @ matrix, matrix @ vector or vector @ matrix); ``reduce_sum``; and
-``scale_rows`` (``m * w[..., None]``). Composites are built from these: a
-weighted sum of rows is ``matmul(w, rows)``, and so is a mean, with weights
-``1/n``.
+Each of the 4 operations is one numpy primitive: elementwise ``add`` (+),
+where a constant enters as a 0-d ``Tensor``; ``matmul``, a row of weights
+over rows (a weighted sum, or a mean with weights ``1/n``); ``reduce_sum``;
+and ``scale_rows`` (``m * w[..., None]``).
 
 A training batch runs each operation once over a leading batch axis B; a
-single sequence is the same call without it. ``add`` and ``mul`` broadcast
-an operand whose shape ends the other's, ``matmul`` lists its batch forms,
-and the other operations work on the last axes.
+single sequence is the same call without it. ``add`` broadcasts an operand
+whose shape ends the other's, and the other operations work on the last
+axes.
 
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
 ``record``: ``embeddings.embed_sequence`` reads both tables as one
 operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
-whole batch as one operation, ``attention.attention_weights`` turns an
-attention stage's scores into its weights, ``model.heads`` gives every
-classifier head's logits, and ``model.combined_loss`` records the weighted
-objective, its cross-entropies and orthogonality penalties. The L2 term is no
-operation: ``training.adam_step`` adds its closed-form gradient to each
-parameter's in its scope.
+whole batch as one operation, ``attention.self_attention`` and
+``attention.position_aware_attention`` each record a stage's weights,
+scores included, ``model.heads`` gives every classifier head's logits, and
+``model.combined_loss`` records the weighted objective, its cross-entropies
+and orthogonality penalties. The L2 term is no operation:
+``training.adam_step`` adds its closed-form gradient to each parameter's in
+its scope.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
 use. ``backward`` leaves them on the leaves alone: an operation's output
@@ -203,6 +202,11 @@ def record(inputs: tuple, out_values, grad_fn: Callable) -> Tensor:
     input it has already updated itself, and each is added to that input's
     buffer. Outside any tape only the output is made. Every operation,
     here and in other modules, records through this function.
+
+    A ``grad_fn`` whose input takes two terms adds each to the buffer on its
+    own, one through ``Tensor.accumulate_grad`` and one returned, when they
+    stand for two composed ops: the buffer then rounds as the two ops would,
+    and a single sum of both terms would not.
     """
     out = out_values if isinstance(out_values, Tensor) else Tensor(out_values)
     tape = active_tape()
@@ -289,63 +293,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return record((a, b), out, grad_fn)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_binary(a, b, "mul")
-    out = a.values * b.values
-    av, bv = a.values, b.values
-
-    def grad_fn(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-    return record((a, b), out, grad_fn)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor, per_row: bool = False) -> Tensor:
-    """Product ``a @ b`` of two matrices, a matrix and a vector, or a vector
-    and a matrix: a vector on the left is a row of weights over ``b``'s rows.
+def matmul(w: Tensor, rows: Tensor) -> Tensor:
+    """A row of weights over rows, ``w @ rows``: (T,) @ (T, n), or with a batch
+    axis B, (B, T) @ (B, T, n), each row's weights over its own rows."""
+    wv, rv = w.values, rows.values
+    if wv.ndim not in (1, 2) or rv.shape[:-1] != wv.shape:
+        raise ShapeError(f"matmul: incompatible shapes {wv.shape} and {rv.shape}")
 
-    With a batch axis B on ``a``, one product per row: (B, m, n) @ (n, p)
-    shares the matrix ``b``, (B, n) @ (B, n, p) weights each row's own rows,
-    and with ``per_row`` (B, m, n) @ (B, n) takes each row's own vector: a
-    (B, n) ``b`` and an (n, n) one look alike when B = n.
-    """
-    av, bv = a.values, b.values
-    if per_row:
-        ok = av.ndim == 3 and bv.shape == (av.shape[0], av.shape[2])
-    elif (av.ndim, bv.ndim) == (2, 3):
-        ok = av.shape == bv.shape[:2]
-    else:
-        ok = (av.ndim, bv.ndim) in ((2, 2), (2, 1), (1, 2), (3, 2)) and av.shape[-1] == bv.shape[0]
-    if not ok:
-        raise ShapeError(f"matmul: incompatible shapes {av.shape} and {bv.shape}")
-    if per_row:
-        out = np.matmul(av, bv[..., None])[..., 0]
+    def grad_fn(g):
+        return np.matmul(rv, g[..., None])[..., 0], wv[..., None] * g[..., None, :]
 
-        def grad_fn(g):
-            return g[..., None] * bv[:, None, :], np.matmul(g[:, None, :], av)[:, 0]
-    elif bv.ndim == 3:
-        out = np.matmul(av[:, None, :], bv)[:, 0]
-
-        def grad_fn(g):
-            return np.matmul(bv, g[..., None])[..., 0], av[..., None] * g[:, None, :]
-    elif av.ndim == 3:  # the shared matrix as one product over every row
-        rows, p = av.reshape(-1, av.shape[-1]), bv.shape[1]
-        out = (rows @ bv).reshape(av.shape[:2] + (p,))
-
-        def grad_fn(g):
-            return (g.reshape(-1, p) @ bv.T).reshape(av.shape), rows.T @ g.reshape(-1, p)
-    else:
-        out = av @ bv
-
-        def grad_fn(g):
-            ga = np.outer(g, bv) if bv.ndim == 1 else g @ bv.T
-            return ga, (np.outer(av, g) if av.ndim == 1 else av.T @ g)
-
-    return record((a, b), out, grad_fn)
+    return record((w, rows), np.matmul(wv[..., None, :], rv)[..., 0, :], grad_fn)
 
 
 # ---------------------------------------------------------------------------

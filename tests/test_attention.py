@@ -11,7 +11,7 @@ from aspectsent.attention import (
     self_attention,
 )
 from aspectsent.autodiff import EmptyAttentionError, Tensor
-from tests.gradcheck import grad_check
+from tests.gradcheck import grad_check, mul
 
 
 def make_params(hidden, embed, rng=None, zero=False):
@@ -169,10 +169,10 @@ def test_gradient_through_both_stages():
     def f():
         sa = self_attention(hidden, params, mask)
         pa = position_aware_attention(sa.weighted, hidden, ebar, params, mask)
-        return ad.reduce_sum(ad.mul(pa.context, readout))
+        return ad.reduce_sum(mul(pa.context, readout))
 
     err = grad_check(f, params.tensors() + [hidden, ebar])
-    assert err < 1e-4
+    assert err < 1e-7
 
 
 def test_aspect_encoders_are_parameter_disjoint():

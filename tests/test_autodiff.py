@@ -15,7 +15,13 @@ from hypothesis import strategies as st
 import aspectsent
 from aspectsent import autodiff as ad
 from aspectsent import embeddings, model, recurrent
-from aspectsent.attention import AttentionTrace, attention_weights
+from aspectsent.attention import (
+    AspectAttentionParams,
+    AttentionTrace,
+    attention_weights,
+    position_aware_attention,
+    self_attention,
+)
 from aspectsent.autodiff import (
     EmptyAttentionError,
     GraphError,
@@ -25,43 +31,48 @@ from aspectsent.autodiff import (
     backward,
 )
 from tests import gradcheck
-from tests.gradcheck import concat, grad_check, tanh
+from tests.gradcheck import concat, grad_check, mul, product, tanh
 
 
 def test_matmul_identity():
-    a = Tensor(np.eye(2))
-    b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    out = ad.matmul(a, b)
-    assert np.array_equal(out.values, [[1.0, 2.0], [3.0, 4.0]])
+    # one-hot weights pick a row; each batch row's weights read its own rows
+    rows = Tensor([[1.0, 2.0], [3.0, 4.0]])
+    assert np.array_equal(ad.matmul(Tensor([0.0, 1.0]), rows).values, [3.0, 4.0])
+    batch = Tensor(np.arange(8.0).reshape(2, 2, 2))
+    out = ad.matmul(Tensor(np.eye(2)), batch)
+    assert np.array_equal(out.values, [[0.0, 1.0], [6.0, 7.0]])
 
 
 def test_matmul_hand_computed():
-    out = ad.matmul(Tensor([[1.0, 2.0]]), Tensor([[3.0], [4.0]]))
-    assert out.values.shape == (1, 1)
-    assert out.values[0, 0] == 11.0
+    out = ad.matmul(Tensor([1.0, 2.0]), Tensor([[3.0], [4.0]]))
+    assert out.values.shape == (1,)
+    assert out.values[0] == 11.0
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as err:
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
     assert "(2, 3)" in str(err.value)
-    for a, b in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros(3))):
-        with pytest.raises(ShapeError):
+    # weights over rows only: no matrix product, no vector on the right
+    for a, b in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros(3)),
+                 (np.zeros((2, 3)), np.zeros((3, 4))), (np.zeros((2, 3, 4)), np.zeros((4, 2))),
+                 (np.zeros((2, 3)), np.zeros(3)), (np.zeros((2, 3)), np.zeros((2, 4, 5)))):
+        with pytest.raises(ShapeError, match="^matmul: "):
             ad.matmul(Tensor(a), Tensor(b))
 
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    a = ad.parameter(rng.normal(size=(2, 3)))
-    b = ad.parameter(rng.normal(size=(3, 4)))
-    err = grad_check(lambda: ad.reduce_sum(ad.matmul(a, b)), [a, b])
+    w = ad.parameter(rng.normal(size=3))
+    rows = ad.parameter(rng.normal(size=(3, 4)))
+    err = grad_check(lambda: ad.reduce_sum(ad.matmul(w, rows)), [w, rows])
     assert err < 1e-9
-    # gradient of sum(A @ B) w.r.t. A is the row sums of B broadcast along rows
-    ad.zero_grads([a, b])
+    # the gradient of sum(w @ rows) is each row's sum for w, and w down every column for rows
+    ad.zero_grads([w, rows])
     with Tape():
-        backward(ad.reduce_sum(ad.matmul(a, b)))
-    expected = np.tile(b.values.sum(axis=1), (2, 1))
-    np.testing.assert_allclose(a.grad, expected, atol=1e-12)
+        backward(ad.reduce_sum(ad.matmul(w, rows)))
+    np.testing.assert_allclose(w.grad, rows.values.sum(axis=1), atol=1e-12)
+    np.testing.assert_array_equal(rows.grad, np.tile(w.values[:, None], (1, 4)))
 
 
 def test_tanh_at_zero():
@@ -88,36 +99,36 @@ def test_scalar_broadcast_add_and_grad():
     np.testing.assert_array_equal(v.grad, np.ones(3))
 
 
-# the attention stages' weights op: a masked softmax of tanh(scores + b)
+# the attention stages' weights: a masked softmax of tanh(scores + b)
 
 
 def test_masked_softmax_uniform_and_single():
-    out = attention_weights(Tensor([0.3, 0.3]), Tensor(-0.2), [True, True])
-    np.testing.assert_allclose(out.values, [0.5, 0.5])
+    out, _ = attention_weights([0.3, 0.3], -0.2, [True, True])
+    np.testing.assert_allclose(out, [0.5, 0.5])
     for x in (-50.0, 0.0, 123.0):
-        assert attention_weights(Tensor([x]), Tensor(0.5), [True]).values[0] == 1.0
+        assert attention_weights([x], 0.5, [True])[0][0] == 1.0
 
 
 def test_masked_softmax_matches_direct_renormalization():
-    out = attention_weights(Tensor([1.0, 2.0, 3.0]), Tensor(-0.5), [True, True, False])
+    out, _ = attention_weights([1.0, 2.0, 3.0], -0.5, [True, True, False])
     logits = np.tanh([0.5, 1.5])
     direct = np.exp(logits) / np.exp(logits).sum()
-    np.testing.assert_allclose(out.values[:2], direct, atol=1e-15)
-    assert out.values[2] == 0.0
+    np.testing.assert_allclose(out[:2], direct, atol=1e-15)
+    assert out[2] == 0.0
 
 
 def test_masked_softmax_empty_mask():
     with pytest.raises(EmptyAttentionError, match="^attention_weights: "):
-        attention_weights(Tensor([1.0, 2.0]), Tensor(0.0), [False, False])
+        attention_weights([1.0, 2.0], 0.0, [False, False])
     with pytest.raises(EmptyAttentionError):  # one empty row of a batch
-        attention_weights(Tensor(np.ones((2, 2))), Tensor(0.0), [[True, False], [False, False]])
+        attention_weights(np.ones((2, 2)), 0.0, [[True, False], [False, False]])
 
 
 def test_attention_weights_rejects_a_mask_of_another_shape():
     for scores, mask in ((np.ones(3), [True, True]), (np.ones((2, 3)), [True] * 3),
                          (np.float64(1.0), True)):
         with pytest.raises(ShapeError, match="^attention_weights: "):
-            attention_weights(Tensor(scores), Tensor(0.0), mask)
+            attention_weights(scores, 0.0, mask)
 
 
 @settings(max_examples=200, deadline=None)
@@ -130,7 +141,7 @@ def test_masked_softmax_properties(scores, bias, data):
     mask = np.asarray(data.draw(
         st.lists(st.booleans(), min_size=len(scores), max_size=len(scores)).filter(any)
     ))
-    out = attention_weights(Tensor(scores), Tensor(bias), mask).values
+    out, _ = attention_weights(scores, bias, mask)
     assert np.all(out >= 0)
     assert np.all(out[~mask] == 0.0)
     assert abs(out[mask].sum() - 1.0) <= 1e-9
@@ -140,8 +151,8 @@ def test_masked_softmax_properties(scores, bias, data):
 
 
 def test_sum_of_softmax_is_one():
-    out = ad.reduce_sum(attention_weights(Tensor([0.3, -1.2, 2.0]), Tensor(0.1), [1, 1, 1]))
-    assert abs(out.item() - 1.0) < 1e-12
+    out, _ = attention_weights([0.3, -1.2, 2.0], 0.1, [1, 1, 1])
+    assert abs(out.sum() - 1.0) < 1e-12
 
 
 def test_reduce_axis_out_of_range():
@@ -152,16 +163,16 @@ def test_reduce_axis_out_of_range():
 def test_backward_square():
     x = ad.parameter(3.0)
     with Tape():
-        backward(ad.mul(x, x))
+        backward(mul(x, x))
     assert float(x.grad) == 6.0
 
 
 def test_backward_accumulates_without_zeroing():
     x = ad.parameter(3.0)
     with Tape():
-        backward(ad.mul(x, x))
+        backward(mul(x, x))
     with Tape():
-        backward(ad.mul(x, x))
+        backward(mul(x, x))
     assert float(x.grad) == 12.0
 
 
@@ -170,7 +181,7 @@ def test_two_roots_on_one_tape_sum_their_gradients():
     with Tape():
         y = tanh(x)
         backward(ad.reduce_sum(y))
-        backward(ad.reduce_sum(ad.mul(y, y)))
+        backward(ad.reduce_sum(mul(y, y)))
     t = np.tanh(x.values)
     np.testing.assert_allclose(x.grad, (1 - t * t) * (1 + 2 * t), rtol=1e-14)
 
@@ -178,7 +189,7 @@ def test_two_roots_on_one_tape_sum_their_gradients():
 def test_backward_leaves_gradients_on_leaves_only():
     a, b = ad.parameter([[1.0, 2.0], [3.0, 4.0]]), ad.parameter([0.5, -1.0])
     with Tape() as tape:
-        backward(ad.reduce_sum(tanh(ad.matmul(a, b))))
+        backward(ad.reduce_sum(tanh(product(a, b))))
     assert a.grad is not None and b.grad is not None
     assert all(op.output.grad is None for op in tape.ops)
 
@@ -187,7 +198,7 @@ def test_backward_matvec_outer_structure():
     rng = np.random.default_rng(1)
     w = ad.parameter(rng.normal(size=(3, 2)))
     v = ad.parameter(rng.normal(size=2))
-    err = grad_check(lambda: ad.reduce_sum(ad.matmul(w, v)), [w, v])
+    err = grad_check(lambda: ad.reduce_sum(product(w, v)), [w, v])
     assert err < 1e-9
 
 
@@ -199,7 +210,7 @@ def test_backward_requires_scalar_root():
 
 
 def test_backward_requires_tape():
-    out = ad.mul(Tensor(2.0), Tensor(3.0))
+    out = mul(Tensor(2.0), Tensor(3.0))
     with pytest.raises(GraphError):
         backward(out)
 
@@ -209,7 +220,7 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         with Tape() as tape:
-            root = ad.mul(tanh(x), x)
+            root = mul(tanh(x), x)
             backward(root)
             assert len(root.tape) == 2
         alive = weakref.ref(tape)
@@ -224,14 +235,14 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
 
 def test_grad_check_linear_is_near_exact():
     v = ad.parameter([1.0, -2.0, 0.5])
-    assert grad_check(lambda: ad.reduce_sum(ad.mul(v, Tensor(3.0))), [v]) < 1e-9
+    assert grad_check(lambda: ad.reduce_sum(mul(v, Tensor(3.0))), [v]) < 1e-9
 
 
 def test_grad_check_tanh_matmul_composition():
     rng = np.random.default_rng(2)
     a = ad.parameter(rng.normal(size=(3, 3)))
     b = ad.parameter(rng.normal(size=(3, 2)))
-    err = grad_check(lambda: ad.reduce_sum(tanh(ad.matmul(a, b))), [a, b])
+    err = grad_check(lambda: ad.reduce_sum(tanh(product(a, b))), [a, b])
     assert err < 1e-6
 
 
@@ -239,11 +250,12 @@ def test_grad_check_tanh_matmul_composition():
 # a "-batch" case gives the operation a leading batch axis.
 GRAD_CHECK_CASES = [
     "add", "mul", "mul-constant", "add-batch", "mul-batch", "tanh",
-    "matmul", "matmul-vector", "matmul-vector-left",
-    "matmul-batch", "matmul-vector-batch", "matmul-vector-left-batch",
+    "product", "product-vector", "product-batch", "product-vector-batch",
+    "matmul-vector-left", "matmul-vector-left-batch",
     "reduce_sum", "concat", "scale_rows", "scale_rows-batch",
     "embed_sequence", "embed_sequence-batch",
-    "attention_weights", "attention_weights-batch",
+    "self_attention", "self_attention-batch",
+    "position_aware_attention", "position_aware_attention-batch",
     "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
     "heads", "heads-batch", "combined_loss", "combined_loss-batch",
 ]
@@ -251,7 +263,8 @@ GRAD_CHECK_CASES = [
 
 def test_every_tape_op_has_a_grad_check_case():
     # every function, in any module of the package or in the checks' own
-    # helpers (their tanh root), that calls record or ad.record
+    # helpers (their tanh root and the composed references' ops), that calls
+    # record or ad.record
     modules = [
         importlib.import_module(info.name)
         for info in pkgutil.iter_modules(aspectsent.__path__, "aspectsent.")
@@ -278,18 +291,18 @@ def test_grad_check_every_operation(name):
 
     if name in ("add", "mul"):
         a, b = vec(), vec()
-        fn = getattr(ad, name)
+        fn = {"add": ad.add, "mul": mul}[name]
         inputs, f = [a, b], lambda: ad.reduce_sum(tanh(fn(a, b)))
     elif name in ("add-batch", "mul-batch"):  # b broadcast over a's leading axes
         a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(3, 4)
-        fn = getattr(ad, name.split("-")[0])
+        fn = {"add-batch": ad.add, "mul-batch": mul}[name]
         inputs, f = [a, b], lambda: ad.reduce_sum(tanh(fn(a, b)))
     elif name == "tanh":
         a = vec()
         inputs, f = [a], lambda: ad.reduce_sum(tanh(a))
     elif name == "mul-constant":
         a = vec()
-        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.mul(a, Tensor(-1.7))))
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(mul(a, Tensor(-1.7))))
     elif name.startswith("heads"):  # K=2 contexts of width 3; the batch's readout drops head 1
         lead = (2,) if name.endswith("batch") else ()
         contexts = [ad.parameter(rng.normal(size=lead + (3,))) for _ in range(2)]
@@ -299,7 +312,7 @@ def test_grad_check_every_operation(name):
         if lead:
             readout[..., 1, :] = 0.0
         inputs = contexts + [t for head in heads + [params.overall_head] for t in head.tensors()]
-        f = lambda: ad.reduce_sum(tanh(ad.mul(model.heads(contexts, params), Tensor(readout))))
+        f = lambda: ad.reduce_sum(tanh(mul(model.heads(contexts, params), Tensor(readout))))
     elif name.startswith("combined_loss"):  # K=2 over 5 positions; the batch rates no aspect 1
         lead = (3,) if name.endswith("batch") else ()
         logits = ad.parameter(rng.normal(size=lead + (3, 2)))
@@ -314,21 +327,21 @@ def test_grad_check_every_operation(name):
         config = model.ModelConfig(aspect_names=["a", "b"], l2_weight=0.0)
         inputs = [logits] + [w for t in traces for w in (t.self_weights, t.pos_weights)]
         f = lambda: model.combined_loss(output, record, None, config)[0]
-    elif name == "matmul":
+    elif name == "product":
         a, b = mat(2, 3), mat(3, 2)
-        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.matmul(a, b)))
-    elif name == "matmul-vector":
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(product(a, b)))
+    elif name == "product-vector":
         a, v = mat(3, 4), vec(4)
-        inputs, f = [a, v], lambda: ad.reduce_sum(tanh(ad.matmul(a, v)))
+        inputs, f = [a, v], lambda: ad.reduce_sum(tanh(product(a, v)))
+    elif name == "product-batch":  # every row's matrix times one shared matrix
+        a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(4, 2)
+        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(product(a, b)))
+    elif name == "product-vector-batch":  # each row's matrix times its own vector
+        a, v = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 4)
+        inputs, f = [a, v], lambda: ad.reduce_sum(tanh(product(a, v, per_row=True)))
     elif name == "matmul-vector-left":  # weights over rows, as the position stage uses it
         v, a = vec(3), mat(3, 4)
         inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
-    elif name == "matmul-batch":  # every row's matrix times one shared matrix
-        a, b = ad.parameter(rng.normal(size=(2, 3, 4))), mat(4, 2)
-        inputs, f = [a, b], lambda: ad.reduce_sum(tanh(ad.matmul(a, b)))
-    elif name == "matmul-vector-batch":  # each row's matrix times its own vector
-        a, v = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 4)
-        inputs, f = [a, v], lambda: ad.reduce_sum(tanh(ad.matmul(a, v, per_row=True)))
     elif name == "matmul-vector-left-batch":  # each row's weights over its own rows
         v, a = mat(2, 3), ad.parameter(rng.normal(size=(2, 3, 4)))
         inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
@@ -361,20 +374,27 @@ def test_grad_check_every_operation(name):
         readout = Tensor(rng.normal(size=(4, 3)))
         inputs = fwd.tensors() + bwd.tensors() + [x]
         f = lambda: ad.reduce_sum(
-            tanh(ad.matmul(recurrent.bilstm_forward(x, fwd, bwd, mask).values, readout))
+            tanh(product(recurrent.bilstm_forward(x, fwd, bwd, mask).values, readout))
         )
-    elif name == "attention_weights":
-        v, b = vec(5), ad.parameter(0.4)
-        mask = [True, True, False, True, True]
-        inputs, f = [v, b], lambda: ad.reduce_sum(
-            ad.mul(attention_weights(v, b, mask), Tensor([0.3, -1.0, 0.0, 2.0, 0.7]))
-        )
-    elif name == "attention_weights-batch":  # a mask per row, the last with a masked tail
-        v, b = mat(3, 5), ad.parameter(-0.3)
-        mask = np.array([[1, 1, 0, 1, 1], [1, 1, 1, 1, 1], [1, 1, 1, 0, 0]], dtype=bool)
-        readout = Tensor(rng.normal(size=(3, 5)))
-        inputs, f = [v, b], lambda: ad.reduce_sum(ad.mul(attention_weights(v, b, mask), readout))
-    assert grad_check(f, inputs) < 1e-4
+    elif name.split("-")[0] in ("self_attention", "position_aware_attention"):
+        # 5 positions, a hole in the one sequence; the batch's rows: full, a
+        # masked tail, and one position, whose weight is 1 at any input
+        lead, mask = (), np.array([1, 1, 0, 1, 1], dtype=bool)
+        if name.endswith("batch"):
+            lead = (3,)
+            mask = np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 0], [0, 0, 1, 0, 0]], dtype=bool)
+        params = AspectAttentionParams(mat(3, 3), ad.parameter(0.4), mat(4, 3), ad.parameter(-0.3))
+        hidden = ad.parameter(rng.normal(size=lead + (5, 3)))
+        ebar = ad.parameter(rng.normal(size=lead + (4,)))
+        readout = Tensor(rng.normal(size=lead + (5,)))
+        if name.startswith("self"):
+            inputs = [hidden, params.self_attn_w, params.self_attn_b]
+            weights = lambda: self_attention(hidden, params, mask).weights
+        else:
+            inputs = [hidden, ebar, params.pos_attn_w, params.pos_attn_b]
+            weights = lambda: position_aware_attention(hidden, hidden, ebar, params, mask).weights
+        f = lambda: ad.reduce_sum(mul(weights(), readout))
+    assert grad_check(f, inputs) < 1e-7
 
 
 def test_forward_replay_is_deterministic():
@@ -384,7 +404,7 @@ def test_forward_replay_is_deterministic():
 
     def run():
         a, v = Tensor(a_vals), Tensor(v_vals)
-        return ad.reduce_sum(tanh(ad.matmul(a, v))).item()
+        return ad.reduce_sum(tanh(product(a, v))).item()
 
     assert run() == run()
 
@@ -413,7 +433,7 @@ def test_embedding_scatter_adds_to_a_gradient_written_first():
         backward(ad.reduce_sum(embeddings.embed_sequence([3], tables)))
     with Tape():
         rows = embeddings.embed_sequence([[2, 2], [1, 2]], tables)
-        backward(ad.add(ad.reduce_sum(rows), ad.reduce_sum(ad.mul(word, word))))
+        backward(ad.add(ad.reduce_sum(rows), ad.reduce_sum(mul(word, word))))
     np.testing.assert_array_equal(ad.dense_grad(word), [[2, 2], [3, 3], [5, 5], [3, 3]])
     np.testing.assert_array_equal(ad.dense_grad(tables.position), [[3, 3], [2, 2], [0, 0]])
 

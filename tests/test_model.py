@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from aspectsent import autodiff as ad
-from aspectsent.attention import AttentionTrace
+from aspectsent.attention import (
+    AttentionTrace,
+    PositionAttentionResult,
+    SelfAttentionResult,
+    attention_weights,
+)
 from aspectsent.autodiff import Tape, Tensor, backward
 from aspectsent import model
 from aspectsent.model import (
@@ -25,7 +30,7 @@ from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.heatmap import build_report
 from aspectsent.textfile import InputError
 from aspectsent.training import standard_ablation_grid
-from tests.gradcheck import concat, grad_check
+from tests.gradcheck import concat, grad_check, mul, product
 
 
 class FakeExample:
@@ -265,7 +270,7 @@ def test_l2_penalty_matches_composed_chain():
     for name, t in params.named_tensors():
         if name in model.L2_EXEMPT:  # the embedding tables are outside the term
             continue
-        term = ad.reduce_sum(ad.mul(t, t))
+        term = ad.reduce_sum(mul(t, t))
         chain = term if chain is None else ad.add(chain, term)
     value = model.l2_penalty(params)
     assert isinstance(value, float)
@@ -332,9 +337,10 @@ def loss_op_kinds(tape, start):
 
 def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
-    # embedding, 9 per aspect (5 self-attention, 4 position) and the heads,
-    # for one example and for a batch record alike: 4 + 9K. The loss adds
-    # its one op whichever aspects are rated; the L2 term records nothing.
+    # embedding, 4 per aspect (each stage's weights, then its scaled rows or
+    # its context) and the heads, for one example and for a batch record
+    # alike: 4 + 4K. The loss adds its one op whichever aspects are rated;
+    # the L2 term records nothing.
     config = ModelConfig(aspect_names=["a", "b", "c", "d"])
     params = init_params(config, vocab_size=20, seed=0)
     first = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=1, aspects=(1, 0, 1, 0))
@@ -349,10 +355,10 @@ def test_paper_width_forward_reads_weights_in_place():
     for record in cases:
         with Tape() as tape:
             output = forward(record, params, config)
-            assert len(tape) == 40
-            assert loss_op_kinds(tape, 39) == ["heads"]
+            assert len(tape) == 20
+            assert loss_op_kinds(tape, 19) == ["heads"]
             combined_loss(output, record, params, config)
-        assert loss_op_kinds(tape, 40) == ["combined_loss"]
+        assert loss_op_kinds(tape, 20) == ["combined_loss"]
 
 
 BATCHES = {
@@ -401,7 +407,7 @@ def test_batch_forward_and_loss_match_each_example(name):
                 np.testing.assert_allclose(got.context.values[b], want.context.values, atol=1e-12)
             loss, _ = combined_loss(out, ex, params, config)
             total = loss if total is None else ad.add(total, loss)
-        mean_loss = ad.mul(total, Tensor(1.0 / len(batch)))
+        mean_loss = mul(total, Tensor(1.0 / len(batch)))
         backward(mean_loss)
     assert abs(batch_loss.item() - mean_loss.item()) <= 1e-14 * abs(mean_loss.item())
     for (label, tensor), got in zip(params.named_tensors(), batch_grads):
@@ -450,17 +456,43 @@ def recorded_orthogonal_penalty(weights):
     return ad.record(tuple(weights), value, grad)
 
 
+def recorded_attention_weights(scores, bias, mask):
+    """``attention_weights`` as a tape op of its own, over a stage's scores."""
+    out, grad = attention_weights(scores.values, bias.values, mask)
+    return ad.record((scores, bias), out, grad)
+
+
+def composed_self_attention(hidden, params, mask):
+    """Stage one from five ops, the reference for ``self_attention``: the
+    rows' ``product`` with W, a ``mul`` by the rows and a ``reduce_sum`` give
+    the scores, then the weights op and ``scale_rows``."""
+    projected = product(hidden, params.self_attn_w)
+    scores = ad.reduce_sum(mul(projected, hidden), axis=-1)
+    weights = recorded_attention_weights(scores, params.self_attn_b, mask)
+    return SelfAttentionResult(weights, ad.scale_rows(hidden, weights))
+
+
+def composed_position_aware_attention(weighted, hidden, mean_embedding, params, mask):
+    """Stage two from four ops, the reference for ``position_aware_attention``:
+    the query's ``product``, each row's product with it, the weights op and
+    the context's ``matmul``."""
+    query = product(mean_embedding, params.pos_attn_w)
+    scores = product(hidden, query, per_row=hidden.values.ndim == 3)
+    weights = recorded_attention_weights(scores, params.pos_attn_b, mask)
+    return PositionAttentionResult(weights, ad.matmul(weights, weighted))
+
+
 def composed_objective(output, record, params, config):
     """The heads and the loss composed from engine ops, the reference for
-    ``heads`` and ``combined_loss``: an ``add`` of a ``matmul`` per head, the
+    ``heads`` and ``combined_loss``: an ``add`` of a ``product`` per head, the
     contexts joined by ``concat``, one op per cross-entropy and penalty, and a
     ``mul`` and an ``add`` per weighted term, then a ``mul`` by 1/B for a batch.
     Reads only ``output``'s traces."""
     contexts = [t.context for t in output.traces]
     pairs = list(zip(contexts, params.aspect_heads))
-    logits = [ad.add(ad.matmul(c, head.weight), head.bias) for c, head in pairs]
+    logits = [ad.add(product(c, head.weight), head.bias) for c, head in pairs]
     joined = concat(contexts, axis=-1)
-    overall = ad.add(ad.matmul(joined, params.overall_head.weight), params.overall_head.bias)
+    overall = ad.add(product(joined, params.overall_head.weight), params.overall_head.bias)
     targets = record.aspect_labels
     total = recorded_cross_entropy(overall, record.overall_label)
     rated = [k for k in range(config.aspect_count) if np.any(targets[..., k] >= 0)]
@@ -469,16 +501,16 @@ def composed_objective(output, record, params, config):
         for k in rated:
             term = recorded_cross_entropy(logits[k], targets[..., k])
             aspect_sum = term if aspect_sum is None else ad.add(aspect_sum, term)
-        total = ad.add(total, ad.mul(aspect_sum, Tensor(config.aspect_loss_weight)))
+        total = ad.add(total, mul(aspect_sum, Tensor(config.aspect_loss_weight)))
     stages = [("self_weights", config.self_orth_weight)]
     if not config.disable_position_attention:
         stages.append(("pos_weights", config.pos_orth_weight))
     for stage, weight in stages:
         if weight > 0:
             penalty = recorded_orthogonal_penalty([getattr(t, stage) for t in output.traces])
-            total = ad.add(total, ad.mul(penalty, Tensor(weight)))
+            total = ad.add(total, mul(penalty, Tensor(weight)))
     if targets.ndim == 2:
-        total = ad.mul(total, Tensor(1.0 / len(targets)))
+        total = mul(total, Tensor(1.0 / len(targets)))
     return total
 
 
@@ -510,23 +542,28 @@ ORACLE_CONFIGS = {
 
 @pytest.mark.parametrize("overrides", list(ORACLE_CONFIGS.values()), ids=list(ORACLE_CONFIGS))
 @pytest.mark.parametrize("name", list(ORACLE_RECORDS))
-def test_fused_heads_and_loss_match_the_composed_reference(name, overrides):
-    """``heads`` and ``combined_loss`` give the composed reference's loss and
-    every parameter's gradient to the bit; a head no loss term reads gets no
-    gradient in both."""
+def test_fused_heads_and_loss_match_the_composed_reference(name, overrides, monkeypatch):
+    """Both attention stages, ``heads`` and ``combined_loss`` give the composed
+    reference's loss and every parameter's gradient to the bit; a head no
+    loss term reads gets no gradient in both."""
     if name.startswith("tiny"):
         config, vocab_size = toy_config(**overrides), 6
     else:
         config, vocab_size = ModelConfig(aspect_names=["a", "b", "c", "d"], **overrides), 20
     params = init_params(config, vocab_size=vocab_size, seed=3)
     record = ORACLE_RECORDS[name]
-    fused = lambda *args: combined_loss(*args)[0]
     runs = []
-    for objective in (fused, composed_objective):
+    for composed in (False, True):
         ad.zero_grads(params.tensors())
-        with Tape():
+        with monkeypatch.context() as patch, Tape():
+            if composed:
+                patch.setattr(model, "self_attention", composed_self_attention)
+                patch.setattr(model, "position_aware_attention", composed_position_aware_attention)
             out = forward(record, params, config)
-            loss = objective(out, record, params, config)
+            if composed:
+                loss = composed_objective(out, record, params, config)
+            else:
+                loss = combined_loss(out, record, params, config)[0]
             backward(loss)
         runs.append((loss.values.tobytes(), [grad_bits(t) for t in params.tensors()]))
     (loss, grads), (want_loss, want_grads) = runs

@@ -8,7 +8,7 @@ from aspectsent import model
 from aspectsent.autodiff import ShapeError, Tape, Tensor, backward
 from aspectsent.embeddings import PAD_ID, EmbeddingTables, embed_sequence, random_tables
 from aspectsent.recurrent import GATES, HiddenStates, LstmParams, bilstm_forward, init_lstm_params
-from tests.gradcheck import concat, grad_check, tanh
+from tests.gradcheck import concat, grad_check, mul, product, tanh
 
 
 def zero_params(input_width, cell_width):
@@ -135,7 +135,7 @@ def test_lstm_gradient_check():
 
     def f():
         states = bilstm_forward(x, fwd, bwd, mask)
-        return ad.reduce_sum(tanh(ad.matmul(states.values, readout)))
+        return ad.reduce_sum(tanh(product(states.values, readout)))
 
     err = grad_check(f, fwd.tensors() + bwd.tensors() + [x])
     assert err < 1e-4
@@ -150,7 +150,7 @@ def test_bilstm_gradient_check():
 
     def f():
         states = bilstm_forward(x, fwd, bwd, np.ones(3, bool))
-        return ad.reduce_sum(tanh(ad.matmul(states.values, readout)))
+        return ad.reduce_sum(tanh(product(states.values, readout)))
 
     err = grad_check(f, fwd.tensors() + bwd.tensors() + [x])
     assert err < 1e-4
@@ -279,7 +279,7 @@ def composed_direction(inputs, params, mask, order):
     Masked positions yield a shared zero row and do not advance the state.
     """
     H = params.cell_width
-    projected = ad.matmul(inputs, params.w)
+    projected = product(inputs, params.w)
     # int-vector indices of the gate blocks in z, and of i, f, o in sigmoid(z[:3H])
     sigmoid_part, cand_part = np.arange(3 * H), np.arange(3 * H, 4 * H)
     ifo_parts = [np.arange(g * H, (g + 1) * H) for g in range(3)]
@@ -290,12 +290,12 @@ def composed_direction(inputs, params, mask, order):
     for t in order:
         if not mask[t]:
             continue
-        z = ad.add(ad.add(read_rows(projected, t), ad.matmul(h, params.u)), params.b)
+        z = ad.add(ad.add(read_rows(projected, t), product(h, params.u)), params.b)
         gates = sigmoid(read_rows(z, sigmoid_part))
         cand = tanh(read_rows(z, cand_part))
         i_gate, f_gate, o_gate = (read_rows(gates, part) for part in ifo_parts)
-        c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
-        h = ad.mul(o_gate, tanh(c))
+        c = ad.add(mul(f_gate, c), mul(i_gate, cand))
+        h = mul(o_gate, tanh(c))
         rows[t] = h
     return rows
 
@@ -347,7 +347,7 @@ def check_against_oracle(oracle, seed):
             ad.zero_grads(tensors)
             with Tape():
                 out = build(x, fwd, bwd, mask).values
-                backward(ad.reduce_sum(tanh(ad.matmul(out, readout))))
+                backward(ad.reduce_sum(tanh(product(out, readout))))
             results.append((out.values, [ad.dense_grad(t) for t in tensors]))
         (fused_out, fused_grads), (oracle_out, oracle_grads) = results
         assert within(fused_out, oracle_out, 1e-12), label
@@ -408,11 +408,11 @@ def split_gates(params):
 
 def per_gate_direction(inputs, p, mask, order):
     cell_width = p["input", "b"].values.shape[0]
-    projected = {gate: ad.matmul(inputs, p[gate, "w"]) for gate in GATES}
+    projected = {gate: product(inputs, p[gate, "w"]) for gate in GATES}
 
     def pre(gate, t, h):
         row = read_rows(projected[gate], t)
-        return ad.add(ad.add(row, ad.matmul(h, p[gate, "u"])), p[gate, "b"])
+        return ad.add(ad.add(row, product(h, p[gate, "u"])), p[gate, "b"])
 
     zero_row = Tensor(np.zeros(cell_width))
     h = c = zero_row
@@ -422,8 +422,8 @@ def per_gate_direction(inputs, p, mask, order):
             continue
         i_gate, f_gate, o_gate = (sigmoid(pre(g, t, h)) for g in ("input", "forget", "output"))
         cand = tanh(pre("candidate", t, h))
-        c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, cand))
-        h = ad.mul(o_gate, tanh(c))
+        c = ad.add(mul(f_gate, c), mul(i_gate, cand))
+        h = mul(o_gate, tanh(c))
         rows[t] = h
     return rows
 
@@ -465,7 +465,7 @@ def test_fused_direction_matches_per_gate_oracle():
             ad.zero_grads([x])
             with Tape():
                 out = build()
-                backward(ad.reduce_sum(tanh(ad.matmul(out, readout))))
+                backward(ad.reduce_sum(tanh(product(out, readout))))
             results.append((out.values, ad.dense_grad(x)))
         (fused_out, fused_x_grad), (oracle_out, oracle_x_grad) = results
 
@@ -609,7 +609,7 @@ def lookup_and_plain_gradients(ids, mask, d, H, seed):
             embedded = embed_sequence(ids, tables)
             x = ad.parameter(embedded.values.copy()) if plain else embedded
             out = bilstm_forward(x, fwd, bwd, mask).values
-            backward(ad.reduce_sum(tanh(ad.matmul(out, readout))))
+            backward(ad.reduce_sum(tanh(product(out, readout))))
         if plain:
             d_x = x.grad.reshape(-1, 2 * d)
             columns = np.broadcast_to(np.arange(ids.shape[-1]), ids.shape).ravel()
@@ -646,7 +646,7 @@ def test_lookup_gradient_check_through_both_tables():
 
     def f():
         out = bilstm_forward(embed_sequence(ids, tables), fwd, bwd, mask).values
-        return ad.reduce_sum(tanh(ad.matmul(out, readout)))
+        return ad.reduce_sum(tanh(product(out, readout)))
 
     assert grad_check(f, [tables.word, tables.position] + fwd.tensors() + bwd.tensors()) < 1e-6
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from aspectsent import autodiff as ad
 from aspectsent import model, training
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
-from aspectsent.attention import attention_weights
+from aspectsent.attention import position_aware_attention, self_attention
 from aspectsent.data import DOMAIN_ASPECTS, DatasetSplit, ProcessedExample, batch_iter, collate
 from aspectsent.embeddings import PAD_ID, embed_sequence
 from aspectsent.model import L2_EXEMPT, ModelConfig, combined_loss, forward, init_params
@@ -24,6 +24,7 @@ from aspectsent.training import (
     train,
 )
 from tests.corpus import synthetic_split, tiny_model_config
+from tests.gradcheck import mul
 from tests.test_autodiff import oracle_sum_of_squares
 
 
@@ -294,7 +295,7 @@ def composed_l2(params):
     for name, tensor in params.named_tensors():
         if name in L2_EXEMPT:
             continue
-        term = ad.reduce_sum(ad.mul(tensor, tensor))
+        term = ad.reduce_sum(mul(tensor, tensor))
         l2 = term if l2 is None else ad.add(l2, term)
     return l2
 
@@ -327,7 +328,7 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
             out = forward(ex, oracle, config)
             loss, _ = combined_loss(out, ex, oracle, config)
             total = loss if total is None else ad.add(total, loss)
-        batch_loss = ad.mul(total, Tensor(1.0 / len(batch)))
+        batch_loss = mul(total, Tensor(1.0 / len(batch)))
         backward(batch_loss)
 
     # the same terms, summed in another order
@@ -365,7 +366,7 @@ def test_streamed_l2_trains_bit_identically_to_the_oracle(monkeypatch):
 
     def loss_with_l2(output, record, params, config):
         total, breakdown = combined_loss(output, record, params, config)
-        total = ad.add(total, ad.mul(latest["l2"], Tensor(config.l2_weight)))
+        total = ad.add(total, mul(latest["l2"], Tensor(config.l2_weight)))
         return total, replace(breakdown, total=total.item())
 
     monkeypatch.setattr(training, "forward", forward_after_l2)
@@ -445,10 +446,10 @@ def test_train_runs_one_step_per_batch(monkeypatch):
 
 def test_training_step_records_only_the_model_ops(monkeypatch):
     """One batch step, the four restaurant aspects each rated by some row and
-    every loss term on, records 4 + 9K ops in the forward and 5 + 9K in the
-    step (40 and 41 at K=4): each from one of the 4 engine ops the model
-    calls (not ``add``), or from one of the model's own ops; the L2 term
-    records none."""
+    every loss term on, records 4 + 4K ops in the forward and 5 + 4K in the
+    step (20 and 21 at K=4): each from one of the 2 engine ops the model
+    calls with the position stage on, ``matmul`` and ``scale_rows``, or from
+    one of the model's own ops; the L2 term records none."""
     aspects = list(DOMAIN_ASPECTS["restaurant"])
     config = ModelConfig(aspect_names=aspects, embedding_width=6, cell_width=5, max_length=16)
     rng = np.random.default_rng(8)
@@ -470,9 +471,10 @@ def test_training_step_records_only_the_model_ops(monkeypatch):
     params = init_params(config, vocab_size=20, seed=0)
     step(params, AdamState(), collate(examples), config, TrainConfig())
     K = len(aspects)
-    assert K == 4 and forward_ops == [4 + 9 * K] and len(ops) == 5 + 9 * K
-    engine = [ad.mul, ad.matmul, ad.reduce_sum, ad.scale_rows]
-    own = [embed_sequence, bilstm_forward, attention_weights, model.heads, model.combined_loss]
+    assert K == 4 and forward_ops == [4 + 4 * K] and len(ops) == 5 + 4 * K
+    engine = [ad.matmul, ad.scale_rows]
+    own = [embed_sequence, bilstm_forward, self_attention, position_aware_attention,
+           model.heads, model.combined_loss]
     recorded = {(op.grad_fn.__module__, op.grad_fn.__qualname__.split(".")[0]) for op in ops}
     assert recorded == {(f.__module__, f.__name__) for f in engine + own}
 
