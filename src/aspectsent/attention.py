@@ -3,10 +3,11 @@
 Stage one scores each position against itself through a bilinear form and
 turns the scores into gate weights that rescale the hidden rows. Stage two
 couples the sequence's mean embedding with each hidden row to weight the
-rescaled rows into a single aspect context vector. Each stage records its
-weights, scores included, as one op with a hand-written backward, through
-the numpy helper ``attention_weights``: softmax(tanh(score + b)) over the
-unmasked positions. Each aspect owns an independent parameter set. Every
+rescaled rows into a single aspect context vector. Each stage is one op
+with two outputs, its weights and its product (the rescaled rows, or the
+context), and a hand-written backward; the weights come from the numpy
+helper ``attention_weights``: softmax(tanh(score + b)) over the unmasked
+positions. Each aspect owns an independent parameter set. Every
 function takes one sequence, (T, H) rows with a (T,) mask, or a padded
 batch of them, (B, T, H) with a (B, T) mask, and then returns every result
 with the batch axis.
@@ -102,10 +103,10 @@ def self_attention(
     """Score every position against itself and rescale the hidden rows.
 
     The score for position t is h_t W h_t^T, a single scalar per position;
-    the weights, softmax(tanh(score + b)), are one recorded op over the
-    hidden rows and both parameters, and they scale each row, preserving the
-    sequence so the next stage can reweight it. Summing the output rows
-    recovers the plain attention-pooled vector.
+    the weights, softmax(tanh(score + b)), scale each row, preserving the
+    sequence so the next stage can reweight it. Weights and rows are the two
+    outputs of one recorded op over the hidden rows and both parameters.
+    Summing the output rows recovers the plain attention-pooled vector.
     """
     h, w = hidden.values, params.self_attn_w.values
     rows = h.reshape(-1, h.shape[-1])
@@ -113,16 +114,20 @@ def self_attention(
     out, weights_grad = attention_weights(np.sum(projected * h, axis=-1),
                                           params.self_attn_b.values, mask)
 
-    def grad_fn(g):
+    def grad_fn(g, g_rows):
+        # the hidden rows' three terms reach their buffer one by one, in the composed
+        # ops' order: one sum of the terms rounds differently
+        if g_rows is not None:  # the rescaling's backward first
+            hidden.accumulate_grad(g_rows * out[..., None])
+            term = np.sum(g_rows * h, axis=-1)
+            g = term if g is None else g + term
         gs, gb = weights_grad(g)
-        # the two terms of the rows' gradient reach their buffer one after the
-        # other, as two composed ops would add them: one sum of both rounds differently
         hidden.accumulate_grad(gs[..., None] * projected)
         gp_rows = (gs[..., None] * h).reshape(rows.shape)
         return (gp_rows @ w.T).reshape(h.shape), rows.T @ gp_rows, gb
 
-    weights = ad.record((hidden, params.self_attn_w, params.self_attn_b), out, grad_fn)
-    return SelfAttentionResult(weights, ad.scale_rows(hidden, weights))
+    inputs = (hidden, params.self_attn_w, params.self_attn_b)
+    return SelfAttentionResult(*ad.record(inputs, (out, h * out[..., None]), grad_fn))
 
 
 def position_aware_attention(
@@ -136,24 +141,30 @@ def position_aware_attention(
 
     The score for position t is e W h_t^T where e is the mean of the
     unmasked embedding rows: the query e W is one vector-matrix product,
-    read from W in place. The weights, softmax(tanh(score + b)), are one
-    recorded op over the hidden rows, e and both parameters; times the
-    stage-one rows they give the aspect context vector.
+    read from W in place. The weights, softmax(tanh(score + b)), times the
+    stage-one rows give the aspect context vector: weights and context are
+    one recorded op's outputs, over the hidden rows, e, both parameters and
+    the stage-one rows.
     """
-    h, e, w = hidden.values, mean_embedding.values, params.pos_attn_w.values
+    h, e, w, z = hidden.values, mean_embedding.values, params.pos_attn_w.values, weighted.values
     query = e @ w  # (..., H)
     out, weights_grad = attention_weights(np.matmul(h, query[..., None])[..., 0],
                                           params.pos_attn_b.values, mask)
 
-    def grad_fn(g):
+    def grad_fn(g, g_ctx):
+        g_rows = None
+        if g_ctx is not None:  # the context's backward first
+            term = np.matmul(z, g_ctx[..., None])[..., 0]
+            g = term if g is None else g + term
+            g_rows = out[..., None] * g_ctx[..., None, :]
         gs, gb = weights_grad(g)
         gq = np.matmul(gs[..., None, :], h)[..., 0, :]  # the query's gradient
         return (gs[..., None] * query[..., None, :], gq @ w.T,
-                e.reshape(-1, w.shape[0]).T @ gq.reshape(-1, w.shape[1]), gb)
+                e.reshape(-1, w.shape[0]).T @ gq.reshape(-1, w.shape[1]), gb, g_rows)
 
-    inputs = (hidden, mean_embedding, params.pos_attn_w, params.pos_attn_b)
-    weights = ad.record(inputs, out, grad_fn)
-    return PositionAttentionResult(weights, ad.matmul(weights, weighted))
+    inputs = (hidden, mean_embedding, params.pos_attn_w, params.pos_attn_b, weighted)
+    context = np.matmul(out[..., None, :], z)[..., 0, :]
+    return PositionAttentionResult(*ad.record(inputs, (out, context), grad_fn))
 
 
 def attention_weights(scores: np.ndarray, bias, mask):

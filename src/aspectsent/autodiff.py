@@ -6,10 +6,10 @@ manager, on one module-level stack of tapes for the process's one thread;
 outside any tape, operations run forward-only, which is what evaluation
 code uses.
 
-Each of the 4 operations is one numpy primitive: elementwise ``add`` (+),
-where a constant enters as a 0-d ``Tensor``; ``matmul``, a row of weights
-over rows (a weighted sum, or a mean with weights ``1/n``); ``reduce_sum``;
-and ``scale_rows`` (``m * w[..., None]``).
+Each of the 3 operations is one numpy primitive: elementwise ``add`` (+),
+where a constant enters as a 0-d ``Tensor``; ``matmul``, a row of constant
+weights over rows (a weighted sum, or a mean with weights ``1/n``); and
+``reduce_sum``.
 
 A training batch runs each operation once over a leading batch axis B; a
 single sequence is the same call without it. ``add`` broadcasts an operand
@@ -18,19 +18,18 @@ axes.
 
 An operation made of many numpy steps, with a backward pass written by
 hand, is defined where it is used and recorded through the public
-``record``: ``embeddings.embed_sequence`` reads both tables as one
-operation, ``recurrent.bilstm_forward`` runs both LSTM directions over a
-whole batch as one operation, ``attention.self_attention`` and
-``attention.position_aware_attention`` each record a stage's weights,
-scores included, ``model.heads`` gives every classifier head's logits, and
-``model.combined_loss`` records the weighted objective, its cross-entropies
-and orthogonality penalties. The L2 term is no operation:
-``training.adam_step`` adds its closed-form gradient to each parameter's in
-its scope.
+``record``, with one output or several: ``embeddings.embed_sequence``
+reads both tables as one operation, ``recurrent.bilstm_forward`` runs both
+LSTM directions over a whole batch as one operation, each
+``attention`` stage gives its weights and its product, ``model.heads``
+every classifier head's logits, and ``model.combined_loss`` the weighted
+objective, its cross-entropies and orthogonality penalties. The L2 term is
+no operation: ``training.adam_step`` adds its closed-form gradient to each
+parameter's in its scope.
 
 Gradients are dense buffers of the tensor's shape, allocated on first
-use. ``backward`` leaves them on the leaves alone: an operation's output
-drops its gradient once that gradient has been passed on to the inputs, so
+use. ``backward`` leaves them on the leaves alone: an operation's outputs
+drop their gradients once these have been passed on to the inputs, so
 the buffers of intermediate values live only while the pass needs them.
 An operation reading rows of a large table adds their gradient through
 ``Tensor.accumulate_rows``, which keeps it row-sparse (a ``RowGrad``), as
@@ -156,11 +155,11 @@ def parameter(values, name: Optional[str] = None) -> Tensor:
 
 
 class _TapeOp:
-    __slots__ = ("inputs", "output", "grad_fn")
+    __slots__ = ("inputs", "outputs", "grad_fn")
 
-    def __init__(self, inputs, output, grad_fn):
+    def __init__(self, inputs, outputs, grad_fn):
         self.inputs = inputs
-        self.output = output
+        self.outputs = outputs
         self.grad_fn = grad_fn
 
 
@@ -193,27 +192,31 @@ class Tape:
         return len(self.ops)
 
 
-def record(inputs: tuple, out_values, grad_fn: Callable) -> Tensor:
-    """Wrap ``out_values`` as the output of an operation on ``inputs``; a
-    ``Tensor`` (such as ``embeddings.Lookup``) is the output itself.
+def record(inputs: tuple, outputs, grad_fn: Callable):
+    """Wrap ``outputs`` as the output of an operation on ``inputs``; a
+    ``Tensor`` (such as ``embeddings.Lookup``) is the output itself. A tuple
+    of outputs gives a tuple of ``Tensor``s, one per entry.
 
     On an active tape the operation is recorded: in ``backward``,
-    ``grad_fn(output_grad)`` returns one gradient per input, or None for an
-    input it has already updated itself, and each is added to that input's
-    buffer. Outside any tape only the output is made. Every operation,
-    here and in other modules, records through this function.
+    ``grad_fn`` takes one gradient per output, None for an output that got
+    none, and returns one gradient per input, or None for an input it has
+    already updated itself, and each is added to that input's buffer.
+    Outside any tape only the outputs are made. Every operation, here and in
+    other modules, records through this function.
 
-    A ``grad_fn`` whose input takes two terms adds each to the buffer on its
-    own, one through ``Tensor.accumulate_grad`` and one returned, when they
-    stand for two composed ops: the buffer then rounds as the two ops would,
-    and a single sum of both terms would not.
+    A ``grad_fn`` whose input takes several terms that stand for composed
+    ops adds each to the buffer on its own, in those ops' order, all but the
+    last through ``Tensor.accumulate_grad``: the buffer then rounds as the
+    ops would, and one sum of the terms would not.
     """
-    out = out_values if isinstance(out_values, Tensor) else Tensor(out_values)
+    outs = outputs if isinstance(outputs, tuple) else (outputs,)
+    outs = tuple(o if isinstance(o, Tensor) else Tensor(o) for o in outs)
     tape = active_tape()
     if tape is not None:
-        out.tape = tape.proxy
-        tape.ops.append(_TapeOp(inputs, out, grad_fn))
-    return out
+        for out in outs:
+            out.tape = tape.proxy
+        tape.ops.append(_TapeOp(inputs, outs, grad_fn))
+    return outs if isinstance(outputs, tuple) else outs[0]
 
 
 def backward(root: Tensor) -> None:
@@ -221,10 +224,10 @@ def backward(root: Tensor) -> None:
 
     Every leaf reachable from the root gets its grad buffer populated
     (accumulating onto whatever was already there); the root's own grad is
-    set to ones. An operation's output hands its gradient to the
-    operation's inputs and then drops it, so a second pass over the same
+    set to ones. An operation's outputs hand their gradients to the
+    operation's inputs and then drop them, so a second pass over the same
     tape, from another root, adds only that root's gradient. Tape entries
-    that do not feed the root are skipped.
+    none of whose outputs feeds the root are skipped.
     """
     try:
         ops = root.tape.ops
@@ -236,14 +239,15 @@ def backward(root: Tensor) -> None:
         )
     root.grad = np.ones_like(root.values)
     for op in reversed(ops):
-        out_grad = op.output.grad
-        if out_grad is None:
+        out_grads = [out.grad for out in op.outputs]
+        if all(g is None for g in out_grads):
             continue
-        for tensor, g in zip(op.inputs, op.grad_fn(out_grad)):
+        for tensor, g in zip(op.inputs, op.grad_fn(*out_grads)):
             if g is not None:
                 tensor.accumulate_grad(g)
-        # drop the last input's gradient too, before the next op's backward runs
-        op.output.grad = out_grad = g = None
+        for out in op.outputs:
+            out.grad = None
+        out_grads = g = None  # and the last input's gradient, before the next op's backward
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -294,24 +298,21 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra
+# weights over rows, and sums
 
 
-def matmul(w: Tensor, rows: Tensor) -> Tensor:
-    """A row of weights over rows, ``w @ rows``: (T,) @ (T, n), or with a batch
-    axis B, (B, T) @ (B, T, n), each row's weights over its own rows."""
-    wv, rv = w.values, rows.values
-    if wv.ndim not in (1, 2) or rv.shape[:-1] != wv.shape:
-        raise ShapeError(f"matmul: incompatible shapes {wv.shape} and {rv.shape}")
+def matmul(w: np.ndarray, rows: Tensor) -> Tensor:
+    """A row of constant weights over rows, ``w @ rows``: (T,) @ (T, n), or
+    with a batch axis B, (B, T) @ (B, T, n), each row's weights over its own
+    rows. Only ``rows`` takes a gradient."""
+    rv = rows.values
+    if w.ndim not in (1, 2) or rv.shape[:-1] != w.shape:
+        raise ShapeError(f"matmul: incompatible shapes {w.shape} and {rv.shape}")
 
     def grad_fn(g):
-        return np.matmul(rv, g[..., None])[..., 0], wv[..., None] * g[..., None, :]
+        return (w[..., None] * g[..., None, :],)
 
-    return record((w, rows), np.matmul(wv[..., None, :], rv)[..., 0, :], grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# reductions and row scaling
+    return record((rows,), np.matmul(w[..., None, :], rv)[..., 0, :], grad_fn)
 
 
 def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
@@ -326,17 +327,3 @@ def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:
         return (np.broadcast_to(np.expand_dims(g, axis), shape).copy(),)
 
     return record((a,), np.sum(a.values, axis=axis), grad_fn)
-
-
-def scale_rows(m: Tensor, w: Tensor) -> Tensor:
-    """Scale each row of a matrix by the matching entry of a vector:
-    (..., T, H) rows by (..., T) weights."""
-    mv, wv = m.values, w.values
-    if mv.ndim not in (2, 3) or mv.shape[:-1] != wv.shape:
-        raise ShapeError(f"scale_rows: incompatible shapes {mv.shape} and {wv.shape}")
-
-    def grad_fn(g):
-        return g * wv[..., None], np.sum(g * mv, axis=-1)
-
-    return record((m, w), mv * wv[..., None], grad_fn)
-

@@ -272,7 +272,7 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
         # BiLSTM, its (B, T, 2d) gradient, the only one of the embedded rows (the BiLSTM
         # writes the tables itself), comes once the BiLSTM's buffers are freed
         counts = np.maximum(np.count_nonzero(mask, axis=-1, keepdims=True), 1)
-        mean_embedding = ad.matmul(Tensor(mask / counts), embedded)
+        mean_embedding = ad.matmul(mask / counts, embedded)
     hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
 
     traces = []

@@ -1,8 +1,10 @@
 """Central-difference gradient checking, the oracle for every op's backward;
 the tanh op that the checks put over an op's output as a non-linear root;
 and the ops that only the composed reference models use: ``concat`` to join
-their parts, the elementwise ``mul``, and ``product``, a general matrix
-product beside the engine's weights-over-rows ``matmul``."""
+their parts, the elementwise ``mul``, ``product``, a general matrix product,
+and the attention stages' products as ops of their own, ``scale_rows`` and
+``weighted_sum``, which unlike the engine's ``matmul`` takes a gradient for
+its weights too."""
 
 from typing import Callable, Sequence
 
@@ -125,3 +127,29 @@ def product(a: Tensor, b: Tensor, per_row: bool = False) -> Tensor:
             return ga, (np.outer(av, g) if av.ndim == 1 else av.T @ g)
 
     return record((a, b), out, grad_fn)
+
+
+def scale_rows(m: Tensor, w: Tensor) -> Tensor:
+    """Scale each row of a matrix by the matching entry of a vector:
+    (..., T, H) rows by (..., T) weights."""
+    mv, wv = m.values, w.values
+    if mv.ndim not in (2, 3) or mv.shape[:-1] != wv.shape:
+        raise ShapeError(f"scale_rows: incompatible shapes {mv.shape} and {wv.shape}")
+
+    def grad_fn(g):
+        return g * wv[..., None], np.sum(g * mv, axis=-1)
+
+    return record((m, w), mv * wv[..., None], grad_fn)
+
+
+def weighted_sum(w: Tensor, rows: Tensor) -> Tensor:
+    """A row of weights over rows, ``w @ rows``: (T,) @ (T, n), or with a batch
+    axis B, (B, T) @ (B, T, n), each row's weights over its own rows."""
+    wv, rv = w.values, rows.values
+    if wv.ndim not in (1, 2) or rv.shape[:-1] != wv.shape:
+        raise ShapeError(f"weighted_sum: incompatible shapes {wv.shape} and {rv.shape}")
+
+    def grad_fn(g):
+        return np.matmul(rv, g[..., None])[..., 0], wv[..., None] * g[..., None, :]
+
+    return record((w, rows), np.matmul(wv[..., None, :], rv)[..., 0, :], grad_fn)

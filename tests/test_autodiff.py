@@ -31,48 +31,48 @@ from aspectsent.autodiff import (
     backward,
 )
 from tests import gradcheck
-from tests.gradcheck import concat, grad_check, mul, product, tanh
+from tests.gradcheck import concat, grad_check, mul, product, scale_rows, tanh, weighted_sum
 
 
 def test_matmul_identity():
     # one-hot weights pick a row; each batch row's weights read its own rows
     rows = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.matmul(Tensor([0.0, 1.0]), rows).values, [3.0, 4.0])
+    assert np.array_equal(ad.matmul(np.array([0.0, 1.0]), rows).values, [3.0, 4.0])
     batch = Tensor(np.arange(8.0).reshape(2, 2, 2))
-    out = ad.matmul(Tensor(np.eye(2)), batch)
+    out = ad.matmul(np.eye(2), batch)
     assert np.array_equal(out.values, [[0.0, 1.0], [6.0, 7.0]])
 
 
 def test_matmul_hand_computed():
-    out = ad.matmul(Tensor([1.0, 2.0]), Tensor([[3.0], [4.0]]))
+    out = ad.matmul(np.array([1.0, 2.0]), Tensor([[3.0], [4.0]]))
     assert out.values.shape == (1,)
     assert out.values[0] == 11.0
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as err:
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+        ad.matmul(np.zeros((2, 3)), Tensor(np.zeros((2, 3))))
     assert "(2, 3)" in str(err.value)
     # weights over rows only: no matrix product, no vector on the right
     for a, b in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros(3)),
                  (np.zeros((2, 3)), np.zeros((3, 4))), (np.zeros((2, 3, 4)), np.zeros((4, 2))),
                  (np.zeros((2, 3)), np.zeros(3)), (np.zeros((2, 3)), np.zeros((2, 4, 5)))):
         with pytest.raises(ShapeError, match="^matmul: "):
-            ad.matmul(Tensor(a), Tensor(b))
+            ad.matmul(a, Tensor(b))
 
 
 def test_matmul_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    w = ad.parameter(rng.normal(size=3))
+    w = rng.normal(size=3)
     rows = ad.parameter(rng.normal(size=(3, 4)))
-    err = grad_check(lambda: ad.reduce_sum(ad.matmul(w, rows)), [w, rows])
+    err = grad_check(lambda: ad.reduce_sum(ad.matmul(w, rows)), [rows])
     assert err < 1e-9
-    # the gradient of sum(w @ rows) is each row's sum for w, and w down every column for rows
-    ad.zero_grads([w, rows])
-    with Tape():
+    # the gradient of sum(w @ rows) is w down every column; the constant weights are no input
+    ad.zero_grads([rows])
+    with Tape() as tape:
         backward(ad.reduce_sum(ad.matmul(w, rows)))
-    np.testing.assert_allclose(w.grad, rows.values.sum(axis=1), atol=1e-12)
-    np.testing.assert_array_equal(rows.grad, np.tile(w.values[:, None], (1, 4)))
+    np.testing.assert_array_equal(rows.grad, np.tile(w[:, None], (1, 4)))
+    assert tape.ops[0].inputs == (rows,)
 
 
 def test_tanh_at_zero():
@@ -191,7 +191,36 @@ def test_backward_leaves_gradients_on_leaves_only():
     with Tape() as tape:
         backward(ad.reduce_sum(tanh(product(a, b))))
     assert a.grad is not None and b.grad is not None
-    assert all(op.output.grad is None for op in tape.ops)
+    assert all(out.grad is None for op in tape.ops for out in op.outputs)
+
+
+def test_an_op_with_two_outputs_gets_none_for_an_output_without_gradient():
+    """``grad_fn`` takes one gradient per output, None where an output got
+    none; an op neither of whose outputs got one is skipped, and both
+    outputs' gradients are dropped once the op has run."""
+    x = ad.parameter([1.0, -2.0])
+    seen = []
+
+    def grad_fn(g_double, g_square):
+        seen.append((g_double is not None, g_square is not None))
+        gx = np.zeros(2)
+        if g_double is not None:
+            gx = gx + 2.0 * g_double
+        if g_square is not None:
+            gx = gx + 2.0 * x.values * g_square
+        return (gx,)
+
+    with Tape() as tape:
+        double, square = ad.record((x,), (2.0 * x.values, x.values * x.values), grad_fn)
+        assert tape.ops[0].outputs == (double, square)
+        roots = [ad.reduce_sum(square), ad.reduce_sum(double),
+                 ad.add(ad.reduce_sum(double), ad.reduce_sum(square)), ad.reduce_sum(tanh(x))]
+        for root in roots:
+            backward(root)
+            assert double.grad is None and square.grad is None
+    assert seen == [(False, True), (True, False), (True, True)]
+    t = np.tanh(x.values)
+    np.testing.assert_array_equal(x.grad, 2 * (2.0 + 2.0 * x.values) + (1 - t * t))
 
 
 def test_backward_matvec_outer_structure():
@@ -220,9 +249,11 @@ def test_finished_tape_is_freed_without_the_cycle_collector():
     gc.disable()
     try:
         with Tape() as tape:
-            root = mul(tanh(x), x)
+            double, square = ad.record((x,), (2.0 * x.values, x.values * x.values),
+                                       lambda g2, gsq: (2.0 * g2 + 2.0 * x.values * gsq,))
+            root = mul(tanh(double), square)
             backward(root)
-            assert len(root.tape) == 2
+            assert len(root.tape) == 3
         alive = weakref.ref(tape)
         del tape
         # only reference counting ran: the outputs kept no strong path to the tape
@@ -251,11 +282,13 @@ def test_grad_check_tanh_matmul_composition():
 GRAD_CHECK_CASES = [
     "add", "mul", "mul-constant", "add-batch", "mul-batch", "tanh",
     "product", "product-vector", "product-batch", "product-vector-batch",
-    "matmul-vector-left", "matmul-vector-left-batch",
+    "matmul-vector-left", "matmul-vector-left-batch", "weighted_sum", "weighted_sum-batch",
     "reduce_sum", "concat", "scale_rows", "scale_rows-batch",
     "embed_sequence", "embed_sequence-batch",
     "self_attention", "self_attention-batch",
+    "self_attention-weights", "self_attention-product",
     "position_aware_attention", "position_aware_attention-batch",
+    "position_aware_attention-weights", "position_aware_attention-product",
     "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
     "heads", "heads-batch", "combined_loss", "combined_loss-batch",
 ]
@@ -339,12 +372,18 @@ def test_grad_check_every_operation(name):
     elif name == "product-vector-batch":  # each row's matrix times its own vector
         a, v = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 4)
         inputs, f = [a, v], lambda: ad.reduce_sum(tanh(product(a, v, per_row=True)))
-    elif name == "matmul-vector-left":  # weights over rows, as the position stage uses it
-        v, a = vec(3), mat(3, 4)
-        inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
+    elif name == "matmul-vector-left":  # constant weights over rows, as the mean embedding
+        v, a = rng.normal(size=3), mat(3, 4)
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
     elif name == "matmul-vector-left-batch":  # each row's weights over its own rows
+        v, a = rng.normal(size=(2, 3)), ad.parameter(rng.normal(size=(2, 3, 4)))
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
+    elif name == "weighted_sum":  # weights over rows, as the position stage's context
+        v, a = vec(3), mat(3, 4)
+        inputs, f = [v, a], lambda: ad.reduce_sum(tanh(weighted_sum(v, a)))
+    elif name == "weighted_sum-batch":
         v, a = mat(2, 3), ad.parameter(rng.normal(size=(2, 3, 4)))
-        inputs, f = [v, a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
+        inputs, f = [v, a], lambda: ad.reduce_sum(tanh(weighted_sum(v, a)))
     elif name == "reduce_sum":
         a = mat()
         inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.reduce_sum(a, axis=1)))
@@ -353,10 +392,10 @@ def test_grad_check_every_operation(name):
         inputs, f = [a, b], lambda: ad.reduce_sum(tanh(concat([a, b])))
     elif name == "scale_rows":
         m, w = mat(), vec(3)
-        inputs, f = [m, w], lambda: ad.reduce_sum(tanh(ad.scale_rows(m, w)))
+        inputs, f = [m, w], lambda: ad.reduce_sum(tanh(scale_rows(m, w)))
     elif name == "scale_rows-batch":
         m, w = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 3)
-        inputs, f = [m, w], lambda: ad.reduce_sum(tanh(ad.scale_rows(m, w)))
+        inputs, f = [m, w], lambda: ad.reduce_sum(tanh(scale_rows(m, w)))
     elif name.startswith("embed_sequence"):  # repeated ids add up in their row
         # ids from 1: the padding id's row takes no gradient
         tables = embeddings.EmbeddingTables(word=mat(5, 3), position=mat(4, 3))
@@ -378,7 +417,9 @@ def test_grad_check_every_operation(name):
         )
     elif name.split("-")[0] in ("self_attention", "position_aware_attention"):
         # 5 positions, a hole in the one sequence; the batch's rows: full, a
-        # masked tail, and one position, whose weight is 1 at any input
+        # masked tail, and one position, whose weight is 1 at any input. The
+        # root reads both outputs, each through its own readout, or one alone:
+        # then the other passes its op no gradient
         lead, mask = (), np.array([1, 1, 0, 1, 1], dtype=bool)
         if name.endswith("batch"):
             lead = (3,)
@@ -389,11 +430,21 @@ def test_grad_check_every_operation(name):
         readout = Tensor(rng.normal(size=lead + (5,)))
         if name.startswith("self"):
             inputs = [hidden, params.self_attn_w, params.self_attn_b]
-            weights = lambda: self_attention(hidden, params, mask).weights
+            stage = lambda: self_attention(hidden, params, mask)
+            product_readout = Tensor(rng.normal(size=lead + (5, 3)))
         else:
             inputs = [hidden, ebar, params.pos_attn_w, params.pos_attn_b]
-            weights = lambda: position_aware_attention(hidden, hidden, ebar, params, mask).weights
-        f = lambda: ad.reduce_sum(mul(weights(), readout))
+            stage = lambda: position_aware_attention(hidden, hidden, ebar, params, mask)
+            product_readout = Tensor(rng.normal(size=lead + (3,)))
+
+        def f():
+            weights, product = stage()
+            if name.endswith("product"):
+                return ad.reduce_sum(mul(product, product_readout))
+            root = ad.reduce_sum(mul(weights, readout))
+            if name.endswith("weights"):
+                return root
+            return ad.add(root, ad.reduce_sum(mul(product, product_readout)))
     assert grad_check(f, inputs) < 1e-7
 
 

@@ -30,7 +30,7 @@ from aspectsent.embeddings import PAD_ID, Vocabulary
 from aspectsent.heatmap import build_report
 from aspectsent.textfile import InputError
 from aspectsent.training import standard_ablation_grid
-from tests.gradcheck import concat, grad_check, mul, product
+from tests.gradcheck import concat, grad_check, mul, product, scale_rows, weighted_sum
 
 
 class FakeExample:
@@ -337,12 +337,11 @@ def loss_op_kinds(tape, start):
 
 def test_paper_width_forward_reads_weights_in_place():
     # embedding 300, cell 64, K=4: the embedding op, the BiLSTM, the mean
-    # embedding, 4 per aspect (each stage's weights, then its scaled rows or
+    # embedding, 2 per aspect (each stage's weights with its scaled rows or
     # its context) and the heads, for one example and for a batch record
-    # alike: 4 + 4K. The loss adds its one op whichever aspects are rated;
-    # the L2 term records nothing.
-    config = ModelConfig(aspect_names=["a", "b", "c", "d"])
-    params = init_params(config, vocab_size=20, seed=0)
+    # alike: 4 + 2K. Without the position stage: no mean embedding, and per
+    # aspect stage one and the sum of its rows, 3 + 2K. The loss adds its one
+    # op whichever aspects are rated; the L2 term records nothing.
     first = example(ids=range(2, 14), mask=[1] * 9 + [0] * 3, overall=1, aspects=(1, 0, 1, 0))
     second = example(ids=range(5, 12), mask=[1] * 7, overall=0, aspects=(0, -1, 0, -1))
     third = example(ids=range(3, 8), mask=[1] * 5, overall=0, aspects=(0, -1, -1, -1))
@@ -352,13 +351,17 @@ def test_paper_width_forward_reads_weights_in_place():
         collate([first, second]),
         collate([second, third]),  # nobody rates aspects b and d
     ]
-    for record in cases:
-        with Tape() as tape:
-            output = forward(record, params, config)
-            assert len(tape) == 20
-            assert loss_op_kinds(tape, 19) == ["heads"]
-            combined_loss(output, record, params, config)
-        assert loss_op_kinds(tape, 20) == ["combined_loss"]
+    for disabled, forward_ops in ((False, 12), (True, 11)):
+        config = ModelConfig(aspect_names=["a", "b", "c", "d"],
+                             disable_position_attention=disabled)
+        params = init_params(config, vocab_size=20, seed=0)
+        for record in cases:
+            with Tape() as tape:
+                output = forward(record, params, config)
+                assert len(tape) == forward_ops
+                assert loss_op_kinds(tape, forward_ops - 1) == ["heads"]
+                combined_loss(output, record, params, config)
+            assert loss_op_kinds(tape, forward_ops) == ["combined_loss"]
 
 
 BATCHES = {
@@ -469,17 +472,17 @@ def composed_self_attention(hidden, params, mask):
     projected = product(hidden, params.self_attn_w)
     scores = ad.reduce_sum(mul(projected, hidden), axis=-1)
     weights = recorded_attention_weights(scores, params.self_attn_b, mask)
-    return SelfAttentionResult(weights, ad.scale_rows(hidden, weights))
+    return SelfAttentionResult(weights, scale_rows(hidden, weights))
 
 
 def composed_position_aware_attention(weighted, hidden, mean_embedding, params, mask):
     """Stage two from four ops, the reference for ``position_aware_attention``:
     the query's ``product``, each row's product with it, the weights op and
-    the context's ``matmul``."""
+    the context's ``weighted_sum``."""
     query = product(mean_embedding, params.pos_attn_w)
     scores = product(hidden, query, per_row=hidden.values.ndim == 3)
     weights = recorded_attention_weights(scores, params.pos_attn_b, mask)
-    return PositionAttentionResult(weights, ad.matmul(weights, weighted))
+    return PositionAttentionResult(weights, weighted_sum(weights, weighted))
 
 
 def composed_objective(output, record, params, config):

@@ -446,18 +446,20 @@ def test_train_runs_one_step_per_batch(monkeypatch):
 
 def test_training_step_records_only_the_model_ops(monkeypatch):
     """One batch step, the four restaurant aspects each rated by some row and
-    every loss term on, records 4 + 4K ops in the forward and 5 + 4K in the
-    step (20 and 21 at K=4): each from one of the 2 engine ops the model
-    calls with the position stage on, ``matmul`` and ``scale_rows``, or from
-    one of the model's own ops; the L2 term records none."""
+    every loss term on, records 4 + 2K ops in the forward and 5 + 2K in the
+    step (12 and 13 at K=4): each from the one engine op the model calls
+    with the position stage on, ``matmul``, or from one of the model's own
+    ops; the L2 term records none. Without the position stage, 3 + 2K and
+    4 + 2K (11 and 12), with ``reduce_sum`` in place of ``matmul``."""
     aspects = list(DOMAIN_ASPECTS["restaurant"])
-    config = ModelConfig(aspect_names=aspects, embedding_width=6, cell_width=5, max_length=16)
     rng = np.random.default_rng(8)
     examples = [
         ProcessedExample(rng.integers(2, 20, size=n), np.ones(n, dtype=bool), n % 2,
                          np.array(labels), ["t"] * n)
         for n, labels in ((7, [1, 0, -1, 1]), (5, [0, -1, 1, 0]), (9, [-1, 1, 0, 1]))
     ]
+    K = len(aspects)
+    assert K == 4
     forward_ops, ops = [], []
 
     def counted_forward(*args):
@@ -468,15 +470,18 @@ def test_training_step_records_only_the_model_ops(monkeypatch):
     monkeypatch.setattr(training, "forward", counted_forward)
     monkeypatch.setattr(training, "backward",
                         lambda root: ops.extend(root.tape.ops) or backward(root))
-    params = init_params(config, vocab_size=20, seed=0)
-    step(params, AdamState(), collate(examples), config, TrainConfig())
-    K = len(aspects)
-    assert K == 4 and forward_ops == [4 + 4 * K] and len(ops) == 5 + 4 * K
-    engine = [ad.matmul, ad.scale_rows]
-    own = [embed_sequence, bilstm_forward, self_attention, position_aware_attention,
-           model.heads, model.combined_loss]
-    recorded = {(op.grad_fn.__module__, op.grad_fn.__qualname__.split(".")[0]) for op in ops}
-    assert recorded == {(f.__module__, f.__name__) for f in engine + own}
+    own = [embed_sequence, bilstm_forward, self_attention, model.heads, model.combined_loss]
+    for disabled, n_forward, specific in ((False, 4 + 2 * K, [ad.matmul, position_aware_attention]),
+                                          (True, 3 + 2 * K, [ad.reduce_sum])):
+        config = ModelConfig(aspect_names=aspects, embedding_width=6, cell_width=5,
+                             max_length=16, disable_position_attention=disabled)
+        forward_ops.clear()
+        ops.clear()
+        params = init_params(config, vocab_size=20, seed=0)
+        step(params, AdamState(), collate(examples), config, TrainConfig())
+        assert forward_ops == [n_forward] and len(ops) == n_forward + 1
+        recorded = {(op.grad_fn.__module__, op.grad_fn.__qualname__.split(".")[0]) for op in ops}
+        assert recorded == {(f.__module__, f.__name__) for f in own + specific}
 
 
 @pytest.mark.parametrize("poison", ["l2_overflow", "nan_head"])
