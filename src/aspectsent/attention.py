@@ -3,14 +3,14 @@
 Stage one scores each position against itself through a bilinear form and
 turns the scores into gate weights that rescale the hidden rows. Stage two
 couples the sequence's mean embedding with each hidden row to weight the
-rescaled rows into a single aspect context vector. Each stage is one op
-with two outputs, its weights and its product (the rescaled rows, or the
-context), and a hand-written backward; the weights come from the numpy
-helper ``attention_weights``: softmax(tanh(score + b)) over the unmasked
-positions. Each aspect owns an independent parameter set. Every
-function takes one sequence, (T, H) rows with a (T,) mask, or a padded
-batch of them, (B, T, H) with a (B, T) mask, and then returns every result
-with the batch axis.
+rescaled rows into a single aspect context vector. Each stage is one op,
+with a hand-written backward, that returns its weights and its products:
+the rescaled rows and their sum (the context without stage two), or the
+context. The weights come from the numpy helper ``attention_weights``:
+softmax(tanh(score + b)) over the unmasked positions. Each aspect owns an
+independent parameter set. Every function takes one sequence, (T, H) rows
+with a (T,) mask, or a padded batch of them, (B, T, H) with a (B, T) mask,
+and then returns every result with the batch axis.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ class AttentionTrace:
 class SelfAttentionResult(NamedTuple):
     weights: Tensor
     weighted: Tensor
+    context: Tensor  # the sum of the weighted rows
 
 
 class PositionAttentionResult(NamedTuple):
@@ -104,9 +105,9 @@ def self_attention(
 
     The score for position t is h_t W h_t^T, a single scalar per position;
     the weights, softmax(tanh(score + b)), scale each row, preserving the
-    sequence so the next stage can reweight it. Weights and rows are the two
-    outputs of one recorded op over the hidden rows and both parameters.
-    Summing the output rows recovers the plain attention-pooled vector.
+    sequence so the next stage can reweight it. The weights, the rows and
+    their sum, the plain attention-pooled vector, are the three outputs of
+    one recorded op over the hidden rows and both parameters.
     """
     h, w = hidden.values, params.self_attn_w.values
     rows = h.reshape(-1, h.shape[-1])
@@ -114,10 +115,12 @@ def self_attention(
     out, weights_grad = attention_weights(np.sum(projected * h, axis=-1),
                                           params.self_attn_b.values, mask)
 
-    def grad_fn(g, g_rows):
+    def grad_fn(g, g_rows, g_ctx):
         # the hidden rows' three terms reach their buffer one by one, in the composed
         # ops' order: one sum of the terms rounds differently
-        if g_rows is not None:  # the rescaling's backward first
+        if g_ctx is not None:  # the sum's backward first: every row gains the sum's gradient
+            g_rows = g_ctx[..., None, :] if g_rows is None else g_rows + g_ctx[..., None, :]
+        if g_rows is not None:  # then the rescaling's
             hidden.accumulate_grad(g_rows * out[..., None])
             term = np.sum(g_rows * h, axis=-1)
             g = term if g is None else g + term
@@ -126,8 +129,9 @@ def self_attention(
         gp_rows = (gs[..., None] * h).reshape(rows.shape)
         return (gp_rows @ w.T).reshape(h.shape), rows.T @ gp_rows, gb
 
+    weighted = h * out[..., None]
     inputs = (hidden, params.self_attn_w, params.self_attn_b)
-    return SelfAttentionResult(*ad.record(inputs, (out, h * out[..., None]), grad_fn))
+    return SelfAttentionResult(*ad.record(inputs, (out, weighted, weighted.sum(-2)), grad_fn))
 
 
 def position_aware_attention(

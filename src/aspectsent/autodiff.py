@@ -6,24 +6,18 @@ manager, on one module-level stack of tapes for the process's one thread;
 outside any tape, operations run forward-only, which is what evaluation
 code uses.
 
-Each of the 3 operations is one numpy primitive: elementwise ``add`` (+),
-where a constant enters as a 0-d ``Tensor``; ``matmul``, a row of constant
-weights over rows (a weighted sum, or a mean with weights ``1/n``); and
-``reduce_sum``.
+The 2 operations here are numpy primitives that no model code calls, kept
+for the benchmark's cases and the tests' composed references: ``add`` (+),
+broadcasting an operand whose shape ends the other's, and ``reduce_sum``.
 
-A training batch runs each operation once over a leading batch axis B; a
-single sequence is the same call without it. ``add`` broadcasts an operand
-whose shape ends the other's, and the other operations work on the last
-axes.
-
-An operation made of many numpy steps, with a backward pass written by
-hand, is defined where it is used and recorded through the public
-``record``, with one output or several: ``embeddings.embed_sequence``
-reads both tables as one operation, ``recurrent.bilstm_forward`` runs both
-LSTM directions over a whole batch as one operation, each
-``attention`` stage gives its weights and its product, ``model.heads``
-every classifier head's logits, and ``model.combined_loss`` the weighted
-objective, its cross-entropies and orthogonality penalties. The L2 term is
+Each model operation, with a backward pass written by hand, is defined
+where it is used and recorded through the public ``record``, with one
+output or several: ``embeddings.embed_sequence`` reads both tables,
+``embeddings.mean_embedding`` averages the rows, ``recurrent.bilstm_forward``
+runs both LSTM directions, each ``attention`` stage gives its weights and
+its products, ``model.heads`` every head's logits, and ``model.combined_loss``
+the weighted objective, its cross-entropies and orthogonality penalties. A
+batch runs each once over a leading axis B; a sequence, without it. The L2 term is
 no operation: ``training.adam_step`` adds its closed-form gradient to each
 parameter's in its scope.
 
@@ -34,7 +28,6 @@ the buffers of intermediate values live only while the pass needs them.
 An operation reading rows of a large table adds their gradient through
 ``Tensor.accumulate_rows``, which keeps it row-sparse (a ``RowGrad``), as
 ``bilstm_forward`` does with its input gradient into the embedding tables.
-``dense_grad`` reads either form as a dense array.
 """
 
 from __future__ import annotations
@@ -256,17 +249,8 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
         t.grad = None
 
 
-def dense_grad(t: Tensor) -> np.ndarray:
-    """A new dense array of ``t``'s gradient, in either form; zeros without one."""
-    if t.grad is None:
-        return np.zeros(t.values.shape)
-    if isinstance(t.grad, RowGrad):
-        return t.grad.dense(t.values.shape)
-    return t.grad.copy()
-
-
 # ---------------------------------------------------------------------------
-# elementwise operations
+# the elementwise add, and sums
 
 
 def _check_binary(a: Tensor, b: Tensor, op_name: str) -> None:
@@ -295,24 +279,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return _unbroadcast(g, a.values.shape), _unbroadcast(g, b.values.shape)
 
     return record((a, b), out, grad_fn)
-
-
-# ---------------------------------------------------------------------------
-# weights over rows, and sums
-
-
-def matmul(w: np.ndarray, rows: Tensor) -> Tensor:
-    """A row of constant weights over rows, ``w @ rows``: (T,) @ (T, n), or
-    with a batch axis B, (B, T) @ (B, T, n), each row's weights over its own
-    rows. Only ``rows`` takes a gradient."""
-    rv = rows.values
-    if w.ndim not in (1, 2) or rv.shape[:-1] != w.shape:
-        raise ShapeError(f"matmul: incompatible shapes {w.shape} and {rv.shape}")
-
-    def grad_fn(g):
-        return (w[..., None] * g[..., None, :],)
-
-    return record((rows,), np.matmul(w[..., None, :], rv)[..., 0, :], grad_fn)
 
 
 def reduce_sum(a: Tensor, axis: Optional[int] = None) -> Tensor:

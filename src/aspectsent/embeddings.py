@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from aspectsent import autodiff as ad
-from aspectsent.autodiff import Tensor
+from aspectsent.autodiff import ShapeError, Tensor
 from aspectsent.textfile import InputError, read_lines
 
 PAD_TOKEN = "<pad>"
@@ -145,7 +145,7 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Lookup:
     and positions touched, which ``training.adam_step`` updates alone (the
     tables are outside the L2 term); a ``PAD_ID`` position adds no word row.
     ``bilstm_forward`` adds its own part into the tables, so in ``model``
-    this carries the mean embedding's alone.
+    this carries ``mean_embedding``'s alone.
     Sequences longer than the position table are a caller error; truncation
     belongs to the data pipeline.
     """
@@ -169,3 +169,18 @@ def embed_sequence(token_ids, tables: EmbeddingTables) -> Lookup:
     rows = Lookup(out)
     rows.ids, rows.tables = ids, tables
     return ad.record((tables.word, tables.position), rows, grad_fn)
+
+
+def mean_embedding(rows: Tensor, mask) -> Tensor:
+    """The mean of each sequence's unmasked rows, (..., T, n) under a (T,) or (B, T)
+    mask to (..., n), as one tape op over ``rows``: weights 1/count on the unmasked
+    positions (zero for a fully masked row), one (1, T) @ (T, n) product each."""
+    rv, mask = rows.values, np.asarray(mask)
+    if mask.ndim not in (1, 2) or rv.shape[:-1] != mask.shape:
+        raise ShapeError(f"mean_embedding: mask {mask.shape} does not match rows {rv.shape}")
+    w = mask / np.maximum(np.count_nonzero(mask, axis=-1, keepdims=True), 1)
+
+    def grad_fn(g):
+        return (w[..., None] * g[..., None, :],)
+
+    return ad.record((rows,), np.matmul(w[..., None, :], rv)[..., 0, :], grad_fn)

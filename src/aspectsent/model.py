@@ -46,6 +46,7 @@ from aspectsent.embeddings import (
     EmbeddingTables,
     Vocabulary,
     embed_sequence,
+    mean_embedding,
     random_tables,
 )
 from aspectsent.recurrent import LstmParams, bilstm_forward, init_lstm_params
@@ -266,13 +267,11 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
     """
     mask = np.asarray(example.mask, dtype=bool)
     embedded = embed_sequence(example.token_ids, params.tables)
-    mean_embedding = None
+    ebar = None
     if not config.disable_position_attention:
-        # weights 1/n on the unmasked rows: their mean, read in place; recorded before the
-        # BiLSTM, its (B, T, 2d) gradient, the only one of the embedded rows (the BiLSTM
-        # writes the tables itself), comes once the BiLSTM's buffers are freed
-        counts = np.maximum(np.count_nonzero(mask, axis=-1, keepdims=True), 1)
-        mean_embedding = ad.matmul(mask / counts, embedded)
+        # recorded before the BiLSTM: its (B, T, 2d) gradient, the only one of the embedded
+        # rows (the BiLSTM writes the tables itself), comes once the BiLSTM's buffers are freed
+        ebar = mean_embedding(embedded, mask)
     hidden = bilstm_forward(embedded, params.lstm_fwd, params.lstm_bwd, mask)
 
     traces = []
@@ -280,9 +279,9 @@ def forward(example, params: ModelParams, config: ModelConfig) -> ForwardOutput:
         attn = params.attention[k]
         sa = self_attention(hidden.values, attn, mask)
         if config.disable_position_attention:
-            traces.append(AttentionTrace(sa.weights, None, ad.reduce_sum(sa.weighted, axis=-2)))
+            traces.append(AttentionTrace(sa.weights, None, sa.context))
         else:
-            pa = position_aware_attention(sa.weighted, hidden.values, mean_embedding, attn, mask)
+            pa = position_aware_attention(sa.weighted, hidden.values, ebar, attn, mask)
             traces.append(AttentionTrace(sa.weights, pa.weights, pa.context))
     return ForwardOutput(heads([t.context for t in traces], params), traces)
 
@@ -451,8 +450,9 @@ def aspect_rank(traces: Sequence[AttentionTrace]):
 def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelParams) -> None:
     """Write config, vocabulary, preprocessing record and every parameter to one archive.
 
-    The archive is written to a temporary file beside ``path`` and then
-    renamed over it, so a failed save leaves any earlier checkpoint intact.
+    The archive goes to a temporary file beside ``path``, synced, renamed over it,
+    then the directory is synced: a failed save leaves any earlier checkpoint intact,
+    and a finished one survives a crash.
     """
     meta = {
         "format_version": CHECKPOINT_FORMAT,
@@ -467,9 +467,16 @@ def save_checkpoint(path, config: ModelConfig, vocab: Vocabulary, params: ModelP
         with open(tmp, "wb") as fh:
             np.savez(fh, meta=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
                      **arrays)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _from_json(value, hint):

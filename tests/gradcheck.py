@@ -1,10 +1,10 @@
 """Central-difference gradient checking, the oracle for every op's backward;
+``dense_grad``, which reads a gradient in either form as a dense array;
 the tanh op that the checks put over an op's output as a non-linear root;
 and the ops that only the composed reference models use: ``concat`` to join
 their parts, the elementwise ``mul``, ``product``, a general matrix product,
 and the attention stages' products as ops of their own, ``scale_rows`` and
-``weighted_sum``, which unlike the engine's ``matmul`` takes a gradient for
-its weights too."""
+``weighted_sum``, which with constant weights is also the mean embedding."""
 
 from typing import Callable, Sequence
 
@@ -13,15 +13,24 @@ import numpy as np
 from aspectsent.autodiff import (
     GraphError,
     NumericError,
+    RowGrad,
     ShapeError,
     Tape,
     Tensor,
     _check_binary,
     _unbroadcast,
     backward,
-    dense_grad,
     record,
 )
+
+
+def dense_grad(t: Tensor) -> np.ndarray:
+    """A new dense array of ``t``'s gradient, in either form; zeros without one."""
+    if t.grad is None:
+        return np.zeros(t.values.shape)
+    if isinstance(t.grad, RowGrad):
+        return t.grad.dense(t.values.shape)
+    return t.grad.copy()
 
 
 def grad_check(f: Callable[[], Tensor], inputs: Sequence[Tensor], h: float = 1e-5) -> float:

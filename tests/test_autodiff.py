@@ -1,3 +1,4 @@
+import functools
 import gc
 import importlib
 import inspect
@@ -31,47 +32,53 @@ from aspectsent.autodiff import (
     backward,
 )
 from tests import gradcheck
-from tests.gradcheck import concat, grad_check, mul, product, scale_rows, tanh, weighted_sum
+from tests.gradcheck import (
+    concat, dense_grad, grad_check, mul, product, scale_rows, tanh, weighted_sum,
+)
 
 
-def test_matmul_identity():
-    # one-hot weights pick a row; each batch row's weights read its own rows
+def test_mean_embedding_picks_one_hot_row():
+    # one unmasked position: the mean is that row; each batch row reads its own rows
     rows = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.matmul(np.array([0.0, 1.0]), rows).values, [3.0, 4.0])
+    assert np.array_equal(embeddings.mean_embedding(rows, [False, True]).values, [3.0, 4.0])
     batch = Tensor(np.arange(8.0).reshape(2, 2, 2))
-    out = ad.matmul(np.eye(2), batch)
+    out = embeddings.mean_embedding(batch, np.eye(2, dtype=bool))
     assert np.array_equal(out.values, [[0.0, 1.0], [6.0, 7.0]])
 
 
-def test_matmul_hand_computed():
-    out = ad.matmul(np.array([1.0, 2.0]), Tensor([[3.0], [4.0]]))
-    assert out.values.shape == (1,)
-    assert out.values[0] == 11.0
+def test_mean_embedding_hand_computed():
+    # the masked row is left out, and a fully masked row's mean is zero
+    rows = Tensor([[[3.0], [4.0], [8.0]], [[1.0], [2.0], [5.0]]])
+    out = embeddings.mean_embedding(rows, np.array([[1, 0, 1], [0, 0, 0]], dtype=bool))
+    assert out.values.shape == (2, 1)
+    assert np.array_equal(out.values, [[5.5], [0.0]])
 
 
-def test_matmul_shape_error_names_both_shapes():
+def test_mean_embedding_shape_error_names_both_shapes():
     with pytest.raises(ShapeError) as err:
-        ad.matmul(np.zeros((2, 3)), Tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(err.value)
-    # weights over rows only: no matrix product, no vector on the right
-    for a, b in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros(3)),
-                 (np.zeros((2, 3)), np.zeros((3, 4))), (np.zeros((2, 3, 4)), np.zeros((4, 2))),
-                 (np.zeros((2, 3)), np.zeros(3)), (np.zeros((2, 3)), np.zeros((2, 4, 5)))):
-        with pytest.raises(ShapeError, match="^matmul: "):
-            ad.matmul(a, Tensor(b))
+        embeddings.mean_embedding(Tensor(np.zeros((2, 4))), np.ones(3, dtype=bool))
+    assert "(3,)" in str(err.value) and "(2, 4)" in str(err.value)
+    # a mask over the rows' leading axes only: (T,) or (B, T)
+    for mask, rows in ((np.zeros(2), np.zeros((3, 2))), (np.zeros(3), np.zeros(3)),
+                       (np.zeros((2, 3)), np.zeros((3, 4))),
+                       (np.zeros((2, 3, 4)), np.zeros((2, 3, 4, 5))),
+                       (np.zeros((2, 3)), np.zeros(3)), (np.zeros((2, 3)), np.zeros((2, 4, 5)))):
+        with pytest.raises(ShapeError, match="^mean_embedding: "):
+            embeddings.mean_embedding(Tensor(rows), mask.astype(bool))
 
 
-def test_matmul_gradient_matches_finite_differences():
+def test_mean_embedding_gradient_matches_finite_differences():
     rng = np.random.default_rng(0)
-    w = rng.normal(size=3)
+    mask = np.array([True, False, True])
     rows = ad.parameter(rng.normal(size=(3, 4)))
-    err = grad_check(lambda: ad.reduce_sum(ad.matmul(w, rows)), [rows])
+    err = grad_check(lambda: ad.reduce_sum(embeddings.mean_embedding(rows, mask)), [rows])
     assert err < 1e-9
-    # the gradient of sum(w @ rows) is w down every column; the constant weights are no input
+    # the gradient of sum(mean) is 1/n down every unmasked row, 0 on the masked one;
+    # the mask is no input
     ad.zero_grads([rows])
     with Tape() as tape:
-        backward(ad.reduce_sum(ad.matmul(w, rows)))
-    np.testing.assert_array_equal(rows.grad, np.tile(w[:, None], (1, 4)))
+        backward(ad.reduce_sum(embeddings.mean_embedding(rows, mask)))
+    np.testing.assert_array_equal(rows.grad, np.tile([[0.5], [0.0], [0.5]], (1, 4)))
     assert tape.ops[0].inputs == (rows,)
 
 
@@ -282,11 +289,10 @@ def test_grad_check_tanh_matmul_composition():
 GRAD_CHECK_CASES = [
     "add", "mul", "mul-constant", "add-batch", "mul-batch", "tanh",
     "product", "product-vector", "product-batch", "product-vector-batch",
-    "matmul-vector-left", "matmul-vector-left-batch", "weighted_sum", "weighted_sum-batch",
-    "reduce_sum", "concat", "scale_rows", "scale_rows-batch",
-    "embed_sequence", "embed_sequence-batch",
+    "weighted_sum", "weighted_sum-batch", "reduce_sum", "concat", "scale_rows", "scale_rows-batch",
+    "embed_sequence", "embed_sequence-batch", "mean_embedding", "mean_embedding-batch",
     "self_attention", "self_attention-batch",
-    "self_attention-weights", "self_attention-product",
+    "self_attention-weights", "self_attention-product", "self_attention-context",
     "position_aware_attention", "position_aware_attention-batch",
     "position_aware_attention-weights", "position_aware_attention-product",
     "bilstm_forward", "bilstm_forward-padded", "bilstm_forward-batch",
@@ -372,12 +378,6 @@ def test_grad_check_every_operation(name):
     elif name == "product-vector-batch":  # each row's matrix times its own vector
         a, v = ad.parameter(rng.normal(size=(2, 3, 4))), mat(2, 4)
         inputs, f = [a, v], lambda: ad.reduce_sum(tanh(product(a, v, per_row=True)))
-    elif name == "matmul-vector-left":  # constant weights over rows, as the mean embedding
-        v, a = rng.normal(size=3), mat(3, 4)
-        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
-    elif name == "matmul-vector-left-batch":  # each row's weights over its own rows
-        v, a = rng.normal(size=(2, 3)), ad.parameter(rng.normal(size=(2, 3, 4)))
-        inputs, f = [a], lambda: ad.reduce_sum(tanh(ad.matmul(v, a)))
     elif name == "weighted_sum":  # weights over rows, as the position stage's context
         v, a = vec(3), mat(3, 4)
         inputs, f = [v, a], lambda: ad.reduce_sum(tanh(weighted_sum(v, a)))
@@ -402,6 +402,12 @@ def test_grad_check_every_operation(name):
         ids = [[1, 2, 2], [4, 3, 2]] if name.endswith("batch") else [3, 2, 2, 4]
         inputs = [tables.word, tables.position]
         f = lambda: ad.reduce_sum(tanh(embeddings.embed_sequence(ids, tables)))
+    elif name.startswith("mean_embedding"):  # the batch: a masked hole and a masked tail
+        mask = np.array([1, 1, 1, 1], dtype=bool)
+        if name.endswith("batch"):
+            mask = np.array([[1, 0, 1, 1], [1, 1, 0, 0]], dtype=bool)
+        a = ad.parameter(rng.normal(size=mask.shape + (3,)))
+        inputs, f = [a], lambda: ad.reduce_sum(tanh(embeddings.mean_embedding(a, mask)))
     elif name.startswith("bilstm_forward"):  # padded: rows 3 and 4 are masked
         fwd, bwd = recurrent.init_lstm_params(3, 2, rng), recurrent.init_lstm_params(3, 2, rng)
         x = mat(5, 3)
@@ -418,8 +424,8 @@ def test_grad_check_every_operation(name):
     elif name.split("-")[0] in ("self_attention", "position_aware_attention"):
         # 5 positions, a hole in the one sequence; the batch's rows: full, a
         # masked tail, and one position, whose weight is 1 at any input. The
-        # root reads both outputs, each through its own readout, or one alone:
-        # then the other passes its op no gradient
+        # root reads every output, each through its own readout, or one alone:
+        # then the others pass their op no gradient
         lead, mask = (), np.array([1, 1, 0, 1, 1], dtype=bool)
         if name.endswith("batch"):
             lead = (3,)
@@ -427,24 +433,21 @@ def test_grad_check_every_operation(name):
         params = AspectAttentionParams(mat(3, 3), ad.parameter(0.4), mat(4, 3), ad.parameter(-0.3))
         hidden = ad.parameter(rng.normal(size=lead + (5, 3)))
         ebar = ad.parameter(rng.normal(size=lead + (4,)))
-        readout = Tensor(rng.normal(size=lead + (5,)))
-        if name.startswith("self"):
+        readouts = [Tensor(rng.normal(size=lead + (5,)))]
+        if name.startswith("self"):  # the weights, the rescaled rows and their sum
             inputs = [hidden, params.self_attn_w, params.self_attn_b]
             stage = lambda: self_attention(hidden, params, mask)
-            product_readout = Tensor(rng.normal(size=lead + (5, 3)))
-        else:
+            readouts += [Tensor(rng.normal(size=lead + (5, 3))), Tensor(rng.normal(size=lead + (3,)))]
+        else:  # the weights and the context
             inputs = [hidden, ebar, params.pos_attn_w, params.pos_attn_b]
             stage = lambda: position_aware_attention(hidden, hidden, ebar, params, mask)
-            product_readout = Tensor(rng.normal(size=lead + (3,)))
+            readouts.append(Tensor(rng.normal(size=lead + (3,))))
+        read = {"weights": 0, "product": 1, "context": 2}.get(name.split("-")[-1])
 
         def f():
-            weights, product = stage()
-            if name.endswith("product"):
-                return ad.reduce_sum(mul(product, product_readout))
-            root = ad.reduce_sum(mul(weights, readout))
-            if name.endswith("weights"):
-                return root
-            return ad.add(root, ad.reduce_sum(mul(product, product_readout)))
+            terms = [ad.reduce_sum(mul(out, readout)) for i, (out, readout)
+                     in enumerate(zip(stage(), readouts)) if read in (None, i)]
+            return functools.reduce(ad.add, terms)
     assert grad_check(f, inputs) < 1e-7
 
 
@@ -463,11 +466,11 @@ def test_forward_replay_is_deterministic():
 def test_accumulate_rows_sparse_gradient():
     t = ad.parameter(np.ones((4, 2)))
     t.accumulate_rows(np.array([1, 1]), np.ones((2, 2)))
-    np.testing.assert_array_equal(ad.dense_grad(t), [[0, 0], [2, 2], [0, 0], [0, 0]])
+    np.testing.assert_array_equal(dense_grad(t), [[0, 0], [2, 2], [0, 0], [0, 0]])
 
     # repeated indices, each row weighted differently, onto the gradient there
     t.accumulate_rows(np.array([3, 0, 3]), np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]))
-    np.testing.assert_array_equal(ad.dense_grad(t), [[3, 4], [2, 2], [0, 0], [6, 8]])
+    np.testing.assert_array_equal(dense_grad(t), [[3, 4], [2, 2], [0, 0], [6, 8]])
     # kept as the touched rows alone
     np.testing.assert_array_equal(t.grad.rows, [0, 1, 3])
 
@@ -485,8 +488,8 @@ def test_embedding_scatter_adds_to_a_gradient_written_first():
     with Tape():
         rows = embeddings.embed_sequence([[2, 2], [1, 2]], tables)
         backward(ad.add(ad.reduce_sum(rows), ad.reduce_sum(mul(word, word))))
-    np.testing.assert_array_equal(ad.dense_grad(word), [[2, 2], [3, 3], [5, 5], [3, 3]])
-    np.testing.assert_array_equal(ad.dense_grad(tables.position), [[3, 3], [2, 2], [0, 0]])
+    np.testing.assert_array_equal(dense_grad(word), [[2, 2], [3, 3], [5, 5], [3, 3]])
+    np.testing.assert_array_equal(dense_grad(tables.position), [[3, 3], [2, 2], [0, 0]])
 
 
 def test_backward_frees_each_operations_gradients_before_the_next():

@@ -19,6 +19,7 @@ from aspectsent.embeddings import EmbeddingTables, embed_sequence
 from aspectsent.model import init_params
 from aspectsent.training import AdamState, TrainConfig, adam_step, train
 from tests.corpus import synthetic_split
+from tests.gradcheck import dense_grad
 from tests.test_training import reference_adam_step
 
 CONFIG = TrainConfig(learning_rate=0.03)
@@ -57,7 +58,7 @@ def test_row_sums_equal_the_add_at_scatter():
         np.add.at(expected, ids, rows)
         assert isinstance(t.grad, ad.RowGrad)
         np.testing.assert_array_equal(t.grad.rows, np.flatnonzero(np.any(expected != 0.0, axis=1)))
-        assert np.array_equal(ad.dense_grad(t), expected)
+        assert np.array_equal(dense_grad(t), expected)
 
 
 def test_lazy_rows_equal_the_dense_oracle_on_every_step():
@@ -138,7 +139,7 @@ def test_one_training_step_equals_dense_adam_with_the_tables_out_of_the_decay(mo
     def dense_adam(named, state, config, l2_weight):
         for _, t in named:
             if isinstance(t.grad, ad.RowGrad):
-                t.grad = ad.dense_grad(t)
+                t.grad = dense_grad(t)
         adam_step(named, state, config, l2_weight)
 
     monkeypatch.setattr(training, "adam_step", dense_adam)

@@ -8,7 +8,7 @@ from aspectsent import model
 from aspectsent.autodiff import ShapeError, Tape, Tensor, backward
 from aspectsent.embeddings import PAD_ID, EmbeddingTables, embed_sequence, random_tables
 from aspectsent.recurrent import GATES, HiddenStates, LstmParams, bilstm_forward, init_lstm_params
-from tests.gradcheck import concat, grad_check, mul, product, tanh
+from tests.gradcheck import concat, dense_grad, grad_check, mul, product, tanh
 
 
 def zero_params(input_width, cell_width):
@@ -348,7 +348,7 @@ def check_against_oracle(oracle, seed):
             with Tape():
                 out = build(x, fwd, bwd, mask).values
                 backward(ad.reduce_sum(tanh(product(out, readout))))
-            results.append((out.values, [ad.dense_grad(t) for t in tensors]))
+            results.append((out.values, [dense_grad(t) for t in tensors]))
         (fused_out, fused_grads), (oracle_out, oracle_grads) = results
         assert within(fused_out, oracle_out, 1e-12), label
         assert not np.any(fused_out[~mask]), label
@@ -466,7 +466,7 @@ def test_fused_direction_matches_per_gate_oracle():
             with Tape():
                 out = build()
                 backward(ad.reduce_sum(tanh(product(out, readout))))
-            results.append((out.values, ad.dense_grad(x)))
+            results.append((out.values, dense_grad(x)))
         (fused_out, fused_x_grad), (oracle_out, oracle_x_grad) = results
 
         assert within(fused_out, oracle_out, 1e-12), label
@@ -476,7 +476,7 @@ def test_fused_direction_matches_per_gate_oracle():
             for g, gate in enumerate(GATES):
                 for part in "wub":
                     got = gate_block(getattr(params, part).grad, g)
-                    assert within(got, ad.dense_grad(gates[gate, part]), 1e-10), (label, gate, part)
+                    assert within(got, dense_grad(gates[gate, part]), 1e-10), (label, gate, part)
 
 
 @pytest.mark.parametrize(
@@ -519,7 +519,7 @@ def test_model_loss_and_gradients_match_composed_encoder(monkeypatch, length, pa
             output = model.forward(example, params, config)
             loss, _ = model.combined_loss(output, example, params, config)
             backward(loss)
-        runs.append((loss.item(), [ad.dense_grad(t) for t in params.tensors()]))
+        runs.append((loss.item(), [dense_grad(t) for t in params.tensors()]))
     (fused_loss, fused_grads), (composed_loss, composed_grads) = runs
     assert within(*states, 1e-12)
     assert abs(fused_loss - composed_loss) <= 1e-12 * abs(composed_loss)
@@ -617,8 +617,8 @@ def lookup_and_plain_gradients(ids, mask, d, H, seed):
             np.add.at(word, ids.ravel(), d_x[:, :d])
             np.add.at(position, columns, d_x[:, d:])
         else:
-            word, position = ad.dense_grad(tables.word), ad.dense_grad(tables.position)
-        results.append((out.values, [ad.dense_grad(t) for t in lstm] + [word, position]))
+            word, position = dense_grad(tables.word), dense_grad(tables.position)
+        results.append((out.values, [dense_grad(t) for t in lstm] + [word, position]))
     return results
 
 

@@ -10,7 +10,7 @@ from aspectsent import model, training
 from aspectsent.autodiff import NumericError, Tape, Tensor, backward
 from aspectsent.attention import position_aware_attention, self_attention
 from aspectsent.data import DOMAIN_ASPECTS, DatasetSplit, ProcessedExample, batch_iter, collate
-from aspectsent.embeddings import PAD_ID, embed_sequence
+from aspectsent.embeddings import PAD_ID, embed_sequence, mean_embedding
 from aspectsent.model import L2_EXEMPT, ModelConfig, combined_loss, forward, init_params
 from aspectsent.recurrent import bilstm_forward
 from aspectsent.training import (
@@ -24,7 +24,7 @@ from aspectsent.training import (
     train,
 )
 from tests.corpus import synthetic_split, tiny_model_config
-from tests.gradcheck import mul
+from tests.gradcheck import dense_grad, mul
 from tests.test_autodiff import oracle_sum_of_squares
 
 
@@ -313,7 +313,7 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
 
     def capture(named, state, config, l2_weight):
         captured["l2_weight"] = l2_weight
-        captured.update((name, ad.dense_grad(t)) for name, t in named if t.grad is not None)
+        captured.update((name, dense_grad(t)) for name, t in named if t.grad is not None)
 
     monkeypatch.setattr(training, "adam_step", capture)
     params = init_params(config, len(vocab), seed=2)
@@ -335,7 +335,7 @@ def test_batch_gradient_matches_per_example_l2_oracle(monkeypatch):
     expected_loss = batch_loss.item() + config.l2_weight * composed_l2(oracle).item()
     assert abs(result.log[0].mean_loss - expected_loss) <= 1e-14 * abs(expected_loss)
     assert captured.pop("l2_weight") == config.l2_weight
-    expected = {name: ad.dense_grad(t) for name, t in oracle.named_tensors() if t.grad is not None}
+    expected = {name: dense_grad(t) for name, t in oracle.named_tensors() if t.grad is not None}
     assert captured.keys() == expected.keys()
     assert np.all(captured["word_table"][PAD_ID] == 0.0)
     for name, grad in expected.items():
@@ -447,10 +447,9 @@ def test_train_runs_one_step_per_batch(monkeypatch):
 def test_training_step_records_only_the_model_ops(monkeypatch):
     """One batch step, the four restaurant aspects each rated by some row and
     every loss term on, records 4 + 2K ops in the forward and 5 + 2K in the
-    step (12 and 13 at K=4): each from the one engine op the model calls
-    with the position stage on, ``matmul``, or from one of the model's own
-    ops; the L2 term records none. Without the position stage, 3 + 2K and
-    4 + 2K (11 and 12), with ``reduce_sum`` in place of ``matmul``."""
+    step (12 and 13 at K=4), each from one of the model's own ops and none
+    from the engine; the L2 term records none. Without the position stage,
+    no mean embedding and one op per aspect: 3 + K and 4 + K (7 and 8)."""
     aspects = list(DOMAIN_ASPECTS["restaurant"])
     rng = np.random.default_rng(8)
     examples = [
@@ -471,8 +470,9 @@ def test_training_step_records_only_the_model_ops(monkeypatch):
     monkeypatch.setattr(training, "backward",
                         lambda root: ops.extend(root.tape.ops) or backward(root))
     own = [embed_sequence, bilstm_forward, self_attention, model.heads, model.combined_loss]
-    for disabled, n_forward, specific in ((False, 4 + 2 * K, [ad.matmul, position_aware_attention]),
-                                          (True, 3 + 2 * K, [ad.reduce_sum])):
+    for disabled, n_forward, specific in ((False, 4 + 2 * K, [mean_embedding,
+                                                              position_aware_attention]),
+                                          (True, 3 + K, [])):
         config = ModelConfig(aspect_names=aspects, embedding_width=6, cell_width=5,
                              max_length=16, disable_position_attention=disabled)
         forward_ops.clear()
@@ -482,6 +482,7 @@ def test_training_step_records_only_the_model_ops(monkeypatch):
         assert forward_ops == [n_forward] and len(ops) == n_forward + 1
         recorded = {(op.grad_fn.__module__, op.grad_fn.__qualname__.split(".")[0]) for op in ops}
         assert recorded == {(f.__module__, f.__name__) for f in own + specific}
+        assert all(module != ad.__name__ for module, _ in recorded)
 
 
 @pytest.mark.parametrize("poison", ["l2_overflow", "nan_head"])
